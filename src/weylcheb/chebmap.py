@@ -10,8 +10,16 @@ of orbit sums is stored as a dict
 
 Component k of the map is obtained by rewriting m_{d*omega_k} as an integer
 polynomial in the basic invariants m_{omega_1}, ..., m_{omega_n} via
-triangular elimination against a height order; Chevalley integrality is
-asserted, never rounded.
+triangular elimination against a height order.
+
+Products of orbit sums use the stabilizer formula
+
+    m_lam * m_mu = sum_{s in W mu} (|W lam| / |W dom(lam + s)|) m_{dom(lam + s)},
+
+which walks one orbit (the smaller) instead of convolving both; orbit sizes
+come from rootsys.orbit_size without enumeration.  Chevalley integrality is
+asserted, never rounded: each coefficient count * |W lam| / |W nu| must divide
+exactly, and a remainder raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ import mpmath
 import numpy as np
 
 from .errors import DimensionError
-from .rootsys import RootSystem, invert_fraction, is_dominant, orbit
+from .rootsys import (RootSystem, dominant_weight, invert_fraction, orbit,
+                      orbit_size)
 from .gencos import orbit_matrix
 
 _DECOMPOSE_CAP = 200000
@@ -63,21 +72,35 @@ def _clean(combo: dict) -> dict:
 def orbit_sum_product(rs: RootSystem, a: dict, b: dict) -> dict:
     """Product of two orbit-sum combinations.
 
-    Expands both factors over their full orbits, convolves the exponents, and
-    reads off the coefficient of each dominant weight (the product is
-    Weyl-invariant, so multiplicities are constant along orbits).
+    Each pair of terms uses the stabilizer formula
+
+        m_lam * m_mu = sum_{s in W mu} (|W lam| / |W nu(s)|) m_{nu(s)},
+        nu(s) = dom(lam + s),
+
+    summed over whichever of the two orbits is smaller: count the s that land
+    on each dominant nu, then the coefficient of m_nu is
+    count * |W lam| / |W nu|.  The division must be exact; a remainder
+    raises ArithmeticError instead of being rounded.
     """
-    counts: dict = {}
+    out: dict = {}
     for lam, ca in a.items():
-        olam = orbit(rs, lam)
         for mu, cb in b.items():
-            omu = orbit(rs, mu)
-            c = ca * cb
-            for r in olam:
-                for s in omu:
-                    key = tuple(x + y for x, y in zip(r, s))
-                    counts[key] = counts.get(key, 0) + c
-    return _clean({lam: c for lam, c in counts.items() if is_dominant(lam)})
+            big, small = lam, mu
+            if orbit_size(rs, lam) < orbit_size(rs, mu):
+                big, small = mu, lam
+            counts: dict = {}
+            for s in orbit(rs, small):
+                nu = dominant_weight(rs, [x + y for x, y in zip(big, s)])
+                counts[nu] = counts.get(nu, 0) + 1
+            size = orbit_size(rs, big)
+            for nu, k in counts.items():
+                q, r = divmod(k * size, orbit_size(rs, nu))
+                if r:
+                    raise ArithmeticError(
+                        f"m_{lam} * m_{mu}: coefficient of m_{nu} is "
+                        f"{k * size}/{orbit_size(rs, nu)}, not an integer")
+                out[nu] = out.get(nu, 0) + ca * cb * q
+    return _clean(out)
 
 
 def monomial_expand(rs: RootSystem, e) -> dict:

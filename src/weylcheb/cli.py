@@ -72,12 +72,17 @@ def cmd_weyl(args) -> int:
     return 0
 
 
-def cmd_chebmap(args) -> int:
+def _synthesize_and_verify(args):
     rs = build_root_system(args.type)
     pmap = cm.build_cheb_map(rs, args.d)
     rep = cm.verify_functional_equation(rs, args.d, pmap,
                                         samples=args.samples, tol=args.tol,
                                         seed=args.seed)
+    return rs, pmap, rep
+
+
+def cmd_chebmap(args) -> int:
+    rs, pmap, rep = _synthesize_and_verify(args)
     payload = cm.poly_map_as_dict(rs, args.d, pmap)
     payload["verification"] = rep.as_dict()
     _emit(args, payload)
@@ -85,11 +90,7 @@ def cmd_chebmap(args) -> int:
 
 
 def cmd_verify_functional(args) -> int:
-    rs = build_root_system(args.type)
-    pmap = cm.build_cheb_map(rs, args.d)
-    rep = cm.verify_functional_equation(rs, args.d, pmap,
-                                        samples=args.samples, tol=args.tol,
-                                        seed=args.seed)
+    _, _, rep = _synthesize_and_verify(args)
     _emit(args, rep.as_dict())
     return 0 if rep.passed else 1
 
@@ -116,8 +117,6 @@ def cmd_img_verify(args) -> int:
     rs = build_root_system(args.type)
     vertex_cap = args.cap_vertices or mo.VERTEX_CAP
     group_cap = args.cap_group or mo.GROUP_ORDER_CAP
-    mo.check_img_caps(rs, args.d, args.levels, vertex_cap=vertex_cap,
-                      group_cap=group_cap)
     rep = mo.img_verification(rs, args.d, args.levels, seed=args.seed,
                               vertex_cap=vertex_cap, group_cap=group_cap)
     _emit(args, rep.as_dict())

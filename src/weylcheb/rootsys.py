@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
 from .errors import CapExceededError, DimensionError, TypeSpecError
 
 WEYL_CAP = 1152  # |W(F4)|; full group enumeration refuses beyond this
@@ -304,13 +307,8 @@ def affine_apply(g: AffineElement, x):
 
     Works on exact (int/Fraction) sequences and on numpy arrays.
     """
-    try:
-        import numpy as np
-        if isinstance(x, np.ndarray):
-            m = np.array(g.w.coroot_matrix)
-            return m @ x + np.array(g.t)
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(x, np.ndarray):
+        return np.array(g.w.coroot_matrix) @ x + np.array(g.t)
     if len(x) != g.rank:
         raise DimensionError(f"point has length {len(x)}, expected {g.rank}")
     return vec_add(g.w.apply_point(tuple(x)), g.t)
@@ -352,9 +350,9 @@ def reflection_element(v: Root, ell: int = 0) -> AffineElement:
 class RootSystem:
     """Exact data of a (possibly reducible) root system.
 
-    Instances are immutable by convention; every derived table (orbits, Weyl
-    elements, orbit-sum expansions) is cached on the instance and safe for
-    concurrent readers.
+    Instances are immutable by convention; every derived table (orbits, orbit
+    sizes, Weyl elements, orbit-sum expansions) is cached on the instance and
+    safe for concurrent readers.
     """
 
     def __init__(self, type_spec, factors, cartan, gram, lengths, roots,
@@ -368,6 +366,11 @@ class RootSystem:
         self.roots = roots                # tuple of Root
         self.simple_root_indices = simple_root_indices
         self._orbit_cache = {}
+        self._orbit_size_cache = {}
+        # nonzero entries (i, C[i][j]) of each column j: the simple root a_j
+        self._simple_root_cols = tuple(
+            tuple((i, row[j]) for i, row in enumerate(cartan) if row[j])
+            for j in range(self.rank))
         self._weyl_cache = None
         self._expand_cache = {}
         self._orbit_matrix_cache = {}
@@ -446,15 +449,11 @@ def build_root_system(type_spec: str) -> RootSystem:
 def reflect(v: Root, ell, x):
     """Affine reflection rho_{v,ell} applied to a point x in coroot
     coordinates: x - (<v,x> - ell) * v_coroot."""
-    try:
-        import numpy as np
-        if isinstance(x, np.ndarray):
-            if x.shape[-1] != len(v.weight_coords):
-                raise DimensionError("point length does not match root rank")
-            pairing = x @ np.array(v.weight_coords)
-            return x - np.multiply.outer(pairing - ell, np.array(v.coroot_coords))
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(x, np.ndarray):
+        if x.shape[-1] != len(v.weight_coords):
+            raise DimensionError("point length does not match root rank")
+        pairing = x @ np.array(v.weight_coords)
+        return x - np.multiply.outer(pairing - ell, np.array(v.coroot_coords))
     if len(x) != len(v.weight_coords):
         raise DimensionError("point length does not match root rank")
     pairing = dot(v.weight_coords, tuple(x))
@@ -525,22 +524,63 @@ def is_dominant(lam) -> bool:
     return all(c >= 0 for c in lam)
 
 
+def dominant_weight(rs: RootSystem, lam, path=None) -> tuple:
+    """The dominant weight in the Weyl orbit of lam, on weight coordinates
+    alone (no WeylElement products).
+
+    While some coordinate lam_j is negative, apply s_j(lam) = lam - lam_j a_j
+    at the first such j.  Each step takes one positive root out of
+    {a > 0 : <lam, a^vee> < 0}, so the walk ends within |Phi+| steps.  When
+    path is a list, the index of each reflection applied is appended to it.
+    """
+    lam = list(lam)
+    for _ in range(len(rs.roots) // 2 + 1):
+        for j, c in enumerate(lam):
+            if c < 0:
+                break
+        else:
+            return tuple(lam)
+        for i, cij in rs._simple_root_cols[j]:
+            lam[i] -= c * cij
+        if path is not None:
+            path.append(j)
+    raise RuntimeError("dominant walk failed to terminate")
+
+
 def dominant_rep(rs: RootSystem, lam):
     """The dominant representative of lam's orbit and one Weyl element
     mapping lam onto it.  Idempotent on dominant inputs."""
-    lam = tuple(lam)
+    path = []
+    dom = dominant_weight(rs, lam, path)
     w = weyl_identity(rs.rank)
-    cols = [tuple(rs.cartan[i][j] for i in range(rs.rank)) for j in range(rs.rank)]
-    guard = 0
-    while True:
-        j = next((k for k, c in enumerate(lam) if c < 0), None)
-        if j is None:
-            return lam, w
-        lam = tuple(m - lam[j] * c for m, c in zip(lam, cols[j]))
+    for j in path:
         w = rs.simple_reflection(j).compose(w)
-        guard += 1
-        if guard > 100000:  # each step strictly raises the height
-            raise RuntimeError("dominant_rep failed to terminate")
+    return dom, w
+
+
+def orbit_size(rs: RootSystem, nu) -> int:
+    """|W nu| for a dominant weight nu, without enumerating the orbit.
+
+    The stabilizer of nu is the parabolic subgroup W_J, J = {j : nu_j = 0}.
+    Macdonald's product |W| = prod_{a > 0} (ht(a) + 1) / ht(a) (Math. Ann.
+    199, 1972), taken over the positive coroots, holds for W and for W_J (whose positive coroots are
+    those supported on J), so |W| / |W_J| is the product over the positive
+    coroots with <nu, a^vee> > 0.  Memoized on the zero pattern of nu.
+    """
+    if min(nu) < 0:
+        raise ValueError(f"orbit_size needs a dominant weight, got {nu}")
+    key = tuple(map(bool, nu))
+    size = rs._orbit_size_cache.get(key)
+    if size is None:
+        prod = Fraction(1)
+        for v in rs.roots:
+            h = sum(v.coroot_coords)
+            if h > 0 and dot(nu, v.coroot_coords) > 0:
+                prod *= Fraction(h + 1, h)
+        if prod.denominator != 1:
+            raise RuntimeError(f"orbit size of {nu} is not an integer: {prod}")
+        size = rs._orbit_size_cache[key] = int(prod)
+    return size
 
 
 def positive_roots(rs: RootSystem):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from weylcheb import chebmap
 from weylcheb.chebmap import (
     build_cheb_map,
     compose_poly_maps,
@@ -17,6 +18,7 @@ from weylcheb.chebmap import (
     poly_map_as_dict,
     verify_functional_equation,
 )
+from weylcheb.rootsys import build_root_system, orbit
 
 FULL_MATRIX = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                for d in (2, 3)]
@@ -47,6 +49,59 @@ def test_product_commutes(rs):
             a = {k: v for k, v in a.items() if v}
             b = {k: v for k, v in b.items() if v}
             assert orbit_sum_product(rsys, a, b) == orbit_sum_product(rsys, b, a)
+
+
+# --- the stabilizer formula against the full-orbit convolution ---------------
+
+def _convolution_product(rsys, a, b):
+    """Reference product: expand both factors over their full orbits,
+    convolve the exponents, and keep the dominant terms."""
+    counts = {}
+    for lam, ca in a.items():
+        for mu, cb in b.items():
+            for r in orbit(rsys, lam):
+                for s in orbit(rsys, mu):
+                    key = tuple(x + y for x, y in zip(r, s))
+                    counts[key] = counts.get(key, 0) + ca * cb
+    return {lam: c for lam, c in counts.items() if c and min(lam) >= 0}
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "D4", "F4",
+                                  "B3xA1"])
+def test_product_matches_convolution_oracle(spec, rs):
+    rsys = rs(spec)
+    rng = random.Random(24)
+
+    def combo():
+        # up to three terms, each orbit small enough for the full convolution
+        out, n = {}, rng.randint(1, 3)
+        while len(out) < n:
+            lam = tuple(rng.randint(0, 2) for _ in range(rsys.rank))
+            if len(orbit(rsys, lam)) <= 200:
+                out[lam] = rng.choice((-3, -2, -1, 1, 2, 3))
+        return out
+
+    for _ in range(8):
+        a, b = combo(), combo()
+        assert orbit_sum_product(rsys, a, b) == _convolution_product(rsys, a, b)
+
+
+@pytest.mark.parametrize("spec,d", [("G2", 12), ("F4", 2)])
+def test_map_matches_convolution_oracle(spec, d, monkeypatch):
+    fast = build_cheb_map(build_root_system(spec), d)
+    monkeypatch.setattr(chebmap, "orbit_sum_product", _convolution_product)
+    slow = build_cheb_map(build_root_system(spec), d)
+    assert fast.components == slow.components
+
+
+def test_wrong_orbit_size_breaks_integrality(monkeypatch):
+    # m_(1,0) m_(0,1) = m_(1,1) + 3 m_(0,0); with every orbit size one too
+    # large, two hits on (1,1) give 2 * 4 / 7, which must raise
+    true_size = chebmap.orbit_size
+    monkeypatch.setattr(chebmap, "orbit_size",
+                        lambda rsys, nu: true_size(rsys, nu) + 1)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        orbit_sum_product(build_root_system("A2"), {(1, 0): 1}, {(0, 1): 1})
 
 
 def test_monomial_expand_base_cases(rs):

@@ -1,5 +1,6 @@
 """Exact root system construction, reflections, orbits, and the affine group."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ from weylcheb.rootsys import (
     affine_inverse,
     build_root_system,
     dominant_rep,
+    dominant_weight,
     orbit,
+    orbit_size,
     positive_roots,
     reflect,
     reflection_element,
@@ -223,6 +226,21 @@ def test_dominant_rep_property():
             assert all(c >= 0 for c in dom)
             assert w.apply_weight(lam) == dom
             assert dom in orbit(rsys, lam)
+            path = []
+            assert dominant_weight(rsys, lam, path) == dom
+            assert len(path) <= len(rsys.roots) // 2
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "D4", "B3xA1"])
+def test_orbit_size_counts_orbit(spec, rs):
+    rsys = rs(spec)
+    for nu in itertools.product(range(3), repeat=rsys.rank):
+        assert orbit_size(rsys, nu) == len(orbit(rsys, nu)), nu
+
+
+def test_orbit_size_refuses_non_dominant():
+    with pytest.raises(ValueError):
+        orbit_size(build_root_system("A2"), (1, -1))
 
 
 # --- affine group ------------------------------------------------------------
