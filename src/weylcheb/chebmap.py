@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .rootsys import (RootSystem, dominant_weight, invert_fraction, orbit,
-                      orbit_size)
-from .gencos import orbit_matrix
+                      orbit_matrix, orbit_size)
 
 _DECOMPOSE_CAP = 200000
 

@@ -117,7 +117,7 @@ def cmd_img_verify(args) -> int:
     rs = build_root_system(args.type)
     vertex_cap = args.cap_vertices or mo.VERTEX_CAP
     group_cap = args.cap_group or mo.GROUP_ORDER_CAP
-    rep = mo.img_verification(rs, args.d, args.levels, seed=args.seed,
+    rep = mo.img_verification(rs, args.d, args.levels,
                               vertex_cap=vertex_cap, group_cap=group_cap)
     _emit(args, rep.as_dict())
     return 0 if rep.passed else 1
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(tol=1e-7, samples=50)
 
     p = sub.add_parser("img-verify",
-                       help="compare numeric and algebraic monodromy")
+                       help="check each generator loop lifts to its label")
     common(p, d=True, levels=True)
     p.set_defaults(func=cmd_img_verify)
 

