@@ -20,6 +20,14 @@ which walks one orbit (the smaller) instead of convolving both; orbit sizes
 come from rootsys.orbit_size without enumeration.  Chevalley integrality is
 asserted, never rounded: each coefficient count * |W lam| / |W nu| must divide
 exactly, and a remainder raises ArithmeticError.
+
+The functional check T_d(gencos(x)) = gencos(d x) evaluates both sides of
+gencos together (GencosPair): one expjpi per coordinate, then every orbit
+term is a product of tabulated powers z_j^k in Gaussian-integer fixed point
+with P = p + 2 log2 M + 32 fractional bits, where p is the working precision
+in bits and M = e^{2 pi d big max|Im x_j|} bounds every partial product.
+That keeps each orbit term within one rounding at the working precision
+(derivation in GencosPair).
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from mpmath.libmp import to_fixed
 
 from .errors import DimensionError
 from .rootsys import (RootSystem, dominant_weight, invert_fraction, orbit,
@@ -191,13 +200,20 @@ def build_cheb_map(rs: RootSystem, d: int) -> PolynomialMap:
 
 
 def eval_poly(comp: dict, x) -> complex:
-    """Evaluate one sparse polynomial; exact when fed ints or Fractions."""
+    """Evaluate one sparse polynomial; exact when fed ints or Fractions.
+    Each power x_j^k is formed once, by incremental products."""
+    powers = []
+    for xj, top in zip(x, map(max, zip(*comp))):
+        pw = [1, xj]
+        while len(pw) <= top:
+            pw.append(pw[-1] * xj)
+        powers.append(pw)
     total = 0
     for e, c in comp.items():
         term = c
-        for xj, ej in zip(x, e):
+        for pw, ej in zip(powers, e):
             if ej:
-                term = term * xj ** ej
+                term = term * pw[ej]
         total = total + term
     return total
 
@@ -293,27 +309,113 @@ class FunctionalEquationReport:
                 "max_residual": self.max_residual, "pass": self.passed}
 
 
-def _needed_dps(rs: RootSystem, d: int) -> int:
+def _orbit_growth(rs: RootSystem) -> int:
+    """big = max over the orbit rows of sum_j |r_j|: over the sample box
+    (|Im x_j| <= 1) every pairing <r, x> has |Im| <= big."""
+    return max(int(np.abs(orbit_matrix(rs, k)).sum(axis=1).max())
+               for k in range(rs.rank))
+
+
+def _needed_dps(rs: RootSystem, d: int, h: float = 1.0) -> int:
     """Decimal digits needed so residuals near zero survive the exponential
-    growth of the invariants over the sample box."""
-    big = 0
-    for k in range(rs.rank):
-        om = orbit_matrix(rs, k)
-        big = max(big, int(np.abs(om).sum(axis=1).max()))
-    # pairings over the box have |Im| <= big; growth e^{2 pi d big}
-    return int(2 * np.pi * d * big / np.log(10)) + 25
+    growth of the invariants at d*x, for points x with |Im x_j| <= h
+    (h = 1: the sample box)."""
+    # pairings at d*x have |Im| <= d big h; growth e^{2 pi d big h}
+    return int(2 * np.pi * d * _orbit_growth(rs) * h / np.log(10)) + 25
 
 
-def _gencos_mp(rs: RootSystem, x) -> list:
-    out = []
-    for k in range(rs.rank):
-        om = orbit_matrix(rs, k)
-        total = mpmath.mpc(0)
-        for row in om:
-            p = mpmath.fsum(int(r) * xi for r, xi in zip(row, x))
-            total += mpmath.expjpi(2 * p)
-        out.append(total)
-    return out
+class GencosPair:
+    """gencos(x) and gencos(d*x) together, as lists of mpc at the working
+    mpmath precision: `GencosPair(rs, d)(x)`.
+
+    One expjpi per coordinate: z_j = e^{2 pi i x_j}, so the orbit term of a
+    row r is prod_j z_j^{r_j}, and of the same row at d*x prod_j z_j^{d r_j}.
+    The powers z_j^k, |k| <= d*K (K the largest |r_j|), are tabulated once
+    per point, and the terms are products of table entries in Gaussian-integer
+    fixed point: the int pair (a, b) stands for (a + ib) 2^-P.  Rows are
+    walked in sorted order and share the products of their common prefixes.
+    Only the 2 * rank sums are converted back to mpc.
+
+    Precision.  Let p be the working precision in bits, h = max_j |Im x_j|
+    and M = e^{2 pi d big h}, big as in _orbit_growth (on the sample box
+    h <= 1 and M < 10^{dps - 24}).  A term is a product of n <= d*big
+    factors z_j^{+-1}, so it and every partial product, table entry and
+    sub-product of it has modulus in [1/M, M].  Two kinds of error enter:
+    - z_j and 1/z_j are evaluated at p + 32 bits, a few units in the last
+      place, relative error below 2^{-p-29} each; the term gets a relative
+      error below n 2^{-p-29};
+    - truncating z_j^{+-1} to P fractional bits (once per factor) and each
+      of the at most n fixed-point products is off by less than
+      sqrt(2) 2^-P, and each such error is later multiplied by a
+      sub-product of modulus <= M: in all less than 2 sqrt(2) n M 2^-P.
+    With
+
+        P = p + 2 log2 M + 32,
+
+    the second is below 2 sqrt(2) n 2^-32 2^-p / M < n 2^{-p-30} |term|,
+    as no term is smaller than 1/M.  So each term is off by less than
+    n 2^{-p-28} |term| < 2^-p |term| (n < 2^28): as accurate as one
+    rounding at the working precision, the least error that evaluating it
+    alone with expjpi can make.
+    """
+
+    def __init__(self, rs: RootSystem, d: int):
+        self.rank, self.d = rs.rank, d
+        self.big = _orbit_growth(rs)
+        self.rows = [sorted(orbit_matrix(rs, k).tolist())
+                     for k in range(rs.rank)]
+        self.top = d * max(abs(c) for rk in self.rows for row in rk
+                           for c in row)
+
+    def __call__(self, x) -> tuple:
+        rank, d, top = self.rank, self.d, self.top
+        p = mpmath.mp.prec
+        h = float(max(abs(mpmath.im(xj)) for xj in x))
+        log2_m = 2 * math.pi * d * self.big * h / math.log(2)
+        P = p + 2 * math.ceil(log2_m) + 32
+        one = 1 << P
+
+        def mul(u, v):
+            return ((u[0] * v[0] - u[1] * v[1]) >> P,
+                    (u[0] * v[1] + u[1] * v[0]) >> P)
+
+        # tables[j][k] = z_j^k for -top <= k <= top; negative k index from
+        # the end of the list
+        tables = []
+        for xj in x:
+            with mpmath.workprec(p + 32):
+                z = mpmath.expjpi(2 * xj)
+                w = 1 / z
+            z, w = [(to_fixed(mpmath.re(v)._mpf_, P),
+                     to_fixed(mpmath.im(v)._mpf_, P)) for v in (z, w)]
+            up, down = [(one, 0), z], [w]
+            while len(down) < top:
+                up.append(mul(up[-1], z))
+                down.append(mul(down[-1], w))
+            tables.append(up + down[::-1])
+
+        def orbit_sum(rows, scale):
+            stack = [(one, 0)] * (rank + 1)  # stack[j]: product of j factors
+            re = im = 0
+            prev = None
+            for row in rows:
+                j = 0
+                if prev is not None:
+                    while row[j] == prev[j]:
+                        j += 1
+                prev = row
+                for j in range(j, rank):
+                    a, b = stack[j]
+                    if row[j]:
+                        c, s = tables[j][scale * row[j]]
+                        a, b = (a * c - b * s) >> P, (a * s + b * c) >> P
+                    stack[j + 1] = (a, b)
+                re += stack[rank][0]
+                im += stack[rank][1]
+            return mpmath.mpc(mpmath.mpf((re, -P)), mpmath.mpf((im, -P)))
+
+        return ([orbit_sum(rows, 1) for rows in self.rows],
+                [orbit_sum(rows, d) for rows in self.rows])
 
 
 def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
@@ -324,20 +426,21 @@ def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
     [-1,1] + i[-1,1].
 
     The sample values grow like exp(2 pi d |Im x|), far past float64 for the
-    larger systems, so evaluation runs at adaptive mpmath precision; the
+    larger systems, so evaluation runs at adaptive mpmath precision
+    (_needed_dps), with both gencos(x) and gencos(d x) from GencosPair; the
     reported residual is the exact-arithmetic gap rounded to float.
     """
     import random
     rng = random.Random(seed)
     dps = _needed_dps(rs, d)
+    gencos_pair = GencosPair(rs, d)
     max_res = 0.0
     with mpmath.workdps(dps):
         for _ in range(samples):
             x = [mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                  for _ in range(rs.rank)]
-            gx = _gencos_mp(rs, x)
+            gx, rhs = gencos_pair(x)
             lhs = [eval_poly(comp, gx) for comp in pmap.components]
-            rhs = _gencos_mp(rs, [d * xi for xi in x])
             res = max(abs(a - b) for a, b in zip(lhs, rhs))
             max_res = max(max_res, float(res))
     return FunctionalEquationReport(rs.type_spec, d, samples, tol, max_res)

@@ -12,14 +12,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 
-from .chebmap import PolynomialMap, eval_poly, jacobian_polys
+from .chebmap import (GencosPair, PolynomialMap, _needed_dps, eval_poly,
+                      jacobian_polys)
 from .gencos import eval_gencos, is_on_diagram
 from .rootsys import Root, RootSystem
 
 STRICT_PREIMAGE_TOL = 1e-6  # wall-avoidance margin for "strict preimage" samples
-_IM_SCALE = 0.15            # imaginary spread of wall samples; keeps float det error tiny
+_IM_SCALE = 0.15            # imaginary spread of wall samples
 
 
 @dataclass
@@ -123,9 +125,13 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
     Degenerate draws (y on a wall itself, e.g. when the level is divisible by
     d) are flagged in `skipped` and redrawn until `samples` strict-preimage
     points have been checked.
+
+    Each point is evaluated in mpmath, gencos(y) and gencos(d*y) by
+    GencosPair, at the precision _needed_dps gives for |Im y_j| <= max|Im y|.
     """
     report = PostCriticalReport(rs.type_spec, d, samples)
     jpolys = jacobian_polys(pmap)
+    gencos_pair = GencosPair(rs, d)
     done = 0
     batch = 0
     while done < samples and batch < 40:
@@ -141,20 +147,47 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
                 report.skipped += 1
                 continue
             done += 1
-            _check_strict_preimage(rs, d, pmap, jpolys, y, report)
+            _check_strict_preimage(rs, d, pmap, jpolys, gencos_pair, y, report)
     return report
 
 
-def _check_strict_preimage(rs, d, pmap, jpolys, y, report):
-    from .chebmap import eval_poly_map
-    gy = eval_gencos(rs, y)
-    jt = np.array([[eval_poly(jpolys[i][j], gy) for j in range(rs.rank)]
-                   for i in range(rs.rank)], dtype=complex)
-    report.det_residuals.append(abs(np.linalg.det(jt)))
-    # critical value lands where the scaled wall point maps
-    img = np.array(eval_poly_map(pmap, gy), dtype=complex)
-    report.value_residuals.append(
-        float(np.abs(img - eval_gencos(rs, d * y)).max()))
+def _det(m):
+    """Determinant by Gaussian elimination with partial pivoting, in the
+    arithmetic of the entries (mpmath.det is about 3x slower on these
+    small matrices)."""
+    m = [list(row) for row in m]
+    n = len(m)
+    out = 1
+    for i in range(n):
+        p = max(range(i, n), key=lambda r: abs(m[r][i]))
+        if p != i:
+            m[i], m[p] = m[p], m[i]
+            out = -out
+        piv = m[i][i]
+        if not piv:
+            return piv
+        out *= piv
+        for r in range(i + 1, n):
+            f = m[r][i] / piv
+            for c in range(i + 1, n):
+                m[r][c] -= f * m[i][c]
+    return out
+
+
+def _check_strict_preimage(rs, d, pmap, jpolys, gencos_pair, y, report):
+    # In float64 the gencos, the Jacobian entries and the determinant were
+    # off by about 4e-6 on G2 6, above tol.  In mpmath what is left of the
+    # det residual comes from y, a float64 point only near its wall (about
+    # 2e-11 on G2 6).
+    with mpmath.workdps(_needed_dps(rs, d, float(np.abs(y.imag).max()))):
+        gy, gdy = gencos_pair([mpmath.mpc(v) for v in y])
+        jt = [[eval_poly(jpolys[i][j], gy) for j in range(rs.rank)]
+              for i in range(rs.rank)]
+        report.det_residuals.append(float(abs(_det(jt))))
+        # critical value lands where the scaled wall point maps
+        report.value_residuals.append(float(max(
+            abs(eval_poly(comp, gy) - v)
+            for comp, v in zip(pmap.components, gdy))))
     if not is_on_diagram(rs, d * y, 1e-8)[0]:
         report.invariance_ok = False
 

@@ -1,12 +1,15 @@
 """Orbit-sum algebra and exact synthesis of the polynomial maps."""
 
 import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from weylcheb import chebmap
 from weylcheb.chebmap import (
+    PolynomialMap,
     build_cheb_map,
     compose_poly_maps,
     decompose_to_polynomial,
@@ -18,7 +21,7 @@ from weylcheb.chebmap import (
     poly_map_as_dict,
     verify_functional_equation,
 )
-from weylcheb.rootsys import build_root_system, orbit
+from weylcheb.rootsys import build_root_system, orbit, orbit_matrix
 
 FULL_MATRIX = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                for d in (2, 3)]
@@ -205,6 +208,11 @@ def test_integrality(spec, d, rs):
 def test_eval_fixed_point(rs):
     assert eval_poly_map(build_cheb_map(rs("A2"), 2), [3, 3]) == [3, 3]
     assert eval_poly_map(build_cheb_map(rs("A1"), 2), [2]) == [2]
+    # exact on Fractions: (X1^2 - 2 X2, X2^2 - 2 X1) at (1/2, -3/4)
+    got = eval_poly_map(build_cheb_map(rs("A2"), 2),
+                        [Fraction(1, 2), Fraction(-3, 4)])
+    assert got == [Fraction(7, 4), Fraction(-7, 16)]
+    assert all(type(v) is Fraction for v in got)
 
 
 def test_eval_dimension_mismatch(rs):
@@ -215,12 +223,66 @@ def test_eval_dimension_mismatch(rs):
 
 # --- functional equation -----------------------------------------------------------
 
+def _gencos_per_row(rsys, x):
+    """Reference gencos at mpmath precision: one fsum and one expjpi per
+    orbit row."""
+    out = []
+    for k in range(rsys.rank):
+        total = mpmath.mpc(0)
+        for row in orbit_matrix(rsys, k):
+            p = mpmath.fsum(int(r) * xi for r, xi in zip(row, x))
+            total += mpmath.expjpi(2 * p)
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("spec,d,randoms", [("A2", 3, 4), ("B3", 2, 4),
+                                            ("G2", 6, 4), ("F4", 2, 2),
+                                            ("E6", 2, 1)])
+def test_gencos_pair_matches_per_row_oracle(spec, d, randoms, rs):
+    rsys = rs(spec)
+    rng = random.Random(25)
+    points = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(rsys.rank)] for _ in range(randoms)]
+    # box corners Im x_j = -sign(r_j) for the row r of largest sum |r_j| in
+    # a component: there its term at d*x peaks, at e^{2 pi d sum |r_j|}
+    for k in (0, rsys.rank - 1):
+        row = max(orbit_matrix(rsys, k).tolist(),
+                  key=lambda r: sum(map(abs, r)))
+        points.append([complex(rng.uniform(-1, 1), -1 if r > 0 else 1)
+                       for r in row])
+    dps = chebmap._needed_dps(rsys, d)
+    pair = chebmap.GencosPair(rsys, d)
+    with mpmath.workdps(dps):
+        # ten digits short of the working precision: room for cancellation
+        # at the random points; evaluating z_j 60 bits short fails it
+        rel = mpmath.mpf(10) ** (10 - dps)
+        for point in points:
+            x = [mpmath.mpc(v) for v in point]
+            gx, gdx = pair(x)
+            want = (_gencos_per_row(rsys, x)
+                    + _gencos_per_row(rsys, [d * v for v in x]))
+            for got, ref in zip(gx + gdx, want):
+                assert abs(got - ref) <= rel * abs(ref), (point, got, ref)
+
+
 @pytest.mark.parametrize("spec,d", [("A2", 2), ("G2", 2), ("A1xA1", 3)])
 def test_functional_equation_smoke(spec, d, rs):
     rsys = rs(spec)
     rep = verify_functional_equation(rsys, d, build_cheb_map(rsys, d),
                                      samples=25, tol=1e-8, seed=0)
     assert rep.passed, rep.max_residual
+
+
+@pytest.mark.parametrize("spec,d,samples", [("A2", 2, 25), ("F4", 2, 5)])
+def test_functional_equation_catches_wrong_coefficient(spec, d, samples, rs):
+    rsys = rs(spec)
+    comps = [dict(c) for c in build_cheb_map(rsys, d).components]
+    comps[0][tuple(d if j == 0 else 0 for j in range(rsys.rank))] += 1
+    wrong = PolynomialMap(rsys.rank, tuple(comps))
+    rep = verify_functional_equation(rsys, d, wrong, samples=samples, seed=0)
+    assert rep.passed is False
+    assert rep.max_residual > 1e6 * rep.tol
 
 
 def test_a1xa1_is_product_map(rs):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from weylcheb.chebmap import build_cheb_map
+from weylcheb.chebmap import PolynomialMap, build_cheb_map
 from weylcheb.critical import (
     deltoid_check,
     deltoid_residual,
@@ -64,6 +64,28 @@ def test_postcritical_determinant_vanishes(spec, d, rs):
     assert rep.max_det_residual < 1e-7
     assert rep.max_value_residual < 1e-7
     assert rep.invariance_ok
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_postcritical_g2_degree_6(seed, rs):
+    # evaluated in float64 the det residual was about 4e-6 here, above tol;
+    # in mpmath it is about 2e-11, set by rounding the points to float64
+    # (float64 det of mpmath entries: about 6e-9)
+    rsys = rs("G2")
+    rep = post_critical_check(rsys, 6, build_cheb_map(rsys, 6), seed=seed)
+    assert rep.passed(1e-7), (rep.max_det_residual, rep.max_value_residual)
+    assert rep.max_det_residual < 1e-9
+
+
+@pytest.mark.parametrize("spec,d", [("A2", 2), ("G2", 6)])
+def test_postcritical_catches_wrong_coefficient(spec, d, rs):
+    rsys = rs(spec)
+    comps = [dict(c) for c in build_cheb_map(rsys, d).components]
+    comps[0][tuple(d if j == 0 else 0 for j in range(rsys.rank))] += 1
+    rep = post_critical_check(rsys, d, PolynomialMap(rsys.rank, tuple(comps)),
+                              samples=20, seed=0)
+    assert rep.max_det_residual > 1e3 * 1e-7
+    assert not rep.passed(1e-7)
 
 
 def test_postcritical_a1_explicit(rs):
