@@ -199,23 +199,33 @@ def build_cheb_map(rs: RootSystem, d: int) -> PolynomialMap:
     return PolynomialMap(rs.rank, tuple(comps))
 
 
-def eval_poly(comp: dict, x) -> complex:
-    """Evaluate one sparse polynomial; exact when fed ints or Fractions.
-    Each power x_j^k is formed once, by incremental products."""
+def eval_polys(comps, x) -> list:
+    """Evaluate sparse polynomials at one point; exact when fed ints or
+    Fractions.  Each power x_j^k is formed once for all of them, by
+    incremental products."""
     powers = []
-    for xj, top in zip(x, map(max, zip(*comp))):
+    exps = [e for comp in comps for e in comp]
+    for xj, top in zip(x, map(max, zip(*exps))):
         pw = [1, xj]
         while len(pw) <= top:
             pw.append(pw[-1] * xj)
         powers.append(pw)
-    total = 0
-    for e, c in comp.items():
-        term = c
-        for pw, ej in zip(powers, e):
-            if ej:
-                term = term * pw[ej]
-        total = total + term
-    return total
+    out = []
+    for comp in comps:
+        total = 0
+        for e, c in comp.items():
+            term = c
+            for pw, ej in zip(powers, e):
+                if ej:
+                    term = term * pw[ej]
+            total = total + term
+        out.append(total)
+    return out
+
+
+def eval_poly(comp: dict, x) -> complex:
+    """Evaluate one sparse polynomial (see eval_polys)."""
+    return eval_polys([comp], x)[0]
 
 
 def eval_poly_map(pmap: PolynomialMap, x):
@@ -223,7 +233,7 @@ def eval_poly_map(pmap: PolynomialMap, x):
     scalars are evaluated exactly."""
     if len(x) != pmap.rank:
         raise DimensionError(f"point has length {len(x)}, expected {pmap.rank}")
-    vals = [eval_poly(comp, x) for comp in pmap.components]
+    vals = eval_polys(pmap.components, x)
     if isinstance(x, np.ndarray):
         return np.array(vals, dtype=complex)
     return vals
@@ -440,7 +450,7 @@ def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
             x = [mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                  for _ in range(rs.rank)]
             gx, rhs = gencos_pair(x)
-            lhs = [eval_poly(comp, gx) for comp in pmap.components]
+            lhs = eval_polys(pmap.components, gx)
             res = max(abs(a - b) for a, b in zip(lhs, rhs))
             max_res = max(max_res, float(res))
     return FunctionalEquationReport(rs.type_spec, d, samples, tol, max_res)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .chebmap import (GencosPair, PolynomialMap, _needed_dps, eval_poly,
+from .chebmap import (GencosPair, PolynomialMap, _needed_dps, eval_polys,
                       jacobian_polys)
 from .gencos import eval_gencos, is_on_diagram
 from .rootsys import Root, RootSystem
@@ -181,13 +181,15 @@ def _check_strict_preimage(rs, d, pmap, jpolys, gencos_pair, y, report):
     # 2e-11 on G2 6).
     with mpmath.workdps(_needed_dps(rs, d, float(np.abs(y.imag).max()))):
         gy, gdy = gencos_pair([mpmath.mpc(v) for v in y])
-        jt = [[eval_poly(jpolys[i][j], gy) for j in range(rs.rank)]
-              for i in range(rs.rank)]
+        # one table of the powers of gy for the Jacobian and the map
+        n = rs.rank
+        vals = eval_polys([*(p for row in jpolys for p in row),
+                           *pmap.components], gy)
+        jt = [vals[i * n:(i + 1) * n] for i in range(n)]
         report.det_residuals.append(float(abs(_det(jt))))
         # critical value lands where the scaled wall point maps
         report.value_residuals.append(float(max(
-            abs(eval_poly(comp, gy) - v)
-            for comp, v in zip(pmap.components, gdy))))
+            abs(a - v) for a, v in zip(vals[n * n:], gdy))))
     if not is_on_diagram(rs, d * y, 1e-8)[0]:
         report.invariance_ok = False
 

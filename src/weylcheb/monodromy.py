@@ -53,7 +53,9 @@ from .rootsys import (
 
 VERTEX_CAP = 10 ** 5
 GROUP_ORDER_CAP = 10 ** 6
-GROUP_WORK_CAP = 2 * 10 ** 8  # elements times vertices; keeps closures in RAM
+# bounds |W| * vertices^2; a level of the Schreier-Sims transversals holds
+# 2 * orbit * vertices <= 2 * vertices^2 <= 2 * GROUP_WORK_CAP / |W| cells
+GROUP_WORK_CAP = 2 * 10 ** 8
 DEFAULT_LOOP_SAMPLES = 257
 DEFAULT_EPSILON = 0.1
 
@@ -331,32 +333,119 @@ def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
 
 
 # ---------------------------------------------------------------------------
-# group closure
+# group order by Schreier-Sims
 # ---------------------------------------------------------------------------
+
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong generators
+    fixing the earlier base points (each with its inverse), and the
+    transversal of the base point's orbit under them.  Permutations are
+    image arrays, "p then q" is q[p]; trans[x] = (u, u^-1) with u[base] = x.
+    Entries are only ever added, never changed."""
+
+    def __init__(self, base, ident):
+        self.base = base
+        self.gens = []
+        self.orbit = [base]
+        self.trans = {base: (ident, ident)}
+        self.tested = set()  # (orbit point, generator index) pairs sifted
+
+    def add_gen(self, g, ginv):
+        self.gens.append((g, ginv))
+        old = len(self.orbit)
+        for x in self.orbit[:old]:
+            self._visit(x, g, ginv)
+        k = old
+        while k < len(self.orbit):
+            for h, hinv in self.gens:
+                self._visit(self.orbit[k], h, hinv)
+            k += 1
+
+    def _visit(self, x, g, ginv):
+        y = int(g[x])
+        if y not in self.trans:
+            u, uinv = self.trans[x]
+            self.trans[y] = (g[u], uinv[ginv])
+            self.orbit.append(y)
+
+
+def _strip(chain, g, start):
+    """Sift g down the chain from level start: the residue and the level
+    where it stopped (len(chain) if it passed every level)."""
+    for i in range(start, len(chain)):
+        lvl = chain[i]
+        entry = lvl.trans.get(int(g[lvl.base]))
+        if entry is None:
+            return g, i
+        g = entry[1][g]
+    return g, len(chain)
+
+
+def _add_strong(chain, h, lo, hi, ident):
+    """Make h a strong generator of levels lo..hi; level hi is new, based at
+    the first point h moves, when hi == len(chain)."""
+    if hi == len(chain):
+        chain.append(_Level(int(np.flatnonzero(h != ident)[0]), ident))
+    hinv = np.empty_like(h)
+    hinv[h] = ident
+    for lvl in chain[lo:hi + 1]:
+        lvl.add_gen(h, hinv)
+
+
+def _first_residue(chain, i, ident):
+    """Sift the untested Schreier generators of level i through the levels
+    below it.  At the first non-trivial residue, make it a strong generator
+    of every level from i+1 to where its sift stopped and return that level;
+    return None when every one sifts to the identity."""
+    lvl = chain[i]
+    for x in lvl.orbit:
+        u = lvl.trans[x][0]
+        for k, (g, _) in enumerate(lvl.gens):
+            if (x, k) in lvl.tested:
+                continue
+            lvl.tested.add((x, k))
+            # u_x then g then u_{g(x)}^-1, which fixes the base point
+            h, j = _strip(chain, lvl.trans[int(g[x])][1][g[u]], i + 1)
+            if j < len(chain) or not np.array_equal(h, ident):
+                _add_strong(chain, h, i + 1, j, ident)
+                return j
+    return None
+
 
 def generated_group_order(actions, cap: int = GROUP_ORDER_CAP) -> int:
     """Order of the permutation group generated by the given level actions,
-    by breadth-first closure."""
-    if not actions:
+    by deterministic Schreier-Sims (Holt's SCHREIERSIMS: Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, sec. 4.4.2).
+
+    Each generator becomes a strong generator of every level up to the
+    first whose base point it moves.  Then, from the deepest level up, every
+    Schreier generator u_x g u_{g(x)}^-1 of a level is sifted through the
+    levels below; a non-trivial residue becomes a strong generator of every
+    level from the next one to where its sift stopped (a new level if it
+    passed them all), and the work resumes there.  Transversal entries never
+    change, so a Schreier generator sifted once stays sifted.  The order is
+    the product of the orbit lengths; no group element is listed.  Memory is
+    the transversals: two permutations (an entry and its inverse) per orbit
+    point, at most 2 * degree^2 cells per level.
+    """
+    gens = [np.array(a.perm) for a in actions]
+    if not gens:
         return 1
-    size = actions[0].size
-    ident = tuple(range(size))
-    gens = {a.perm for a in actions}
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for q in gens:
-                r = tuple(q[p[i]] for i in range(size))
-                if r not in elements:
-                    elements.add(r)
-                    nxt.append(r)
-                    if len(elements) > cap:
-                        raise CapExceededError(
-                            f"group closure exceeded cap {cap}")
-        frontier = nxt
-    return len(elements)
+    ident = np.arange(len(gens[0]))
+    chain = []
+    for g in gens:
+        if not np.array_equal(g, ident):
+            j = next((i for i, lvl in enumerate(chain)
+                      if g[lvl.base] != lvl.base), len(chain))
+            _add_strong(chain, g, 0, j, ident)
+    i = len(chain) - 1
+    while i >= 0:
+        j = _first_residue(chain, i, ident)
+        i = i - 1 if j is None else j
+    order = math.prod(len(lvl.orbit) for lvl in chain)
+    if order > cap:
+        raise CapExceededError(f"group order {order} exceeds cap {cap}")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +523,13 @@ def check_img_caps(rs: RootSystem, d: int, levels: int,
                    group_cap: int = GROUP_ORDER_CAP,
                    work_cap: int = GROUP_WORK_CAP):
     """Size the verification before running it; raises CapExceededError with
-    the offending estimate."""
+    the offending estimate.
+
+    The group order is estimated as |W| * vertices.  The work cap bounds that
+    estimate times the vertices, |W| * vertices^2.  Each level of the
+    Schreier-Sims transversals in generated_group_order holds an entry and
+    its inverse per orbit point, 2 * orbit * vertices <= 2 * vertices^2
+    cells, which is then at most 2 * work_cap / |W|."""
     vertices = d ** (levels * rs.rank)
     if vertices > vertex_cap:
         raise CapExceededError(
@@ -446,8 +541,8 @@ def check_img_caps(rs: RootSystem, d: int, levels: int,
             f"{group_cap}")
     if est_order * vertices > work_cap:
         raise CapExceededError(
-            f"group closure needs ~{est_order} permutations of {vertices} "
-            f"vertices ({est_order * vertices} cells), above work cap "
+            f"estimated level-{levels} group order {est_order} times "
+            f"{vertices} vertices is {est_order * vertices}, above work cap "
             f"{work_cap}")
 
 

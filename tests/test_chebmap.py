@@ -1,5 +1,6 @@
 """Orbit-sum algebra and exact synthesis of the polynomial maps."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,9 @@ from weylcheb.chebmap import (
     compose_poly_maps,
     decompose_to_polynomial,
     eval_poly_map,
+    eval_polys,
     height_vector,
+    jacobian_polys,
     identity_map,
     monomial_expand,
     orbit_sum_product,
@@ -213,6 +216,18 @@ def test_eval_fixed_point(rs):
                         [Fraction(1, 2), Fraction(-3, 4)])
     assert got == [Fraction(7, 4), Fraction(-7, 16)]
     assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("spec,d", [("A2", 3), ("G2", 6), ("B3", 2)])
+def test_eval_polys_shared_table_is_exact(rs, spec, d):
+    # the Jacobian entries and the components share one table of powers,
+    # and the components have higher degrees than the entries
+    pmap = build_cheb_map(rs(spec), d)
+    comps = [p for row in jacobian_polys(pmap) for p in row] + list(pmap.components)
+    x = [Fraction(j + 2, 3 * j + 5) for j in range(pmap.rank)]
+    naive = [sum(c * math.prod(xj ** ej for xj, ej in zip(x, e))
+                 for e, c in comp.items()) for comp in comps]
+    assert eval_polys(comps, x) == naive
 
 
 def test_eval_dimension_mismatch(rs):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from weylcheb import monodromy
 from weylcheb.errors import CapExceededError
@@ -301,7 +302,81 @@ def test_level_one_fiber_realizes_degree(rs):
                 assert np.abs(fiber[i] - fiber[j]).max() > 1e-6
 
 
-# --- group closure ------------------------------------------------------------------
+# --- group order ---------------------------------------------------------------------
+
+def _bfs_order(actions):
+    """The oracle: the breadth-first closure that generated_group_order used
+    before Schreier-Sims, listing every group element."""
+    if not actions:
+        return 1
+    size = actions[0].size
+    ident = tuple(range(size))
+    gens = {a.perm for a in actions}
+    elements = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in gens:
+                r = tuple(q[p[i]] for i in range(size))
+                if r not in elements:
+                    elements.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return len(elements)
+
+
+def _sympy_order(actions):
+    return PermutationGroup([Permutation(list(a.perm)) for a in actions]).order()
+
+
+def _affine_level_actions(rsys, d, k):
+    return [algebraic_action(g, d, k)
+            for _, g in standard_affine_generators(rsys)]
+
+
+# the img-verify cases of the benchmark (perfbench/cases.py), every level
+@pytest.mark.parametrize("spec,d,levels", [
+    ("A1", 2, 4), ("A2", 2, 2), ("G2", 2, 2), ("A1xA1", 2, 3), ("A3", 2, 2),
+    ("B3", 2, 2), ("B2", 3, 3)])
+def test_group_order_matches_oracles_on_benchmark_cases(rs, spec, d, levels):
+    for k in range(1, levels + 1):
+        acts = _affine_level_actions(rs(spec), d, k)
+        assert generated_group_order(acts) == _bfs_order(acts) == _sympy_order(acts)
+
+
+@pytest.mark.parametrize("spec,d,k,order", [
+    ("A3", 3, 2, 17496), ("G2", 3, 3, 8748), ("A2", 3, 3, 4374),
+    ("B2", 2, 4, 2048)])
+def test_group_order_matches_oracles_on_larger_levels(rs, spec, d, k, order):
+    acts = _affine_level_actions(rs(spec), d, k)
+    assert generated_group_order(acts) == order
+    assert _bfs_order(acts) == order
+    assert _sympy_order(acts) == order
+
+
+def test_group_order_full_symmetric_group():
+    swap = LevelAction(1, 8, 1, (1, 0, 2, 3, 4, 5, 6, 7))
+    cycle = LevelAction(1, 8, 1, (1, 2, 3, 4, 5, 6, 7, 0))
+    assert generated_group_order([swap, cycle]) == 40320
+    assert _bfs_order([swap, cycle]) == 40320
+    assert _sympy_order([swap, cycle]) == 40320
+
+
+def test_group_order_matches_oracles_on_random_sets():
+    rng = random.Random(0)
+    sets = [[LevelAction(1, 4, 1, (0, 1, 2, 3))]]  # the identity alone
+    for _ in range(100):
+        size = rng.randint(1, 7)
+        acts = []
+        for _ in range(rng.randint(1, 3)):
+            perm = list(range(size))
+            rng.shuffle(perm)
+            acts.append(LevelAction(1, size, 1, tuple(perm)))
+        sets.append(acts)
+    for acts in sets:
+        assert generated_group_order(acts) == _bfs_order(acts) == _sympy_order(acts)
+
 
 def test_group_order_identity_only():
     ident = LevelAction(1, 2, 1, (0, 1))
@@ -320,6 +395,12 @@ def test_group_order_dihedral_level_three(rs):
 def test_group_order_cap():
     big = algebraic_action(translation_element((1,)), 2, 3)
     with pytest.raises(CapExceededError):
+        generated_group_order([big], cap=4)
+
+
+def test_group_order_cap_message_names_the_order():
+    big = algebraic_action(translation_element((1,)), 2, 3)
+    with pytest.raises(CapExceededError, match="order 8 exceeds cap 4"):
         generated_group_order([big], cap=4)
 
 
