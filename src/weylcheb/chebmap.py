@@ -33,6 +33,7 @@ That keeps each orbit term within one rounding at the working precision
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import mpmath
@@ -111,6 +112,11 @@ def orbit_sum_product(rs: RootSystem, a: dict, b: dict) -> dict:
     return _clean(out)
 
 
+# monomial_expand's memo: {exponent tuple: expansion} per root system, kept
+# here and dropped with the root system
+_EXPANSIONS = weakref.WeakKeyDictionary()
+
+
 def monomial_expand(rs: RootSystem, e) -> dict:
     """Expansion of prod_j m_{omega_j}^{e_j} as an orbit-sum combination,
     memoized per root system.  Its leading term is sum_j e_j omega_j with
@@ -118,7 +124,8 @@ def monomial_expand(rs: RootSystem, e) -> dict:
     e = tuple(int(c) for c in e)
     if any(c < 0 for c in e):
         raise ValueError("exponents must be nonnegative")
-    cached = rs._expand_cache.get(e)
+    memo = _EXPANSIONS.setdefault(rs, {})
+    cached = memo.get(e)
     if cached is not None:
         return cached
     if all(c == 0 for c in e):
@@ -129,7 +136,7 @@ def monomial_expand(rs: RootSystem, e) -> dict:
         prev[j] -= 1
         base = monomial_expand(rs, tuple(prev))
         result = orbit_sum_product(rs, base, {rs.fundamental_weight(j): 1})
-    rs._expand_cache[e] = result
+    memo[e] = result
     return result
 
 

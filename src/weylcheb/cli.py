@@ -1,8 +1,8 @@
 """Command-line entry point: reproducible verification runs with JSON output.
 
 Subcommands: roots, weyl, chebmap, verify-functional, verify-postcritical,
-img-verify, automaton, act.  Every randomized check takes --seed (default 0);
-exit codes reflect pass/fail.
+img-verify, automaton, act.  Every verb takes --seed (default 0), and the
+randomized checks draw their samples from it; exit codes reflect pass/fail.
 """
 
 from __future__ import annotations
@@ -100,15 +100,12 @@ def cmd_verify_postcritical(args) -> int:
     pmap = cm.build_cheb_map(rs, args.d)
     rep = cr.post_critical_check(rs, args.d, pmap, samples=args.samples,
                                  tol=args.tol, seed=args.seed)
-    inv = cr.diagram_invariance_check(
-        rs, args.d, cr.sample_diagram_points(rs, args.samples, seed=args.seed))
     payload = rep.as_dict(args.tol)
-    payload["diagram_invariance"] = {"pass": inv["pass"]}
     if rs.type_spec == "A2":
         residuals = cr.deltoid_check(rs, samples=args.samples, seed=args.seed)
         payload["deltoid_max_residual"] = float(max(residuals))
         payload["deltoid_pass"] = bool(max(residuals) <= args.tol)
-    ok = payload["pass"] and inv["pass"] and payload.get("deltoid_pass", True)
+    ok = payload["pass"] and payload.get("deltoid_pass", True)
     _emit(args, payload)
     return 0 if ok else 1
 
@@ -190,29 +187,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, d=False, levels=False, sampled=False):
-        # positional and --flag spellings both work: `img-verify A2 2 2` or
-        # `img-verify --type A2 --d 2 --levels 2`
-        p.add_argument("type", nargs="?", default=None,
-                       help="root system type spec, e.g. A2 or B3xA1")
-        p.add_argument("--type", dest="type_flag", default=None,
-                       help=argparse.SUPPRESS)
+        p.add_argument("type", help="root system type spec, e.g. A2 or B3xA1")
         if d:
-            p.add_argument("d", nargs="?", type=int, default=None,
-                           help="degree parameter (>= 2)")
-            p.add_argument("--d", dest="d_flag", type=int, default=None,
-                           help=argparse.SUPPRESS)
+            p.add_argument("d", type=int, help="degree parameter (>= 2)")
         if levels:
-            p.add_argument("levels", nargs="?", type=int, default=None,
-                           help="tree depth to verify")
-            p.add_argument("--levels", dest="levels_flag", type=int,
-                           default=None, help=argparse.SUPPRESS)
+            p.add_argument("levels", type=int, help="tree depth to verify")
         if sampled:
             p.add_argument("--samples", type=int, default=100)
             p.add_argument("--tol", type=float, default=1e-8)
+        # every verb takes --seed, so one seed can be passed to any call
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--cap-vertices", type=int, default=None)
-        p.add_argument("--cap-group", type=int, default=None)
 
     p = sub.add_parser("roots", help="dump a root system and its axiom report")
     common(p)
@@ -220,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weyl", help="enumerate the finite Weyl group")
     common(p)
+    p.add_argument("--cap-group", type=int, default=None)
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("chebmap", help="synthesize and verify a polynomial map")
@@ -241,6 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("img-verify",
                        help="check each generator loop lifts to its label")
     common(p, d=True, levels=True)
+    p.add_argument("--cap-vertices", type=int, default=None)
+    p.add_argument("--cap-group", type=int, default=None)
     p.set_defaults(func=cmd_img_verify)
 
     p = sub.add_parser("automaton", help="export the generators' automaton")
@@ -259,20 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_positionals(parser, args):
-    for name in ("type", "d", "levels"):
-        flag = getattr(args, f"{name}_flag", None)
-        if getattr(args, name, None) is None and flag is not None:
-            setattr(args, name, flag)
-        if hasattr(args, name) and getattr(args, name) is None:
-            parser.error(f"missing required argument: {name}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command != "act":
-        _resolve_positionals(parser, args)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except WeylchebError as exc:

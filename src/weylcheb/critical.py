@@ -1,6 +1,8 @@
 """Critical and post-critical structure checks: sampling of the reflection
-walls, vanishing of Jacobians along them, invariance of the wall arrangement
-under integer scaling, and the deltoid identity in the A2 case.
+walls, vanishing of the map's Jacobian at the images of their strict
+preimages, the critical values landing where the scaled walls map, and the
+deltoid identity in the A2 case.  That d times a wall point lies on a wall
+holds by integer arithmetic and is not re-checked.
 
 The image of the wall arrangement under the generalized cosine carries no
 general implicit equation here; it is handled by sampling, except for A2
@@ -40,7 +42,6 @@ class PostCriticalReport:
     samples: int
     det_residuals: list = field(default_factory=list)
     value_residuals: list = field(default_factory=list)
-    invariance_ok: bool = True
     skipped: int = 0
 
     @property
@@ -52,8 +53,7 @@ class PostCriticalReport:
         return float(max(self.value_residuals, default=0.0))
 
     def passed(self, tol: float) -> bool:
-        return bool(self.invariance_ok
-                    and self.max_det_residual <= tol
+        return bool(self.max_det_residual <= tol
                     and self.max_value_residual <= tol)
 
     def as_dict(self, tol: float) -> dict:
@@ -64,7 +64,6 @@ class PostCriticalReport:
             "skipped": self.skipped,
             "max_det_residual": self.max_det_residual,
             "max_value_residual": self.max_value_residual,
-            "invariance_ok": self.invariance_ok,
             "tol": tol,
             "pass": self.passed(tol),
         }
@@ -97,21 +96,6 @@ def sample_diagram_points(rs: RootSystem, count: int,
         x[pivot] = (ell - np.dot(np.delete(w, pivot), np.delete(x, pivot))) / w[pivot]
         out.append(DiagramSample((v, ell), x, tuple(free)))
     return out
-
-
-def diagram_invariance_check(rs: RootSystem, d: int, samples: list) -> dict:
-    """Scaling a wall point by the integer d lands on the wall with exactly
-    d times the level: witness arithmetic is exact, membership is numeric."""
-    results = []
-    for s in samples:
-        v, ell = s.wall
-        scaled = d * s.point
-        on, _ = is_on_diagram(rs, scaled, 1e-8)
-        residual = abs(np.dot(np.array(v.weight_coords), scaled) - d * ell)
-        results.append({"ell": ell, "scaled_ell": d * ell, "on_diagram": on,
-                        "witness_residual": float(residual)})
-    ok = all(r["on_diagram"] and r["witness_residual"] < 1e-8 for r in results)
-    return {"type_spec": rs.type_spec, "d": d, "pass": ok, "walls": results}
 
 
 def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
@@ -190,8 +174,6 @@ def _check_strict_preimage(rs, d, pmap, jpolys, gencos_pair, y, report):
         # critical value lands where the scaled wall point maps
         report.value_residuals.append(float(max(
             abs(a - v) for a, v in zip(vals[n * n:], gdy))))
-    if not is_on_diagram(rs, d * y, 1e-8)[0]:
-        report.invariance_ok = False
 
 
 def deltoid_residual(x1: complex, x2: complex) -> complex:

@@ -351,8 +351,8 @@ class RootSystem:
     """Exact data of a (possibly reducible) root system.
 
     Instances are immutable by convention; every derived table (orbits, orbit
-    sizes, Weyl elements, orbit-sum expansions) is cached on the instance and
-    safe for concurrent readers.
+    sizes, Weyl elements, orbit matrices) is cached on the instance and safe
+    for concurrent readers.
     """
 
     def __init__(self, type_spec, factors, cartan, gram, lengths, roots,
@@ -372,7 +372,6 @@ class RootSystem:
             tuple((i, row[j]) for i, row in enumerate(cartan) if row[j])
             for j in range(self.rank))
         self._weyl_cache = None
-        self._expand_cache = {}
         self._orbit_matrix_cache = {}
 
     def __repr__(self):

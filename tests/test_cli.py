@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from weylcheb.cli import main
 
 
@@ -109,7 +111,6 @@ def test_verify_postcritical_a2(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["pass"] and payload["deltoid_pass"]
-    assert payload["diagram_invariance"]["pass"]
 
 
 # --- img-verify ------------------------------------------------------------------------
@@ -179,6 +180,34 @@ def test_automaton_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "automaton", "A2", "2")
     _, out2, _ = run_cli(capsys, "automaton", "A2", "2")
     assert out1 == out2
+
+
+# --- options -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    # the caps are options of weyl and img-verify only
+    ["chebmap", "A2", "2", "--cap-group", "5"],
+    ["roots", "A2", "--cap-vertices", "5"],
+    # the positionals have no --flag spellings
+    ["img-verify", "--type", "A2", "--d", "2", "--levels", "1"],
+    ["img-verify", "A2", "2"],
+])
+def test_rejected_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_caps_reach_the_verbs_that_read_them(capsys):
+    code, _, err = run_cli(capsys, "weyl", "B2", "--cap-group", "4")
+    assert code == 2 and "cap" in err
+    code, _, err = run_cli(capsys, "img-verify", "A2", "2", "2",
+                           "--cap-vertices", "15")
+    assert code == 2 and "cap 15" in err
+    code, _, err = run_cli(capsys, "img-verify", "A2", "2", "2",
+                           "--cap-group", "5")
+    assert code == 2 and "cap 5" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -40,6 +40,10 @@ from weylcheb.rootsys import (
     translation_element,
 )
 
+# the img-verify cases of the benchmark (perfbench/cases.py)
+BENCH_IMG_CASES = [("A1", 2, 4), ("A2", 2, 2), ("G2", 2, 2), ("A1xA1", 2, 3),
+                   ("A3", 2, 2), ("B3", 2, 2), ("B2", 3, 3)]
+
 
 # --- basepoint ------------------------------------------------------------------
 
@@ -183,6 +187,70 @@ def test_generator_loop_closes_and_avoids_walls(rs):
 def test_generator_loop_rejects_identity(rs):
     with pytest.raises(ValueError):
         make_generator_loop(rs("A2"), affine_identity(2))
+
+
+def _scan_clearance(rsys, loop_samples):
+    """The oracle: the smallest |Im <v, y(t)>| over every root and every
+    interior sample of the generating path, the per-sample wall scan that
+    make_generator_loop ran before it used the closed-form bound."""
+    roots = np.array([v.weight_coords for v in rsys.roots], dtype=float)
+    return np.abs((loop_samples[1:-1] @ roots.T).imag).min()
+
+
+def _generating_path(rsys, g, epsilon, num_samples):
+    # the path make_generator_loop maps through gencos, rebuilt here
+    y0 = basepoint_array(rsys)
+    y1 = affine_apply(g, y0)
+    u = np.array([float(c) for c in monodromy._unit_direction(rsys)])
+    ts = np.linspace(0.0, 1.0, num_samples)
+    return ((1 - ts)[:, None] * y0 + ts[:, None] * y1
+            + 1j * epsilon * np.sin(np.pi * ts)[:, None] * u)
+
+
+@pytest.mark.parametrize("spec", [c[0] for c in BENCH_IMG_CASES])
+def test_clearance_bound_equals_the_wall_scan(spec, rs):
+    rsys = rs(spec)
+    u = monodromy._unit_direction(rsys)
+    least = float(min(abs(dot(v.weight_coords, u)) for v in rsys.roots))
+    for epsilon, num in ((0.1, 257), (-0.3, 33), (0.02, 1001)):
+        bound = abs(epsilon) * np.sin(np.pi / (num - 1)) * least
+        for _, g in standard_affine_generators(rsys):
+            ys = _generating_path(rsys, g, epsilon, num)
+            assert _scan_clearance(rsys, ys) == pytest.approx(bound, rel=1e-9)
+    # the rebuilt path is the one make_generator_loop maps
+    for _, g in standard_affine_generators(rsys):
+        ys = _generating_path(rsys, g, 0.1, 257)
+        loop = make_generator_loop(rsys, g)
+        assert np.array_equal(loop.samples.points,
+                              [eval_gencos(rsys, y) for y in ys])
+    # make_generator_loop refuses exactly the bumps whose bound is <= 1e-9,
+    # and names the bound
+    g = standard_affine_generators(rsys)[0][1]
+    t1 = 1 / (monodromy.DEFAULT_LOOP_SAMPLES - 1)
+    critical_eps = 1e-9 / (np.sin(np.pi * t1) * least)
+    make_generator_loop(rsys, g, epsilon=1.001 * critical_eps)
+    with pytest.raises(ValueError) as exc:
+        make_generator_loop(rsys, g, epsilon=0.999 * critical_eps)
+    named = float(str(exc.value).split("within ")[1].split()[0])
+    assert named == pytest.approx(0.999e-9, rel=1e-3)
+
+
+@pytest.mark.parametrize("spec", ["A2", "G2", "B3"])
+def test_tiny_epsilon_loop_is_refused(spec, rs):
+    rsys = rs(spec)
+    g = standard_affine_generators(rsys)[0][1]
+    with pytest.raises(ValueError, match=r"within \d\.\d+e-\d+ of a wall"):
+        make_generator_loop(rsys, g, epsilon=1e-12)
+    # the per-sample wall scan refused this path too: it crosses g's wall
+    ys = _generating_path(rsys, g, 1e-12, 257)
+    assert any(is_on_diagram(rsys, y, 1e-9)[0] for y in ys[1:-1])
+
+
+def test_generator_loop_needs_a_real_basepoint(rs):
+    rsys = rs("A2")
+    g = standard_affine_generators(rsys)[0][1]
+    with pytest.raises(ValueError, match="real"):
+        make_generator_loop(rsys, g, basepoint_array(rsys) + 0.01j)
 
 
 def test_lifted_generator_loop_recovers_label(rs):
@@ -335,10 +403,7 @@ def _affine_level_actions(rsys, d, k):
             for _, g in standard_affine_generators(rsys)]
 
 
-# the img-verify cases of the benchmark (perfbench/cases.py), every level
-@pytest.mark.parametrize("spec,d,levels", [
-    ("A1", 2, 4), ("A2", 2, 2), ("G2", 2, 2), ("A1xA1", 2, 3), ("A3", 2, 2),
-    ("B3", 2, 2), ("B2", 3, 3)])
+@pytest.mark.parametrize("spec,d,levels", BENCH_IMG_CASES)
 def test_group_order_matches_oracles_on_benchmark_cases(rs, spec, d, levels):
     for k in range(1, levels + 1):
         acts = _affine_level_actions(rs(spec), d, k)
@@ -402,6 +467,30 @@ def test_group_order_cap_message_names_the_order():
     big = algebraic_action(translation_element((1,)), 2, 3)
     with pytest.raises(CapExceededError, match="order 8 exceeds cap 4"):
         generated_group_order([big], cap=4)
+
+
+# --- relations -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec,d,levels", BENCH_IMG_CASES)
+def test_reflection_relations_hold_in_the_actions(spec, d, levels, rs):
+    # (act(g_i) o act(g_j))^m = id for every pair of standard generators, m
+    # the exact order of g_i g_j: algebraic_action is a homomorphism
+    gens = standard_affine_generators(rs(spec))
+    checked = 0
+    for k in range(1, levels + 1):
+        acts = {name: algebraic_action(g, d, k) for name, g in gens}
+        for i, (ni, gi) in enumerate(gens):
+            for nj, gj in gens[i:]:
+                m = affine_element_order(affine_compose(gi, gj))
+                if m is None:  # infinite order: no relation
+                    continue
+                prod = acts[ni].compose(acts[nj])
+                acc = prod
+                for _ in range(m - 1):
+                    acc = acc.compose(prod)
+                assert acc.is_identity(), (k, ni, nj, m)
+                checked += 1
+    assert checked > 0
 
 
 # --- element orders -----------------------------------------------------------------
