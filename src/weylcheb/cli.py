@@ -17,6 +17,7 @@ from . import monodromy as mo
 from . import selfsim as ss
 from .errors import WeylchebError
 from .rootsys import (
+    WEYL_CAP,
     affine_compose,
     affine_identity,
     build_root_system,
@@ -60,9 +61,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_weyl(args) -> int:
-    from .rootsys import WEYL_CAP
     rs = build_root_system(args.type)
-    elements = weyl_group_elements(rs, cap=args.cap_group or WEYL_CAP)
+    elements = weyl_group_elements(rs, cap=args.cap_group)
     payload = {
         "type": rs.type_spec,
         "order": len(elements),
@@ -112,10 +112,8 @@ def cmd_verify_postcritical(args) -> int:
 
 def cmd_img_verify(args) -> int:
     rs = build_root_system(args.type)
-    vertex_cap = args.cap_vertices or mo.VERTEX_CAP
-    group_cap = args.cap_group or mo.GROUP_ORDER_CAP
     rep = mo.img_verification(rs, args.d, args.levels,
-                              vertex_cap=vertex_cap, group_cap=group_cap)
+                              vertex_cap=args.cap_vertices)
     _emit(args, rep.as_dict())
     return 0 if rep.passed else 1
 
@@ -205,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weyl", help="enumerate the finite Weyl group")
     common(p)
-    p.add_argument("--cap-group", type=int, default=None)
+    p.add_argument("--cap-group", type=int, default=WEYL_CAP)
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("chebmap", help="synthesize and verify a polynomial map")
@@ -227,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("img-verify",
                        help="check each generator loop lifts to its label")
     common(p, d=True, levels=True)
-    p.add_argument("--cap-vertices", type=int, default=None)
-    p.add_argument("--cap-group", type=int, default=None)
+    p.add_argument("--cap-vertices", type=int, default=mo.VERTEX_CAP)
     p.set_defaults(func=cmd_img_verify)
 
     p = sub.add_parser("automaton", help="export the generators' automaton")

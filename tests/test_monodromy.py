@@ -457,16 +457,12 @@ def test_group_order_dihedral_level_three(rs):
     assert generated_group_order([acts_plus[2], acts_minus[2]]) == 16
 
 
-def test_group_order_cap():
-    big = algebraic_action(translation_element((1,)), 2, 3)
-    with pytest.raises(CapExceededError):
-        generated_group_order([big], cap=4)
-
-
-def test_group_order_cap_message_names_the_order():
-    big = algebraic_action(translation_element((1,)), 2, 3)
-    with pytest.raises(CapExceededError, match="order 8 exceeds cap 4"):
-        generated_group_order([big], cap=4)
+@pytest.mark.parametrize("spec,order", [("E6", 3317760), ("E7", 185794560)])
+def test_group_order_e6_e7_level_one(rs, spec, order):
+    # |W| * vertices is twice the E7 order: -1 in W(E7) acts trivially mod 2
+    acts = _affine_level_actions(rs(spec), 2, 1)
+    assert generated_group_order(acts) == order
+    assert _sympy_order(acts) == order
 
 
 # --- relations -----------------------------------------------------------------------
@@ -561,10 +557,28 @@ def test_img_verification_reducible(rs):
 
 
 def test_img_caps_refuse_oversized(rs):
-    with pytest.raises(CapExceededError):
-        check_img_caps(rs("B3"), 3, 3)
-    with pytest.raises(CapExceededError):
-        check_img_caps(rs("A3"), 10, 2)
+    for spec, d, levels, vertices in (("B3", 3, 3, 19683),
+                                      ("A3", 10, 2, 10 ** 6),
+                                      ("A1", 2, 13, 8192)):
+        with pytest.raises(CapExceededError) as exc:
+            check_img_caps(rs(spec), d, levels)
+        msg = str(exc.value)
+        assert f"{vertices} vertices" in msg and "above cap 4096" in msg
+        assert f"{2 * vertices ** 2} transversal cells" in msg
+
+
+def test_img_caps_accept_a_full_size_level(rs):
+    check_img_caps(rs("A1"), 2, 12)
+
+
+def test_img_verification_refuses_large_weyl_group_before_lifting(
+        rs, monkeypatch):
+    def no_lift(*args, **kwargs):
+        raise AssertionError("lift_path called")
+
+    monkeypatch.setattr(monodromy, "lift_path", no_lift)
+    with pytest.raises(CapExceededError, match="order 51840"):
+        img_verification(rs("E6"), 2, 1)
 
 
 def test_generator_order_two_everywhere(rs):

@@ -8,6 +8,7 @@ import pytest
 
 from weylcheb.errors import CapExceededError, TypeSpecError
 from weylcheb.rootsys import (
+    WEYL_CAP,
     AffineElement,
     RootSystem,
     affine_apply,
@@ -25,7 +26,7 @@ from weylcheb.rootsys import (
     translation_element,
     verify_axioms,
     weyl_group_elements,
-    weyl_order_estimate,
+    weyl_order,
 )
 
 ROOT_COUNTS = {
@@ -45,6 +46,13 @@ WEYL_ORDERS = {
     "D4": 192,
     "G2": 12, "F4": 1152,
     "A1xA1": 4,
+}
+
+# more literal orders, most of them beyond WEYL_CAP
+MORE_WEYL_ORDERS = {
+    "A5": 720, "C5": 3840, "D6": 23040,
+    "E6": 51840, "E7": 2903040, "E8": 696729600,
+    "B3xA1": 96, "G2xA2": 72,
 }
 
 
@@ -150,9 +158,18 @@ def test_weyl_group_sizes(spec, order, rs):
     assert len(weyl_group_elements(rs(spec))) == order
 
 
+@pytest.mark.parametrize("spec,order", sorted(
+    {**WEYL_ORDERS, **MORE_WEYL_ORDERS}.items()))
+def test_weyl_order(spec, order, rs):
+    rsys = rs(spec)
+    assert weyl_order(rsys) == order
+    if order <= WEYL_CAP:
+        assert len(weyl_group_elements(rsys)) == order
+
+
 def test_weyl_cap_refuses_e6():
     rsys = build_root_system("E6")
-    assert weyl_order_estimate(rsys) == 51840
+    assert weyl_order(rsys) == 51840
     with pytest.raises(CapExceededError):
         weyl_group_elements(rsys)
 
