@@ -160,15 +160,14 @@ def cmd_act(args) -> int:
     rs = build_root_system(args.type)
     g = _parse_generator_word(rs, args.word)
     tw = _parse_tree_word(rs, args.d, args.treeword)
-    out = ss.act_on_word(ss.TreeAutomorphism(g, args.d), tw)
+    out = ss.act_on_word(g, tw)
     print("".join(str(c) for letter in out.letters for c in letter))
     return 0
 
 
 def cmd_automaton(args) -> int:
     rs = build_root_system(args.type)
-    gens = [ss.TreeAutomorphism(g, args.d)
-            for _, g in mo.standard_affine_generators(rs)]
+    gens = [g for _, g in mo.standard_affine_generators(rs)]
     text = ss.export_automaton(gens, args.d, fmt=args.format)
     if args.out:
         with open(args.out, "w") as fh:

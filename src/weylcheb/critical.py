@@ -32,7 +32,6 @@ class DiagramSample:
 
     wall: tuple          # (Root, ell)
     point: np.ndarray    # complex, coroot coordinates
-    tangential_offset: tuple  # the free complex coordinates used
 
 
 @dataclass
@@ -86,15 +85,13 @@ def sample_diagram_points(rs: RootSystem, count: int,
         w = np.array(v.weight_coords)
         pivot = int(np.argmax(np.abs(w)))
         x = np.zeros(rs.rank, dtype=complex)
-        free = []
         for j in range(rs.rank):
             if j == pivot:
                 continue
-            z = complex(rng.uniform(-1, 1), rng.uniform(-_IM_SCALE, _IM_SCALE))
-            x[j] = z
-            free.append(z)
+            x[j] = complex(rng.uniform(-1, 1),
+                           rng.uniform(-_IM_SCALE, _IM_SCALE))
         x[pivot] = (ell - np.dot(np.delete(w, pivot), np.delete(x, pivot))) / w[pivot]
-        out.append(DiagramSample((v, ell), x, tuple(free)))
+        out.append(DiagramSample((v, ell), x))
     return out
 
 

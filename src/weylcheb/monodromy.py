@@ -63,84 +63,12 @@ DEFAULT_EPSILON = 0.1
 # level actions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LevelAction:
-    """A permutation of the level-k vertex set (Z/d^k)^n, stored as an image
-    array over mixed-radix encoded vertices: index = sum_j u_j * (d^k)^j."""
-
-    level: int
-    d: int
-    n: int
-    perm: tuple
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("not a permutation")
-
-    @property
-    def size(self):
-        return len(self.perm)
-
-    def compose(self, other: "LevelAction") -> "LevelAction":
-        """self after other (matches composing the underlying elements)."""
-        p, q = self.perm, other.perm
-        return LevelAction(self.level, self.d, self.n,
-                           tuple(p[q[i]] for i in range(len(p))))
-
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.perm))
-
-    def order(self) -> int:
-        seen = [False] * len(self.perm)
-        ord_ = 1
-        for i in range(len(self.perm)):
-            if seen[i]:
-                continue
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.perm[j]
-                ln += 1
-            ord_ = ord_ * ln // math.gcd(ord_, ln)
-        return ord_
-
-    def project(self) -> "LevelAction":
-        """The induced permutation one level down (digit truncation)."""
-        if self.level <= 1:
-            raise ValueError("level-1 actions have no projection")
-        m, mm = self.d ** self.level, self.d ** (self.level - 1)
-        out = [None] * (mm ** self.n)
-        for i, j in enumerate(self.perm):
-            u = _decode(i, m, self.n)
-            v = _decode(j, m, self.n)
-            src = _encode([c % mm for c in u], mm)
-            dst = _encode([c % mm for c in v], mm)
-            if out[src] is None:
-                out[src] = dst
-            elif out[src] != dst:
-                raise ValueError("action is not projection-compatible")
-        return LevelAction(self.level - 1, self.d, self.n, tuple(out))
-
-
-def _encode(u, m):
-    idx = 0
-    for j in reversed(range(len(u))):
-        idx = idx * m + u[j]
-    return idx
-
-
-def _decode(idx, m, n):
-    out = []
-    for _ in range(n):
-        out.append(idx % m)
-        idx //= m
-    return tuple(out)
-
-
 def algebraic_action(g: AffineElement, d: int, k: int,
-                     vertex_cap: int = VERTEX_CAP) -> LevelAction:
-    """The affine action of g on the coroot lattice reduced mod d^k."""
+                     vertex_cap: int = VERTEX_CAP) -> np.ndarray:
+    """The affine action u |-> w(u) + t of g on the coroot lattice reduced
+    mod d^k, as an int64 image array over mixed-radix encoded vertices:
+    index = sum_j u_j * (d^k)^j.  It is a permutation because det w = +-1,
+    so w is invertible mod d^k."""
     if k < 1:
         raise ValueError("level must be >= 1")
     n = g.rank
@@ -158,7 +86,24 @@ def algebraic_action(g: AffineElement, d: int, k: int,
     enc = np.zeros(count, dtype=np.int64)
     for j in reversed(range(n)):
         enc = enc * m + v[:, j]
-    return LevelAction(k, d, n, tuple(int(x) for x in enc))
+    return enc
+
+
+def perm_order(perm) -> int:
+    """The order of a permutation image array: the lcm of its cycle lengths."""
+    perm = perm.tolist()
+    seen = [False] * len(perm)
+    order = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        order = math.lcm(order, length)
+    return order
 
 
 def wreath_digit_step(g: AffineElement, d: int, letter):
@@ -221,7 +166,6 @@ class Loop:
     """A sampled loop in the target space with equal endpoints, optionally
     labeled by the deck element it was built from."""
 
-    base_x0: np.ndarray
     samples: PathSample
     label: AffineElement | None = None
 
@@ -267,12 +211,12 @@ def make_generator_loop(rs: RootSystem, g: AffineElement, y0=None,
     ys = ((1 - ts)[:, None] * y0[None, :] + ts[:, None] * y1[None, :]
           + 1j * epsilon * np.sin(np.pi * ts)[:, None] * u[None, :])
     pts = np.array([eval_gencos(rs, y) for y in ys])
-    return Loop(pts[0].copy(), PathSample(ts, pts), label=g)
+    return Loop(PathSample(ts, pts), label=g)
 
 
 def concat_loops(l1: Loop, l2: Loop) -> Loop:
     """The loop "first l1, then l2" (deck elements multiply left to right)."""
-    if np.abs(l1.base_x0 - l2.base_x0).max() > 1e-9:
+    if np.abs(l1.samples.points[0] - l2.samples.points[0]).max() > 1e-9:
         raise ValueError("loops are based at different points")
     t1 = l1.samples.times * 0.5
     t2 = 0.5 + l2.samples.times * 0.5
@@ -281,7 +225,7 @@ def concat_loops(l1: Loop, l2: Loop) -> Loop:
     label = None
     if l1.label is not None and l2.label is not None:
         label = affine_compose(l1.label, l2.label)
-    return Loop(l1.base_x0, PathSample(times, points), label=label)
+    return Loop(PathSample(times, points), label=label)
 
 
 def a1_standard_loops(d: int, num_samples: int = DEFAULT_LOOP_SAMPLES):
@@ -295,8 +239,8 @@ def a1_standard_loops(d: int, num_samples: int = DEFAULT_LOOP_SAMPLES):
     """
     ts = np.linspace(0.0, 1.0, num_samples)
     circle = 1 - np.exp(2j * np.pi * ts)
-    plus = Loop(np.array([0j]), PathSample(ts, (2 * circle)[:, None]))
-    minus = Loop(np.array([0j]), PathSample(ts, (-2 * circle)[:, None]))
+    plus = Loop(PathSample(ts, (2 * circle)[:, None]))
+    minus = Loop(PathSample(ts, (-2 * circle)[:, None]))
     return plus, minus
 
 
@@ -320,14 +264,11 @@ def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
     """Monodromy level actions of a loop, computed numerically: one
     continuation through the covering determines the deck element, which
     determines every level action."""
-    if d ** (levels * rs.rank) > vertex_cap:
-        raise CapExceededError(
-            f"{d ** (levels * rs.rank)} vertices at level {levels}, "
-            f"above cap {vertex_cap}")
+    check_img_caps(rs, d, levels, vertex_cap)
     if y_start is None:
         y_start = basepoint_array(rs)
     y_start = np.asarray(y_start, dtype=complex)
-    if np.abs(eval_gencos(rs, y_start) - loop.base_x0).max() > 1e-8:
+    if np.abs(eval_gencos(rs, y_start) - loop.samples.points[0]).max() > 1e-8:
         raise ValueError("loop is not based at the image of y_start")
 
     g = lift_deck_element(rs, loop, y_start)
@@ -431,7 +372,7 @@ def generated_group_order(actions) -> int:
     the transversals: two permutations (an entry and its inverse) per orbit
     point, at most 2 * degree^2 cells per level.
     """
-    gens = [np.array(a.perm) for a in actions]
+    gens = list(actions)
     if not gens:
         return 1
     ident = np.arange(len(gens[0]))
@@ -498,11 +439,11 @@ class MonodromyReport:
                     "deck_matches": g.deck_matches,
                     "levels": [
                         {
-                            "level": act.level,
-                            "algebraic_perm": list(act.perm),
-                            "order": act.order(),
+                            "level": k,
+                            "algebraic_perm": act.tolist(),
+                            "order": perm_order(act),
                         }
-                        for act in g.actions
+                        for k, act in enumerate(g.actions, 1)
                     ],
                 }
                 for g in self.generators

@@ -437,13 +437,15 @@ def reflect(v: Root, ell, x):
 
 def weyl_group_elements(rs: RootSystem, cap: int = WEYL_CAP):
     """All Weyl group elements by breadth-first closure from the simple
-    reflections.  Refuses when the order, weyl_order(rs), exceeds the cap."""
-    if rs._weyl_cache is not None:
-        return rs._weyl_cache
+    reflections.  Refuses when the order, weyl_order(rs), exceeds the cap;
+    the order is memoized, so the cap is checked on every call, cached or
+    not."""
     order = weyl_order(rs)
     if order > cap:
         raise CapExceededError(
             f"Weyl group of {rs.type_spec} has order {order}, above cap {cap}")
+    if rs._weyl_cache is not None:
+        return rs._weyl_cache
     gens = [rs.simple_reflection(j) for j in range(rs.rank)]
     ident = weyl_identity(rs.rank)
     elements = {ident.weight_matrix: ident}

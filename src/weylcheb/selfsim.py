@@ -14,8 +14,10 @@ import itertools
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapExceededError
-from .monodromy import algebraic_action, wreath_digit_step
+from .monodromy import algebraic_action, perm_order, wreath_digit_step
 from .rootsys import AffineElement, WeylElement
 
 STATE_CAP = 10 ** 4
@@ -50,32 +52,20 @@ class TreeWord:
         return cls(tuple(letters), d, len(letters[0]) if letters else len(u))
 
 
-@dataclass(frozen=True)
-class TreeAutomorphism:
-    state: AffineElement
-    d: int
-
-    @property
-    def n(self):
-        return self.state.rank
-
-
-def act_on_word(g: TreeAutomorphism, w: TreeWord) -> TreeWord:
-    """Apply the automorphism letter by letter, threading carries."""
-    if g.d != w.d or g.n != w.n:
-        raise ValueError("alphabet mismatch between automorphism and word")
-    state = g.state
+def act_on_word(g: AffineElement, w: TreeWord) -> TreeWord:
+    """Apply g letter by letter, threading carries."""
+    if g.rank != w.n:
+        raise ValueError("alphabet mismatch between element and word")
     out = []
     for letter in w.letters:
-        img, state = wreath_digit_step(state, g.d, letter)
+        img, g = wreath_digit_step(g, w.d, letter)
         out.append(img)
     return TreeWord(tuple(out), w.d, w.n)
 
 
-def child(g: TreeAutomorphism, letter) -> TreeAutomorphism:
-    """The renormalized automorphism below the given first letter."""
-    _, state = wreath_digit_step(g.state, g.d, letter)
-    return TreeAutomorphism(state, g.d)
+def child(g: AffineElement, d: int, letter) -> AffineElement:
+    """The renormalized state of g below the given first letter."""
+    return wreath_digit_step(g, d, letter)[1]
 
 
 @dataclass
@@ -90,20 +80,20 @@ class Automaton:
 
 
 def reachable_states(gens, d: int, cap: int = STATE_CAP) -> Automaton:
-    """Close a set of automorphisms under child-state formation.  Carries are
-    bounded by the Weyl part, so the closure is finite; the cap only guards
-    against model bugs."""
-    if isinstance(gens, TreeAutomorphism):
+    """Close a set of affine elements under child-state formation.  Carries
+    are bounded by the Weyl part, so the closure is finite; the cap only
+    guards against model bugs."""
+    if isinstance(gens, AffineElement):
         gens = [gens]
-    n = gens[0].n
+    n = gens[0].rank
     index = {}
     order = []
     queue = []
     for g in gens:
-        if g.state not in index:
-            index[g.state] = len(order)
-            order.append(g.state)
-            queue.append(g.state)
+        if g not in index:
+            index[g] = len(order)
+            order.append(g)
+            queue.append(g)
     letters = list(itertools.product(range(d), repeat=n))
     transitions = {}
     while queue:
@@ -119,25 +109,24 @@ def reachable_states(gens, d: int, cap: int = STATE_CAP) -> Automaton:
                 order.append(nxt)
                 queue.append(nxt)
             transitions[(si, letter)] = (img, index[nxt])
-    gen_idx = [index[g.state] for g in gens]
+    gen_idx = [index[g] for g in gens]
     return Automaton(d, n, order, transitions, gen_idx)
 
 
-def element_equal_up_to_level(g1: TreeAutomorphism, g2: TreeAutomorphism,
+def element_equal_up_to_level(g1: AffineElement, g2: AffineElement, d: int,
                               level: int) -> bool:
-    """Whether the two automorphisms agree on all words of length <= level
+    """Whether the two elements agree on all words of length <= level
     (level-k actions are quotients of the level-`level` one, so comparing the
     deepest level suffices)."""
-    if (g1.d, g1.n) != (g2.d, g2.n):
+    if g1.rank != g2.rank:
         raise ValueError("alphabet mismatch")
-    a1 = algebraic_action(g1.state, g1.d, level)
-    a2 = algebraic_action(g2.state, g2.d, level)
-    return a1.perm == a2.perm
+    return np.array_equal(algebraic_action(g1, d, level),
+                          algebraic_action(g2, d, level))
 
 
-def order_on_level(g: TreeAutomorphism, level: int) -> int:
+def order_on_level(g: AffineElement, d: int, level: int) -> int:
     """Multiplicative order of the level-`level` permutation."""
-    return algebraic_action(g.state, g.d, level).order()
+    return perm_order(algebraic_action(g, d, level))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +141,6 @@ def export_automaton(gens, d: int, fmt: str = "json") -> str:
     generators: [state indices]}.  The text format adds one wreath-recursion
     line per state: "g3 = [image letters](children)".
     """
-    if isinstance(gens, TreeAutomorphism):
-        gens = [gens]
     aut = reachable_states(gens, d)
     letters = sorted({k[1] for k in aut.transitions})
     if fmt == "json":

@@ -12,7 +12,7 @@ from weylcheb import monodromy
 from weylcheb.errors import CapExceededError
 from weylcheb.gencos import deck_identify, eval_gencos, is_on_diagram, lift_path
 from weylcheb.monodromy import (
-    LevelAction,
+    Loop,
     a1_standard_loops,
     affine_element_order,
     algebraic_action,
@@ -25,6 +25,7 @@ from weylcheb.monodromy import (
     lift_deck_element,
     make_generator_loop,
     numeric_monodromy,
+    perm_order,
     standard_affine_generators,
     wreath_digit_step,
     A1_LOOP_BASEPOINT,
@@ -34,10 +35,12 @@ from weylcheb.rootsys import (
     affine_compose,
     affine_identity,
     affine_inverse,
+    build_root_system,
     dot,
     positive_roots,
     reflection_element,
     translation_element,
+    weyl_group_elements,
 )
 
 # the img-verify cases of the benchmark (perfbench/cases.py)
@@ -81,22 +84,26 @@ def test_basepoint_stabilizer_trivial(rs):
 
 # --- algebraic engine --------------------------------------------------------------
 
+def _is_identity(perm):
+    return np.array_equal(perm, np.arange(len(perm)))
+
+
 def test_identity_action_trivial():
     act = algebraic_action(affine_identity(2), 2, 2)
-    assert act.is_identity()
+    assert _is_identity(act)
 
 
 def test_translation_is_odometer_cycle():
     act = algebraic_action(translation_element((1,)), 2, 2)
-    assert act.perm == (1, 2, 3, 0)
-    assert act.order() == 4
+    assert act.tolist() == [1, 2, 3, 0]
+    assert perm_order(act) == 4
 
 
 def test_reflection_action_mod_four(rs):
     a1 = rs("A1")
     act = algebraic_action(reflection_element(a1.roots[0], 0), 2, 2)
-    assert act.perm == (0, 3, 2, 1)  # fixes 0 and 2
-    assert act.order() == 2
+    assert act.tolist() == [0, 3, 2, 1]  # fixes 0 and 2
+    assert perm_order(act) == 2
 
 
 def test_action_is_homomorphism(rs):
@@ -107,8 +114,28 @@ def test_action_is_homomorphism(rs):
         for _ in range(25):
             g1, g2 = rng.choice(gens), rng.choice(gens)
             lhs = algebraic_action(affine_compose(g1, g2), 2, 2)
-            rhs = algebraic_action(g1, 2, 2).compose(algebraic_action(g2, 2, 2))
-            assert lhs.perm == rhs.perm
+            assert np.array_equal(np.sort(lhs), np.arange(len(lhs)))
+            # "g1 after g2" on image arrays is p[q]
+            rhs = algebraic_action(g1, 2, 2)[algebraic_action(g2, 2, 2)]
+            assert np.array_equal(lhs, rhs)
+
+
+def _project(perm, d, level, n):
+    """The permutation a level-`level` image array induces one level down
+    (digit truncation); fails unless the truncation is well defined."""
+    m, mm = d ** level, d ** (level - 1)
+
+    def truncate(idx):
+        out = np.zeros_like(idx)
+        for j in reversed(range(n)):
+            out = out * mm + (idx // m ** j) % m % mm
+        return out
+
+    src, dst = truncate(np.arange(len(perm))), truncate(perm)
+    out = np.full(mm ** n, -1)
+    out[src] = dst
+    assert np.array_equal(out[src], dst), "action is not projection-compatible"
+    return out
 
 
 def test_projection_compatibility(rs):
@@ -118,9 +145,10 @@ def test_projection_compatibility(rs):
         gens = [g for _, g in standard_affine_generators(rsys)]
         for _ in range(10):
             g = affine_compose(rng.choice(gens), rng.choice(gens))
-            deep = algebraic_action(g, 2, 3 if rsys.rank == 1 else 2)
-            shallow = algebraic_action(g, 2, deep.level - 1)
-            assert deep.project().perm == shallow.perm
+            level = 3 if rsys.rank == 1 else 2
+            deep = algebraic_action(g, 2, level)
+            shallow = algebraic_action(g, 2, level - 1)
+            assert np.array_equal(_project(deep, 2, level, rsys.rank), shallow)
 
 
 def test_vertex_cap():
@@ -266,14 +294,13 @@ def test_lifted_generator_loop_recovers_label(rs):
 
 def test_constant_loop_identity_monodromy(rs):
     from weylcheb.gencos import PathSample
-    from weylcheb.monodromy import Loop
     a1 = rs("A1")
     y0 = basepoint_array(a1)
     x0 = eval_gencos(a1, y0)
-    loop = Loop(x0, PathSample(np.array([0.0, 1.0]), np.array([x0, x0])))
+    loop = Loop(PathSample(np.array([0.0, 1.0]), np.array([x0, x0])))
     actions, deck = numeric_monodromy(a1, 2, loop, 3)
     assert deck.is_identity()
-    assert all(a.is_identity() for a in actions)
+    assert all(_is_identity(a) for a in actions)
 
 
 def test_numeric_equals_algebraic_for_generators(rs):
@@ -285,7 +312,8 @@ def test_numeric_equals_algebraic_for_generators(rs):
             numeric, deck = numeric_monodromy(rsys, d, loop, k, y_start=y0)
             assert deck == g
             for lvl in range(k):
-                assert numeric[lvl].perm == algebraic_action(g, d, lvl + 1).perm
+                assert np.array_equal(numeric[lvl],
+                                      algebraic_action(g, d, lvl + 1))
 
 
 @pytest.mark.parametrize("spec", ["A2", "B2"])
@@ -316,7 +344,7 @@ def test_concatenation_composes_deck_elements(rs):
     act_both, _ = numeric_monodromy(a2, 2, both, 1, y_start=y0)
     a_first, _ = numeric_monodromy(a2, 2, l1, 1, y_start=y0)
     a_second, _ = numeric_monodromy(a2, 2, l2, 1, y_start=y0)
-    assert act_both[0].perm == a_first[0].compose(a_second[0]).perm
+    assert np.array_equal(act_both[0], a_first[0][a_second[0]])
 
 
 # --- the A1 example loops --------------------------------------------------------------
@@ -329,7 +357,7 @@ def test_a1_standard_loops_orders(d, rs):
     acts_plus, g_plus = numeric_monodromy(a1, d, plus, 3, y_start=y)
     acts_minus, g_minus = numeric_monodromy(a1, d, minus, 3, y_start=y)
     for acts in (acts_plus, acts_minus):
-        orders = [acts[k].order() for k in range(3)]
+        orders = [perm_order(acts[k]) for k in range(3)]
         assert all(o in (1, 2) for o in orders)
         assert max(orders) == 2  # order 2 as a tree automorphism
     both = concat_loops(minus, plus)
@@ -337,7 +365,7 @@ def test_a1_standard_loops_orders(d, rs):
     assert g_both == affine_compose(g_minus, g_plus)
     assert abs(g_both.t[0]) == 1 and g_both.w.is_identity()
     for k in range(3):
-        assert acts_both[k].order() == d ** (k + 1)
+        assert perm_order(acts_both[k]) == d ** (k + 1)
 
 
 def test_a1_standard_loop_encircles_plus_two():
@@ -377,9 +405,9 @@ def _bfs_order(actions):
     before Schreier-Sims, listing every group element."""
     if not actions:
         return 1
-    size = actions[0].size
+    size = len(actions[0])
     ident = tuple(range(size))
-    gens = {a.perm for a in actions}
+    gens = {tuple(a.tolist()) for a in actions}
     elements = {ident}
     frontier = [ident]
     while frontier:
@@ -395,7 +423,7 @@ def _bfs_order(actions):
 
 
 def _sympy_order(actions):
-    return PermutationGroup([Permutation(list(a.perm)) for a in actions]).order()
+    return PermutationGroup([Permutation(a.tolist()) for a in actions]).order()
 
 
 def _affine_level_actions(rsys, d, k):
@@ -421,8 +449,8 @@ def test_group_order_matches_oracles_on_larger_levels(rs, spec, d, k, order):
 
 
 def test_group_order_full_symmetric_group():
-    swap = LevelAction(1, 8, 1, (1, 0, 2, 3, 4, 5, 6, 7))
-    cycle = LevelAction(1, 8, 1, (1, 2, 3, 4, 5, 6, 7, 0))
+    swap = np.array([1, 0, 2, 3, 4, 5, 6, 7])
+    cycle = np.array([1, 2, 3, 4, 5, 6, 7, 0])
     assert generated_group_order([swap, cycle]) == 40320
     assert _bfs_order([swap, cycle]) == 40320
     assert _sympy_order([swap, cycle]) == 40320
@@ -430,21 +458,21 @@ def test_group_order_full_symmetric_group():
 
 def test_group_order_matches_oracles_on_random_sets():
     rng = random.Random(0)
-    sets = [[LevelAction(1, 4, 1, (0, 1, 2, 3))]]  # the identity alone
+    sets = [[np.arange(4)]]  # the identity alone
     for _ in range(100):
         size = rng.randint(1, 7)
         acts = []
         for _ in range(rng.randint(1, 3)):
             perm = list(range(size))
             rng.shuffle(perm)
-            acts.append(LevelAction(1, size, 1, tuple(perm)))
+            acts.append(np.array(perm))
         sets.append(acts)
     for acts in sets:
         assert generated_group_order(acts) == _bfs_order(acts) == _sympy_order(acts)
 
 
 def test_group_order_identity_only():
-    ident = LevelAction(1, 2, 1, (0, 1))
+    ident = np.arange(2)
     assert generated_group_order([ident]) == 1
 
 
@@ -480,11 +508,11 @@ def test_reflection_relations_hold_in_the_actions(spec, d, levels, rs):
                 m = affine_element_order(affine_compose(gi, gj))
                 if m is None:  # infinite order: no relation
                     continue
-                prod = acts[ni].compose(acts[nj])
+                prod = acts[ni][acts[nj]]
                 acc = prod
                 for _ in range(m - 1):
-                    acc = acc.compose(prod)
-                assert acc.is_identity(), (k, ni, nj, m)
+                    acc = acc[prod]
+                assert _is_identity(acc), (k, ni, nj, m)
                 checked += 1
     assert checked > 0
 
@@ -513,6 +541,10 @@ def test_img_verification_passes(spec, d, k, rs):
     payload = rep.as_dict()
     assert payload["pass"] is True
     assert len(payload["generators"]) == rs(spec).rank + len(rs(spec).factors)
+    for gen, dumped in zip(rep.generators, payload["generators"]):
+        assert [lv["level"] for lv in dumped["levels"]] == list(range(1, k + 1))
+        assert [lv["algebraic_perm"] for lv in dumped["levels"]] == [
+            a.tolist() for a in gen.actions]
 
 
 def test_img_verification_catches_mislabeled_loop(rs, monkeypatch):
@@ -539,13 +571,14 @@ def test_img_verification_catches_mislabeled_loop(rs, monkeypatch):
     assert [g.deck_matches for g in rep.generators] == [False, True, True]
     assert rep.generators[0].deck == affine_compose(t, wrong)
     for k in range(levels):
-        assert (algebraic_action(affine_compose(t, wrong), d, k + 1).perm
-                == rep.generators[0].actions[k].perm)
+        assert np.array_equal(
+            algebraic_action(affine_compose(t, wrong), d, k + 1),
+            rep.generators[0].actions[k])
 
 
 def test_img_verification_a2_level2_vertex_count(rs):
     rep = img_verification(rs("A2"), 2, 2)
-    assert len(rep.generators[0].actions[1].perm) == 16
+    assert len(rep.generators[0].actions[1]) == 16
 
 
 def test_img_verification_reducible(rs):
@@ -557,14 +590,21 @@ def test_img_verification_reducible(rs):
 
 
 def test_img_caps_refuse_oversized(rs):
+    from weylcheb.gencos import PathSample
     for spec, d, levels, vertices in (("B3", 3, 3, 19683),
                                       ("A3", 10, 2, 10 ** 6),
                                       ("A1", 2, 13, 8192)):
-        with pytest.raises(CapExceededError) as exc:
-            check_img_caps(rs(spec), d, levels)
-        msg = str(exc.value)
-        assert f"{vertices} vertices" in msg and "above cap 4096" in msg
-        assert f"{2 * vertices ** 2} transversal cells" in msg
+        rsys = rs(spec)
+        # numeric_monodromy refuses with the same message, before any lift
+        still = Loop(PathSample(np.array([0.0, 1.0]),
+                                np.zeros((2, rsys.rank), dtype=complex)))
+        for refuse in (lambda: check_img_caps(rsys, d, levels),
+                       lambda: numeric_monodromy(rsys, d, still, levels)):
+            with pytest.raises(CapExceededError) as exc:
+                refuse()
+            msg = str(exc.value)
+            assert f"{vertices} vertices" in msg and "above cap 4096" in msg
+            assert f"{2 * vertices ** 2} transversal cells" in msg
 
 
 def test_img_caps_accept_a_full_size_level(rs):
@@ -581,20 +621,34 @@ def test_img_verification_refuses_large_weyl_group_before_lifting(
         img_verification(rs("E6"), 2, 1)
 
 
+def test_img_verification_refuses_d5_after_a_larger_cap_filled_the_cache(
+        monkeypatch):
+    # |W(D5)| = 1920 > WEYL_CAP: enumerating it once under a larger cap does
+    # not let img_verification through
+    def no_lift(*args, **kwargs):
+        raise AssertionError("lift_path called")
+
+    d5 = build_root_system("D5")
+    weyl_group_elements(d5, cap=10 ** 4)
+    monkeypatch.setattr(monodromy, "lift_path", no_lift)
+    with pytest.raises(CapExceededError, match="order 1920, above cap 1152"):
+        img_verification(d5, 2, 1)
+
+
 def test_generator_order_two_everywhere(rs):
     for spec, d, k in (("A2", 2, 2), ("B2", 2, 2)):
         rsys = rs(spec)
         for _, g in standard_affine_generators(rsys):
             for lvl in range(1, k + 1):
                 act = algebraic_action(g, d, lvl)
-                assert act.order() in (1, 2)
-                if not act.is_identity():
-                    assert act.order() == 2
+                assert perm_order(act) in (1, 2)
+                if not _is_identity(act):
+                    assert perm_order(act) == 2
 
 
 def test_faithfulness_growth(rs):
     # nonidentity elements with small translations act nontrivially at depth k
-    from weylcheb.rootsys import AffineElement, weyl_group_elements
+    from weylcheb.rootsys import AffineElement
     rng = random.Random(44)
     for spec, d, k in (("A1", 2, 3), ("A2", 2, 2), ("B2", 2, 2)):
         rsys = rs(spec)
@@ -606,5 +660,6 @@ def test_faithfulness_growth(rs):
                 if g.is_identity():
                     continue
                 act = algebraic_action(g, d, k)
-                witness = next((i for i, j in enumerate(act.perm) if i != j), None)
+                witness = next(
+                    (i for i, j in enumerate(act.tolist()) if i != j), None)
                 assert witness is not None

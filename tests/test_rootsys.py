@@ -174,6 +174,17 @@ def test_weyl_cap_refuses_e6():
         weyl_group_elements(rsys)
 
 
+def test_weyl_cap_holds_after_a_larger_cap_filled_the_cache():
+    # the enumeration is cached on the RootSystem; the cap is not
+    rsys = build_root_system("D5")
+    assert len(weyl_group_elements(rsys, cap=10 ** 4)) == 1920
+    with pytest.raises(CapExceededError, match="order 1920, above cap 1152"):
+        weyl_group_elements(rsys)
+    with pytest.raises(CapExceededError, match="above cap 1919"):
+        weyl_group_elements(rsys, cap=1919)
+    assert len(weyl_group_elements(rsys, cap=1920)) == 1920
+
+
 def test_weyl_elements_preserve_roots(rs):
     for spec in ("A2", "B2", "G2"):
         rsys = rs(spec)
