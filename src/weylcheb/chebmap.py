@@ -21,18 +21,23 @@ come from rootsys.orbit_size without enumeration.  Chevalley integrality is
 asserted, never rounded: each coefficient count * |W lam| / |W nu| must divide
 exactly, and a remainder raises ArithmeticError.
 
-The functional check T_d(gencos(x)) = gencos(d x) evaluates both sides of
-gencos together (GencosPair): one expjpi per coordinate, then every orbit
-term is a product of tabulated powers z_j^k in Gaussian-integer fixed point
-with P = p + 2 log2 M + 32 fractional bits, where p is the working precision
-in bits and M = e^{2 pi d big max|Im x_j|} bounds every partial product.
-That keeps each orbit term within one rounding at the working precision
-(derivation in GencosPair).
+The functional check T_d(gencos(x)) = gencos(d x) and the post-critical
+check (critical.post_critical_check) share one kernel, run once over all of
+a check's sample points: GencosPair gives gencos(x) and gencos(d x) from one
+expjpi per coordinate and point, every orbit term a product of tabulated
+powers z_j^k in Gaussian-integer fixed point with P = p + 32 fractional
+bits (p the working precision in bits); eval_polys_fixed evaluates T_d and
+its Jacobian on those same fixed-point values.  Each orbit term is off by
+less than 2^-p M, M = e^{2 pi d big max|Im x_j|} bounding every partial
+product: no worse than rounding the largest term at the working precision
+(derivations in GencosPair and eval_polys_fixed).  Only residuals and the
+Jacobian entries of the determinant are converted back to mpmath.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import weakref
 from dataclasses import dataclass
 
@@ -341,98 +346,180 @@ def _needed_dps(rs: RootSystem, d: int, h: float = 1.0) -> int:
     return int(2 * np.pi * d * _orbit_growth(rs) * h / np.log(10)) + 25
 
 
+# Gaussian fixed point: the pair (a, b) of numpy object arrays of Python ints,
+# one entry per point of a batch, stands for (a + ib) 2^-P at each point.
+
+def _mul(u, v, P: int) -> tuple:
+    """Product of two fixed-point values, each part truncated to P bits."""
+    (a, b), (c, s) = u, v
+    return (a * c - b * s) >> P, (a * s + b * c) >> P
+
+
+def _term_index(comps) -> list:
+    """The keys of the combinations `comps` (each {key: int coefficient}),
+    sorted, each with its [(combination index, coefficient), ...]."""
+    index: dict = {}
+    for k, comp in enumerate(comps):
+        for key, c in comp.items():
+            index.setdefault(key, []).append((k, c))
+    return sorted(index.items())
+
+
+def _fixed_sums(tables, terms, count: int, size: int, P: int) -> list:
+    """For each of `count` outputs, the sum over `terms` (as _term_index
+    gives them) of c * prod_j tables[j][key_j], in fixed point over a batch
+    of `size` points; a zero key_j is the factor 1.  Keys are walked in
+    sorted order and share the products of their common prefixes; every
+    product is one numpy operation over the batch."""
+    n = len(tables)
+    out = [(np.zeros(size, dtype=object), np.zeros(size, dtype=object))
+           for _ in range(count)]
+    stack = [None] * (n + 1)  # stack[j]: product of j factors, None for 1
+    prev = None
+    for key, uses in terms:
+        j = 0
+        if prev is not None:
+            while key[j] == prev[j]:
+                j += 1
+        prev = key
+        for j in range(j, n):
+            t = stack[j]
+            if key[j]:
+                f = tables[j][key[j]]
+                t = f if t is None else _mul(t, f, P)
+            stack[j + 1] = t
+        t = stack[n]
+        for k, c in uses:
+            re, im = out[k]
+            if t is None:
+                re += c << P
+            else:
+                re += t[0] if c == 1 else c * t[0]
+                im += t[1] if c == 1 else c * t[1]
+    return out
+
+
+def _fixed_array(values, P: int) -> tuple:
+    """mpc values, one per point, as one fixed-point value (truncated)."""
+    return (np.array([to_fixed(v.real._mpf_, P) for v in values], dtype=object),
+            np.array([to_fixed(v.imag._mpf_, P) for v in values], dtype=object))
+
+
+def fixed_to_mpc(value, P: int) -> list:
+    """A fixed-point value as one mpc per point (exact up to the working
+    precision)."""
+    return [mpmath.mpc(mpmath.mpf((a, -P)), mpmath.mpf((b, -P)))
+            for a, b in zip(*value)]
+
+
+def fixed_distances(lhs, rhs, P: int) -> list:
+    """Per point, max over k of |lhs[k] - rhs[k]|, as floats.  The
+    differences and their squared moduli are exact integers; only the square
+    root is rounded."""
+    worst = 0
+    for (a, b), (c, s) in zip(lhs, rhs):
+        re, im = a - c, b - s
+        worst = np.maximum(worst, re * re + im * im)
+    return [float(mpmath.sqrt(mpmath.mpf((v, -2 * P)))) for v in worst]
+
+
 class GencosPair:
-    """gencos(x) and gencos(d*x) together, as lists of mpc at the working
-    mpmath precision: `GencosPair(rs, d)(x)`.
+    """gencos(x) and gencos(d*x) together, for a batch of points, in
+    Gaussian-integer fixed point: `P, gx, gdx = GencosPair(rs, d)(points)`,
+    points a list of S points (sequences of mpc or complex).  gx and gdx
+    hold one fixed-point value per component: a pair (a, b) of numpy object
+    arrays of shape (S,) of Python ints, standing for (a + ib) 2^-P at each
+    point.  Subtracting such values is exact; eval_polys_fixed evaluates
+    polynomials on them, and fixed_to_mpc and fixed_distances convert.
 
-    One expjpi per coordinate: z_j = e^{2 pi i x_j}, so the orbit term of a
-    row r is prod_j z_j^{r_j}, and of the same row at d*x prod_j z_j^{d r_j}.
-    The powers z_j^k, |k| <= d*K (K the largest |r_j|), are tabulated once
-    per point, and the terms are products of table entries in Gaussian-integer
-    fixed point: the int pair (a, b) stands for (a + ib) 2^-P.  Rows are
-    walked in sorted order and share the products of their common prefixes.
-    Only the 2 * rank sums are converted back to mpc.
+    One expjpi per coordinate and point: z_j = e^{2 pi i x_j}, so the orbit
+    term of a row r is prod_j z_j^{r_j}, and of the same row at d*x
+    prod_j z_j^{d r_j}.  The powers z_j^k, |k| <= d*K (K the largest |r_j|),
+    are tabulated once per batch, and the terms are products of table
+    entries.  The rows at x and at d*x are walked once, in sorted order,
+    sharing the products of their common prefixes (_fixed_sums).
 
-    Precision.  Let p be the working precision in bits, h = max_j |Im x_j|
-    and M = e^{2 pi d big h}, big as in _orbit_growth (on the sample box
-    h <= 1 and M < 10^{dps - 24}).  A term is a product of n <= d*big
-    factors z_j^{+-1}, so it and every partial product, table entry and
-    sub-product of it has modulus in [1/M, M].  Two kinds of error enter:
+    Precision.  Let p be the working precision in bits, h the largest
+    |Im x_j| of the batch and M = e^{2 pi d big h}, big as in _orbit_growth
+    (on the sample box h <= 1 and M < 10^{dps - 24}).  A term is a product
+    of n <= d*big factors z_j^{+-1}, so it and every partial product, table
+    entry and sub-product of it has modulus at most M.  Two kinds of error
+    enter:
     - z_j and 1/z_j are evaluated at p + 32 bits, a few units in the last
-      place, relative error below 2^{-p-29} each; the term gets a relative
-      error below n 2^{-p-29};
-    - truncating z_j^{+-1} to P fractional bits (once per factor) and each
-      of the at most n fixed-point products is off by less than
-      sqrt(2) 2^-P, and each such error is later multiplied by a
-      sub-product of modulus <= M: in all less than 2 sqrt(2) n M 2^-P.
+      place, relative error below 2^{-p-29} each; the term, of modulus at
+      most M, is off by less than n 2^{-p-29} M;
+    - truncating z_j^{+-1} to P fractional bits and each of the at most n
+      fixed-point products is off by less than sqrt(2) 2^-P, later
+      multiplied by a sub-product of modulus at most M: in all less than
+      2 sqrt(2) n M 2^-P.
     With
 
-        P = p + 2 log2 M + 32,
+        P = p + 32,
 
-    the second is below 2 sqrt(2) n 2^-32 2^-p / M < n 2^{-p-30} |term|,
-    as no term is smaller than 1/M.  So each term is off by less than
-    n 2^{-p-28} |term| < 2^-p |term| (n < 2^28): as accurate as one
-    rounding at the working precision, the least error that evaluating it
-    alone with expjpi can make.
+    the second is below n 2^{-p-30} M, so each term is off by less than
+    n 2^{-p-28} M < 2^-p M (n < 2^28): an absolute error no worse than
+    rounding the largest term at the working precision.
     """
 
     def __init__(self, rs: RootSystem, d: int):
         self.rank, self.d = rs.rank, d
-        self.big = _orbit_growth(rs)
-        self.rows = [sorted(orbit_matrix(rs, k).tolist())
-                     for k in range(rs.rank)]
-        self.top = d * max(abs(c) for rk in self.rows for row in rk
-                           for c in row)
+        rows = [orbit_matrix(rs, k).tolist() for k in range(rs.rank)]
+        self.top = d * max(abs(c) for rk in rows for row in rk for c in row)
+        # outputs 0..n-1: the orbit sums at x; n..2n-1: at d*x
+        self.terms = _term_index(
+            [{tuple(r): 1 for r in rk} for rk in rows]
+            + [{tuple(d * c for c in r): 1 for r in rk} for rk in rows])
 
-    def __call__(self, x) -> tuple:
-        rank, d, top = self.rank, self.d, self.top
+    def __call__(self, points) -> tuple:
+        rank, top = self.rank, self.top
         p = mpmath.mp.prec
-        h = float(max(abs(mpmath.im(xj)) for xj in x))
-        log2_m = 2 * math.pi * d * self.big * h / math.log(2)
-        P = p + 2 * math.ceil(log2_m) + 32
-        one = 1 << P
-
-        def mul(u, v):
-            return ((u[0] * v[0] - u[1] * v[1]) >> P,
-                    (u[0] * v[1] + u[1] * v[0]) >> P)
-
-        # tables[j][k] = z_j^k for -top <= k <= top; negative k index from
-        # the end of the list
+        P = p + 32
+        # tables[j][k] = z_j^k for 0 < |k| <= top; negative k index from
+        # the end of the list, and k = 0 is never looked up
         tables = []
-        for xj in x:
+        for j in range(rank):
             with mpmath.workprec(p + 32):
-                z = mpmath.expjpi(2 * xj)
-                w = 1 / z
-            z, w = [(to_fixed(mpmath.re(v)._mpf_, P),
-                     to_fixed(mpmath.im(v)._mpf_, P)) for v in (z, w)]
-            up, down = [(one, 0), z], [w]
+                zs = [mpmath.expjpi(2 * x[j]) for x in points]
+                ws = [1 / z for z in zs]
+            z, w = _fixed_array(zs, P), _fixed_array(ws, P)
+            up, down = [None, z], [w]
             while len(down) < top:
-                up.append(mul(up[-1], z))
-                down.append(mul(down[-1], w))
+                up.append(_mul(up[-1], z, P))
+                down.append(_mul(down[-1], w, P))
             tables.append(up + down[::-1])
+        sums = _fixed_sums(tables, self.terms, 2 * rank, len(points), P)
+        return P, sums[:rank], sums[rank:]
 
-        def orbit_sum(rows, scale):
-            stack = [(one, 0)] * (rank + 1)  # stack[j]: product of j factors
-            re = im = 0
-            prev = None
-            for row in rows:
-                j = 0
-                if prev is not None:
-                    while row[j] == prev[j]:
-                        j += 1
-                prev = row
-                for j in range(j, rank):
-                    a, b = stack[j]
-                    if row[j]:
-                        c, s = tables[j][scale * row[j]]
-                        a, b = (a * c - b * s) >> P, (a * s + b * c) >> P
-                    stack[j + 1] = (a, b)
-                re += stack[rank][0]
-                im += stack[rank][1]
-            return mpmath.mpc(mpmath.mpf((re, -P)), mpmath.mpf((im, -P)))
 
-        return ([orbit_sum(rows, 1) for rows in self.rows],
-                [orbit_sum(rows, d) for rows in self.rows])
+def eval_polys_fixed(comps, values, P: int) -> list:
+    """Sparse integer polynomials at a batch of points given in fixed point
+    (values[j] the j-th coordinate, as GencosPair returns them), in the same
+    fixed point: one value per polynomial.
+
+    Each power X_j^k is formed once by incremental products, and the
+    monomials of all the polynomials are walked once, in sorted order,
+    sharing the products of their common prefixes (_fixed_sums).
+
+    Error.  At each point let A_j >= max(1, |X_j|), and D the largest total
+    degree.  A monomial X^e takes at most deg e fixed-point products, each
+    truncated by less than sqrt(2) 2^-P and then multiplied by factors of
+    modulus at most prod_j A_j^{e_j}.  So each polynomial sum_e c_e X^e is
+    off from its exact value at the given X by less than (to first order)
+
+        sqrt(2) D 2^-P sum_e |c_e| prod_j A_j^{e_j}.
+
+    With P = p + 32 that is below a 2^-31 D share of 2^-p times the same
+    sum, what rounding each term at the working precision p can cost.
+    """
+    size = len(values[0][0])
+    tables = []
+    for j, x in enumerate(values):
+        pw = [None, x]
+        top = max(e[j] for comp in comps for e in comp)
+        while len(pw) <= top:
+            pw.append(_mul(pw[-1], x, P))
+        tables.append(pw)
+    return _fixed_sums(tables, _term_index(comps), len(comps), size, P)
 
 
 def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
@@ -444,22 +531,18 @@ def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
 
     The sample values grow like exp(2 pi d |Im x|), far past float64 for the
     larger systems, so evaluation runs at adaptive mpmath precision
-    (_needed_dps), with both gencos(x) and gencos(d x) from GencosPair; the
-    reported residual is the exact-arithmetic gap rounded to float.
+    (_needed_dps).  All the points go through the fixed-point kernel in one
+    batch: gencos(x) and gencos(d x) from GencosPair, then T_d(gencos x) by
+    eval_polys_fixed; the reported residual is the largest fixed-point gap,
+    rounded to float.
     """
-    import random
     rng = random.Random(seed)
-    dps = _needed_dps(rs, d)
-    gencos_pair = GencosPair(rs, d)
-    max_res = 0.0
-    with mpmath.workdps(dps):
-        for _ in range(samples):
-            x = [mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                 for _ in range(rs.rank)]
-            gx, rhs = gencos_pair(x)
-            lhs = eval_polys(pmap.components, gx)
-            res = max(abs(a - b) for a, b in zip(lhs, rhs))
-            max_res = max(max_res, float(res))
+    points = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(rs.rank)] for _ in range(samples)]
+    with mpmath.workdps(_needed_dps(rs, d)):
+        P, gx, gdx = GencosPair(rs, d)(points)
+        lhs = eval_polys_fixed(pmap.components, gx, P)
+        max_res = max(fixed_distances(lhs, gdx, P), default=0.0)
     return FunctionalEquationReport(rs.type_spec, d, samples, tol, max_res)
 
 

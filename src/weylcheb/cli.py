@@ -100,11 +100,11 @@ def cmd_verify_postcritical(args) -> int:
     pmap = cm.build_cheb_map(rs, args.d)
     rep = cr.post_critical_check(rs, args.d, pmap, samples=args.samples,
                                  tol=args.tol, seed=args.seed)
-    payload = rep.as_dict(args.tol)
+    payload = rep.as_dict()
     if rs.type_spec == "A2":
         residuals = cr.deltoid_check(rs, samples=args.samples, seed=args.seed)
         payload["deltoid_max_residual"] = float(max(residuals))
-        payload["deltoid_pass"] = bool(max(residuals) <= args.tol)
+        payload["deltoid_pass"] = bool(max(residuals) <= rep.tol)
     ok = payload["pass"] and payload.get("deltoid_pass", True)
     _emit(args, payload)
     return 0 if ok else 1

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .chebmap import (GencosPair, PolynomialMap, _needed_dps, eval_polys,
+from .chebmap import (GencosPair, PolynomialMap, _needed_dps,
+                      eval_polys_fixed, fixed_distances, fixed_to_mpc,
                       jacobian_polys)
 from .gencos import eval_gencos, is_on_diagram
 from .rootsys import Root, RootSystem
@@ -39,6 +40,7 @@ class PostCriticalReport:
     type_spec: str
     d: int
     samples: int
+    tol: float
     det_residuals: list = field(default_factory=list)
     value_residuals: list = field(default_factory=list)
     skipped: int = 0
@@ -51,11 +53,12 @@ class PostCriticalReport:
     def max_value_residual(self):
         return float(max(self.value_residuals, default=0.0))
 
-    def passed(self, tol: float) -> bool:
-        return bool(self.max_det_residual <= tol
-                    and self.max_value_residual <= tol)
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_det_residual <= self.tol
+                    and self.max_value_residual <= self.tol)
 
-    def as_dict(self, tol: float) -> dict:
+    def as_dict(self) -> dict:
         return {
             "type_spec": self.type_spec,
             "d": self.d,
@@ -63,9 +66,14 @@ class PostCriticalReport:
             "skipped": self.skipped,
             "max_det_residual": self.max_det_residual,
             "max_value_residual": self.max_value_residual,
-            "tol": tol,
-            "pass": self.passed(tol),
+            "tol": self.tol,
+            "pass": self.passed,
         }
+
+
+def _pivot(w) -> int:
+    """The coordinate a wall equation with coefficients w is solved for."""
+    return int(np.argmax(np.abs(w)))
 
 
 def sample_diagram_points(rs: RootSystem, count: int,
@@ -83,7 +91,7 @@ def sample_diagram_points(rs: RootSystem, count: int,
         v = rng.choice(rs.roots)
         ell = rng.choice(ells)
         w = np.array(v.weight_coords)
-        pivot = int(np.argmax(np.abs(w)))
+        pivot = _pivot(w)
         x = np.zeros(rs.rank, dtype=complex)
         for j in range(rs.rank):
             if j == pivot:
@@ -105,21 +113,22 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
 
     Degenerate draws (y on a wall itself, e.g. when the level is divisible by
     d) are flagged in `skipped` and redrawn until `samples` strict-preimage
-    points have been checked.
+    points have been found.
 
-    Each point is evaluated in mpmath, gencos(y) and gencos(d*y) by
-    GencosPair, at the precision _needed_dps gives for |Im y_j| <= max|Im y|.
+    The points are then evaluated in one batch, at the precision
+    _needed_dps gives for the batch's largest |Im y_j|: gencos(y) and
+    gencos(d*y) by GencosPair, the Jacobian entries and T_d(gencos y) on
+    the same fixed-point values by eval_polys_fixed.  Only the Jacobian
+    entries become mpc, for the determinant.
     """
-    report = PostCriticalReport(rs.type_spec, d, samples)
-    jpolys = jacobian_polys(pmap)
-    gencos_pair = GencosPair(rs, d)
-    done = 0
+    report = PostCriticalReport(rs.type_spec, d, samples, tol)
+    preimages = []
     batch = 0
-    while done < samples and batch < 40:
+    while len(preimages) < samples and batch < 40:
         wall_samples = sample_diagram_points(rs, samples, seed=seed + 1000 * batch)
         batch += 1
         for s in wall_samples:
-            if done >= samples:
+            if len(preimages) >= samples:
                 break
             y = s.point / d
             on, _ = is_on_diagram(rs, y, STRICT_PREIMAGE_TOL)
@@ -127,9 +136,38 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
                 # degenerate: y sits on a wall itself, not a strict preimage
                 report.skipped += 1
                 continue
-            done += 1
-            _check_strict_preimage(rs, d, pmap, jpolys, gencos_pair, y, report)
+            preimages.append((s.wall, y))
+    n = rs.rank
+    h = max((float(np.abs(y.imag).max()) for _, y in preimages), default=0.0)
+    # in float64 the gencos, the Jacobian entries and the determinant were
+    # off by about 4e-6 on G2 6, above tol
+    with mpmath.workdps(_needed_dps(rs, d, h)):
+        ys = [_on_wall(y, wall, d) for wall, y in preimages]
+        P, gy, gdy = GencosPair(rs, d)(ys)
+        vals = eval_polys_fixed([*(p for row in jacobian_polys(pmap) for p in row),
+                                 *pmap.components], gy, P)
+        entries = [fixed_to_mpc(v, P) for v in vals[:n * n]]
+        for k in range(len(ys)):
+            jt = [[entries[i * n + j][k] for j in range(n)] for i in range(n)]
+            report.det_residuals.append(float(abs(_det(jt))))
+        # critical value lands where the scaled wall point maps
+        report.value_residuals.extend(fixed_distances(vals[n * n:], gdy, P))
     return report
+
+
+def _on_wall(y, wall, d) -> list:
+    """y as mpc, with its pivot coordinate solved again from the wall
+    <v, d*y> = ell at the working precision.  The float64 point sits about
+    1e-17 off its wall, and the determinant there grows with that offset
+    times the Jacobian entries: on B6 2, C6 2 and E7 2 past tol."""
+    v, ell = wall
+    w = v.weight_coords
+    pivot = _pivot(w)
+    y = [mpmath.mpc(c) for c in y]
+    y[pivot] = (mpmath.mpf(ell) / d
+                - mpmath.fsum(w[j] * y[j] for j in range(len(y)) if j != pivot)
+                ) / w[pivot]
+    return y
 
 
 def _det(m):
@@ -153,24 +191,6 @@ def _det(m):
             for c in range(i + 1, n):
                 m[r][c] -= f * m[i][c]
     return out
-
-
-def _check_strict_preimage(rs, d, pmap, jpolys, gencos_pair, y, report):
-    # In float64 the gencos, the Jacobian entries and the determinant were
-    # off by about 4e-6 on G2 6, above tol.  In mpmath what is left of the
-    # det residual comes from y, a float64 point only near its wall (about
-    # 2e-11 on G2 6).
-    with mpmath.workdps(_needed_dps(rs, d, float(np.abs(y.imag).max()))):
-        gy, gdy = gencos_pair([mpmath.mpc(v) for v in y])
-        # one table of the powers of gy for the Jacobian and the map
-        n = rs.rank
-        vals = eval_polys([*(p for row in jpolys for p in row),
-                           *pmap.components], gy)
-        jt = [vals[i * n:(i + 1) * n] for i in range(n)]
-        report.det_residuals.append(float(abs(_det(jt))))
-        # critical value lands where the scaled wall point maps
-        report.value_residuals.append(float(max(
-            abs(a - v) for a, v in zip(vals[n * n:], gdy))))
 
 
 def deltoid_residual(x1: complex, x2: complex) -> complex:

@@ -125,7 +125,7 @@ def test_06_post_critical_structure(rs):
         rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2),
                                   samples=50, tol=1e-7, seed=102)
         ok = ok and len(rep.det_residuals) == 50
-        ok = ok and rep.passed(1e-7)
+        ok = ok and rep.passed
         worst = max(worst, rep.max_det_residual)
     assert report(6, "post-critical structure", ok, f"max |det DT| {worst:.1e}")
 

@@ -251,34 +251,68 @@ def _gencos_per_row(rsys, x):
     return out
 
 
-@pytest.mark.parametrize("spec,d,randoms", [("A2", 3, 4), ("B3", 2, 4),
-                                            ("G2", 6, 4), ("F4", 2, 2),
-                                            ("E6", 2, 1)])
-def test_gencos_pair_matches_per_row_oracle(spec, d, randoms, rs):
-    rsys = rs(spec)
+def _box_points(rsys, randoms):
+    """Seeded random points of the sample box, then its corners
+    Im x_j = -sign(r_j) for the row r of largest sum |r_j| in the first and
+    the last component: there its term at d*x peaks, at e^{2 pi d sum |r_j|}."""
     rng = random.Random(25)
     points = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                for _ in range(rsys.rank)] for _ in range(randoms)]
-    # box corners Im x_j = -sign(r_j) for the row r of largest sum |r_j| in
-    # a component: there its term at d*x peaks, at e^{2 pi d sum |r_j|}
     for k in (0, rsys.rank - 1):
         row = max(orbit_matrix(rsys, k).tolist(),
                   key=lambda r: sum(map(abs, r)))
         points.append([complex(rng.uniform(-1, 1), -1 if r > 0 else 1)
                        for r in row])
+    return points
+
+
+@pytest.mark.parametrize("spec,d,randoms", [("A2", 3, 4), ("B3", 2, 4),
+                                            ("G2", 6, 4), ("F4", 2, 2),
+                                            ("E6", 2, 1)])
+def test_gencos_pair_matches_per_row_oracle(spec, d, randoms, rs):
+    rsys = rs(spec)
+    points = _box_points(rsys, randoms)
     dps = chebmap._needed_dps(rsys, d)
-    pair = chebmap.GencosPair(rsys, d)
     with mpmath.workdps(dps):
         # ten digits short of the working precision: room for cancellation
-        # at the random points; evaluating z_j 60 bits short fails it
+        # at the random points; truncating to 60 bits fewer fails it
         rel = mpmath.mpf(10) ** (10 - dps)
-        for point in points:
+        P, gx, gdx = chebmap.GencosPair(rsys, d)(points)
+        got = [chebmap.fixed_to_mpc(v, P) for v in gx + gdx]
+        for i, point in enumerate(points):
             x = [mpmath.mpc(v) for v in point]
-            gx, gdx = pair(x)
             want = (_gencos_per_row(rsys, x)
                     + _gencos_per_row(rsys, [d * v for v in x]))
-            for got, ref in zip(gx + gdx, want):
-                assert abs(got - ref) <= rel * abs(ref), (point, got, ref)
+            for values, ref in zip(got, want):
+                assert abs(values[i] - ref) <= rel * abs(ref), (point, values[i], ref)
+
+
+@pytest.mark.parametrize("spec,d", [("F4", 2), ("G2", 6), ("E6", 2)])
+def test_fixed_point_polys_within_documented_bound(spec, d, rs):
+    # T_d and its Jacobian on GencosPair's fixed-point values, against
+    # eval_polys on the same values as mpc at twice the precision; the bound
+    # is eval_polys_fixed's: sqrt(2) D 2^-P sum_e |c_e| prod_j A_j^{e_j}
+    rsys = rs(spec)
+    pmap = build_cheb_map(rsys, d)
+    comps = [p for row in jacobian_polys(pmap) for p in row] + list(pmap.components)
+    degree = max(sum(e) for comp in comps for e in comp)
+    points = _box_points(rsys, 2)
+    dps = chebmap._needed_dps(rsys, d)
+    with mpmath.workdps(dps):
+        P, gx, _ = chebmap.GencosPair(rsys, d)(points)
+        got = chebmap.eval_polys_fixed(comps, gx, P)
+    with mpmath.workdps(2 * dps):
+        xs = [chebmap.fixed_to_mpc(v, P) for v in gx]
+        got = [chebmap.fixed_to_mpc(v, P) for v in got]
+        for i in range(len(points)):
+            x = [v[i] for v in xs]
+            a = [max(1, abs(v)) for v in x]
+            for values, want, comp in zip(got, eval_polys(comps, x), comps):
+                scale = mpmath.fsum(
+                    abs(c) * mpmath.fprod(aj ** ej for aj, ej in zip(a, e))
+                    for e, c in comp.items())
+                bound = math.sqrt(2) * degree * mpmath.ldexp(scale, -P)
+                assert abs(values[i] - want) <= bound, (i, values[i], want, bound)
 
 
 @pytest.mark.parametrize("spec,d", [("A2", 2), ("G2", 2), ("A1xA1", 3)])
