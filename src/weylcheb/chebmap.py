@@ -22,15 +22,16 @@ asserted, never rounded: each coefficient count * |W lam| / |W nu| must divide
 exactly, and a remainder raises ArithmeticError.
 
 The functional check T_d(gencos(x)) = gencos(d x) and the post-critical
-check (critical.post_critical_check) share one kernel, run once over all of
-a check's sample points: GencosPair gives gencos(x) and gencos(d x) from one
-expjpi per coordinate and point, every orbit term a product of tabulated
-powers z_j^k in Gaussian-integer fixed point with P = p + 32 fractional
-bits (p the working precision in bits); eval_polys_fixed evaluates T_d and
-its Jacobian on those same fixed-point values.  Each orbit term is off by
-less than 2^-p M, M = e^{2 pi d big max|Im x_j|} bounding every partial
-product: no worse than rounding the largest term at the working precision
-(derivations in GencosPair and eval_polys_fixed).  Only residuals and the
+check (critical.post_critical_check) share one kernel, run over a check's
+sample points in batches of CHECK_CHUNK, all at one precision: GencosPair
+gives gencos(x) and gencos(d x) from one expjpi per coordinate and point,
+every orbit term a product of tabulated powers z_j^k in Gaussian-integer
+fixed point with P = p + 32 fractional bits (p the working precision in
+bits); eval_polys_fixed evaluates T_d and its Jacobian on those same
+fixed-point values.  Each orbit term is off by less than 2^-p M,
+M = e^{2 pi d big max|Im x_j|} bounding every partial product: no worse
+than rounding the largest term at the working precision (derivations in
+GencosPair and eval_polys_fixed).  Only residuals and the
 Jacobian entries of the determinant are converted back to mpmath.
 """
 
@@ -46,10 +47,13 @@ import numpy as np
 from mpmath.libmp import to_fixed
 
 from .errors import DimensionError
-from .rootsys import (RootSystem, dominant_weight, invert_fraction, orbit,
-                      orbit_matrix, orbit_size)
+from .rootsys import (RootSystem, dominant_weight, fundamental_orbit_table,
+                      invert_fraction, orbit, orbit_matrix, orbit_size)
 
 _DECOMPOSE_CAP = 200000
+# points per fixed-point batch of the mpmath checks: memory stays bounded
+# for any sample count, and the default sample counts run as one batch
+CHECK_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +338,7 @@ class FunctionalEquationReport:
 def _orbit_growth(rs: RootSystem) -> int:
     """big = max over the orbit rows of sum_j |r_j|: over the sample box
     (|Im x_j| <= 1) every pairing <r, x> has |Im| <= big."""
-    return max(int(np.abs(orbit_matrix(rs, k)).sum(axis=1).max())
-               for k in range(rs.rank))
+    return int(np.abs(fundamental_orbit_table(rs)[0]).sum(axis=1).max())
 
 
 def _needed_dps(rs: RootSystem, d: int, h: float = 1.0) -> int:
@@ -491,6 +494,12 @@ class GencosPair:
         return P, sums[:rank], sums[rank:]
 
 
+def chunked(items: list):
+    """Consecutive slices of items, CHECK_CHUNK long (the last shorter)."""
+    for lo in range(0, len(items), CHECK_CHUNK):
+        yield items[lo:lo + CHECK_CHUNK]
+
+
 def eval_polys_fixed(comps, values, P: int) -> list:
     """Sparse integer polynomials at a batch of points given in fixed point
     (values[j] the j-th coordinate, as GencosPair returns them), in the same
@@ -531,18 +540,22 @@ def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
 
     The sample values grow like exp(2 pi d |Im x|), far past float64 for the
     larger systems, so evaluation runs at adaptive mpmath precision
-    (_needed_dps).  All the points go through the fixed-point kernel in one
-    batch: gencos(x) and gencos(d x) from GencosPair, then T_d(gencos x) by
-    eval_polys_fixed; the reported residual is the largest fixed-point gap,
-    rounded to float.
+    (_needed_dps).  The points go through the fixed-point kernel in batches
+    of CHECK_CHUNK: gencos(x) and gencos(d x) from GencosPair, then
+    T_d(gencos x) by eval_polys_fixed; the reported residual is the largest
+    fixed-point gap, rounded to float.
     """
     rng = random.Random(seed)
     points = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                for _ in range(rs.rank)] for _ in range(samples)]
+    residuals = []
     with mpmath.workdps(_needed_dps(rs, d)):
-        P, gx, gdx = GencosPair(rs, d)(points)
-        lhs = eval_polys_fixed(pmap.components, gx, P)
-        max_res = max(fixed_distances(lhs, gdx, P), default=0.0)
+        pair = GencosPair(rs, d)
+        for chunk in chunked(points):
+            P, gx, gdx = pair(chunk)
+            lhs = eval_polys_fixed(pmap.components, gx, P)
+            residuals += fixed_distances(lhs, gdx, P)
+    max_res = max(residuals, default=0.0)
     return FunctionalEquationReport(rs.type_spec, d, samples, tol, max_res)
 
 

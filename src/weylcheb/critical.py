@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .chebmap import (GencosPair, PolynomialMap, _needed_dps,
+from .chebmap import (GencosPair, PolynomialMap, _needed_dps, chunked,
                       eval_polys_fixed, fixed_distances, fixed_to_mpc,
                       jacobian_polys)
 from .gencos import eval_gencos, is_on_diagram
@@ -115,11 +115,11 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
     d) are flagged in `skipped` and redrawn until `samples` strict-preimage
     points have been found.
 
-    The points are then evaluated in one batch, at the precision
-    _needed_dps gives for the batch's largest |Im y_j|: gencos(y) and
-    gencos(d*y) by GencosPair, the Jacobian entries and T_d(gencos y) on
-    the same fixed-point values by eval_polys_fixed.  Only the Jacobian
-    entries become mpc, for the determinant.
+    The points are then evaluated in batches of CHECK_CHUNK, all at the
+    precision _needed_dps gives for the largest |Im y_j| of all of them:
+    gencos(y) and gencos(d*y) by GencosPair, the Jacobian entries and
+    T_d(gencos y) on the same fixed-point values by eval_polys_fixed.  Only
+    the Jacobian entries become mpc, for the determinant.
     """
     report = PostCriticalReport(rs.type_spec, d, samples, tol)
     preimages = []
@@ -141,17 +141,22 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
     h = max((float(np.abs(y.imag).max()) for _, y in preimages), default=0.0)
     # in float64 the gencos, the Jacobian entries and the determinant were
     # off by about 4e-6 on G2 6, above tol
+    polys = [*(p for row in jacobian_polys(pmap) for p in row),
+             *pmap.components]
     with mpmath.workdps(_needed_dps(rs, d, h)):
-        ys = [_on_wall(y, wall, d) for wall, y in preimages]
-        P, gy, gdy = GencosPair(rs, d)(ys)
-        vals = eval_polys_fixed([*(p for row in jacobian_polys(pmap) for p in row),
-                                 *pmap.components], gy, P)
-        entries = [fixed_to_mpc(v, P) for v in vals[:n * n]]
-        for k in range(len(ys)):
-            jt = [[entries[i * n + j][k] for j in range(n)] for i in range(n)]
-            report.det_residuals.append(float(abs(_det(jt))))
-        # critical value lands where the scaled wall point maps
-        report.value_residuals.extend(fixed_distances(vals[n * n:], gdy, P))
+        pair = GencosPair(rs, d)
+        for chunk in chunked(preimages):
+            ys = [_on_wall(y, wall, d) for wall, y in chunk]
+            P, gy, gdy = pair(ys)
+            vals = eval_polys_fixed(polys, gy, P)
+            entries = [fixed_to_mpc(v, P) for v in vals[:n * n]]
+            for k in range(len(ys)):
+                jt = [[entries[i * n + j][k] for j in range(n)]
+                      for i in range(n)]
+                report.det_residuals.append(float(abs(_det(jt))))
+            # critical value lands where the scaled wall point maps
+            report.value_residuals.extend(
+                fixed_distances(vals[n * n:], gdy, P))
     return report
 
 

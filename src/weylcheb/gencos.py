@@ -6,6 +6,13 @@ Component k of the map is the sum of exp(2*pi*i*<lam, x>) over the Weyl orbit
 of the k-th fundamental weight.  In rank one this is 2*cos(2*pi*x), the
 t + 1/t normalization of the classical cosine (the two classical scalings are
 dynamically conjugate, so downstream polynomial maps are unaffected).
+
+One kernel computes both the values and the Jacobian, at one point or a
+batch of points, from the fundamental orbits stacked into one row matrix
+(rootsys.fundamental_orbit_table): e = exp(2 pi i rows @ x) once, the
+values are the sums of e over each orbit's rows, and Jacobian entry (k, j)
+is 2 pi i times the sum of e * lam_j over orbit k.  A Newton iterate of the
+path lifting takes one kernel call, and a sampled loop one batched call.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .errors import ContinuationError, DeckMatchError, DimensionError, NearSingu
 from .rootsys import (
     AffineElement,
     RootSystem,
+    fundamental_orbit_table,
     invert_fraction,
     mat_vec,
     orbit_matrix,
@@ -67,15 +75,26 @@ class PathSample:
         return (1 - a) * self.points[i - 1] + a * self.points[i]
 
 
-def eval_gencos(rs: RootSystem, x) -> np.ndarray:
-    """The generalized cosine at a complex point x (coroot coordinates)."""
+def _kernel(rs: RootSystem, x, jacobian: bool):
+    """The generalized cosine at x, a point of shape (n,) or a batch of
+    shape (S, n), and with `jacobian` its Jacobian, (n, n) per point."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != (rs.rank,):
-        raise DimensionError(f"point has shape {x.shape}, expected ({rs.rank},)")
-    out = np.empty(rs.rank, dtype=complex)
-    for k in range(rs.rank):
-        out[k] = np.exp(TWO_PI_I * (orbit_matrix(rs, k) @ x)).sum()
-    return out
+    if x.ndim not in (1, 2) or x.shape[-1] != rs.rank:
+        raise DimensionError(f"point has shape {x.shape}, expected "
+                             f"({rs.rank},) or (S, {rs.rank})")
+    rows, starts = fundamental_orbit_table(rs)
+    e = np.exp(TWO_PI_I * (x @ rows.T))
+    values = np.add.reduceat(e, starts, axis=-1)
+    if not jacobian:
+        return values
+    return values, TWO_PI_I * np.add.reduceat(e[..., None] * rows, starts,
+                                              axis=-2)
+
+
+def eval_gencos(rs: RootSystem, x) -> np.ndarray:
+    """The generalized cosine at a complex point x (coroot coordinates), or
+    at each row of an (S, n) array of points."""
+    return _kernel(rs, x, jacobian=False)
 
 
 def eval_gencos_fullsum(rs: RootSystem, x) -> np.ndarray:
@@ -94,14 +113,9 @@ def eval_gencos_fullsum(rs: RootSystem, x) -> np.ndarray:
 
 
 def gencos_jacobian(rs: RootSystem, x) -> np.ndarray:
-    """Jacobian matrix: entry (k, j) = 2*pi*i * sum_lam lam_j e^{2 pi i lam.x}."""
-    x = np.asarray(x, dtype=complex)
-    jac = np.empty((rs.rank, rs.rank), dtype=complex)
-    for k in range(rs.rank):
-        om = orbit_matrix(rs, k)
-        ex = np.exp(TWO_PI_I * (om @ x))
-        jac[k, :] = TWO_PI_I * (ex @ om)
-    return jac
+    """Jacobian matrix: entry (k, j) = 2*pi*i * sum_lam lam_j e^{2 pi i lam.x}
+    (one per point for an (S, n) array of points)."""
+    return _kernel(rs, x, jacobian=True)[1]
 
 
 def regular_direction(rs: RootSystem):
@@ -134,8 +148,8 @@ def lift_path(rs: RootSystem, target_path: PathSample, y_start) -> PathSample:
 
     Steps halve on Newton divergence down to MIN_STEP (ContinuationError
     beyond that); a Jacobian condition estimate above JACOBIAN_CONDITION_CAP
-    raises NearSingularError, signalling that the path strayed too close to the
-    walls or their image.
+    at an accepted point raises NearSingularError, signalling that the path
+    strayed too close to the walls or their image.
     """
     y = np.asarray(y_start, dtype=complex).copy()
     start_res = np.abs(eval_gencos(rs, y) - target_path.at(0.0)).max()
@@ -153,8 +167,14 @@ def lift_path(rs: RootSystem, target_path: PathSample, y_start) -> PathSample:
     while t < 1.0 - 1e-15:
         h = min(step, 1.0 - t)
         target = target_path.at(t + h)
-        y_new, ok = _newton(rs, y, target)
-        if ok:
+        y_new, jac = _newton(rs, y, target)
+        if jac is not None:
+            badness = _condition_estimate(jac)
+            if badness > JACOBIAN_CONDITION_CAP:
+                raise NearSingularError(
+                    f"Jacobian condition estimate {badness:.3e} above cap "
+                    f"{JACOBIAN_CONDITION_CAP:.0e} at t={t + h:.6f} "
+                    f"(step {h:.3e})")
             t += h
             y = y_new
             times.append(t)
@@ -171,29 +191,36 @@ def lift_path(rs: RootSystem, target_path: PathSample, y_start) -> PathSample:
 
 
 def _newton(rs: RootSystem, y0: np.ndarray, target: np.ndarray):
+    """Newton's method for gencos(y) = target from y0, one kernel call per
+    iterate.  Returns (y, Jacobian at y) on convergence, (y, None) when the
+    iteration diverges or leaves its basin."""
     y = y0.copy()
     for _ in range(MAX_NEWTON_ITERS):
-        res = eval_gencos(rs, y) - target
+        values, jac = _kernel(rs, y, jacobian=True)
+        res = values - target
         if np.abs(res).max() <= NEWTON_TOL:
-            jac = gencos_jacobian(rs, y)
-            # the plain condition number is blind in rank one (it is 1 for
-            # every nonzero 1x1 matrix); the inverse norm catches walls there
-            badness = max(np.linalg.cond(jac, 1),
-                          np.linalg.norm(np.linalg.inv(jac), 1))
-            if badness > JACOBIAN_CONDITION_CAP:
-                raise NearSingularError(
-                    "Jacobian condition estimate above cap along the lift")
-            return y, True
-        jac = gencos_jacobian(rs, y)
+            return y, jac
         try:
             delta = np.linalg.solve(jac, res)
         except np.linalg.LinAlgError:
-            return y, False
-        if not np.all(np.isfinite(delta)) or np.abs(delta).max() > 0.5:
-            # left the basin; let the caller shrink the step
-            return y, False
+            return y, None
+        if not np.abs(delta).max() <= 0.5:
+            # left the basin (or not finite); let the caller shrink the step
+            return y, None
         y = y - delta
-    return y, False
+    return y, None
+
+
+def _condition_estimate(jac: np.ndarray) -> float:
+    """max(|J|_1 |J^-1|_1, |J^-1|_1) from one inverse, inf when J is
+    singular.  The plain condition number is blind in rank one (it is 1 for
+    every nonzero 1x1 matrix); the inverse norm catches walls there."""
+    try:
+        inv_norm = np.abs(np.linalg.inv(jac)).sum(axis=0).max()
+    except np.linalg.LinAlgError:
+        return float("inf")
+    est = max(np.abs(jac).sum(axis=0).max() * inv_norm, inv_norm)
+    return float(est) if np.isfinite(est) else float("inf")
 
 
 def deck_identify(rs: RootSystem, y0, y1, tol: float = 1e-7) -> AffineElement:

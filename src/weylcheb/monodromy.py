@@ -210,7 +210,7 @@ def make_generator_loop(rs: RootSystem, g: AffineElement, y0=None,
     u = np.array([float(c) for c in u])
     ys = ((1 - ts)[:, None] * y0[None, :] + ts[:, None] * y1[None, :]
           + 1j * epsilon * np.sin(np.pi * ts)[:, None] * u[None, :])
-    pts = np.array([eval_gencos(rs, y) for y in ys])
+    pts = eval_gencos(rs, ys)
     return Loop(PathSample(ts, pts), label=g)
 
 

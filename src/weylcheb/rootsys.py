@@ -327,8 +327,8 @@ class RootSystem:
     """Exact data of a (possibly reducible) root system.
 
     Instances are immutable by convention; every derived table (orbits, orbit
-    sizes, Weyl elements, orbit matrices) is cached on the instance and safe
-    for concurrent readers.
+    sizes, Weyl elements, the stacked fundamental orbits) is cached on the
+    instance, written only by this module, and safe for concurrent readers.
     """
 
     def __init__(self, type_spec, factors, cartan, gram, lengths, roots,
@@ -348,7 +348,7 @@ class RootSystem:
             tuple((i, row[j]) for i, row in enumerate(cartan) if row[j])
             for j in range(self.rank))
         self._weyl_cache = None
-        self._orbit_matrix_cache = {}
+        self._orbit_table = None
 
     def __repr__(self):
         return f"RootSystem({self.type_spec!r}, rank={self.rank}, roots={len(self.roots)})"
@@ -446,20 +446,32 @@ def weyl_group_elements(rs: RootSystem, cap: int = WEYL_CAP):
             f"Weyl group of {rs.type_spec} has order {order}, above cap {cap}")
     if rs._weyl_cache is not None:
         return rs._weyl_cache
-    gens = [rs.simple_reflection(j) for j in range(rs.rank)]
-    ident = weyl_identity(rs.rank)
-    elements = {ident.weight_matrix: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                cand = s.compose(w)
-                if cand.weight_matrix not in elements:
-                    elements[cand.weight_matrix] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    result = tuple(elements.values())
+    n = rs.rank
+    gens = [rs.simple_reflection(j) for j in range(n)]
+    gen_w = np.array([s.weight_matrix for s in gens], dtype=np.int64)
+    gen_c = np.array([s.coroot_matrix for s in gens], dtype=np.int64)
+    # one breadth-first level at a time: every frontier element times every
+    # generator, s @ w, in (frontier element, generator) order; the first
+    # occurrence of each weight matrix is kept
+    front_w = front_c = np.eye(n, dtype=np.int64)[None]
+    seen = {front_w[0].tobytes()}
+    found_w, found_c = [front_w], [front_c]
+    while len(front_w):
+        cand_w = np.einsum("gij,fjk->fgik", gen_w, front_w).reshape(-1, n, n)
+        cand_c = np.einsum("gij,fjk->fgik", gen_c, front_c).reshape(-1, n, n)
+        new = []
+        for i, m in enumerate(cand_w):
+            key = m.tobytes()
+            if key not in seen:
+                seen.add(key)
+                new.append(i)
+        front_w, front_c = cand_w[new], cand_c[new]
+        found_w.append(front_w)
+        found_c.append(front_c)
+    result = tuple(
+        WeylElement(tuple(map(tuple, w)), tuple(map(tuple, c)))
+        for w, c in zip(np.concatenate(found_w).tolist(),
+                        np.concatenate(found_c).tolist()))
     rs._weyl_cache = result
     return result
 
@@ -490,14 +502,27 @@ def orbit(rs: RootSystem, lam) -> tuple:
     return result
 
 
+def fundamental_orbit_table(rs: RootSystem):
+    """The orbits of the fundamental weights stacked into one read-only
+    int64 matrix, orbit k in rows starts[k] up to starts[k + 1] (the last
+    up to the end), each in the sorted order of orbit().  Returns
+    (rows, starts); cached per root system."""
+    if rs._orbit_table is None:
+        orbits = [orbit(rs, rs.fundamental_weight(k)) for k in range(rs.rank)]
+        rows = np.array([r for o in orbits for r in o], dtype=np.int64)
+        starts = np.cumsum([0] + [len(o) for o in orbits[:-1]])
+        rows.setflags(write=False)
+        starts.setflags(write=False)
+        rs._orbit_table = (rows, starts)
+    return rs._orbit_table
+
+
 def orbit_matrix(rs: RootSystem, k: int) -> np.ndarray:
     """Integer matrix whose rows are the orbit of the k-th fundamental
-    weight (cached per root system)."""
-    cached = rs._orbit_matrix_cache.get(k)
-    if cached is None:
-        cached = np.array(orbit(rs, rs.fundamental_weight(k)), dtype=np.int64)
-        rs._orbit_matrix_cache[k] = cached
-    return cached
+    weight: a read-only slice of fundamental_orbit_table."""
+    rows, starts = fundamental_orbit_table(rs)
+    end = starts[k + 1] if k + 1 < rs.rank else len(rows)
+    return rows[starts[k]:end]
 
 
 def is_dominant(lam) -> bool:

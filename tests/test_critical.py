@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from weylcheb.chebmap import PolynomialMap, build_cheb_map
+from weylcheb import chebmap
+from weylcheb.chebmap import (PolynomialMap, build_cheb_map,
+                              verify_functional_equation)
 from weylcheb.critical import (
     deltoid_check,
     deltoid_residual,
@@ -72,6 +74,36 @@ def test_postcritical_rank_six_at_default_samples(spec, rs):
     rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2))
     assert len(rep.det_residuals) == 50
     assert rep.passed, (rep.max_det_residual, rep.max_value_residual)
+
+
+@pytest.mark.parametrize("spec,d", [("G2", 6), ("F4", 2)])
+def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
+    # both checks keep one precision for all their points, so cutting the
+    # batch into chunks of 7 changes no residual
+    rsys = rs(spec)
+    pmap = build_cheb_map(rsys, d)
+    seen = []
+    real = chebmap.fixed_distances
+
+    def recording(lhs, rhs, P):
+        out = real(lhs, rhs, P)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(chebmap, "fixed_distances", recording)
+
+    def run():
+        seen.clear()
+        fun = verify_functional_equation(rsys, d, pmap, samples=30)
+        per_point = [r for part in seen for r in part]
+        post = post_critical_check(rsys, d, pmap, samples=20)
+        return fun.max_residual, per_point, post.det_residuals, post.value_residuals
+
+    whole = run()
+    assert len(whole[1]) == 30 and len(whole[2]) == 20
+    monkeypatch.setattr(chebmap, "CHECK_CHUNK", 7)
+    assert run() == whole
+    assert len(seen) == 5  # 30 points in chunks of 7
 
 
 @pytest.mark.parametrize("spec,d", [("A2", 2), ("G2", 6)])

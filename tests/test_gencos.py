@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weylcheb import gencos
-from weylcheb.errors import DeckMatchError
+from weylcheb.errors import DeckMatchError, DimensionError, NearSingularError
 from weylcheb.gencos import (
     PathSample,
     deck_identify,
@@ -17,11 +17,18 @@ from weylcheb.gencos import (
     lift_path,
     regular_direction,
 )
-from weylcheb.monodromy import A1_LOOP_BASEPOINT, a1_standard_loops
+from weylcheb.monodromy import (
+    A1_LOOP_BASEPOINT,
+    a1_standard_loops,
+    basepoint_array,
+    make_generator_loop,
+    standard_affine_generators,
+)
 from weylcheb.rootsys import (
     affine_apply,
     affine_compose,
     affine_identity,
+    orbit,
     reflection_element,
     translation_element,
 )
@@ -59,6 +66,92 @@ def test_fullsum_at_zero_counts_orbit(rs):
     b2 = rs("B2")
     vals = eval_gencos_fullsum(b2, [0, 0])
     assert np.abs(vals - np.array([4, 4])).max() < 1e-12
+
+
+# --- the stacked-orbit kernel against per-orbit oracles ----------------------
+
+def _orbit_rows(rsys, k):
+    # from orbit() itself, not from the stacked table the kernel slices
+    return np.array(orbit(rsys, rsys.fundamental_weight(k)), dtype=np.int64)
+
+
+def _oracle_eval(rsys, x):
+    """One orbit at a time, as eval_gencos computed it before the kernel."""
+    x = np.asarray(x, dtype=complex)
+    out = np.empty(rsys.rank, dtype=complex)
+    for k in range(rsys.rank):
+        out[k] = np.exp(2j * np.pi * (_orbit_rows(rsys, k) @ x)).sum()
+    return out
+
+
+def _oracle_jacobian(rsys, x):
+    """One orbit at a time, as gencos_jacobian computed it before the kernel."""
+    x = np.asarray(x, dtype=complex)
+    jac = np.empty((rsys.rank, rsys.rank), dtype=complex)
+    for k in range(rsys.rank):
+        om = _orbit_rows(rsys, k)
+        jac[k, :] = 2j * np.pi * (np.exp(2j * np.pi * (om @ x)) @ om)
+    return jac
+
+
+def _oracle_kernel(rsys, x, jacobian):
+    x = np.asarray(x, dtype=complex)
+    if x.ndim == 2:
+        values = np.array([_oracle_eval(rsys, p) for p in x])
+        jacs = np.array([_oracle_jacobian(rsys, p) for p in x])
+    else:
+        values, jacs = _oracle_eval(rsys, x), _oracle_jacobian(rsys, x)
+    return (values, jacs) if jacobian else values
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("spec", TEST_SPECS)
+def test_kernel_matches_per_orbit_oracles(spec, rs):
+    rsys = rs(spec)
+    rng = random.Random(17)
+    pts = np.array([rand_point(rng, rsys.rank) for _ in range(12)])
+    values = eval_gencos(rsys, pts)
+    jacs = gencos_jacobian(rsys, pts)
+    assert values.shape == (12, rsys.rank)
+    assert jacs.shape == (12, rsys.rank, rsys.rank)
+    for x, v, j in zip(pts, values, jacs):
+        want_v, want_j = _oracle_eval(rsys, x), _oracle_jacobian(rsys, x)
+        _assert_rel_close(eval_gencos(rsys, x), want_v)
+        _assert_rel_close(v, want_v)
+        _assert_rel_close(gencos_jacobian(rsys, x), want_j)
+        _assert_rel_close(j, want_j)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((4, 3)),
+                                 np.zeros((2, 4, 2)), np.zeros(())])
+def test_kernel_rejects_bad_shapes(bad, rs):
+    a2 = rs("A2")
+    with pytest.raises(DimensionError):
+        eval_gencos(a2, bad)
+    with pytest.raises(DimensionError):
+        gencos_jacobian(a2, bad)
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2"])
+def test_kernel_lifts_like_the_oracles(spec, rs, monkeypatch):
+    rsys = rs(spec)
+    y0 = basepoint_array(rsys)
+    gens = [g for _, g in standard_affine_generators(rsys)]
+    loops = [make_generator_loop(rsys, g) for g in gens]
+    lifts = [lift_path(rsys, loop.samples, y0) for loop in loops]
+    monkeypatch.setattr(gencos, "_kernel", _oracle_kernel)
+    for loop, lifted in zip(loops, lifts):
+        want = lift_path(rsys, loop.samples, y0)
+        assert np.array_equal(lifted.times, want.times)
+        assert np.abs(lifted.points - want.points).max() <= 1e-12
+    # the loops' samples too, batched against one oracle call per sample
+    for loop, g in zip(loops, gens):
+        want = make_generator_loop(rsys, g).samples.points
+        _assert_rel_close(loop.samples.points, want)
 
 
 # --- Jacobian -----------------------------------------------------------------
@@ -227,6 +320,47 @@ def test_lift_fails_crossing_critical_image(rs):
     to_cusp = np.array([(1 - t) * x2 + t * np.array([3.0, 3.0]) for t in ts])
     with pytest.raises((ContinuationError, NearSingularError)):
         lift_path(a2, PathSample(ts, to_cusp), y2)
+
+
+def test_near_singular_error_names_its_witness(rs, monkeypatch):
+    a2 = rs("A2")
+    loop = make_generator_loop(a2, reflection_element(a2.simple_roots[0], 0))
+    y0 = basepoint_array(a2)
+    first = lift_path(a2, loop.samples, y0)
+    t1 = first.times[1]
+    est = gencos._condition_estimate(gencos_jacobian(a2, first.points[1]))
+    # every condition estimate is at least 1, so the first accepted point
+    # is refused
+    monkeypatch.setattr(gencos, "JACOBIAN_CONDITION_CAP", 1.0)
+    with pytest.raises(NearSingularError) as err:
+        lift_path(a2, loop.samples, y0)
+    msg = str(err.value)
+    assert f"t={t1:.6f}" in msg
+    assert f"{est:.3e}" in msg
+    assert f"step {t1:.3e}" in msg
+
+
+def test_singular_jacobian_at_converged_point_is_near_singular(rs, monkeypatch):
+    # a constant path converges at its first iterate; a Jacobian with a zero
+    # row there must raise NearSingularError, not numpy's LinAlgError
+    assert gencos._condition_estimate(np.zeros((2, 2))) == float("inf")
+    a2 = rs("A2")
+    y0 = np.array([1 / 6, 1 / 6], dtype=complex)
+    x0 = eval_gencos(a2, y0)
+    path = PathSample(np.array([0.0, 1.0]), np.array([x0, x0]))
+    real = gencos._kernel
+
+    def singular(rsys, x, jacobian):
+        if not jacobian:
+            return real(rsys, x, jacobian)
+        values, jac = real(rsys, x, jacobian)
+        jac = jac.copy()
+        jac[-1] = 0
+        return values, jac
+
+    monkeypatch.setattr(gencos, "_kernel", singular)
+    with pytest.raises(NearSingularError, match="estimate inf above cap"):
+        lift_path(a2, path, y0)
 
 
 def test_lift_rejects_bad_start(rs):

@@ -25,7 +25,10 @@ from weylcheb.rootsys import (
     reflection_element,
     translation_element,
     verify_axioms,
+    fundamental_orbit_table,
+    orbit_matrix,
     weyl_group_elements,
+    weyl_identity,
     weyl_order,
 )
 
@@ -183,6 +186,53 @@ def test_weyl_cap_holds_after_a_larger_cap_filled_the_cache():
     with pytest.raises(CapExceededError, match="above cap 1919"):
         weyl_group_elements(rsys, cap=1919)
     assert len(weyl_group_elements(rsys, cap=1920)) == 1920
+
+
+def _weyl_bfs_oracle(rsys):
+    """The element-at-a-time breadth-first search weyl_group_elements ran
+    before it was batched: s.compose(w) for each frontier element w and
+    each simple reflection s, first occurrences kept in that order."""
+    gens = [rsys.simple_reflection(j) for j in range(rsys.rank)]
+    ident = weyl_identity(rsys.rank)
+    elements = {ident.weight_matrix: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                cand = s.compose(w)
+                if cand.weight_matrix not in elements:
+                    elements[cand.weight_matrix] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return tuple(elements.values())
+
+
+@pytest.mark.parametrize("spec", sorted(
+    [s for s, o in {**WEYL_ORDERS, **MORE_WEYL_ORDERS}.items() if o <= 1920]
+    + ["D5"]))
+def test_weyl_elements_match_element_wise_search(spec, rs):
+    rsys = rs(spec)
+    got = weyl_group_elements(rsys, cap=1920)
+    want = _weyl_bfs_oracle(rsys)
+    assert len(got) == len(want) == weyl_order(rsys)
+    for a, b in zip(got, want):
+        assert a.weight_matrix == b.weight_matrix
+        assert a.coroot_matrix == b.coroot_matrix
+        assert all(type(c) is int for row in a.coroot_matrix for c in row)
+
+
+@pytest.mark.parametrize("spec", ["A1", "A3", "B3xA1", "G2", "F4"])
+def test_orbit_matrix_slices_the_stacked_table(spec, rs):
+    rsys = rs(spec)
+    rows, starts = fundamental_orbit_table(rsys)
+    assert len(starts) == rsys.rank and starts[0] == 0
+    blocks = [orbit_matrix(rsys, k) for k in range(rsys.rank)]
+    assert sum(len(b) for b in blocks) == len(rows)
+    for k, block in enumerate(blocks):
+        assert block.tolist() == [list(r) for r in
+                                  orbit(rsys, rsys.fundamental_weight(k))]
+        assert not block.flags.writeable
 
 
 def test_weyl_elements_preserve_roots(rs):
