@@ -21,6 +21,14 @@ come from rootsys.orbit_size without enumeration.  Chevalley integrality is
 asserted, never rounded: each coefficient count * |W lam| / |W nu| must divide
 exactly, and a remainder raises ArithmeticError.
 
+Expanding X^e as X^{e - e_j} * m_{omega_j} meets the same pairs m_lam * m_mu
+over and over, so each root system has one memo (_Memo, held weakly and
+dropped with the root system): the pair table {(lam, mu): product}, walked
+once per pair; the monomial expansions; and the height vector of the
+reduction order.  Elimination pops the height-maximal term from a heap, and
+raises if a popped term is not below the previous one or an expansion does
+not lead with coefficient 1.
+
 The functional check T_d(gencos(x)) = gencos(d x) and the post-critical
 check (critical.post_critical_check) share one kernel, run over a check's
 sample points in batches of CHECK_CHUNK, all at one precision: GencosPair
@@ -37,6 +45,7 @@ Jacobian entries of the determinant are converted back to mpmath.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import weakref
@@ -50,14 +59,13 @@ from .errors import DimensionError
 from .rootsys import (RootSystem, dominant_weight, fundamental_orbit_table,
                       invert_fraction, orbit, orbit_matrix, orbit_size)
 
-_DECOMPOSE_CAP = 200000
 # points per fixed-point batch of the mpmath checks: memory stays bounded
 # for any sample count, and the default sample counts run as one batch
 CHECK_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
-# the reduction order on dominant weights
+# the reduction order on dominant weights, and the per-root-system memo
 # ---------------------------------------------------------------------------
 
 def height_vector(rs: RootSystem) -> tuple:
@@ -73,10 +81,30 @@ def height_vector(rs: RootSystem) -> tuple:
     return vec
 
 
-def _order_key(cvec):
-    def key(lam):
-        return (sum(l * c for l, c in zip(lam, cvec)), lam)
-    return key
+class _Memo:
+    """What synthesis keeps per root system: the height vector, the pair
+    table {(lam, mu) sorted: {nu: coefficient}} of orbit_sum_product and
+    the expansions {exponent tuple: combination} of monomial_expand."""
+
+    def __init__(self, rs: RootSystem):
+        self.height = height_vector(rs)
+        self.pairs: dict = {}
+        self.expansions: dict = {}
+
+    def key(self, lam) -> tuple:
+        """The reduction order: height first, then lam lexicographically."""
+        return sum(l * c for l, c in zip(lam, self.height)), lam
+
+
+# one entry per root system, dropped with it
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _memo(rs: RootSystem) -> _Memo:
+    memo = _MEMO.get(rs)
+    if memo is None:
+        memo = _MEMO[rs] = _Memo(rs)
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +113,27 @@ def _order_key(cvec):
 
 def _clean(combo: dict) -> dict:
     return {lam: c for lam, c in combo.items() if c != 0}
+
+
+def _pair_product(rs: RootSystem, lam, mu) -> dict:
+    """m_lam * m_mu by the stabilizer formula (see orbit_sum_product)."""
+    big, small = lam, mu
+    if orbit_size(rs, lam) < orbit_size(rs, mu):
+        big, small = mu, lam
+    counts: dict = {}
+    for s in orbit(rs, small):
+        nu = dominant_weight(rs, [x + y for x, y in zip(big, s)])
+        counts[nu] = counts.get(nu, 0) + 1
+    size = orbit_size(rs, big)
+    out = {}
+    for nu, k in counts.items():
+        q, r = divmod(k * size, orbit_size(rs, nu))
+        if r:
+            raise ArithmeticError(
+                f"m_{lam} * m_{mu}: coefficient of m_{nu} is "
+                f"{k * size}/{orbit_size(rs, nu)}, not an integer")
+        out[nu] = q
+    return out
 
 
 def orbit_sum_product(rs: RootSystem, a: dict, b: dict) -> dict:
@@ -98,32 +147,21 @@ def orbit_sum_product(rs: RootSystem, a: dict, b: dict) -> dict:
     summed over whichever of the two orbits is smaller: count the s that land
     on each dominant nu, then the coefficient of m_nu is
     count * |W lam| / |W nu|.  The division must be exact; a remainder
-    raises ArithmeticError instead of being rounded.
+    raises ArithmeticError instead of being rounded.  Each pair's product
+    is computed once per root system and kept in its pair table.
     """
+    pairs = _memo(rs).pairs
     out: dict = {}
     for lam, ca in a.items():
         for mu, cb in b.items():
-            big, small = lam, mu
-            if orbit_size(rs, lam) < orbit_size(rs, mu):
-                big, small = mu, lam
-            counts: dict = {}
-            for s in orbit(rs, small):
-                nu = dominant_weight(rs, [x + y for x, y in zip(big, s)])
-                counts[nu] = counts.get(nu, 0) + 1
-            size = orbit_size(rs, big)
-            for nu, k in counts.items():
-                q, r = divmod(k * size, orbit_size(rs, nu))
-                if r:
-                    raise ArithmeticError(
-                        f"m_{lam} * m_{mu}: coefficient of m_{nu} is "
-                        f"{k * size}/{orbit_size(rs, nu)}, not an integer")
-                out[nu] = out.get(nu, 0) + ca * cb * q
+            key = (lam, mu) if lam <= mu else (mu, lam)
+            prod = pairs.get(key)
+            if prod is None:
+                prod = pairs[key] = _pair_product(rs, lam, mu)
+            c = ca * cb
+            for nu, q in prod.items():
+                out[nu] = out.get(nu, 0) + c * q
     return _clean(out)
-
-
-# monomial_expand's memo: {exponent tuple: expansion} per root system, kept
-# here and dropped with the root system
-_EXPANSIONS = weakref.WeakKeyDictionary()
 
 
 def monomial_expand(rs: RootSystem, e) -> dict:
@@ -133,7 +171,7 @@ def monomial_expand(rs: RootSystem, e) -> dict:
     e = tuple(int(c) for c in e)
     if any(c < 0 for c in e):
         raise ValueError("exponents must be nonnegative")
-    memo = _EXPANSIONS.setdefault(rs, {})
+    memo = _memo(rs).expansions
     cached = memo.get(e)
     if cached is not None:
         return cached
@@ -154,26 +192,46 @@ def decompose_to_polynomial(rs: RootSystem, target: dict) -> dict:
     invariants: {exponent vector: coefficient}.  Exponent vectors are the
     dominant weights themselves (X^mu means prod_j X_j^{mu_j}).
 
-    Triangular elimination: repeatedly strip the height-maximal term.  Each
-    step replaces it by strictly lower terms, so the loop terminates; the
-    guard cap only trips on a broken order.
+    Triangular elimination: repeatedly strip the height-maximal term, popped
+    from a heap, by subtracting its coefficient times the expansion of X^mu.
+    That expansion must lead with mu at coefficient 1 and otherwise hold
+    strictly lower terms, so the popped terms strictly decrease and the loop
+    terminates; a leading coefficient other than 1 or a popped term not
+    below the previous one raises RuntimeError.
     """
-    key = _order_key(height_vector(rs))
-    work = _clean(dict(target))
+    key = _memo(rs).key
+    work: dict = {}
+    heap = []  # negated keys: the min-heap pops the height-maximal term
+
+    def add(nu, c):
+        if nu in work:
+            work[nu] += c
+        else:
+            work[nu] = c
+            heapq.heappush(heap, (-key(nu)[0], tuple(-x for x in nu), nu))
+
+    for nu, c in target.items():
+        add(nu, c)
     poly: dict = {}
-    steps = 0
-    while work:
-        mu = max(work, key=key)
-        c = work[mu]
-        poly[mu] = poly.get(mu, 0) + c
-        for nu, k in monomial_expand(rs, mu).items():
-            work[nu] = work.get(nu, 0) - c * k
-        work = _clean(work)
-        steps += 1
-        if steps > _DECOMPOSE_CAP:
-            raise RuntimeError("elimination failed to terminate; "
+    last = None
+    while heap:
+        neg_h, _, mu = heapq.heappop(heap)
+        c = work.pop(mu)
+        if c == 0:
+            continue
+        if last is not None and (-neg_h, mu) >= last:
+            raise RuntimeError(f"elimination popped {mu} after {last[1]}; "
                                "reduction order is broken")
-    return _clean(poly)
+        last = -neg_h, mu
+        poly[mu] = c
+        expansion = monomial_expand(rs, mu)
+        if expansion.get(mu) != 1:
+            raise RuntimeError(f"expansion of X^{mu} leads with coefficient "
+                               f"{expansion.get(mu)}, not 1")
+        for nu, k in expansion.items():
+            if nu != mu:
+                add(nu, -c * k)
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +623,7 @@ def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
 
 def poly_map_as_dict(rs: RootSystem, d: int, pmap: PolynomialMap) -> dict:
     """JSON form with terms in descending reduction order (byte-stable)."""
-    key = _order_key(height_vector(rs))
+    key = _memo(rs).key
     comps = []
     for comp in pmap.components:
         terms = [{"exponents": list(e), "coeff": c}

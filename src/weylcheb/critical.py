@@ -208,8 +208,6 @@ def deltoid_check(rs: RootSystem, samples: int = 100, seed: int = 0):
     deltoid equation.  Returns the list of |residual| values."""
     if rs.type_spec != "A2":
         raise ValueError("the deltoid identity is specific to A2")
-    out = []
-    for s in sample_diagram_points(rs, samples, seed=seed):
-        x1, x2 = eval_gencos(rs, s.point)
-        out.append(abs(deltoid_residual(x1, x2)))
-    return out
+    points = [s.point for s in sample_diagram_points(rs, samples, seed=seed)]
+    x1, x2 = eval_gencos(rs, np.array(points)).T
+    return np.abs(deltoid_residual(x1, x2)).tolist()

@@ -55,6 +55,10 @@ from .rootsys import (
 # the Schreier-Sims transversals hold up to 2 * V^2 int64 cells for V
 # vertices, 256 MiB at this cap; check_img_caps gives the measurements
 VERTEX_CAP = 4096
+# one level action of V vertices in rank n holds V * (n + 2) int64 cells,
+# 32 MiB at this cap: about a million vertices, which algebraic_action
+# builds in 0.07 s and perm_order walks in 0.2 s (A1, d = 2, level 20)
+ACTION_CELL_CAP = 2 ** 22
 DEFAULT_LOOP_SAMPLES = 257
 DEFAULT_EPSILON = 0.1
 
@@ -63,29 +67,33 @@ DEFAULT_EPSILON = 0.1
 # level actions
 # ---------------------------------------------------------------------------
 
-def algebraic_action(g: AffineElement, d: int, k: int,
-                     vertex_cap: int = VERTEX_CAP) -> np.ndarray:
+def algebraic_action(g: AffineElement, d: int, k: int) -> np.ndarray:
     """The affine action u |-> w(u) + t of g on the coroot lattice reduced
     mod d^k, as an int64 image array over mixed-radix encoded vertices:
     index = sum_j u_j * (d^k)^j.  It is a permutation because det w = +-1,
-    so w is invertible mod d^k."""
+    so w is invertible mod d^k.
+
+    For V vertices it holds V * (n + 2) int64 cells (the vertices, their
+    indices and their images) and refuses above ACTION_CELL_CAP."""
     if k < 1:
         raise ValueError("level must be >= 1")
     n = g.rank
     m = d ** k
     count = m ** n
-    if count > vertex_cap:
+    cells = count * (n + 2)
+    if cells > ACTION_CELL_CAP:
         raise CapExceededError(
-            f"level {k} has {count} vertices, above cap {vertex_cap}")
+            f"level {k} action on {count} vertices needs {cells} int64 cells "
+            f"({8 * cells} bytes), above cap {ACTION_CELL_CAP} cells "
+            f"({8 * ACTION_CELL_CAP} bytes)")
     idx = np.arange(count)
     u = np.empty((count, n), dtype=np.int64)
     for j in range(n):
         u[:, j] = (idx // m ** j) % m
-    w = np.array(g.w.coroot_matrix, dtype=np.int64)
-    v = (u @ w.T + np.array(g.t, dtype=np.int64)) % m
+    # image coordinate j is (row j of w) . u + t_j, encoded from the top
     enc = np.zeros(count, dtype=np.int64)
-    for j in reversed(range(n)):
-        enc = enc * m + v[:, j]
+    for row, tj in reversed(list(zip(g.w.coroot_matrix, g.t))):
+        enc = enc * m + (u @ np.array(row, dtype=np.int64) + tj) % m
     return enc
 
 
@@ -272,7 +280,7 @@ def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
         raise ValueError("loop is not based at the image of y_start")
 
     g = lift_deck_element(rs, loop, y_start)
-    actions = [algebraic_action(g, d, k, vertex_cap) for k in range(1, levels + 1)]
+    actions = [algebraic_action(g, d, k) for k in range(1, levels + 1)]
     return actions, g
 
 
@@ -498,8 +506,7 @@ def img_verification(rs: RootSystem, d: int, levels: int,
     for name, g in standard_affine_generators(rs):
         loop = make_generator_loop(rs, g, y0)
         deck = lift_deck_element(rs, loop, y0)
-        actions = [algebraic_action(g, d, k, vertex_cap)
-                   for k in range(1, levels + 1)]
+        actions = [algebraic_action(g, d, k) for k in range(1, levels + 1)]
         report.generators.append(GeneratorReport(
             name, g, deck, deck == g, actions))
 

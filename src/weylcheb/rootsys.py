@@ -56,10 +56,6 @@ def vec_add(x, y):
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vec_scale(c, x):
     return tuple(c * a for a in x)
 
@@ -658,12 +654,6 @@ def _json_safe(obj):
     return str(obj)
 
 
-def inner_product(v: Root, w: Root) -> Fraction:
-    """Exact inner product of two roots."""
-    # w in the coroot basis is (length_sq/2) * coroot_coords
-    return Fraction(w.length_sq, 2) * dot(v.weight_coords, w.coroot_coords)
-
-
 def verify_axioms(rs: RootSystem) -> AxiomReport:
     """Check the four root-system axioms on exact data; failures carry a
     witness."""
@@ -674,63 +664,48 @@ def verify_axioms(rs: RootSystem) -> AxiomReport:
     checks.append(AxiomCheck("span", span_ok,
                              None if span_ok else rs.cartan))
 
-    # scalar multiples: only +-v
-    mult_ok, mult_wit = True, None
-    index = {v.weight_coords for v in rs.roots}
-    for v in rs.roots:
-        for w in rs.roots:
-            if v.weight_coords == w.weight_coords:
-                continue
-            # proportional weight vectors with ratio != -1?
-            ratio = None
-            ok = True
-            for a, b in zip(v.weight_coords, w.weight_coords):
-                if a == 0 and b == 0:
-                    continue
-                if a == 0 or b == 0:
-                    ok = False
-                    break
-                r = Fraction(b, a)
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    ok = False
-                    break
-            if ok and ratio is not None and ratio != -1:
-                mult_ok, mult_wit = False, (v, w)
-                break
-        if not mult_ok:
-            break
-    checks.append(AxiomCheck("multiples", mult_ok, mult_wit))
+    roots = rs.roots
+    wts = np.array([v.weight_coords for v in roots], dtype=np.int64)
+    cos = np.array([v.coroot_coords for v in roots], dtype=np.int64)
+    lens = np.array([v.length_sq for v in roots], dtype=np.int64)
 
-    # closure under reflections
-    clo_ok, clo_wit = True, None
-    for v in rs.roots:
-        for w in rs.roots:
-            img = vec_sub(w.weight_coords,
-                          vec_scale(dot(w.weight_coords, v.coroot_coords),
-                                    v.weight_coords))
-            if img not in index:
-                clo_ok, clo_wit = False, (v, w)
-                break
-        if not clo_ok:
-            break
-    checks.append(AxiomCheck("closure", clo_ok, clo_wit))
+    def first(bad):
+        """The first (v, w) in row-major order where bad holds, or None."""
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        return (roots[i], roots[j]) if bad[i, j] else None
 
-    # integrality of 2<v,w>/<v,v>, cross-checked against the stored coroot
-    int_ok, int_wit = True, None
-    for v in rs.roots:
-        vv = inner_product(v, v)
-        if vv != v.length_sq:
-            int_ok, int_wit = False, (v, "length_sq mismatch")
-            break
-        for w in rs.roots:
-            val = 2 * inner_product(v, w) / vv
-            if val.denominator != 1 or val != dot(w.weight_coords, v.coroot_coords):
-                int_ok, int_wit = False, (v, w)
-                break
-        if not int_ok:
-            break
-    checks.append(AxiomCheck("integrality", int_ok, int_wit))
+    # scalar multiples: only +-v.  Nonzero integer vectors are proportional
+    # exactly when Cauchy-Schwarz is an equality, and then w = +-v exactly
+    # when their norms agree
+    gram = wts @ wts.T
+    norms = np.diag(gram)
+    mult_wit = first((gram * gram == np.outer(norms, norms))
+                     & (norms[:, None] != norms[None, :])
+                     & (norms[:, None] > 0) & (norms[None, :] > 0))
+    checks.append(AxiomCheck("multiples", mult_wit is None, mult_wit))
+
+    # closure under reflections: s_v(w) = w - <w, v^vee> v must be a root;
+    # images and roots are keyed by their index among the distinct rows
+    pair = wts @ cos.T   # pair[i, j] = <root i, root j^vee>
+    imgs = wts[None, :, :] - pair.T[:, :, None] * wts[:, None, :]
+    _, keys = np.unique(np.concatenate([wts, imgs.reshape(-1, rs.rank)]),
+                        axis=0, return_inverse=True)
+    keys = keys.reshape(-1)
+    clo_wit = first(~np.isin(keys[len(roots):], keys[:len(roots)])
+                    .reshape(len(roots), len(roots)))
+    checks.append(AxiomCheck("closure", clo_wit is None, clo_wit))
+
+    # integrality of 2<v,w>/<v,v>, cross-checked against the stored coroot:
+    # <v, v> = (len_v / 2) <v, v^vee> must be len_v, and then
+    # 2<v,w>/<v,v> = len_w <v, w^vee> / len_v must equal <w, v^vee>
+    len_bad = lens * np.diag(pair) != 2 * lens
+    pair_bad = lens[None, :] * pair != lens[:, None] * pair.T
+    row_bad = len_bad | pair_bad.any(axis=1)
+    int_wit = None
+    if row_bad.any():
+        i = int(np.argmax(row_bad))
+        int_wit = ((roots[i], "length_sq mismatch") if len_bad[i]
+                   else (roots[i], roots[int(np.argmax(pair_bad[i]))]))
+    checks.append(AxiomCheck("integrality", int_wit is None, int_wit))
 
     return AxiomReport(checks)

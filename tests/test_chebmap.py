@@ -1,7 +1,9 @@
 """Orbit-sum algebra and exact synthesis of the polynomial maps."""
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -92,12 +94,45 @@ def test_product_matches_convolution_oracle(spec, rs):
         assert orbit_sum_product(rsys, a, b) == _convolution_product(rsys, a, b)
 
 
-@pytest.mark.parametrize("spec,d", [("G2", 12), ("F4", 2)])
+@pytest.mark.parametrize("spec,d", [("G2", 12), ("F4", 2), ("A2", 24),
+                                    ("B2", 16)])
 def test_map_matches_convolution_oracle(spec, d, monkeypatch):
     fast = build_cheb_map(build_root_system(spec), d)
     monkeypatch.setattr(chebmap, "orbit_sum_product", _convolution_product)
     slow = build_cheb_map(build_root_system(spec), d)
     assert fast.components == slow.components
+
+
+def test_pair_table_matches_convolution_oracle():
+    # every pair product that F4 2 synthesis memoized is the full-orbit
+    # convolution of that pair
+    rsys = build_root_system("F4")
+    build_cheb_map(rsys, 2)
+    pairs = chebmap._MEMO[rsys].pairs
+    assert len(pairs) > 20
+    for (lam, mu), prod in pairs.items():
+        assert prod == _convolution_product(rsys, {lam: 1}, {mu: 1})
+
+
+def test_pair_table_is_hit_in_both_orders():
+    a2 = build_root_system("A2")
+    first = orbit_sum_product(a2, {(1, 0): 1}, {(2, 1): 1})
+    assert list(chebmap._MEMO[a2].pairs) == [((1, 0), (2, 1))]
+    assert orbit_sum_product(a2, {(2, 1): 2}, {(1, 0): 1}) == {
+        nu: 2 * c for nu, c in first.items()}
+    assert len(chebmap._MEMO[a2].pairs) == 1
+
+
+def test_memo_goes_away_with_its_root_system():
+    before = len(chebmap._MEMO)
+    rsys = build_root_system("B2")
+    build_cheb_map(rsys, 3)
+    assert len(chebmap._MEMO) == before + 1
+    gone = weakref.ref(rsys)
+    del rsys
+    gc.collect()
+    assert gone() is None
+    assert len(chebmap._MEMO) == before
 
 
 def test_wrong_orbit_size_breaks_integrality(monkeypatch):
@@ -151,6 +186,37 @@ def test_decompose_a1(rs):
 def test_decompose_a2_quadratic(rs):
     a2 = rs("A2")
     assert decompose_to_polynomial(a2, {(2, 0): 1}) == {(2, 0): 1, (0, 1): -2}
+
+
+def test_decompose_refuses_a_leading_coefficient_other_than_one(monkeypatch):
+    # memoized before the patch, so only the copy decompose sees is doubled
+    a2 = build_root_system("A2")
+    monomial_expand(a2, (2, 0))
+    true_expand = chebmap.monomial_expand
+
+    def doubled(rsys, e):
+        out = dict(true_expand(rsys, e))
+        out[tuple(e)] *= 2
+        return out
+
+    monkeypatch.setattr(chebmap, "monomial_expand", doubled)
+    with pytest.raises(RuntimeError, match="leads with coefficient 2, not 1"):
+        decompose_to_polynomial(a2, {(2, 0): 1})
+
+
+def test_decompose_refuses_a_broken_order(monkeypatch):
+    # an expansion holding a term above its leader pops out of order
+    true_expand = chebmap.monomial_expand
+
+    def raised(rsys, e):
+        out = dict(true_expand(rsys, e))
+        if e == (0, 1):
+            out[(3, 3)] = 1
+        return out
+
+    monkeypatch.setattr(chebmap, "monomial_expand", raised)
+    with pytest.raises(RuntimeError, match="reduction order is broken"):
+        decompose_to_polynomial(build_root_system("A2"), {(2, 0): 1})
 
 
 def test_decompose_substitution_identity(rs):

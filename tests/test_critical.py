@@ -5,10 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from weylcheb import chebmap
+from weylcheb import chebmap, critical
 from weylcheb.chebmap import (PolynomialMap, build_cheb_map,
                               verify_functional_equation)
 from weylcheb.critical import (
+    DiagramSample,
     deltoid_check,
     deltoid_residual,
     post_critical_check,
@@ -159,6 +160,22 @@ def test_deltoid_cusp_value():
 def test_deltoid_vanishes_on_wall_images(rs):
     residuals = deltoid_check(rs("A2"), samples=100, seed=35)
     assert max(residuals) < 1e-7
+
+
+def test_deltoid_check_matches_per_point_residuals(rs, monkeypatch):
+    # off the walls the residuals are of order one, so a batch that mixed up
+    # its points would show
+    a2 = rs("A2")
+    rng = random.Random(38)
+    points = [np.array([complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
+                        for _ in range(2)]) for _ in range(50)]
+    monkeypatch.setattr(critical, "sample_diagram_points",
+                        lambda rsys, count, seed: [
+                            DiagramSample(None, x) for x in points])
+    batched = deltoid_check(a2, samples=50, seed=38)
+    per_point = [abs(deltoid_residual(*eval_gencos(a2, x))) for x in points]
+    assert min(per_point) > 1e-3
+    assert batched == pytest.approx(per_point, rel=1e-12)
 
 
 def test_deltoid_nonzero_off_walls(rs):

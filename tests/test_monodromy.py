@@ -12,6 +12,7 @@ from weylcheb import monodromy
 from weylcheb.errors import CapExceededError
 from weylcheb.gencos import deck_identify, eval_gencos, is_on_diagram, lift_path
 from weylcheb.monodromy import (
+    ACTION_CELL_CAP,
     Loop,
     a1_standard_loops,
     affine_element_order,
@@ -30,6 +31,7 @@ from weylcheb.monodromy import (
     wreath_digit_step,
     A1_LOOP_BASEPOINT,
 )
+from weylcheb.selfsim import order_on_level
 from weylcheb.rootsys import (
     affine_apply,
     affine_compose,
@@ -154,6 +156,18 @@ def test_projection_compatibility(rs):
 def test_vertex_cap():
     with pytest.raises(CapExceededError):
         algebraic_action(affine_identity(3), 10, 2)
+
+
+def test_action_cap_counts_the_cells_it_allocates():
+    # 8192 vertices of rank one are 24576 cells, far below the cap
+    assert order_on_level(translation_element((1,)), 2, 13) == 8192
+    # 2^21 vertices of rank one are 3 * 2^21 cells, 48 MiB
+    with pytest.raises(CapExceededError) as exc:
+        algebraic_action(translation_element((1,)), 2, 21)
+    msg = str(exc.value)
+    assert "2097152 vertices" in msg and f"{3 * 2 ** 21} int64 cells" in msg
+    assert f"({24 * 2 ** 21} bytes)" in msg
+    assert f"above cap {ACTION_CELL_CAP} cells ({8 * ACTION_CELL_CAP} bytes)" in msg
 
 
 # --- wreath recursion ----------------------------------------------------------------

@@ -10,6 +10,7 @@ from weylcheb.errors import CapExceededError, TypeSpecError
 from weylcheb.rootsys import (
     WEYL_CAP,
     AffineElement,
+    Root,
     RootSystem,
     affine_apply,
     affine_compose,
@@ -123,6 +124,58 @@ def test_axioms_fail_with_deleted_root():
     closure = next(c for c in report.checks if c.name == "closure")
     assert not closure.passed
     assert closure.witness is not None
+
+
+def _with_roots(rsys, roots):
+    return RootSystem(rsys.type_spec, rsys.factors, rsys.cartan, rsys.gram,
+                      rsys.lengths, tuple(roots), rsys.simple_root_indices)
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+def test_axioms_fail_with_a_doubled_root():
+    rsys = build_root_system("B2")
+    v = rsys.roots[1]
+    double = Root(tuple(2 * c for c in v.weight_coords), v.coroot_coords,
+                  v.length_sq)
+    report = verify_axioms(_with_roots(rsys, [*rsys.roots, double]))
+    multiples = _check(report, "multiples")
+    assert not multiples.passed
+    # the first pair in root order: v against its double
+    assert multiples.witness == (v, double)
+    assert _check(report, "span").passed
+
+
+def test_axioms_fail_with_a_wrong_length():
+    # <v, v> = (len_v / 2) <v, v^vee> still equals the corrupted len_v; the
+    # pairing 2<v,w>/<v,v> with the first other root w not orthogonal to v
+    # fails
+    rsys = build_root_system("G2")
+    roots = list(rsys.roots)
+    v = roots[0]
+    roots[0] = Root(v.weight_coords, v.coroot_coords, v.length_sq + 2)
+    report = verify_axioms(_with_roots(rsys, roots))
+    integrality = _check(report, "integrality")
+    assert not integrality.passed
+    first = next(w for w in roots[1:]
+                 if sum(a * b for a, b in zip(v.weight_coords, w.coroot_coords)))
+    assert integrality.witness == (roots[0], first)
+    assert _check(report, "multiples").passed
+    assert _check(report, "closure").passed
+
+
+def test_axioms_fail_with_a_coroot_off_its_root():
+    # <v, v^vee> = 1 instead of 2: the length check names v
+    rsys = build_root_system("A2")
+    roots = list(rsys.roots)
+    v = roots[0]
+    roots[0] = Root(v.weight_coords, (1, 1), v.length_sq)
+    integrality = _check(verify_axioms(_with_roots(rsys, roots)),
+                         "integrality")
+    assert not integrality.passed
+    assert integrality.witness == (roots[0], "length_sq mismatch")
 
 
 # --- reflections ------------------------------------------------------------
