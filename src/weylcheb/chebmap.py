@@ -31,16 +31,20 @@ not lead with coefficient 1.
 
 The functional check T_d(gencos(x)) = gencos(d x) and the post-critical
 check (critical.post_critical_check) share one kernel, run over a check's
-sample points in batches of CHECK_CHUNK, all at one precision: GencosPair
-gives gencos(x) and gencos(d x) from one expjpi per coordinate and point,
-every orbit term a product of tabulated powers z_j^k in Gaussian-integer
-fixed point with P = p + 32 fractional bits (p the working precision in
-bits); eval_polys_fixed evaluates T_d and its Jacobian on those same
+sample points in batches of CHECK_CHUNK, all at one precision, in
+Gaussian-integer fixed point with P = p + 32 fractional bits (p the bits
+mpmath would give the decimal digits of _needed_dps; check_precision).
+The identity under test is a Laurent-polynomial identity in
+z_j = e^{2 pi i x_j}, so any exactly known z serves as a sample: fixed_exp
+takes z from one float64 exp per batch, truncated to P bits, and so exact
+at a point within about 1e-16 of the drawn one.  GencosPair gives gencos
+and gencos(d .) at that z, every orbit term a product of tabulated powers
+z_j^k, and eval_polys_fixed evaluates T_d and its Jacobian on those same
 fixed-point values.  Each orbit term is off by less than 2^-p M,
 M = e^{2 pi d big max|Im x_j|} bounding every partial product: no worse
 than rounding the largest term at the working precision (derivations in
-GencosPair and eval_polys_fixed).  Only residuals and the
-Jacobian entries of the determinant are converted back to mpmath.
+GencosPair and eval_polys_fixed).  Residuals are exact integers until one
+final square root.
 """
 
 from __future__ import annotations
@@ -51,15 +55,13 @@ import random
 import weakref
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-from mpmath.libmp import to_fixed
 
 from .errors import DimensionError
 from .rootsys import (RootSystem, dominant_weight, fundamental_orbit_table,
                       invert_fraction, orbit, orbit_matrix, orbit_size)
 
-# points per fixed-point batch of the mpmath checks: memory stays bounded
+# points per fixed-point batch of the sampled checks: memory stays bounded
 # for any sample count, and the default sample counts run as one batch
 CHECK_CHUNK = 256
 
@@ -407,13 +409,62 @@ def _needed_dps(rs: RootSystem, d: int, h: float = 1.0) -> int:
     return int(2 * np.pi * d * _orbit_growth(rs) * h / np.log(10)) + 25
 
 
+def check_precision(rs: RootSystem, d: int, h: float = 1.0) -> int:
+    """P, the fractional bits of the fixed point of both sampled checks,
+    for points with |Im x_j| <= h: P = p + 32, p the working precision in
+    bits, from the _needed_dps digits by mpmath's rule
+    round((dps + 1) log2 10)."""
+    return round((_needed_dps(rs, d, h) + 1) * math.log2(10)) + 32
+
+
 # Gaussian fixed point: the pair (a, b) of numpy object arrays of Python ints,
-# one entry per point of a batch, stands for (a + ib) 2^-P at each point.
+# one entry per point of a batch, stands for (a + ib) 2^-P at each point; a
+# pair of Python ints is one point.
 
 def _mul(u, v, P: int) -> tuple:
     """Product of two fixed-point values, each part truncated to P bits."""
     (a, b), (c, s) = u, v
     return (a * c - b * s) >> P, (a * s + b * c) >> P
+
+
+def _div(u, v, P: int) -> tuple:
+    """Quotient u / v of two fixed-point values, v nonzero, each part
+    floored to P bits: one Gaussian-integer division, off by less than
+    sqrt(2) 2^-P."""
+    (a, b), (c, s) = u, v
+    norm = c * c + s * s
+    return ((a * c + b * s) << P) // norm, ((b * c - a * s) << P) // norm
+
+
+def fixed_exp(points, P: int) -> list:
+    """z_j = e^{2 pi i x_j} for a batch of S points (sequences of n complex),
+    one fixed-point value per coordinate j.
+
+    z comes from one float64 exp over the batch, each part truncated to P
+    fractional bits (float.as_integer_ratio): a dyadic number known
+    exactly, equal to the float unless that part is below about 2^{52-P}.
+    The point it samples, log(z) / (2 pi i), lies within about 1e-16 of
+    the drawn one."""
+    z = np.exp(2j * np.pi * np.asarray(points, dtype=complex))
+
+    def fixed(parts):
+        return np.array([(a << P) // b for a, b in
+                         map(float.as_integer_ratio, parts.tolist())],
+                        dtype=object)
+
+    return [(fixed(col.real), fixed(col.imag)) for col in z.T]
+
+
+def _sqrt_float(v: int, bits: int) -> float:
+    """sqrt(v) 2^-bits as a float, v a nonnegative int: floor(sqrt(v) 2^64)
+    cut to its leading 64 bits, then rounded once to float (inf past the
+    float range)."""
+    root = math.isqrt(v << 128)
+    shift = max(root.bit_length() - 64, 0)
+    try:
+        return math.ldexp(root >> shift, shift - 64 - bits)
+    except OverflowError:
+        return math.inf
 
 
 def _term_index(comps) -> list:
@@ -460,65 +511,55 @@ def _fixed_sums(tables, terms, count: int, size: int, P: int) -> list:
     return out
 
 
-def _fixed_array(values, P: int) -> tuple:
-    """mpc values, one per point, as one fixed-point value (truncated)."""
-    return (np.array([to_fixed(v.real._mpf_, P) for v in values], dtype=object),
-            np.array([to_fixed(v.imag._mpf_, P) for v in values], dtype=object))
-
-
-def fixed_to_mpc(value, P: int) -> list:
-    """A fixed-point value as one mpc per point (exact up to the working
-    precision)."""
-    return [mpmath.mpc(mpmath.mpf((a, -P)), mpmath.mpf((b, -P)))
-            for a, b in zip(*value)]
-
-
 def fixed_distances(lhs, rhs, P: int) -> list:
     """Per point, max over k of |lhs[k] - rhs[k]|, as floats.  The
     differences and their squared moduli are exact integers; only the square
-    root is rounded."""
+    root is rounded (_sqrt_float)."""
     worst = 0
     for (a, b), (c, s) in zip(lhs, rhs):
         re, im = a - c, b - s
         worst = np.maximum(worst, re * re + im * im)
-    return [float(mpmath.sqrt(mpmath.mpf((v, -2 * P)))) for v in worst]
+    return [_sqrt_float(v, P) for v in worst]
 
 
 class GencosPair:
     """gencos(x) and gencos(d*x) together, for a batch of points, in
-    Gaussian-integer fixed point: `P, gx, gdx = GencosPair(rs, d)(points)`,
-    points a list of S points (sequences of mpc or complex).  gx and gdx
-    hold one fixed-point value per component: a pair (a, b) of numpy object
-    arrays of shape (S,) of Python ints, standing for (a + ib) 2^-P at each
-    point.  Subtracting such values is exact; eval_polys_fixed evaluates
-    polynomials on them, and fixed_to_mpc and fixed_distances convert.
+    Gaussian-integer fixed point: `gx, gdx = GencosPair(rs, d)(z, P)`, z
+    the batch's z_j = e^{2 pi i x_j} as fixed_exp gives them, P their
+    fractional bits.  gx and gdx hold one fixed-point value per component:
+    a pair (a, b) of numpy object arrays of shape (S,) of Python ints,
+    standing for (a + ib) 2^-P at each point.  Subtracting such values is
+    exact; eval_polys_fixed evaluates polynomials on them, and
+    fixed_distances measures their gaps.
 
-    One expjpi per coordinate and point: z_j = e^{2 pi i x_j}, so the orbit
-    term of a row r is prod_j z_j^{r_j}, and of the same row at d*x
-    prod_j z_j^{d r_j}.  The powers z_j^k, |k| <= d*K (K the largest |r_j|),
-    are tabulated once per batch, and the terms are products of table
-    entries.  The rows at x and at d*x are walked once, in sorted order,
-    sharing the products of their common prefixes (_fixed_sums).
+    The orbit term of a row r is prod_j z_j^{r_j}, and of the same row at
+    d*x prod_j z_j^{d r_j}: a Laurent-polynomial identity in z holds at any
+    z, so z need only be known exactly, not be e^{2 pi i x} to the last
+    bit.  1/z_j = conj(z_j) 2^{2P} // |z_j|^2 is one Gaussian-integer
+    division.  The powers z_j^k, |k| <= d*K (K the largest |r_j|), are
+    tabulated once per batch, and the terms are products of table entries.
+    The rows at x and at d*x are walked once, in sorted order, sharing the
+    products of their common prefixes (_fixed_sums).
 
-    Precision.  Let p be the working precision in bits, h the largest
-    |Im x_j| of the batch and M = e^{2 pi d big h}, big as in _orbit_growth
-    (on the sample box h <= 1 and M < 10^{dps - 24}).  A term is a product
-    of n <= d*big factors z_j^{+-1}, so it and every partial product, table
-    entry and sub-product of it has modulus at most M.  Two kinds of error
-    enter:
-    - z_j and 1/z_j are evaluated at p + 32 bits, a few units in the last
-      place, relative error below 2^{-p-29} each; the term, of modulus at
-      most M, is off by less than n 2^{-p-29} M;
-    - truncating z_j^{+-1} to P fractional bits and each of the at most n
-      fixed-point products is off by less than sqrt(2) 2^-P, later
-      multiplied by a sub-product of modulus at most M: in all less than
-      2 sqrt(2) n M 2^-P.
+    Precision.  Let p = P - 32 be the working precision in bits, h the
+    largest |Im x_j| of the batch and M = e^{2 pi d big h}, big as in
+    _orbit_growth (on the sample box h <= 1 and M < 10^{dps - 24}).  A term
+    is a product of n <= d*big factors z_j^{+-1}, so it and every partial
+    product, table entry and sub-product of it has modulus at most M.  z_j
+    is exact.  1/z_j is floored in each part, so it is off by less than
+    sqrt(2) 2^-P, a relative error of at most sqrt(2) e^{2 pi h} 2^-P
+    (|z_j| <= e^{2 pi h}).  Two kinds of error enter, each later multiplied
+    by a sub-product of modulus at most M:
+    - each of the at most n factors 1/z_j, off by less than sqrt(2) 2^-P:
+      in all less than sqrt(2) n M 2^-P;
+    - each of the at most n fixed-point products, truncated by less than
+      sqrt(2) 2^-P: in all less than sqrt(2) n M 2^-P.
     With
 
         P = p + 32,
 
-    the second is below n 2^{-p-30} M, so each term is off by less than
-    n 2^{-p-28} M < 2^-p M (n < 2^28): an absolute error no worse than
+    each term is off by less than (to first order) 2 sqrt(2) n M 2^-P
+    < n 2^{-p-30} M < 2^-p M (n < 2^30): an absolute error no worse than
     rounding the largest term at the working precision.
     """
 
@@ -531,25 +572,19 @@ class GencosPair:
             [{tuple(r): 1 for r in rk} for rk in rows]
             + [{tuple(d * c for c in r): 1 for r in rk} for rk in rows])
 
-    def __call__(self, points) -> tuple:
-        rank, top = self.rank, self.top
-        p = mpmath.mp.prec
-        P = p + 32
+    def __call__(self, z, P: int) -> tuple:
         # tables[j][k] = z_j^k for 0 < |k| <= top; negative k index from
         # the end of the list, and k = 0 is never looked up
         tables = []
-        for j in range(rank):
-            with mpmath.workprec(p + 32):
-                zs = [mpmath.expjpi(2 * x[j]) for x in points]
-                ws = [1 / z for z in zs]
-            z, w = _fixed_array(zs, P), _fixed_array(ws, P)
-            up, down = [None, z], [w]
-            while len(down) < top:
-                up.append(_mul(up[-1], z, P))
-                down.append(_mul(down[-1], w, P))
+        for zj in z:
+            wj = _div((1 << P, 0), zj, P)
+            up, down = [None, zj], [wj]
+            while len(down) < self.top:
+                up.append(_mul(up[-1], zj, P))
+                down.append(_mul(down[-1], wj, P))
             tables.append(up + down[::-1])
-        sums = _fixed_sums(tables, self.terms, 2 * rank, len(points), P)
-        return P, sums[:rank], sums[rank:]
+        sums = _fixed_sums(tables, self.terms, 2 * self.rank, len(z[0][0]), P)
+        return sums[:self.rank], sums[self.rank:]
 
 
 def chunked(items: list):
@@ -588,7 +623,6 @@ def eval_polys_fixed(comps, values, P: int) -> list:
         tables.append(pw)
     return _fixed_sums(tables, _term_index(comps), len(comps), size, P)
 
-
 def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
                                samples: int = 100, tol: float = 1e-8,
                                seed: int = 0) -> FunctionalEquationReport:
@@ -597,22 +631,22 @@ def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
     [-1,1] + i[-1,1].
 
     The sample values grow like exp(2 pi d |Im x|), far past float64 for the
-    larger systems, so evaluation runs at adaptive mpmath precision
-    (_needed_dps).  The points go through the fixed-point kernel in batches
-    of CHECK_CHUNK: gencos(x) and gencos(d x) from GencosPair, then
-    T_d(gencos x) by eval_polys_fixed; the reported residual is the largest
-    fixed-point gap, rounded to float.
+    larger systems, so evaluation runs in fixed point at P =
+    check_precision(rs, d) bits.  The points go through the kernel in
+    batches of CHECK_CHUNK: z from fixed_exp, gencos(x) and gencos(d x)
+    from GencosPair, then T_d(gencos x) by eval_polys_fixed; the reported
+    residual is the largest fixed-point gap, rounded to float.
     """
     rng = random.Random(seed)
     points = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                for _ in range(rs.rank)] for _ in range(samples)]
+    P = check_precision(rs, d)
+    pair = GencosPair(rs, d)
     residuals = []
-    with mpmath.workdps(_needed_dps(rs, d)):
-        pair = GencosPair(rs, d)
-        for chunk in chunked(points):
-            P, gx, gdx = pair(chunk)
-            lhs = eval_polys_fixed(pmap.components, gx, P)
-            residuals += fixed_distances(lhs, gdx, P)
+    for chunk in chunked(points):
+        gx, gdx = pair(fixed_exp(chunk, P), P)
+        lhs = eval_polys_fixed(pmap.components, gx, P)
+        residuals += fixed_distances(lhs, gdx, P)
     max_res = max(residuals, default=0.0)
     return FunctionalEquationReport(rs.type_spec, d, samples, tol, max_res)
 

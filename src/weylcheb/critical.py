@@ -14,12 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
-from .chebmap import (GencosPair, PolynomialMap, _needed_dps, chunked,
-                      eval_polys_fixed, fixed_distances, fixed_to_mpc,
-                      jacobian_polys)
+from .chebmap import (GencosPair, PolynomialMap, _div, _mul, _sqrt_float,
+                      check_precision, chunked, eval_polys_fixed,
+                      fixed_distances, fixed_exp, jacobian_polys)
 from .gencos import eval_gencos, is_on_diagram
 from .rootsys import Root, RootSystem
 
@@ -55,7 +54,10 @@ class PostCriticalReport:
 
     @property
     def passed(self) -> bool:
-        return bool(self.max_det_residual <= self.tol
+        """Every one of `samples` strict preimages was found and checked,
+        and both residuals are within tol."""
+        return bool(len(self.det_residuals) == self.samples
+                    and self.max_det_residual <= self.tol
                     and self.max_value_residual <= self.tol)
 
     def as_dict(self) -> dict:
@@ -115,11 +117,15 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
     d) are flagged in `skipped` and redrawn until `samples` strict-preimage
     points have been found.
 
-    The points are then evaluated in batches of CHECK_CHUNK, all at the
-    precision _needed_dps gives for the largest |Im y_j| of all of them:
-    gencos(y) and gencos(d*y) by GencosPair, the Jacobian entries and
-    T_d(gencos y) on the same fixed-point values by eval_polys_fixed.  Only
-    the Jacobian entries become mpc, for the determinant.
+    The points are then evaluated in batches of CHECK_CHUNK, all in the
+    fixed point check_precision gives for the largest |Im y_j| of all of
+    them: z = e^{2 pi i y} with each pivot solved again from its wall
+    (_on_walls), gencos(y) and gencos(d*y) by GencosPair, and the Jacobian
+    entries and T_d(gencos y) on the same fixed-point values by
+    eval_polys_fixed.  The determinant of those entries is exact
+    (bareiss_det), so the only error left in it is the entries', as bounded
+    in eval_polys_fixed.  A check that finds fewer than `samples` strict
+    preimages in 40 batches of draws does not pass.
     """
     report = PostCriticalReport(rs.type_spec, d, samples, tol)
     preimages = []
@@ -143,59 +149,116 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
     # off by about 4e-6 on G2 6, above tol
     polys = [*(p for row in jacobian_polys(pmap) for p in row),
              *pmap.components]
-    with mpmath.workdps(_needed_dps(rs, d, h)):
-        pair = GencosPair(rs, d)
-        for chunk in chunked(preimages):
-            ys = [_on_wall(y, wall, d) for wall, y in chunk]
-            P, gy, gdy = pair(ys)
-            vals = eval_polys_fixed(polys, gy, P)
-            entries = [fixed_to_mpc(v, P) for v in vals[:n * n]]
-            for k in range(len(ys)):
-                jt = [[entries[i * n + j][k] for j in range(n)]
-                      for i in range(n)]
-                report.det_residuals.append(float(abs(_det(jt))))
-            # critical value lands where the scaled wall point maps
-            report.value_residuals.extend(
-                fixed_distances(vals[n * n:], gdy, P))
+    P = check_precision(rs, d, h)
+    pair = GencosPair(rs, d)
+    for chunk in chunked(preimages):
+        gy, gdy = pair(_on_walls(chunk, d, P), P)
+        vals = eval_polys_fixed(polys, gy, P)
+        for k in range(len(chunk)):
+            jac = [[(vals[i * n + j][0][k], vals[i * n + j][1][k])
+                    for j in range(n)] for i in range(n)]
+            re, im = bareiss_det(jac)
+            report.det_residuals.append(_sqrt_float(re * re + im * im, n * P))
+        # critical value lands where the scaled wall point maps
+        report.value_residuals.extend(fixed_distances(vals[n * n:], gdy, P))
     return report
 
 
-def _on_wall(y, wall, d) -> list:
-    """y as mpc, with its pivot coordinate solved again from the wall
-    <v, d*y> = ell at the working precision.  The float64 point sits about
-    1e-17 off its wall, and the determinant there grows with that offset
-    times the Jacobian entries: on B6 2, C6 2 and E7 2 past tol."""
-    v, ell = wall
-    w = v.weight_coords
-    pivot = _pivot(w)
-    y = [mpmath.mpc(c) for c in y]
-    y[pivot] = (mpmath.mpf(ell) / d
-                - mpmath.fsum(w[j] * y[j] for j in range(len(y)) if j != pivot)
-                ) / w[pivot]
-    return y
+def _power(u, k: int, P: int) -> tuple:
+    """u^k (k >= 0) of a fixed-point value, by repeated squaring."""
+    out = (1 << P, 0)
+    while k:
+        if k & 1:
+            out = _mul(out, u, P)
+        k >>= 1
+        if k:
+            u = _mul(u, u, P)
+    return out
 
 
-def _det(m):
-    """Determinant by Gaussian elimination with partial pivoting, in the
-    arithmetic of the entries (mpmath.det is about 3x slower on these
-    small matrices)."""
+def _on_walls(chunk, d: int, P: int) -> list:
+    """z = e^{2 pi i y} for a batch of (wall, y), as fixed_exp gives it, with
+    each pivot coordinate solved again from its wall.
+
+    d*y on the wall <v, x> = ell means prod_j z_j^{d w_j} = 1, w the weight
+    coordinates of v.  With the other coordinates fixed, the pivot's z_p
+    solves u^m = c, m = d |w_p| and c = prod_{j != p} z_j^{-s d w_j}, s the
+    sign of w_p: wall_root from z_p's float64 value, which picks the root
+    of y's own branch.  The float64 point sits about 1e-17 off its wall,
+    and the determinant there grows with that offset times the Jacobian
+    entries: on B6 2, C6 2 and E7 2 past tol."""
+    z = fixed_exp([y for _, y in chunk], P)
+    one = (1 << P, 0)
+    for k, ((v, _), _) in enumerate(chunk):
+        w = v.weight_coords
+        p = _pivot(w)
+        s = 1 if w[p] > 0 else -1
+        c = one
+        for j, wj in enumerate(w):
+            e = -s * d * wj
+            if j != p and e:
+                zj = (z[j][0][k], z[j][1][k])
+                f = zj if e > 0 else _div(one, zj, P)
+                c = _mul(c, _power(f, abs(e), P), P)
+        z[p][0][k], z[p][1][k] = wall_root(
+            c, d * abs(w[p]), (z[p][0][k], z[p][1][k]), P)
+    return z
+
+
+def wall_root(c, m: int, u0, P: int) -> tuple:
+    """The root of u^m = c (m >= 1) that u0 is near, all fixed-point values
+    of P fractional bits given as pairs of ints, by Newton's method from
+    u0: u <- u - (u^m - c) / (m u^{m-1}).  From a start within about 2^-46
+    of a root (relative), as a float64 exponential is, each step squares
+    the relative error (times about m / 2), so ceil(log2(P / 48)) + 1
+    steps reach 2^-P; one more is taken for margin."""
+    u = u0
+    for _ in range((P // 48).bit_length() + 2):
+        pw = _power(u, m - 1, P)
+        f = _mul(pw, u, P)
+        step = _div((f[0] - c[0], f[1] - c[1]), (m * pw[0], m * pw[1]), P)
+        u = (u[0] - step[0], u[1] - step[1])
+    return u
+
+
+def bareiss_det(m) -> tuple:
+    """Determinant of a square matrix over the Gaussian integers, entries
+    and result pairs (re, im) of ints, exactly, by Bareiss's fraction-free
+    elimination (Bareiss, Math. Comp. 22, 1968): every entry stays a minor
+    of m, so each division by the previous pivot is exact.  A zero pivot is
+    swapped for a row below with a nonzero entry, or the determinant is 0;
+    an inexact division raises ArithmeticError."""
     m = [list(row) for row in m]
     n = len(m)
-    out = 1
-    for i in range(n):
-        p = max(range(i, n), key=lambda r: abs(m[r][i]))
-        if p != i:
-            m[i], m[p] = m[p], m[i]
-            out = -out
-        piv = m[i][i]
-        if not piv:
-            return piv
-        out *= piv
-        for r in range(i + 1, n):
-            f = m[r][i] / piv
-            for c in range(i + 1, n):
-                m[r][c] -= f * m[i][c]
-    return out
+    sign = 1
+    pr, pi = 1, 0  # the previous pivot
+    for k in range(n - 1):
+        if m[k][k] == (0, 0):
+            r = next((r for r in range(k + 1, n) if m[r][k] != (0, 0)), None)
+            if r is None:
+                return 0, 0
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        top = m[k]
+        a, b = top[k]
+        norm = pr * pr + pi * pi
+        for row in m[k + 1:]:
+            c, s = row[k]
+            for j in range(k + 1, n):
+                (e, f), (g, t) = row[j], top[j]
+                # (row[j] * pivot - row[k] * top[j]) / previous pivot
+                re = e * a - f * b - c * g + s * t
+                im = e * b + f * a - c * t - s * g
+                qr, rr = divmod(re * pr + im * pi, norm)
+                qi, ri = divmod(im * pr - re * pi, norm)
+                if rr or ri:
+                    raise ArithmeticError(
+                        f"Bareiss step {k}: ({re}, {im}) is not a multiple "
+                        f"of the pivot ({pr}, {pi})")
+                row[j] = qr, qi
+        pr, pi = a, b
+    re, im = m[-1][-1]
+    return sign * re, sign * im
 
 
 def deltoid_residual(x1: complex, x2: complex) -> complex:

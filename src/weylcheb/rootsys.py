@@ -18,6 +18,7 @@ are normalized to squared length 2 in every irreducible factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -695,16 +696,22 @@ def verify_axioms(rs: RootSystem) -> AxiomReport:
                     .reshape(len(roots), len(roots)))
     checks.append(AxiomCheck("closure", clo_wit is None, clo_wit))
 
-    # integrality of 2<v,w>/<v,v>, cross-checked against the stored coroot:
-    # <v, v> = (len_v / 2) <v, v^vee> must be len_v, and then
+    # integrality of 2<v,w>/<v,v>, cross-checked against the stored coroot
+    # and length: <v, v^vee> must be 2, len_v <v^vee, v^vee> must be 4
+    # (exact: rs.gram with its denominators cleared), and then
     # 2<v,w>/<v,v> = len_w <v, w^vee> / len_v must equal <w, v^vee>
-    len_bad = lens * np.diag(pair) != 2 * lens
+    den = math.lcm(*(g.denominator for row in rs.gram for g in row))
+    gram_co = np.array([[int(g * den) for g in row] for row in rs.gram],
+                       dtype=np.int64)
+    coroot_bad = np.diag(pair) != 2
+    len_bad = lens * np.einsum("ij,jk,ik->i", cos, gram_co, cos) != 4 * den
     pair_bad = lens[None, :] * pair != lens[:, None] * pair.T
-    row_bad = len_bad | pair_bad.any(axis=1)
+    row_bad = coroot_bad | len_bad | pair_bad.any(axis=1)
     int_wit = None
     if row_bad.any():
         i = int(np.argmax(row_bad))
-        int_wit = ((roots[i], "length_sq mismatch") if len_bad[i]
+        int_wit = ((roots[i], "coroot mismatch") if coroot_bad[i]
+                   else (roots[i], "length_sq mismatch") if len_bad[i]
                    else (roots[i], roots[int(np.argmax(pair_bad[i]))]))
     checks.append(AxiomCheck("integrality", int_wit is None, int_wit))
 

@@ -304,17 +304,20 @@ def test_eval_dimension_mismatch(rs):
 
 # --- functional equation -----------------------------------------------------------
 
-def _gencos_per_row(rsys, x):
-    """Reference gencos at mpmath precision: one fsum and one expjpi per
-    orbit row."""
-    out = []
-    for k in range(rsys.rank):
-        total = mpmath.mpc(0)
-        for row in orbit_matrix(rsys, k):
-            p = mpmath.fsum(int(r) * xi for r, xi in zip(row, x))
-            total += mpmath.expjpi(2 * p)
-        out.append(total)
-    return out
+def _to_mpc(value, P):
+    """A fixed-point value as one mpc per point (exact when the working
+    precision holds it)."""
+    return [mpmath.mpc(mpmath.mpf((a, -P)), mpmath.mpf((b, -P)))
+            for a, b in zip(*value)]
+
+
+def _gencos_per_row(rsys, z, scale):
+    """Reference gencos at x * scale, z_j = e^{2 pi i x_j}, in mpmath: one
+    product of powers z_j^{scale r_j} per orbit row r."""
+    return [mpmath.fsum(mpmath.fprod(zj ** (scale * int(r))
+                                     for zj, r in zip(z, row))
+                        for row in orbit_matrix(rsys, k))
+            for k in range(rsys.rank)]
 
 
 def _box_points(rsys, randoms):
@@ -336,19 +339,24 @@ def _box_points(rsys, randoms):
                                             ("G2", 6, 4), ("F4", 2, 2),
                                             ("E6", 2, 1)])
 def test_gencos_pair_matches_per_row_oracle(spec, d, randoms, rs):
+    # the oracle evaluates at the dyadic z the kernel used, exactly (64 bits
+    # above P), so only the kernel's own error is measured
     rsys = rs(spec)
     points = _box_points(rsys, randoms)
     dps = chebmap._needed_dps(rsys, d)
-    with mpmath.workdps(dps):
+    P = chebmap.check_precision(rsys, d)
+    z = chebmap.fixed_exp(points, P)
+    gx, gdx = chebmap.GencosPair(rsys, d)(z, P)
+    with mpmath.workprec(P + 64):
         # ten digits short of the working precision: room for cancellation
-        # at the random points; truncating to 60 bits fewer fails it
+        # at the random points; a reciprocal 1/z_j floored 70 bits short of
+        # P fails it
         rel = mpmath.mpf(10) ** (10 - dps)
-        P, gx, gdx = chebmap.GencosPair(rsys, d)(points)
-        got = [chebmap.fixed_to_mpc(v, P) for v in gx + gdx]
+        got = [_to_mpc(v, P) for v in gx + gdx]
+        zs = [_to_mpc(v, P) for v in z]
         for i, point in enumerate(points):
-            x = [mpmath.mpc(v) for v in point]
-            want = (_gencos_per_row(rsys, x)
-                    + _gencos_per_row(rsys, [d * v for v in x]))
+            zi = [zj[i] for zj in zs]
+            want = _gencos_per_row(rsys, zi, 1) + _gencos_per_row(rsys, zi, d)
             for values, ref in zip(got, want):
                 assert abs(values[i] - ref) <= rel * abs(ref), (point, values[i], ref)
 
@@ -364,12 +372,12 @@ def test_fixed_point_polys_within_documented_bound(spec, d, rs):
     degree = max(sum(e) for comp in comps for e in comp)
     points = _box_points(rsys, 2)
     dps = chebmap._needed_dps(rsys, d)
-    with mpmath.workdps(dps):
-        P, gx, _ = chebmap.GencosPair(rsys, d)(points)
-        got = chebmap.eval_polys_fixed(comps, gx, P)
+    P = chebmap.check_precision(rsys, d)
+    gx, _ = chebmap.GencosPair(rsys, d)(chebmap.fixed_exp(points, P), P)
+    got = chebmap.eval_polys_fixed(comps, gx, P)
     with mpmath.workdps(2 * dps):
-        xs = [chebmap.fixed_to_mpc(v, P) for v in gx]
-        got = [chebmap.fixed_to_mpc(v, P) for v in got]
+        xs = [_to_mpc(v, P) for v in gx]
+        got = [_to_mpc(v, P) for v in got]
         for i in range(len(points)):
             x = [v[i] for v in xs]
             a = [max(1, abs(v)) for v in x]
@@ -379,6 +387,47 @@ def test_fixed_point_polys_within_documented_bound(spec, d, rs):
                     for e, c in comp.items())
                 bound = math.sqrt(2) * degree * mpmath.ldexp(scale, -P)
                 assert abs(values[i] - want) <= bound, (i, values[i], want, bound)
+
+
+@pytest.mark.parametrize("spec,d,h", [("A2", 3, 1.0), ("G2", 6, 1.0),
+                                      ("F4", 2, 1.0), ("E6", 2, 1.0),
+                                      ("C6", 2, 0.137), ("G2", 12, 0.01)])
+def test_check_precision_is_mpmath_rule(spec, d, h, rs):
+    # P = p + 32, p the bits mpmath gives the digits of _needed_dps
+    from mpmath.libmp import dps_to_prec
+    rsys = rs(spec)
+    assert chebmap.check_precision(rsys, d, h) == \
+        dps_to_prec(chebmap._needed_dps(rsys, d, h)) + 32
+
+
+@pytest.mark.parametrize("spec", ["A2", "F4"])
+def test_fixed_exp_is_the_float64_exponential(spec, rs):
+    rsys = rs(spec)
+    points = _box_points(rsys, 20)
+    P = chebmap.check_precision(rsys, 2)
+    z = chebmap.fixed_exp(points, P)
+    want = np.exp(2j * np.pi * np.array(points))
+    for (re, im), col in zip(z, want.T):
+        for fixed, parts in ((re, col.real), (im, col.imag)):
+            assert ([Fraction(int(v), 1 << P) for v in fixed]
+                    == list(map(Fraction, parts)))
+
+
+@pytest.mark.parametrize("spec", ["A2", "G2", "F4"])
+def test_reciprocal_within_documented_bound(spec, rs):
+    # z (1/z) = 1 up to |z| sqrt(2) 2^-P, 1/z off by less than sqrt(2) 2^-P;
+    # with 1/z floored one bit short of P, the largest error ratio passes 1
+    rsys = rs(spec)
+    P = chebmap.check_precision(rsys, 2)
+    ratios = []
+    for a, b in chebmap.fixed_exp(_box_points(rsys, 20), P):
+        wr, wi = chebmap._div((1 << P, 0), (a, b), P)
+        for a, b, wr, wi in zip(a, b, wr, wi):
+            # z w - 1 in units of 2^{-2P}: exact
+            re, im = a * wr - b * wi - (1 << 2 * P), a * wi + b * wr
+            ratios.append(Fraction(re * re + im * im, 2 * (a * a + b * b)))
+    assert max(ratios) < 1
+    assert max(ratios) > Fraction(1, 4)  # the bound is not vacuous
 
 
 @pytest.mark.parametrize("spec,d", [("A2", 2), ("G2", 2), ("A1xA1", 3)])

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: JSON schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylcheb
 from weylcheb.cli import main
 
 
@@ -11,6 +16,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_cli_import_leaves_mpmath_out():
+    # every CLI process pays for its imports, and no check needs mpmath
+    src = str(Path(weylcheb.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weylcheb.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # --- roots -----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from weylcheb.chebmap import (PolynomialMap, build_cheb_map,
                               verify_functional_equation)
 from weylcheb.critical import (
     DiagramSample,
+    bareiss_det,
     deltoid_check,
     deltoid_residual,
     post_critical_check,
@@ -60,7 +61,8 @@ def test_postcritical_determinant_vanishes(spec, d, rs):
 def test_postcritical_g2_degree_6(seed, rs):
     # evaluated in float64 the det residual was about 4e-6 here, above tol;
     # in mpmath at float64 wall points about 2e-11; with each point put on
-    # its wall at the working precision it is about 3e-21
+    # its wall at the working precision about 3e-21, and with the pivot
+    # solved in fixed point and the determinant exact about 1e-29
     rsys = rs("G2")
     rep = post_critical_check(rsys, 6, build_cheb_map(rsys, 6), seed=seed)
     assert rep.passed, (rep.max_det_residual, rep.max_value_residual)
@@ -75,6 +77,102 @@ def test_postcritical_rank_six_at_default_samples(spec, rs):
     rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2))
     assert len(rep.det_residuals) == 50
     assert rep.passed, (rep.max_det_residual, rep.max_value_residual)
+
+
+def test_postcritical_without_enough_preimages_does_not_pass(rs, monkeypatch):
+    # a level-0 wall passes through 0, so y = x / d lies on it too: every
+    # draw is skipped, and a check of no points must not pass
+    rsys = rs("A2")
+    real = critical.sample_diagram_points
+    monkeypatch.setattr(
+        critical, "sample_diagram_points",
+        lambda rsys, count, seed: real(rsys, count, (0,), seed))
+    rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2), samples=10)
+    assert rep.det_residuals == [] and rep.skipped == 400
+    assert rep.passed is False
+    assert rep.as_dict() == {
+        "type_spec": "A2", "d": 2, "samples": 10, "skipped": 400,
+        "max_det_residual": 0.0, "max_value_residual": 0.0, "tol": 1e-7,
+        "pass": False}
+
+
+@pytest.mark.parametrize("spec", ["B6", "C6"])
+def test_postcritical_fails_at_unrefined_pivots(spec, rs, monkeypatch):
+    # the float64 pivot sits about 1e-17 off its wall: at seed 0 the det
+    # residual is 3.4e-6 on B6 2 and 1.4e-6 on C6 2, past tol
+    monkeypatch.setattr(critical, "wall_root", lambda c, m, u0, P: u0)
+    rsys = rs(spec)
+    rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2))
+    assert len(rep.det_residuals) == 50
+    assert rep.max_det_residual > 10 * rep.tol
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("spec,d", [("G2", 6), ("C6", 2)])
+def test_wall_root_is_the_root_nearest_the_float64_pivot(spec, d, rs,
+                                                         monkeypatch):
+    import mpmath
+    seen = []
+    real = critical.wall_root
+
+    def recording(c, m, u0, P):
+        u = real(c, m, u0, P)
+        seen.append((c, m, u0, u, P))
+        return u
+
+    monkeypatch.setattr(critical, "wall_root", recording)
+    rsys = rs(spec)
+    post_critical_check(rsys, d, build_cheb_map(rsys, d), samples=20)
+    assert len(seen) == 20
+    for c, m, u0, u, P in seen:
+        with mpmath.workprec(2 * P):
+            c, u, u0 = (mpmath.mpc(mpmath.mpf((a, -P)), mpmath.mpf((b, -P)))
+                        for a, b in (c, u, u0))
+            unit = mpmath.ldexp(1, -P)
+            # the equation residual, to first order the distance to a root
+            assert abs(u ** m - c) <= 4 * unit * m * abs(u) ** (m - 1)
+            nearest = min((mpmath.root(c, m, k) for k in range(m)),
+                          key=lambda r: abs(r - u0))
+            assert abs(u - nearest) <= 4 * unit
+
+
+def _sympy_det(m):
+    import sympy
+    det = sympy.expand(sympy.Matrix(
+        [[a + b * sympy.I for a, b in row] for row in m]).det())
+    return int(sympy.re(det)), int(sympy.im(det))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+def test_bareiss_det_matches_sympy(n):
+    rng = random.Random(40 + n)
+    for bits in (4, 150):
+        m = [[(rng.randint(-2 ** bits, 2 ** bits),
+               rng.randint(-2 ** bits, 2 ** bits)) for _ in range(n)]
+             for _ in range(n)]
+        assert bareiss_det(m) == _sympy_det(m)
+        m[0][0] = (0, 0)  # a zero leading pivot: swapped for a row below
+        assert bareiss_det(m) == _sympy_det(m)
+
+
+def test_bareiss_det_swaps_a_zero_pivot_midway():
+    # the leading 2x2 minor vanishes, so the second pivot is 0
+    m = [[(1, 1), (2, 0), (0, 3)],
+         [(2, 2), (4, 0), (1, 0)],
+         [(0, 1), (1, -1), (5, 2)]]
+    assert bareiss_det(m) == _sympy_det(m) != (0, 0)
+
+
+def test_bareiss_det_of_singular_matrices_is_zero():
+    rng = random.Random(41)
+    rows = [[(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(4)]
+            for _ in range(3)]
+    # row 3 = (2 + i) row 0 - 3 row 2
+    last = [(2 * a - b - 3 * e, a + 2 * b - 3 * f)
+            for (a, b), (e, f) in zip(rows[0], rows[2])]
+    assert bareiss_det([*rows, last]) == _sympy_det([*rows, last]) == (0, 0)
+    zero_column = [[(0, 0), *row[1:]] for row in [*rows, rows[1]]]
+    assert bareiss_det(zero_column) == (0, 0)
 
 
 @pytest.mark.parametrize("spec,d", [("G2", 6), ("F4", 2)])

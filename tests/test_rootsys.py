@@ -149,9 +149,7 @@ def test_axioms_fail_with_a_doubled_root():
 
 
 def test_axioms_fail_with_a_wrong_length():
-    # <v, v> = (len_v / 2) <v, v^vee> still equals the corrupted len_v; the
-    # pairing 2<v,w>/<v,v> with the first other root w not orthogonal to v
-    # fails
+    # <v, v^vee> is still 2, but len_v <v^vee, v^vee> is no longer 4
     rsys = build_root_system("G2")
     roots = list(rsys.roots)
     v = roots[0]
@@ -159,15 +157,13 @@ def test_axioms_fail_with_a_wrong_length():
     report = verify_axioms(_with_roots(rsys, roots))
     integrality = _check(report, "integrality")
     assert not integrality.passed
-    first = next(w for w in roots[1:]
-                 if sum(a * b for a, b in zip(v.weight_coords, w.coroot_coords)))
-    assert integrality.witness == (roots[0], first)
+    assert integrality.witness == (roots[0], "length_sq mismatch")
     assert _check(report, "multiples").passed
     assert _check(report, "closure").passed
 
 
 def test_axioms_fail_with_a_coroot_off_its_root():
-    # <v, v^vee> = 1 instead of 2: the length check names v
+    # <v, v^vee> = 1 instead of 2: the coroot check names v
     rsys = build_root_system("A2")
     roots = list(rsys.roots)
     v = roots[0]
@@ -175,7 +171,23 @@ def test_axioms_fail_with_a_coroot_off_its_root():
     integrality = _check(verify_axioms(_with_roots(rsys, roots)),
                          "integrality")
     assert not integrality.passed
-    assert integrality.witness == (roots[0], "length_sq mismatch")
+    assert integrality.witness == (roots[0], "coroot mismatch")
+
+
+def test_axioms_fail_with_a_pairing_off_the_other_roots():
+    # v = (2, 0) of A1xA1 with coroot (1, 1) and length 1: <v, v^vee> = 2
+    # and len_v <v^vee, v^vee> = 4 still hold, but the pairing with the
+    # second factor's root w does not, len_w <v, w^vee> = 0 against
+    # len_v <w, v^vee> = 2
+    rsys = build_root_system("A1xA1")
+    roots = list(rsys.roots)
+    i = next(k for k, r in enumerate(roots) if r.weight_coords == (2, 0))
+    roots[i] = Root((2, 0), (1, 1), 1)
+    integrality = _check(verify_axioms(_with_roots(rsys, roots)),
+                         "integrality")
+    assert not integrality.passed
+    w = integrality.witness[1]
+    assert integrality.witness[0] == roots[i] and w.weight_coords[0] == 0
 
 
 # --- reflections ------------------------------------------------------------
