@@ -29,16 +29,28 @@ reduction order.  Elimination pops the height-maximal term from a heap, and
 raises if a popped term is not below the previous one or an expansion does
 not lead with coefficient 1.
 
-The functional check T_d(gencos(x)) = gencos(d x) and the post-critical
-check (critical.post_critical_check) share one kernel, run over a check's
-sample points in batches of CHECK_CHUNK, all at one precision, in
-Gaussian-integer fixed point with P = p + 32 fractional bits (p the bits
-mpmath would give the decimal digits of _needed_dps; check_precision).
-The identity under test is a Laurent-polynomial identity in
-z_j = e^{2 pi i x_j}, so any exactly known z serves as a sample: fixed_exp
-takes z from one float64 exp per batch, truncated to P bits, and so exact
-at a point within about 1e-16 of the drawn one.  GencosPair gives gencos
-and gencos(d .) at that z, every orbit term a product of tabulated powers
+The functional check T_d(gencos(x)) = gencos(d x) is exact.  With
+z_j = e^{2 pi i x_j} both sides are integer Laurent polynomials in z, so
+the identity is tested modulo a prime p drawn from the seed in
+[2^30, 2^31) (draw_prime), at seeded points z of (F_p^*)^n, in int64 numpy:
+a product of two residues is below 2^62, and a sum of fewer than 2^32
+residues below 2^63.  gencos(z) and gencos(z^d) are sums of products of
+tabulated powers z_j^k mod p (gencos_pair_mod), and T_d is evaluated from
+one exponent matrix of its monomials (eval_polys_mod).  A nonzero
+residual, a Laurent polynomial of total degree deg once its negative
+exponents are cleared, vanishes at a uniform point of (F_p^*)^n with
+probability at most deg/(p-1) (Schwartz-Zippel), unless p divides all its
+integer coefficients; a new seed draws a new p.
+
+The post-critical check (critical.post_critical_check) runs its sample
+points through one kernel in batches of CHECK_CHUNK, all at one
+precision, in Gaussian-integer fixed point with P = p + 32 fractional bits
+(p the bits mpmath would give the decimal digits of _needed_dps;
+check_precision).  The identities there are Laurent-polynomial identities
+in z too, so any exactly known z serves as a sample: fixed_exp takes z
+from one float64 exp per batch, truncated to P bits, and so exact at a
+point within about 1e-16 of the drawn one.  GencosPair gives gencos and
+gencos(d .) at that z, every orbit term a product of tabulated powers
 z_j^k, and eval_polys_fixed evaluates T_d and its Jacobian on those same
 fixed-point values.  Each orbit term is off by less than 2^-p M,
 M = e^{2 pi d big max|Im x_j|} bounding every partial product: no worse
@@ -54,6 +66,7 @@ import math
 import random
 import weakref
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,9 +74,12 @@ from .errors import DimensionError
 from .rootsys import (RootSystem, dominant_weight, fundamental_orbit_table,
                       invert_fraction, orbit, orbit_matrix, orbit_size)
 
-# points per fixed-point batch of the sampled checks: memory stays bounded
-# for any sample count, and the default sample counts run as one batch
+# points per fixed-point batch of the post-critical check: memory stays
+# bounded for any sample count, and the default sample count runs as one batch
 CHECK_CHUNK = 256
+# int64 cells per (points x 2 orbit rows) array of one batch of the
+# functional check (16 MiB): E7 runs 59 points a batch, F4 4369
+FIELD_CELLS = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +390,8 @@ def compose_poly_maps(p: PolynomialMap, q: PolynomialMap,
 
 
 # ---------------------------------------------------------------------------
-# functional-equation verification
+# the Gaussian fixed-point kernel of the post-critical check
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FunctionalEquationReport:
-    type_spec: str
-    d: int
-    samples: int
-    tol: float
-    max_residual: float
-
-    @property
-    def passed(self):
-        return self.max_residual <= self.tol
-
-    def as_dict(self):
-        return {"type_spec": self.type_spec, "d": self.d,
-                "samples": self.samples, "tol": self.tol,
-                "max_residual": self.max_residual, "pass": self.passed}
-
 
 def _orbit_growth(rs: RootSystem) -> int:
     """big = max over the orbit rows of sum_j |r_j|: over the sample box
@@ -623,32 +621,165 @@ def eval_polys_fixed(comps, values, P: int) -> list:
         tables.append(pw)
     return _fixed_sums(tables, _term_index(comps), len(comps), size, P)
 
+
+# ---------------------------------------------------------------------------
+# functional-equation verification over a prime field
+# ---------------------------------------------------------------------------
+
+# Miller-Rabin with bases 2, 3, 5, 7 is exact below 3,215,031,751, the least
+# strong pseudoprime to all four (Jaeschke, Math. Comp. 61, 1993)
+_MR_BASES = (2, 3, 5, 7)
+_MR_LIMIT = 3_215_031_751
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 3, 5, 7; n must be below
+    3,215,031,751, where these bases decide primality."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is past the range where bases 2, 3, 5, 7 "
+                         "decide primality")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def draw_prime(rng: random.Random) -> int:
+    """A prime drawn uniformly from [2^30, 2^31): residues are below 2^31,
+    so a product of two fits in int64."""
+    while True:
+        p = rng.randrange(1 << 30, 1 << 31)
+        if is_prime(p):
+            return p
+
+
+def gencos_pair_mod(rs: RootSystem, d: int, z: np.ndarray, p: int) -> tuple:
+    """gencos and gencos(d .) modulo p at a batch of points z, an (S, n)
+    int64 array of residues in [1, p - 1] standing for e^{2 pi i x_j}: two
+    (S, n) arrays of residues.
+
+    The powers z_j^k, |k| <= d K (K the largest |r_j| of an orbit row),
+    are tabulated, the inverse from one pow(z_j, p - 2, p).  The orbit term
+    of a row r is prod_j z_j^{r_j}, and at d x prod_j z_j^{d r_j}: the rows
+    and their d-multiples are walked together, n gathered products mod p
+    over an (S, 2 rows) array, then one reduceat over the orbit starts."""
+    rows, starts = fundamental_orbit_table(rs)
+    top = d * int(np.abs(rows).max())
+    inv = np.array([pow(v, p - 2, p) for v in z.ravel().tolist()],
+                   dtype=np.int64).reshape(z.shape)
+    # pw[s, j, top + k] = z_j^k at point s, |k| <= top
+    pw = np.ones((*z.shape, 2 * top + 1), dtype=np.int64)
+    for k in range(1, top + 1):
+        pw[..., top + k] = pw[..., top + k - 1] * z % p
+        pw[..., top - k] = pw[..., top - k + 1] * inv % p
+    cols = np.concatenate([rows, d * rows]) + top
+    terms = pw[:, 0, cols[:, 0]]
+    for j in range(1, rs.rank):
+        terms *= pw[:, j, cols[:, j]]
+        terms %= p
+    sums = np.add.reduceat(terms, np.concatenate([starts, starts + len(rows)]),
+                           axis=1) % p
+    return sums[:, :rs.rank], sums[:, rs.rank:]
+
+
+def eval_polys_mod(comps, x: np.ndarray, p: int) -> np.ndarray:
+    """Sparse integer polynomials modulo p at a batch of points x, an (S, n)
+    int64 array of residues: an (S, len(comps)) array of residues.  Every
+    monomial of all of them is evaluated once, from one exponent matrix;
+    the coefficients are reduced mod p."""
+    monos = sorted({e for comp in comps for e in comp})
+    index = {e: i for i, e in enumerate(monos)}
+    exps = np.array(monos, dtype=np.int64).reshape(len(monos), x.shape[1])
+    pw = np.ones((*x.shape, int(exps.max(initial=0)) + 1), dtype=np.int64)
+    for k in range(1, pw.shape[2]):
+        pw[..., k] = pw[..., k - 1] * x % p
+    values = np.ones((len(x), len(monos)), dtype=np.int64)
+    for j in range(x.shape[1]):
+        values *= pw[:, j, exps[:, j]]
+        values %= p
+    out = np.empty((len(x), len(comps)), dtype=np.int64)
+    for k, comp in enumerate(comps):
+        coeffs = np.array([c % p for c in comp.values()], dtype=np.int64)
+        terms = values[:, [index[e] for e in comp]] * coeffs % p
+        out[:, k] = terms.sum(axis=1) % p
+    return out
+
+
+def residuals_mod_p(rs: RootSystem, d: int, pmap: PolynomialMap,
+                    z: np.ndarray, p: int) -> np.ndarray:
+    """T_d(gencos z) - gencos(z^d) modulo p at a batch of points z, as an
+    (S, n) int64 array of representatives in (-p/2, p/2]."""
+    gx, gdx = gencos_pair_mod(rs, d, z, p)
+    r = (eval_polys_mod(pmap.components, gx, p) - gdx) % p
+    return np.where(r > p // 2, r - p, r)
+
+
+@dataclass
+class FunctionalEquationReport:
+    """The functional check modulo `prime`: `max_residual` is the largest
+    |residual| over all samples and components, an integer, 0 when the
+    identity holds at every sample.  `witness` names the first failing
+    sample, its component k (from 0) and its point z as residues mod
+    prime, or is None."""
+    type_spec: str
+    d: int
+    samples: int
+    prime: int
+    max_residual: int
+    witness: dict | None = None
+    # residuals are integers, so any nonzero one exceeds tol
+    tol: ClassVar[float] = 0.5
+
+    @property
+    def passed(self):
+        return self.max_residual <= self.tol
+
+    def as_dict(self):
+        return {"type_spec": self.type_spec, "d": self.d,
+                "samples": self.samples, "prime": self.prime,
+                "max_residual": self.max_residual, "witness": self.witness,
+                "pass": self.passed}
+
+
 def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
-                               samples: int = 100, tol: float = 1e-8,
+                               samples: int = 100,
                                seed: int = 0) -> FunctionalEquationReport:
     """Check that the map intertwines the generalized cosine with
-    multiplication by d, at seeded random complex points with coordinates in
-    [-1,1] + i[-1,1].
-
-    The sample values grow like exp(2 pi d |Im x|), far past float64 for the
-    larger systems, so evaluation runs in fixed point at P =
-    check_precision(rs, d) bits.  The points go through the kernel in
-    batches of CHECK_CHUNK: z from fixed_exp, gencos(x) and gencos(d x)
-    from GencosPair, then T_d(gencos x) by eval_polys_fixed; the reported
-    residual is the largest fixed-point gap, rounded to float.
-    """
+    multiplication by d, exactly modulo a prime p, at `samples` seeded
+    points z of (F_p^*)^n (see the module docstring): p and then the points
+    are drawn from random.Random(seed).  The points run in batches of at
+    most FIELD_CELLS cells of the (points x 2 orbit rows) array."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
-    points = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-               for _ in range(rs.rank)] for _ in range(samples)]
-    P = check_precision(rs, d)
-    pair = GencosPair(rs, d)
-    residuals = []
-    for chunk in chunked(points):
-        gx, gdx = pair(fixed_exp(chunk, P), P)
-        lhs = eval_polys_fixed(pmap.components, gx, P)
-        residuals += fixed_distances(lhs, gdx, P)
-    max_res = max(residuals, default=0.0)
-    return FunctionalEquationReport(rs.type_spec, d, samples, tol, max_res)
+    p = draw_prime(rng)
+    z = np.array([[rng.randrange(1, p) for _ in range(rs.rank)]
+                  for _ in range(samples)], dtype=np.int64)
+    size = max(1, FIELD_CELLS // (2 * len(fundamental_orbit_table(rs)[0])))
+    res = np.concatenate([residuals_mod_p(rs, d, pmap, z[lo:lo + size], p)
+                          for lo in range(0, samples, size)])
+    bad = np.flatnonzero(res)
+    witness = None
+    if len(bad):
+        i, k = divmod(int(bad[0]), rs.rank)
+        witness = {"sample": i, "component": k, "z": z[i].tolist()}
+    return FunctionalEquationReport(rs.type_spec, d, samples, p,
+                                    int(np.abs(res).max()), witness)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import chebmap as cm
@@ -72,12 +73,17 @@ def cmd_weyl(args) -> int:
     return 0
 
 
+def _check_samples(args) -> None:
+    if args.samples < 1:
+        raise WeylchebError(f"--samples must be at least 1, got {args.samples}")
+
+
 def _synthesize_and_verify(args):
+    _check_samples(args)
     rs = build_root_system(args.type)
     pmap = cm.build_cheb_map(rs, args.d)
     rep = cm.verify_functional_equation(rs, args.d, pmap,
-                                        samples=args.samples, tol=args.tol,
-                                        seed=args.seed)
+                                        samples=args.samples, seed=args.seed)
     return rs, pmap, rep
 
 
@@ -96,6 +102,10 @@ def cmd_verify_functional(args) -> int:
 
 
 def cmd_verify_postcritical(args) -> int:
+    _check_samples(args)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise WeylchebError(f"--tol must be finite and nonnegative, "
+                            f"got {args.tol}")
     rs = build_root_system(args.type)
     pmap = cm.build_cheb_map(rs, args.d)
     rep = cr.post_critical_check(rs, args.d, pmap, samples=args.samples,
@@ -191,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("levels", type=int, help="tree depth to verify")
         if sampled:
             p.add_argument("--samples", type=int, default=100)
-            p.add_argument("--tol", type=float, default=1e-8)
         # every verb takes --seed, so one seed can be passed to any call
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write JSON here instead of stdout")
@@ -217,9 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-postcritical",
                        help="check critical/post-critical structure")
     common(p, d=True, sampled=True)
-    p.set_defaults(func=cmd_verify_postcritical)
-    # postcritical tolerances default looser than the functional equation
-    p.set_defaults(tol=1e-7, samples=50)
+    p.add_argument("--tol", type=float, default=1e-7)
+    p.set_defaults(func=cmd_verify_postcritical, samples=50)
 
     p = sub.add_parser("img-verify",
                        help="check each generator loop lifts to its label")

@@ -127,6 +127,8 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
     in eval_polys_fixed.  A check that finds fewer than `samples` strict
     preimages in 40 batches of draws does not pass.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     report = PostCriticalReport(rs.type_spec, d, samples, tol)
     preimages = []
     batch = 0

@@ -430,23 +430,145 @@ def test_reciprocal_within_documented_bound(spec, rs):
     assert max(ratios) > Fraction(1, 4)  # the bound is not vacuous
 
 
+SYNTH_CASES = [("E6", 2), ("F4", 2), ("D4", 2), ("C4", 2), ("B3xA1", 2),
+               ("G2", 12), ("B2", 16), ("A2", 24), ("A3", 6)]
+VERIFY_CASES = FULL_MATRIX + [("B3", 2), ("F4", 2), ("G2", 6)]
+
+
+def _plus_one(pmap, k, e):
+    """pmap with 1 added to the coefficient of X^e in component k."""
+    comps = [dict(c) for c in pmap.components]
+    comps[k][e] = comps[k].get(e, 0) + 1
+    return PolynomialMap(pmap.rank, tuple(comps))
+
+
+def _fixed_point_check(rsys, d, pmap, samples, seed=0, tol=1e-8):
+    """The former functional check, kept as an oracle: complex points of
+    the box [-1,1] + i[-1,1], Gaussian fixed point at check_precision bits,
+    pass when the largest gap is within tol."""
+    rng = random.Random(seed)
+    points = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+               for _ in range(rsys.rank)] for _ in range(samples)]
+    P = chebmap.check_precision(rsys, d)
+    gx, gdx = chebmap.GencosPair(rsys, d)(chebmap.fixed_exp(points, P), P)
+    lhs = chebmap.eval_polys_fixed(pmap.components, gx, P)
+    return max(chebmap.fixed_distances(lhs, gdx, P)) <= tol
+
+
 @pytest.mark.parametrize("spec,d", [("A2", 2), ("G2", 2), ("A1xA1", 3)])
 def test_functional_equation_smoke(spec, d, rs):
     rsys = rs(spec)
     rep = verify_functional_equation(rsys, d, build_cheb_map(rsys, d),
-                                     samples=25, tol=1e-8, seed=0)
+                                     samples=25, seed=0)
     assert rep.passed, rep.max_residual
+    assert rep.max_residual == 0 and rep.witness is None
 
 
 @pytest.mark.parametrize("spec,d,samples", [("A2", 2, 25), ("F4", 2, 5)])
 def test_functional_equation_catches_wrong_coefficient(spec, d, samples, rs):
+    # the residual of a +1 on X_1^d is X_1^d at gencos(z): the report must
+    # give it exactly, nonzero at every sample and in component 0 only
     rsys = rs(spec)
-    comps = [dict(c) for c in build_cheb_map(rsys, d).components]
-    comps[0][tuple(d if j == 0 else 0 for j in range(rsys.rank))] += 1
-    wrong = PolynomialMap(rsys.rank, tuple(comps))
+    e = tuple(d if j == 0 else 0 for j in range(rsys.rank))
+    wrong = _plus_one(build_cheb_map(rsys, d), 0, e)
     rep = verify_functional_equation(rsys, d, wrong, samples=samples, seed=0)
     assert rep.passed is False
-    assert rep.max_residual > 1e6 * rep.tol
+    assert rep.max_residual > rep.tol
+    # the documented draw: the prime, then the points, from Random(seed)
+    rng = random.Random(0)
+    p = chebmap.draw_prime(rng)
+    z = np.array([[rng.randrange(1, p) for _ in range(rsys.rank)]
+                  for _ in range(samples)], dtype=np.int64)
+    assert rep.prime == p
+    gx, _ = chebmap.gencos_pair_mod(rsys, d, z, p)
+    want = [pow(int(v), d, p) for v in gx[:, 0]]
+    want = [w - p if w > p // 2 else w for w in want]
+    res = chebmap.residuals_mod_p(rsys, d, wrong, z, p)
+    assert res[:, 0].tolist() == want and all(want)
+    assert not res[:, 1:].any()
+    assert rep.max_residual == max(map(abs, want))
+    assert rep.witness == {"sample": 0, "component": 0, "z": z[0].tolist()}
+
+
+@pytest.mark.parametrize("cases,samples", [(SYNTH_CASES, 10),
+                                           (VERIFY_CASES, 100)],
+                         ids=["synth", "verify"])
+def test_every_plus_one_mutant_fails(cases, samples, rs):
+    # the benchmark's sample counts: 10 per synth case, 100 per verify case
+    for spec, d in cases:
+        rsys = rs(spec)
+        pmap = build_cheb_map(rsys, d)
+        assert verify_functional_equation(rsys, d, pmap, samples).passed
+        for k, comp in enumerate(pmap.components):
+            for e in comp:
+                rep = verify_functional_equation(
+                    rsys, d, _plus_one(pmap, k, e), samples)
+                assert not rep.passed, (spec, d, k, e)
+
+
+@pytest.mark.parametrize("spec,d,mutant", [
+    *((spec, d, False) for spec, d in SYNTH_CASES),
+    ("A2", 2, True), ("F4", 2, True)])
+def test_prime_field_check_agrees_with_fixed_point_oracle(spec, d, mutant, rs):
+    rsys = rs(spec)
+    pmap = build_cheb_map(rsys, d)
+    if mutant:
+        pmap = _plus_one(pmap, 0, tuple(d if j == 0 else 0
+                                        for j in range(rsys.rank)))
+    got = verify_functional_equation(rsys, d, pmap, samples=10).passed
+    assert got is (not mutant)
+    assert _fixed_point_check(rsys, d, pmap, samples=10) is got
+
+
+def test_miller_rabin_agrees_with_sympy():
+    import sympy
+    window = [*range(2 ** 30 - 3000, 2 ** 30 + 3000),
+              *range(2 ** 31 - 1000, 2 ** 31 + 1000), *range(200)]
+    assert [n for n in window if chebmap.is_prime(n)] == \
+        [n for n in window if sympy.isprime(n)]
+    # the least strong pseudoprimes to bases 2; 2, 3; and 2, 3, 5: each
+    # needs one more base.  The least to 2, 3, 5, 7 is refused.
+    for n in (2047, 1373653, 25326001):
+        assert not chebmap.is_prime(n)
+    with pytest.raises(ValueError):
+        chebmap.is_prime(3215031751)
+
+
+def test_drawn_prime_is_a_prime_in_range():
+    primes = {chebmap.draw_prime(random.Random(seed)) for seed in range(20)}
+    assert len(primes) == 20
+    assert all(2 ** 30 <= p < 2 ** 31 and chebmap.is_prime(p) for p in primes)
+
+
+def test_prime_comes_from_the_seed(rs):
+    # a mutant off by the seed-0 prime p0 is the true map modulo p0, so it
+    # passes at seed 0; seed 1 draws another prime and catches it
+    rsys = rs("A2")
+    pmap = build_cheb_map(rsys, 2)
+    p0 = verify_functional_equation(rsys, 2, pmap, samples=20, seed=0).prime
+    comps = [dict(c) for c in pmap.components]
+    comps[0][(2, 0)] += p0
+    wrong = PolynomialMap(rsys.rank, tuple(comps))
+    assert verify_functional_equation(rsys, 2, wrong, samples=20, seed=0).passed
+    rep = verify_functional_equation(rsys, 2, wrong, samples=20, seed=1)
+    assert rep.prime != p0 and not rep.passed
+
+
+def test_functional_equation_e7(rs):
+    rsys = rs("E7")
+    pmap = build_cheb_map(rsys, 2)
+    rep = verify_functional_equation(rsys, 2, pmap, samples=100)
+    assert rep.passed and rep.max_residual == 0
+    e = tuple(2 if j == 0 else 0 for j in range(rsys.rank))
+    assert not verify_functional_equation(rsys, 2, _plus_one(pmap, 0, e),
+                                          samples=100).passed
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_functional_equation_refuses_no_samples(samples, rs):
+    rsys = rs("A2")
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify_functional_equation(rsys, 2, build_cheb_map(rsys, 2), samples)
 
 
 def test_a1xa1_is_product_map(rs):

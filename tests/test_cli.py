@@ -87,7 +87,8 @@ def test_chebmap_a2_exact_output(capsys):
         {"exponents": [0, 2], "coeff": 1},
         {"exponents": [1, 0], "coeff": -2},
     ]
-    assert payload["verification"]["max_residual"] < 1e-8
+    assert payload["verification"]["max_residual"] == 0
+    assert payload["verification"]["witness"] is None
 
 
 def test_chebmap_degree_five(capsys):
@@ -100,7 +101,7 @@ def test_chebmap_degree_five(capsys):
         {"exponents": [3], "coeff": -5},
         {"exponents": [1], "coeff": 5},
     ]
-    assert payload["verification"]["max_residual"] < 1e-8
+    assert payload["verification"]["max_residual"] == 0
 
 
 def test_chebmap_g2_integer_coefficients(capsys):
@@ -110,7 +111,7 @@ def test_chebmap_g2_integer_coefficients(capsys):
     for comp in payload["components"]:
         for term in comp:
             assert isinstance(term["coeff"], int)
-    assert payload["verification"]["max_residual"] < 1e-8
+    assert payload["verification"]["max_residual"] == 0
 
 
 # --- verification commands -----------------------------------------------------------
@@ -119,7 +120,61 @@ def test_verify_functional(capsys):
     code, out, _ = run_cli(capsys, "verify-functional", "B2", "2",
                            "--samples", "20")
     assert code == 0
-    assert json.loads(out)["pass"]
+    payload = json.loads(out)
+    assert payload["pass"] and payload["max_residual"] == 0
+    assert payload["witness"] is None
+    assert 2 ** 30 <= payload["prime"] < 2 ** 31
+
+
+def test_verify_functional_failure_names_its_witness(capsys, monkeypatch):
+    # a +1 on X_2^d makes A2 2 fail at its first sample, in component 1
+    # (counted from 0) only
+    from weylcheb import chebmap
+
+    real = chebmap.build_cheb_map
+
+    def mutant(rsys, d):
+        comps = [dict(c) for c in real(rsys, d).components]
+        comps[1][(0, d)] += 1
+        return chebmap.PolynomialMap(rsys.rank, tuple(comps))
+
+    monkeypatch.setattr(chebmap, "build_cheb_map", mutant)
+    code, out, _ = run_cli(capsys, "verify-functional", "A2", "2",
+                           "--samples", "5")
+    payload = json.loads(out)
+    assert code == 1 and payload["pass"] is False
+    witness = payload["witness"]
+    assert witness["sample"] == 0 and witness["component"] == 1
+    p = payload["prime"]
+    assert len(witness["z"]) == 2 and all(1 <= v < p for v in witness["z"])
+    assert 1 <= payload["max_residual"] <= p // 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-functional", "A2", "2", "--samples", "0"),
+    ("chebmap", "A1", "2", "--samples", "-3"),
+    ("verify-postcritical", "A2", "2", "--samples", "0"),
+])
+def test_sampled_verbs_refuse_no_samples(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --samples must be at least 1")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-7"])
+def test_postcritical_refuses_a_tolerance_that_is_not_one(capsys, tol):
+    code, out, err = run_cli(capsys, "verify-postcritical", "A1", "2",
+                             f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --tol must be finite and nonnegative")
+
+
+@pytest.mark.parametrize("verb", ["chebmap", "verify-functional"])
+def test_exact_check_takes_no_tolerance(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "A2", "2", "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_verify_postcritical_a2(capsys):

@@ -177,32 +177,49 @@ def test_bareiss_det_of_singular_matrices_is_zero():
 
 @pytest.mark.parametrize("spec,d", [("G2", 6), ("F4", 2)])
 def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
-    # both checks keep one precision for all their points, so cutting the
-    # batch into chunks of 7 changes no residual
+    # the post-critical check keeps one precision for all its points, and
+    # the functional check's residuals are exact, so cutting the batch into
+    # chunks of 7 changes no residual; the functional check runs on a +1
+    # mutant, so its per-point residuals are not all zero
     rsys = rs(spec)
     pmap = build_cheb_map(rsys, d)
+    comps = [dict(c) for c in pmap.components]
+    comps[-1][tuple(d if j == rsys.rank - 1 else 0
+                    for j in range(rsys.rank))] += 1
+    wrong = PolynomialMap(rsys.rank, tuple(comps))
     seen = []
-    real = chebmap.fixed_distances
+    real = chebmap.residuals_mod_p
 
-    def recording(lhs, rhs, P):
-        out = real(lhs, rhs, P)
+    def recording(*args):
+        out = real(*args)
         seen.append(out)
         return out
 
-    monkeypatch.setattr(chebmap, "fixed_distances", recording)
+    monkeypatch.setattr(chebmap, "residuals_mod_p", recording)
 
     def run():
         seen.clear()
-        fun = verify_functional_equation(rsys, d, pmap, samples=30)
-        per_point = [r for part in seen for r in part]
+        fun = verify_functional_equation(rsys, d, wrong, samples=30)
+        per_point = [r for part in seen for r in part.tolist()]
         post = post_critical_check(rsys, d, pmap, samples=20)
-        return fun.max_residual, per_point, post.det_residuals, post.value_residuals
+        return (fun.max_residual, fun.witness, per_point, post.det_residuals,
+                post.value_residuals)
 
     whole = run()
-    assert len(whole[1]) == 30 and len(whole[2]) == 20
+    assert len(whole[2]) == 30 and len(whole[3]) == 20
+    assert all(r[-1] != 0 for r in whole[2])
+    rows = len(chebmap.fundamental_orbit_table(rsys)[0])
+    monkeypatch.setattr(chebmap, "FIELD_CELLS", 7 * 2 * rows)
     monkeypatch.setattr(chebmap, "CHECK_CHUNK", 7)
     assert run() == whole
     assert len(seen) == 5  # 30 points in chunks of 7
+
+
+def test_postcritical_refuses_no_samples(rs):
+    # zero samples would pass with nothing checked
+    rsys = rs("A2")
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        post_critical_check(rsys, 2, build_cheb_map(rsys, 2), samples=0)
 
 
 @pytest.mark.parametrize("spec,d", [("A2", 2), ("G2", 6)])
