@@ -35,28 +35,18 @@ the identity is tested modulo a prime p drawn from the seed in
 [2^30, 2^31) (draw_prime), at seeded points z of (F_p^*)^n, in int64 numpy:
 a product of two residues is below 2^62, and a sum of fewer than 2^32
 residues below 2^63.  gencos(z) and gencos(z^d) are sums of products of
-tabulated powers z_j^k mod p (gencos_pair_mod), and T_d is evaluated from
-one exponent matrix of its monomials (eval_polys_mod).  A nonzero
-residual, a Laurent polynomial of total degree deg once its negative
-exponents are cleared, vanishes at a uniform point of (F_p^*)^n with
-probability at most deg/(p-1) (Schwartz-Zippel), unless p divides all its
-integer coefficients; a new seed draws a new p.
-
-The post-critical check (critical.post_critical_check) runs its sample
-points through one kernel in batches of CHECK_CHUNK, all at one
-precision, in Gaussian-integer fixed point with P = p + 32 fractional bits
-(p the bits mpmath would give the decimal digits of _needed_dps;
-check_precision).  The identities there are Laurent-polynomial identities
-in z too, so any exactly known z serves as a sample: fixed_exp takes z
-from one float64 exp per batch, truncated to P bits, and so exact at a
-point within about 1e-16 of the drawn one.  GencosPair gives gencos and
-gencos(d .) at that z, every orbit term a product of tabulated powers
-z_j^k, and eval_polys_fixed evaluates T_d and its Jacobian on those same
-fixed-point values.  Each orbit term is off by less than 2^-p M,
-M = e^{2 pi d big max|Im x_j|} bounding every partial product: no worse
-than rounding the largest term at the working precision (derivations in
-GencosPair and eval_polys_fixed).  Residuals are exact integers until one
-final square root.
+tabulated powers z_j^k mod p (monomials_mod, gencos_pair_mod), and T_d is
+evaluated from one exponent matrix of its monomials (eval_polys_mod).  A
+nonzero residual, a Laurent polynomial of total degree deg once its
+negative exponents are cleared, vanishes at a uniform point of (F_p^*)^n
+with probability at most deg/(p-1) (Schwartz-Zippel; Schwartz, JACM 27,
+1980), unless p divides all its integer coefficients; a new seed draws a
+new p.  Differentiating the identity in log z gives
+J_T(gencos z) E(z) = d E(z^d), E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam,
+so det J_T(gencos z) det E(z) = d^n det E(z^d) in Z[z^{+-1}]: the
+post-critical check (critical.post_critical_check) tests its consequences
+on the same kernels, at points of (F_p^*)^n over the scaled walls, with the
+miss bound derived there.
 """
 
 from __future__ import annotations
@@ -72,13 +62,10 @@ import numpy as np
 
 from .errors import DimensionError
 from .rootsys import (RootSystem, dominant_weight, fundamental_orbit_table,
-                      invert_fraction, orbit, orbit_matrix, orbit_size)
+                      invert_fraction, orbit, orbit_size)
 
-# points per fixed-point batch of the post-critical check: memory stays
-# bounded for any sample count, and the default sample count runs as one batch
-CHECK_CHUNK = 256
 # int64 cells per (points x 2 orbit rows) array of one batch of the
-# functional check (16 MiB): E7 runs 59 points a batch, F4 4369
+# prime-field checks (16 MiB): E7 runs 59 points a batch, F4 4369
 FIELD_CELLS = 1 << 21
 
 
@@ -390,239 +377,6 @@ def compose_poly_maps(p: PolynomialMap, q: PolynomialMap,
 
 
 # ---------------------------------------------------------------------------
-# the Gaussian fixed-point kernel of the post-critical check
-# ---------------------------------------------------------------------------
-
-def _orbit_growth(rs: RootSystem) -> int:
-    """big = max over the orbit rows of sum_j |r_j|: over the sample box
-    (|Im x_j| <= 1) every pairing <r, x> has |Im| <= big."""
-    return int(np.abs(fundamental_orbit_table(rs)[0]).sum(axis=1).max())
-
-
-def _needed_dps(rs: RootSystem, d: int, h: float = 1.0) -> int:
-    """Decimal digits needed so residuals near zero survive the exponential
-    growth of the invariants at d*x, for points x with |Im x_j| <= h
-    (h = 1: the sample box)."""
-    # pairings at d*x have |Im| <= d big h; growth e^{2 pi d big h}
-    return int(2 * np.pi * d * _orbit_growth(rs) * h / np.log(10)) + 25
-
-
-def check_precision(rs: RootSystem, d: int, h: float = 1.0) -> int:
-    """P, the fractional bits of the fixed point of both sampled checks,
-    for points with |Im x_j| <= h: P = p + 32, p the working precision in
-    bits, from the _needed_dps digits by mpmath's rule
-    round((dps + 1) log2 10)."""
-    return round((_needed_dps(rs, d, h) + 1) * math.log2(10)) + 32
-
-
-# Gaussian fixed point: the pair (a, b) of numpy object arrays of Python ints,
-# one entry per point of a batch, stands for (a + ib) 2^-P at each point; a
-# pair of Python ints is one point.
-
-def _mul(u, v, P: int) -> tuple:
-    """Product of two fixed-point values, each part truncated to P bits."""
-    (a, b), (c, s) = u, v
-    return (a * c - b * s) >> P, (a * s + b * c) >> P
-
-
-def _div(u, v, P: int) -> tuple:
-    """Quotient u / v of two fixed-point values, v nonzero, each part
-    floored to P bits: one Gaussian-integer division, off by less than
-    sqrt(2) 2^-P."""
-    (a, b), (c, s) = u, v
-    norm = c * c + s * s
-    return ((a * c + b * s) << P) // norm, ((b * c - a * s) << P) // norm
-
-
-def fixed_exp(points, P: int) -> list:
-    """z_j = e^{2 pi i x_j} for a batch of S points (sequences of n complex),
-    one fixed-point value per coordinate j.
-
-    z comes from one float64 exp over the batch, each part truncated to P
-    fractional bits (float.as_integer_ratio): a dyadic number known
-    exactly, equal to the float unless that part is below about 2^{52-P}.
-    The point it samples, log(z) / (2 pi i), lies within about 1e-16 of
-    the drawn one."""
-    z = np.exp(2j * np.pi * np.asarray(points, dtype=complex))
-
-    def fixed(parts):
-        return np.array([(a << P) // b for a, b in
-                         map(float.as_integer_ratio, parts.tolist())],
-                        dtype=object)
-
-    return [(fixed(col.real), fixed(col.imag)) for col in z.T]
-
-
-def _sqrt_float(v: int, bits: int) -> float:
-    """sqrt(v) 2^-bits as a float, v a nonnegative int: floor(sqrt(v) 2^64)
-    cut to its leading 64 bits, then rounded once to float (inf past the
-    float range)."""
-    root = math.isqrt(v << 128)
-    shift = max(root.bit_length() - 64, 0)
-    try:
-        return math.ldexp(root >> shift, shift - 64 - bits)
-    except OverflowError:
-        return math.inf
-
-
-def _term_index(comps) -> list:
-    """The keys of the combinations `comps` (each {key: int coefficient}),
-    sorted, each with its [(combination index, coefficient), ...]."""
-    index: dict = {}
-    for k, comp in enumerate(comps):
-        for key, c in comp.items():
-            index.setdefault(key, []).append((k, c))
-    return sorted(index.items())
-
-
-def _fixed_sums(tables, terms, count: int, size: int, P: int) -> list:
-    """For each of `count` outputs, the sum over `terms` (as _term_index
-    gives them) of c * prod_j tables[j][key_j], in fixed point over a batch
-    of `size` points; a zero key_j is the factor 1.  Keys are walked in
-    sorted order and share the products of their common prefixes; every
-    product is one numpy operation over the batch."""
-    n = len(tables)
-    out = [(np.zeros(size, dtype=object), np.zeros(size, dtype=object))
-           for _ in range(count)]
-    stack = [None] * (n + 1)  # stack[j]: product of j factors, None for 1
-    prev = None
-    for key, uses in terms:
-        j = 0
-        if prev is not None:
-            while key[j] == prev[j]:
-                j += 1
-        prev = key
-        for j in range(j, n):
-            t = stack[j]
-            if key[j]:
-                f = tables[j][key[j]]
-                t = f if t is None else _mul(t, f, P)
-            stack[j + 1] = t
-        t = stack[n]
-        for k, c in uses:
-            re, im = out[k]
-            if t is None:
-                re += c << P
-            else:
-                re += t[0] if c == 1 else c * t[0]
-                im += t[1] if c == 1 else c * t[1]
-    return out
-
-
-def fixed_distances(lhs, rhs, P: int) -> list:
-    """Per point, max over k of |lhs[k] - rhs[k]|, as floats.  The
-    differences and their squared moduli are exact integers; only the square
-    root is rounded (_sqrt_float)."""
-    worst = 0
-    for (a, b), (c, s) in zip(lhs, rhs):
-        re, im = a - c, b - s
-        worst = np.maximum(worst, re * re + im * im)
-    return [_sqrt_float(v, P) for v in worst]
-
-
-class GencosPair:
-    """gencos(x) and gencos(d*x) together, for a batch of points, in
-    Gaussian-integer fixed point: `gx, gdx = GencosPair(rs, d)(z, P)`, z
-    the batch's z_j = e^{2 pi i x_j} as fixed_exp gives them, P their
-    fractional bits.  gx and gdx hold one fixed-point value per component:
-    a pair (a, b) of numpy object arrays of shape (S,) of Python ints,
-    standing for (a + ib) 2^-P at each point.  Subtracting such values is
-    exact; eval_polys_fixed evaluates polynomials on them, and
-    fixed_distances measures their gaps.
-
-    The orbit term of a row r is prod_j z_j^{r_j}, and of the same row at
-    d*x prod_j z_j^{d r_j}: a Laurent-polynomial identity in z holds at any
-    z, so z need only be known exactly, not be e^{2 pi i x} to the last
-    bit.  1/z_j = conj(z_j) 2^{2P} // |z_j|^2 is one Gaussian-integer
-    division.  The powers z_j^k, |k| <= d*K (K the largest |r_j|), are
-    tabulated once per batch, and the terms are products of table entries.
-    The rows at x and at d*x are walked once, in sorted order, sharing the
-    products of their common prefixes (_fixed_sums).
-
-    Precision.  Let p = P - 32 be the working precision in bits, h the
-    largest |Im x_j| of the batch and M = e^{2 pi d big h}, big as in
-    _orbit_growth (on the sample box h <= 1 and M < 10^{dps - 24}).  A term
-    is a product of n <= d*big factors z_j^{+-1}, so it and every partial
-    product, table entry and sub-product of it has modulus at most M.  z_j
-    is exact.  1/z_j is floored in each part, so it is off by less than
-    sqrt(2) 2^-P, a relative error of at most sqrt(2) e^{2 pi h} 2^-P
-    (|z_j| <= e^{2 pi h}).  Two kinds of error enter, each later multiplied
-    by a sub-product of modulus at most M:
-    - each of the at most n factors 1/z_j, off by less than sqrt(2) 2^-P:
-      in all less than sqrt(2) n M 2^-P;
-    - each of the at most n fixed-point products, truncated by less than
-      sqrt(2) 2^-P: in all less than sqrt(2) n M 2^-P.
-    With
-
-        P = p + 32,
-
-    each term is off by less than (to first order) 2 sqrt(2) n M 2^-P
-    < n 2^{-p-30} M < 2^-p M (n < 2^30): an absolute error no worse than
-    rounding the largest term at the working precision.
-    """
-
-    def __init__(self, rs: RootSystem, d: int):
-        self.rank, self.d = rs.rank, d
-        rows = [orbit_matrix(rs, k).tolist() for k in range(rs.rank)]
-        self.top = d * max(abs(c) for rk in rows for row in rk for c in row)
-        # outputs 0..n-1: the orbit sums at x; n..2n-1: at d*x
-        self.terms = _term_index(
-            [{tuple(r): 1 for r in rk} for rk in rows]
-            + [{tuple(d * c for c in r): 1 for r in rk} for rk in rows])
-
-    def __call__(self, z, P: int) -> tuple:
-        # tables[j][k] = z_j^k for 0 < |k| <= top; negative k index from
-        # the end of the list, and k = 0 is never looked up
-        tables = []
-        for zj in z:
-            wj = _div((1 << P, 0), zj, P)
-            up, down = [None, zj], [wj]
-            while len(down) < self.top:
-                up.append(_mul(up[-1], zj, P))
-                down.append(_mul(down[-1], wj, P))
-            tables.append(up + down[::-1])
-        sums = _fixed_sums(tables, self.terms, 2 * self.rank, len(z[0][0]), P)
-        return sums[:self.rank], sums[self.rank:]
-
-
-def chunked(items: list):
-    """Consecutive slices of items, CHECK_CHUNK long (the last shorter)."""
-    for lo in range(0, len(items), CHECK_CHUNK):
-        yield items[lo:lo + CHECK_CHUNK]
-
-
-def eval_polys_fixed(comps, values, P: int) -> list:
-    """Sparse integer polynomials at a batch of points given in fixed point
-    (values[j] the j-th coordinate, as GencosPair returns them), in the same
-    fixed point: one value per polynomial.
-
-    Each power X_j^k is formed once by incremental products, and the
-    monomials of all the polynomials are walked once, in sorted order,
-    sharing the products of their common prefixes (_fixed_sums).
-
-    Error.  At each point let A_j >= max(1, |X_j|), and D the largest total
-    degree.  A monomial X^e takes at most deg e fixed-point products, each
-    truncated by less than sqrt(2) 2^-P and then multiplied by factors of
-    modulus at most prod_j A_j^{e_j}.  So each polynomial sum_e c_e X^e is
-    off from its exact value at the given X by less than (to first order)
-
-        sqrt(2) D 2^-P sum_e |c_e| prod_j A_j^{e_j}.
-
-    With P = p + 32 that is below a 2^-31 D share of 2^-p times the same
-    sum, what rounding each term at the working precision p can cost.
-    """
-    size = len(values[0][0])
-    tables = []
-    for j, x in enumerate(values):
-        pw = [None, x]
-        top = max(e[j] for comp in comps for e in comp)
-        while len(pw) <= top:
-            pw.append(_mul(pw[-1], x, P))
-        tables.append(pw)
-    return _fixed_sums(tables, _term_index(comps), len(comps), size, P)
-
-
-# ---------------------------------------------------------------------------
 # functional-equation verification over a prime field
 # ---------------------------------------------------------------------------
 
@@ -659,13 +413,63 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def draw_prime(rng: random.Random) -> int:
-    """A prime drawn uniformly from [2^30, 2^31): residues are below 2^31,
-    so a product of two fits in int64."""
+def draw_prime(rng: random.Random, modulus: int = 1) -> int:
+    """A prime p = 1 (mod modulus) drawn uniformly from those in
+    [2^30, 2^31): residues are below 2^31, so a product of two fits in
+    int64, and F_p^* holds the modulus-th roots of unity.  modulus = 1
+    draws p = 2^30 + rng.randrange(2^30), the draw of the functional
+    check."""
+    lo = -(-((1 << 30) - 1) // modulus)
+    hi = ((1 << 31) - 2) // modulus + 1
     while True:
-        p = rng.randrange(1 << 30, 1 << 31)
+        p = 1 + modulus * rng.randrange(lo, hi)
         if is_prime(p):
             return p
+
+
+def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a^{p-2} mod p of an int64 array of residues, by squaring over the
+    whole array: the inverse of each nonzero entry (Fermat), 0 for 0."""
+    out = np.ones_like(a)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a = a * a % p
+        e >>= 1
+    return out
+
+
+def centred(r: np.ndarray, p: int) -> np.ndarray:
+    """Residues in [0, p) as their representatives in (-p/2, p/2]."""
+    return np.where(r > p // 2, r - p, r)
+
+
+def field_batch(rs: RootSystem) -> int:
+    """Points per batch of the prime-field checks: FIELD_CELLS cells of the
+    (points x 2 orbit rows) array of gencos_pair_mod."""
+    return max(1, FIELD_CELLS // (2 * len(fundamental_orbit_table(rs)[0])))
+
+
+def monomials_mod(z: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
+    """prod_j z_j^{e_j} mod p for each row e of exps (ints of either sign)
+    at a batch of points z, an (S, n) int64 array of residues in
+    [1, p - 1]: an (S, len(exps)) array of residues.  The powers z_j^k,
+    |k| <= max|e_j|, are tabulated once, and each monomial is n gathered
+    products."""
+    top = int(np.abs(exps).max(initial=0))
+    inv = inverse_mod(z, p)
+    # pw[s, j, top + k] = z_j^k at point s, |k| <= top
+    pw = np.ones((*z.shape, 2 * top + 1), dtype=np.int64)
+    for k in range(1, top + 1):
+        pw[..., top + k] = pw[..., top + k - 1] * z % p
+        pw[..., top - k] = pw[..., top - k + 1] * inv % p
+    cols = exps + top
+    terms = pw[:, 0, cols[:, 0]]
+    for j in range(1, z.shape[1]):
+        terms *= pw[:, j, cols[:, j]]
+        terms %= p
+    return terms
 
 
 def gencos_pair_mod(rs: RootSystem, d: int, z: np.ndarray, p: int) -> tuple:
@@ -673,25 +477,11 @@ def gencos_pair_mod(rs: RootSystem, d: int, z: np.ndarray, p: int) -> tuple:
     int64 array of residues in [1, p - 1] standing for e^{2 pi i x_j}: two
     (S, n) arrays of residues.
 
-    The powers z_j^k, |k| <= d K (K the largest |r_j| of an orbit row),
-    are tabulated, the inverse from one pow(z_j, p - 2, p).  The orbit term
-    of a row r is prod_j z_j^{r_j}, and at d x prod_j z_j^{d r_j}: the rows
-    and their d-multiples are walked together, n gathered products mod p
-    over an (S, 2 rows) array, then one reduceat over the orbit starts."""
+    The orbit term of a row r is prod_j z_j^{r_j}, and at d x
+    prod_j z_j^{d r_j}: the rows and their d-multiples go through one
+    monomials_mod call, then one reduceat over the orbit starts."""
     rows, starts = fundamental_orbit_table(rs)
-    top = d * int(np.abs(rows).max())
-    inv = np.array([pow(v, p - 2, p) for v in z.ravel().tolist()],
-                   dtype=np.int64).reshape(z.shape)
-    # pw[s, j, top + k] = z_j^k at point s, |k| <= top
-    pw = np.ones((*z.shape, 2 * top + 1), dtype=np.int64)
-    for k in range(1, top + 1):
-        pw[..., top + k] = pw[..., top + k - 1] * z % p
-        pw[..., top - k] = pw[..., top - k + 1] * inv % p
-    cols = np.concatenate([rows, d * rows]) + top
-    terms = pw[:, 0, cols[:, 0]]
-    for j in range(1, rs.rank):
-        terms *= pw[:, j, cols[:, j]]
-        terms %= p
+    terms = monomials_mod(z, np.concatenate([rows, d * rows]), p)
     sums = np.add.reduceat(terms, np.concatenate([starts, starts + len(rows)]),
                            axis=1) % p
     return sums[:, :rs.rank], sums[:, rs.rank:]
@@ -725,8 +515,7 @@ def residuals_mod_p(rs: RootSystem, d: int, pmap: PolynomialMap,
     """T_d(gencos z) - gencos(z^d) modulo p at a batch of points z, as an
     (S, n) int64 array of representatives in (-p/2, p/2]."""
     gx, gdx = gencos_pair_mod(rs, d, z, p)
-    r = (eval_polys_mod(pmap.components, gx, p) - gdx) % p
-    return np.where(r > p // 2, r - p, r)
+    return centred((eval_polys_mod(pmap.components, gx, p) - gdx) % p, p)
 
 
 @dataclass
@@ -770,7 +559,7 @@ def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
     p = draw_prime(rng)
     z = np.array([[rng.randrange(1, p) for _ in range(rs.rank)]
                   for _ in range(samples)], dtype=np.int64)
-    size = max(1, FIELD_CELLS // (2 * len(fundamental_orbit_table(rs)[0])))
+    size = field_batch(rs)
     res = np.concatenate([residuals_mod_p(rs, d, pmap, z[lo:lo + size], p)
                           for lo in range(0, samples, size)])
     bad = np.flatnonzero(res)

@@ -1,29 +1,59 @@
 """Critical and post-critical structure checks: sampling of the reflection
 walls, vanishing of the map's Jacobian at the images of their strict
 preimages, the critical values landing where the scaled walls map, and the
-deltoid identity in the A2 case.  That d times a wall point lies on a wall
-holds by integer arithmetic and is not re-checked.
+deltoid identity in the A2 case.
 
-The image of the wall arrangement under the generalized cosine carries no
-general implicit equation here; it is handled by sampling, except for A2
-where the classical deltoid quartic is available in closed form.
+The post-critical check is exact modulo a prime.  With z_j = e^{2 pi i y_j}
+and E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam, differentiating
+T_d(G(z)) = G(z^d) (G the generalized cosine) gives
+J_T(G(z)) E(z) = d E(z^d), so
+
+    det J_T(G(z)) det E(z) = d^n det E(z^d)    in Z[z^{+-1}].
+
+det E(z) is the Weyl denominator up to a constant factor (Bourbaki, Lie
+Groups, ch. VI sec. 3): it vanishes exactly where z^u = 1 for some root u.
+So at z in (F_p^*)^n with z^{d v} = 1 for a root v (d y lies on a wall)
+and z^u != 1 for every root u (y is a strict preimage), det J_T(G(z)) = 0
+and T_d(G(z)) = G(z^d) (mod p): the map is critical there, and its
+critical value is the image of the scaled wall point.
+
+Drawing the points (wall_preimages_mod).  p is drawn from the seed in
+[2^30, 2^31) with p = 1 (mod L), L = d lcm(m), m = |w_k| the pivot
+coefficient of a root's weight coordinates w, so that F_p^* holds a
+primitive L-th root of unity.  Each draw takes a root v and a level ell,
+as sample_diagram_points does, the free coordinates z_j = t_j^m with t_j
+uniform in [1, p - 1], and the pivot z_k = (c prod_{j != k} t_j^{-w_j})^s,
+s the sign of w_k and c a primitive dm-th root of unity to the power ell:
+then z^v = c^m is a d-th root of unity, so z^{d v} = 1.  A draw with some
+z^u = 1 (always when d divides ell) is counted in `skipped` and redrawn.
+
+Miss bound.  A residual R(z) that is not zero on the drawn wall is, in
+the free parameters t, a Laurent polynomial whose degree in t_j is at most
+m (deg_j R + deg_k R), deg_j the spread of R's exponents of z_j.  By
+Schwartz-Zippel (Schwartz, JACM 27, 1980) it vanishes at a uniform t with
+probability at most m sum_{j != k} (deg_j R + deg_k R) / (p - 1): the
+functional check's bound, times at most m, with z_k's degree folded in.  A
+wrong map whose error vanishes on every wall preimage cannot be seen: on
+A1 2 every critical point has X = 0, so a +1 on X_1^2 passes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebmap import (GencosPair, PolynomialMap, _div, _mul, _sqrt_float,
-                      check_precision, chunked, eval_polys_fixed,
-                      fixed_distances, fixed_exp, jacobian_polys)
-from .gencos import eval_gencos, is_on_diagram
-from .rootsys import Root, RootSystem
+from .chebmap import (PolynomialMap, centred, draw_prime, eval_polys_mod,
+                      field_batch, gencos_pair_mod, inverse_mod,
+                      jacobian_polys, monomials_mod)
+from .gencos import eval_gencos
+from .rootsys import RootSystem
 
-STRICT_PREIMAGE_TOL = 1e-6  # wall-avoidance margin for "strict preimage" samples
 _IM_SCALE = 0.15            # imaginary spread of wall samples
+LEVELS = (-2, -1, 0, 1, 2)  # wall levels <v, x> = ell drawn by both samplers
+MAX_BATCHES = 40            # batches of `samples` draws before giving up
 
 
 @dataclass
@@ -36,29 +66,37 @@ class DiagramSample:
 
 @dataclass
 class PostCriticalReport:
+    """The post-critical check modulo `prime`: per sample, |det J_T| and the
+    largest |T_d(G(z)) - G(z^d)|, exact integers (representatives in
+    (-p/2, p/2]), 0 when the identities hold.  `witness` names the first
+    failing sample: its index, the check (`det` or `value`), the component
+    (from 0; None for `det`), its wall and z as residues mod prime.  `tol`
+    bounds the float deltoid check that `verify-postcritical` runs beside
+    this one on A2; the exact residuals here pass only at 0."""
     type_spec: str
     d: int
     samples: int
     tol: float
+    prime: int = 0
     det_residuals: list = field(default_factory=list)
     value_residuals: list = field(default_factory=list)
     skipped: int = 0
+    witness: dict | None = None
 
     @property
-    def max_det_residual(self):
-        return float(max(self.det_residuals, default=0.0))
+    def max_det_residual(self) -> int:
+        return max(self.det_residuals, default=0)
 
     @property
-    def max_value_residual(self):
-        return float(max(self.value_residuals, default=0.0))
+    def max_value_residual(self) -> int:
+        return max(self.value_residuals, default=0)
 
     @property
     def passed(self) -> bool:
         """Every one of `samples` strict preimages was found and checked,
-        and both residuals are within tol."""
+        and every residual is 0."""
         return bool(len(self.det_residuals) == self.samples
-                    and self.max_det_residual <= self.tol
-                    and self.max_value_residual <= self.tol)
+                    and self.witness is None)
 
     def as_dict(self) -> dict:
         return {
@@ -66,9 +104,11 @@ class PostCriticalReport:
             "d": self.d,
             "samples": self.samples,
             "skipped": self.skipped,
+            "prime": self.prime,
             "max_det_residual": self.max_det_residual,
             "max_value_residual": self.max_value_residual,
             "tol": self.tol,
+            "witness": self.witness,
             "pass": self.passed,
         }
 
@@ -78,8 +118,7 @@ def _pivot(w) -> int:
     return int(np.argmax(np.abs(w)))
 
 
-def sample_diagram_points(rs: RootSystem, count: int,
-                          ell_range=(-2, -1, 0, 1, 2),
+def sample_diagram_points(rs: RootSystem, count: int, ell_range=LEVELS,
                           seed: int = 0) -> list:
     """Deterministic wall samples: pick a root and an integer level, fill the
     n-1 free coordinates at random, and solve the wall equation for the
@@ -105,162 +144,138 @@ def sample_diagram_points(rs: RootSystem, count: int,
     return out
 
 
+def _primitive_root_of_unity(rng: random.Random, p: int, order: int) -> int:
+    """A primitive order-th root of unity mod p (order dividing p - 1):
+    r^{(p-1)/order} for seeded r, until no r^{order/q} is 1, q prime."""
+    primes = [q for q in range(2, order + 1)
+              if order % q == 0 and all(q % f for f in range(2, q))]
+    while True:
+        root = pow(rng.randrange(2, p), (p - 1) // order, p)
+        if all(pow(root, order // q, p) != 1 for q in primes):
+            return root
+
+
+def wall_preimages_mod(rs: RootSystem, d: int, samples: int,
+                       seed: int = 0) -> tuple:
+    """(p, z, walls, skipped): the prime, then up to `samples` points z (an
+    (S, n) int64 array of residues) with z^{d v} = 1 and z^u != 1 for every
+    root u, each with its wall (v, ell), all drawn from random.Random(seed)
+    as the module docstring describes, and the count of draws skipped for
+    some z^u = 1.  Draws come in batches of `samples`, at most MAX_BATCHES
+    of them, so fewer than `samples` points come back only when that many
+    batches yield too few."""
+    rng = random.Random(seed)
+    pivots = []  # (root, pivot k, m = |w_k|, w_k > 0)
+    for v in rs.roots:
+        k = _pivot(v.weight_coords)
+        pivots.append((v, k, abs(v.weight_coords[k]), v.weight_coords[k] > 0))
+    lcm = math.lcm(*(m for _, _, m, _ in pivots))
+    p = draw_prime(rng, d * lcm)
+    zeta = _primitive_root_of_unity(rng, p, d * lcm)
+    unity = [pow(zeta, e, p) for e in range(d * lcm)]
+    roots = np.array([v.weight_coords for v in rs.roots], dtype=np.int64)
+    points, walls, skipped = [], [], 0
+    for _ in range(MAX_BATCHES):
+        if len(points) == samples:
+            break
+        draws = []
+        for _ in range(samples):
+            v, k, m, positive = rng.choice(pivots)
+            ell = rng.choice(LEVELS)
+            # z_k = (num / den)^{sign w_k} solves z^v = c^m, where
+            # c = zeta^{ell lcm / m}: c^m = (zeta^lcm)^ell, a d-th root of 1
+            num, den = unity[lcm // m * ell % (d * lcm)], 1
+            z = [0] * rs.rank
+            for j, wj in enumerate(v.weight_coords):
+                if j != k:
+                    t = rng.randrange(1, p)
+                    z[j] = pow(t, m, p)
+                    if wj > 0:
+                        den = den * pow(t, wj, p) % p
+                    elif wj < 0:
+                        num = num * pow(t, -wj, p) % p
+            if not positive:
+                num, den = den, num
+            z[k] = num * pow(den, -1, p) % p
+            draws.append(((v, ell), z))
+        z = np.array([zi for _, zi in draws], dtype=np.int64)
+        strict = (monomials_mod(z, roots, p) != 1).all(axis=1)
+        for (wall, zi), ok in zip(draws, strict.tolist()):
+            if len(points) == samples:
+                break
+            if ok:
+                points.append(zi)
+                walls.append(wall)
+            else:
+                skipped += 1
+    return (p, np.array(points, dtype=np.int64).reshape(-1, rs.rank), walls,
+            skipped)
+
+
+def det_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Determinants modulo p of a batch of square matrices, an (S, n, n)
+    int64 array of residues: an (S,) array of residues, by Gaussian
+    elimination mod p over the whole batch.  In each column the first row at
+    or below the diagonal with a nonzero entry is swapped up, negating the
+    determinant; a column with none makes it 0."""
+    a = a.copy()
+    size, n, _ = a.shape
+    det = np.ones(size, dtype=np.int64)
+    at = np.arange(size)
+    for k in range(n):
+        nonzero = a[:, k:, k] != 0
+        r = k + nonzero.argmax(axis=1)
+        det = np.where(r != k, (p - det) % p, det)
+        top = a[at, r].copy()
+        a[at, r] = a[:, k]
+        a[:, k] = top
+        # a column without a pivot leaves a zero here, and the det 0
+        det = det * top[:, k] % p
+        factor = a[:, k + 1:, k] * inverse_mod(top[:, k], p)[:, None] % p
+        a[:, k + 1:, k:] = (a[:, k + 1:, k:]
+                            - factor[:, :, None] * top[:, None, k:] % p) % p
+    return det
+
+
 def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
                         samples: int = 50, tol: float = 1e-7,
                         seed: int = 0) -> PostCriticalReport:
-    """At points y with d*y on a wall but y itself off the walls, the exact
-    symbolic Jacobian of the map must be singular at the image of y, and the
-    image point must again be an image of a wall point (checked through the
-    intertwining identity).
-
-    Degenerate draws (y on a wall itself, e.g. when the level is divisible by
-    d) are flagged in `skipped` and redrawn until `samples` strict-preimage
-    points have been found.
-
-    The points are then evaluated in batches of CHECK_CHUNK, all in the
-    fixed point check_precision gives for the largest |Im y_j| of all of
-    them: z = e^{2 pi i y} with each pivot solved again from its wall
-    (_on_walls), gencos(y) and gencos(d*y) by GencosPair, and the Jacobian
-    entries and T_d(gencos y) on the same fixed-point values by
-    eval_polys_fixed.  The determinant of those entries is exact
-    (bareiss_det), so the only error left in it is the entries', as bounded
-    in eval_polys_fixed.  A check that finds fewer than `samples` strict
-    preimages in 40 batches of draws does not pass.
-    """
+    """At `samples` points y with d*y on a wall but y itself off the walls,
+    the map's Jacobian must be singular at G(y), and T_d(G(y)) must be
+    G(d*y): both checked exactly modulo a prime, at the points
+    wall_preimages_mod draws (see the module docstring).  The Jacobian
+    entries and T_d are evaluated on gencos_pair_mod's values by
+    eval_polys_mod, and the determinant by det_mod, in batches of
+    field_batch points.  A check that finds fewer than `samples` strict
+    preimages does not pass."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    report = PostCriticalReport(rs.type_spec, d, samples, tol)
-    preimages = []
-    batch = 0
-    while len(preimages) < samples and batch < 40:
-        wall_samples = sample_diagram_points(rs, samples, seed=seed + 1000 * batch)
-        batch += 1
-        for s in wall_samples:
-            if len(preimages) >= samples:
-                break
-            y = s.point / d
-            on, _ = is_on_diagram(rs, y, STRICT_PREIMAGE_TOL)
-            if on:
-                # degenerate: y sits on a wall itself, not a strict preimage
-                report.skipped += 1
-                continue
-            preimages.append((s.wall, y))
+    p, z, walls, skipped = wall_preimages_mod(rs, d, samples, seed)
     n = rs.rank
-    h = max((float(np.abs(y.imag).max()) for _, y in preimages), default=0.0)
-    # in float64 the gencos, the Jacobian entries and the determinant were
-    # off by about 4e-6 on G2 6, above tol
-    polys = [*(p for row in jacobian_polys(pmap) for p in row),
+    polys = [*(q for row in jacobian_polys(pmap) for q in row),
              *pmap.components]
-    P = check_precision(rs, d, h)
-    pair = GencosPair(rs, d)
-    for chunk in chunked(preimages):
-        gy, gdy = pair(_on_walls(chunk, d, P), P)
-        vals = eval_polys_fixed(polys, gy, P)
-        for k in range(len(chunk)):
-            jac = [[(vals[i * n + j][0][k], vals[i * n + j][1][k])
-                    for j in range(n)] for i in range(n)]
-            re, im = bareiss_det(jac)
-            report.det_residuals.append(_sqrt_float(re * re + im * im, n * P))
-        # critical value lands where the scaled wall point maps
-        report.value_residuals.extend(fixed_distances(vals[n * n:], gdy, P))
-    return report
-
-
-def _power(u, k: int, P: int) -> tuple:
-    """u^k (k >= 0) of a fixed-point value, by repeated squaring."""
-    out = (1 << P, 0)
-    while k:
-        if k & 1:
-            out = _mul(out, u, P)
-        k >>= 1
-        if k:
-            u = _mul(u, u, P)
-    return out
-
-
-def _on_walls(chunk, d: int, P: int) -> list:
-    """z = e^{2 pi i y} for a batch of (wall, y), as fixed_exp gives it, with
-    each pivot coordinate solved again from its wall.
-
-    d*y on the wall <v, x> = ell means prod_j z_j^{d w_j} = 1, w the weight
-    coordinates of v.  With the other coordinates fixed, the pivot's z_p
-    solves u^m = c, m = d |w_p| and c = prod_{j != p} z_j^{-s d w_j}, s the
-    sign of w_p: wall_root from z_p's float64 value, which picks the root
-    of y's own branch.  The float64 point sits about 1e-17 off its wall,
-    and the determinant there grows with that offset times the Jacobian
-    entries: on B6 2, C6 2 and E7 2 past tol."""
-    z = fixed_exp([y for _, y in chunk], P)
-    one = (1 << P, 0)
-    for k, ((v, _), _) in enumerate(chunk):
-        w = v.weight_coords
-        p = _pivot(w)
-        s = 1 if w[p] > 0 else -1
-        c = one
-        for j, wj in enumerate(w):
-            e = -s * d * wj
-            if j != p and e:
-                zj = (z[j][0][k], z[j][1][k])
-                f = zj if e > 0 else _div(one, zj, P)
-                c = _mul(c, _power(f, abs(e), P), P)
-        z[p][0][k], z[p][1][k] = wall_root(
-            c, d * abs(w[p]), (z[p][0][k], z[p][1][k]), P)
-    return z
-
-
-def wall_root(c, m: int, u0, P: int) -> tuple:
-    """The root of u^m = c (m >= 1) that u0 is near, all fixed-point values
-    of P fractional bits given as pairs of ints, by Newton's method from
-    u0: u <- u - (u^m - c) / (m u^{m-1}).  From a start within about 2^-46
-    of a root (relative), as a float64 exponential is, each step squares
-    the relative error (times about m / 2), so ceil(log2(P / 48)) + 1
-    steps reach 2^-P; one more is taken for margin."""
-    u = u0
-    for _ in range((P // 48).bit_length() + 2):
-        pw = _power(u, m - 1, P)
-        f = _mul(pw, u, P)
-        step = _div((f[0] - c[0], f[1] - c[1]), (m * pw[0], m * pw[1]), P)
-        u = (u[0] - step[0], u[1] - step[1])
-    return u
-
-
-def bareiss_det(m) -> tuple:
-    """Determinant of a square matrix over the Gaussian integers, entries
-    and result pairs (re, im) of ints, exactly, by Bareiss's fraction-free
-    elimination (Bareiss, Math. Comp. 22, 1968): every entry stays a minor
-    of m, so each division by the previous pivot is exact.  A zero pivot is
-    swapped for a row below with a nonzero entry, or the determinant is 0;
-    an inexact division raises ArithmeticError."""
-    m = [list(row) for row in m]
-    n = len(m)
-    sign = 1
-    pr, pi = 1, 0  # the previous pivot
-    for k in range(n - 1):
-        if m[k][k] == (0, 0):
-            r = next((r for r in range(k + 1, n) if m[r][k] != (0, 0)), None)
-            if r is None:
-                return 0, 0
-            m[k], m[r] = m[r], m[k]
-            sign = -sign
-        top = m[k]
-        a, b = top[k]
-        norm = pr * pr + pi * pi
-        for row in m[k + 1:]:
-            c, s = row[k]
-            for j in range(k + 1, n):
-                (e, f), (g, t) = row[j], top[j]
-                # (row[j] * pivot - row[k] * top[j]) / previous pivot
-                re = e * a - f * b - c * g + s * t
-                im = e * b + f * a - c * t - s * g
-                qr, rr = divmod(re * pr + im * pi, norm)
-                qi, ri = divmod(im * pr - re * pi, norm)
-                if rr or ri:
-                    raise ArithmeticError(
-                        f"Bareiss step {k}: ({re}, {im}) is not a multiple "
-                        f"of the pivot ({pr}, {pi})")
-                row[j] = qr, qi
-        pr, pi = a, b
-    re, im = m[-1][-1]
-    return sign * re, sign * im
+    det, value = np.zeros(0, np.int64), np.zeros((0, n), np.int64)
+    size = field_batch(rs)
+    for lo in range(0, len(z), size):
+        gy, gdy = gencos_pair_mod(rs, d, z[lo:lo + size], p)
+        vals = eval_polys_mod(polys, gy, p)
+        det = np.append(det, det_mod(vals[:, :n * n].reshape(-1, n, n), p))
+        value = np.vstack([value, (vals[:, n * n:] - gdy) % p])
+    det, value = np.abs(centred(det, p)), np.abs(centred(value, p))
+    worst = value.max(axis=1, initial=0)
+    witness = None
+    bad = np.flatnonzero(det + worst)
+    if len(bad):
+        i = int(bad[0])
+        v, ell = walls[i]
+        in_det = bool(det[i])
+        witness = {
+            "sample": i, "check": "det" if in_det else "value",
+            "component": None if in_det else int(np.flatnonzero(value[i])[0]),
+            "wall": {"weight_coords": list(v.weight_coords), "level": ell},
+            "z": z[i].tolist()}
+    return PostCriticalReport(rs.type_spec, d, samples, tol, p, det.tolist(),
+                              worst.tolist(), skipped, witness)
 
 
 def deltoid_residual(x1: complex, x2: complex) -> complex:

@@ -28,6 +28,8 @@ from weylcheb.chebmap import (
 )
 from weylcheb.rootsys import build_root_system, orbit, orbit_matrix
 
+import fixed_point_oracle as fpo
+
 FULL_MATRIX = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                for d in (2, 3)]
 
@@ -343,10 +345,10 @@ def test_gencos_pair_matches_per_row_oracle(spec, d, randoms, rs):
     # above P), so only the kernel's own error is measured
     rsys = rs(spec)
     points = _box_points(rsys, randoms)
-    dps = chebmap._needed_dps(rsys, d)
-    P = chebmap.check_precision(rsys, d)
-    z = chebmap.fixed_exp(points, P)
-    gx, gdx = chebmap.GencosPair(rsys, d)(z, P)
+    dps = fpo._needed_dps(rsys, d)
+    P = fpo.check_precision(rsys, d)
+    z = fpo.fixed_exp(points, P)
+    gx, gdx = fpo.GencosPair(rsys, d)(z, P)
     with mpmath.workprec(P + 64):
         # ten digits short of the working precision: room for cancellation
         # at the random points; a reciprocal 1/z_j floored 70 bits short of
@@ -371,10 +373,10 @@ def test_fixed_point_polys_within_documented_bound(spec, d, rs):
     comps = [p for row in jacobian_polys(pmap) for p in row] + list(pmap.components)
     degree = max(sum(e) for comp in comps for e in comp)
     points = _box_points(rsys, 2)
-    dps = chebmap._needed_dps(rsys, d)
-    P = chebmap.check_precision(rsys, d)
-    gx, _ = chebmap.GencosPair(rsys, d)(chebmap.fixed_exp(points, P), P)
-    got = chebmap.eval_polys_fixed(comps, gx, P)
+    dps = fpo._needed_dps(rsys, d)
+    P = fpo.check_precision(rsys, d)
+    gx, _ = fpo.GencosPair(rsys, d)(fpo.fixed_exp(points, P), P)
+    got = fpo.eval_polys_fixed(comps, gx, P)
     with mpmath.workdps(2 * dps):
         xs = [_to_mpc(v, P) for v in gx]
         got = [_to_mpc(v, P) for v in got]
@@ -396,16 +398,16 @@ def test_check_precision_is_mpmath_rule(spec, d, h, rs):
     # P = p + 32, p the bits mpmath gives the digits of _needed_dps
     from mpmath.libmp import dps_to_prec
     rsys = rs(spec)
-    assert chebmap.check_precision(rsys, d, h) == \
-        dps_to_prec(chebmap._needed_dps(rsys, d, h)) + 32
+    assert fpo.check_precision(rsys, d, h) == \
+        dps_to_prec(fpo._needed_dps(rsys, d, h)) + 32
 
 
 @pytest.mark.parametrize("spec", ["A2", "F4"])
 def test_fixed_exp_is_the_float64_exponential(spec, rs):
     rsys = rs(spec)
     points = _box_points(rsys, 20)
-    P = chebmap.check_precision(rsys, 2)
-    z = chebmap.fixed_exp(points, P)
+    P = fpo.check_precision(rsys, 2)
+    z = fpo.fixed_exp(points, P)
     want = np.exp(2j * np.pi * np.array(points))
     for (re, im), col in zip(z, want.T):
         for fixed, parts in ((re, col.real), (im, col.imag)):
@@ -418,10 +420,10 @@ def test_reciprocal_within_documented_bound(spec, rs):
     # z (1/z) = 1 up to |z| sqrt(2) 2^-P, 1/z off by less than sqrt(2) 2^-P;
     # with 1/z floored one bit short of P, the largest error ratio passes 1
     rsys = rs(spec)
-    P = chebmap.check_precision(rsys, 2)
+    P = fpo.check_precision(rsys, 2)
     ratios = []
-    for a, b in chebmap.fixed_exp(_box_points(rsys, 20), P):
-        wr, wi = chebmap._div((1 << P, 0), (a, b), P)
+    for a, b in fpo.fixed_exp(_box_points(rsys, 20), P):
+        wr, wi = fpo._div((1 << P, 0), (a, b), P)
         for a, b, wr, wi in zip(a, b, wr, wi):
             # z w - 1 in units of 2^{-2P}: exact
             re, im = a * wr - b * wi - (1 << 2 * P), a * wi + b * wr
@@ -449,10 +451,10 @@ def _fixed_point_check(rsys, d, pmap, samples, seed=0, tol=1e-8):
     rng = random.Random(seed)
     points = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                for _ in range(rsys.rank)] for _ in range(samples)]
-    P = chebmap.check_precision(rsys, d)
-    gx, gdx = chebmap.GencosPair(rsys, d)(chebmap.fixed_exp(points, P), P)
-    lhs = chebmap.eval_polys_fixed(pmap.components, gx, P)
-    return max(chebmap.fixed_distances(lhs, gdx, P)) <= tol
+    P = fpo.check_precision(rsys, d)
+    gx, gdx = fpo.GencosPair(rsys, d)(fpo.fixed_exp(points, P), P)
+    lhs = fpo.eval_polys_fixed(pmap.components, gx, P)
+    return max(fpo.fixed_distances(lhs, gdx, P)) <= tol
 
 
 @pytest.mark.parametrize("spec,d", [("A2", 2), ("G2", 2), ("A1xA1", 3)])

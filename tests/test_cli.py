@@ -183,6 +183,45 @@ def test_verify_postcritical_a2(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["pass"] and payload["deltoid_pass"]
+    assert payload["witness"] is None and 2 ** 30 <= payload["prime"] < 2 ** 31
+
+
+def test_verify_postcritical_e6_at_default_samples(capsys):
+    # rank 6, 72 roots, 50 points in one batch of the prime-field kernels
+    code, out, _ = run_cli(capsys, "verify-postcritical", "E6", "2")
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"] and payload["samples"] == 50
+    assert payload["max_det_residual"] == payload["max_value_residual"] == 0
+
+
+def test_verify_postcritical_failure_names_its_witness(capsys, monkeypatch):
+    # a +1 on X_1^2 makes A2 2 fail at its first sample, in the determinant;
+    # the JSON carries the library report's witness and prime
+    from weylcheb import chebmap
+    from weylcheb.critical import post_critical_check, wall_preimages_mod
+    from weylcheb.rootsys import build_root_system
+
+    real = chebmap.build_cheb_map
+
+    def mutant(rsys, d):
+        comps = [dict(c) for c in real(rsys, d).components]
+        comps[0][(d, 0)] += 1
+        return chebmap.PolynomialMap(rsys.rank, tuple(comps))
+
+    monkeypatch.setattr(chebmap, "build_cheb_map", mutant)
+    code, out, _ = run_cli(capsys, "verify-postcritical", "A2", "2",
+                           "--samples", "10")
+    payload = json.loads(out)
+    assert code == 1 and payload["pass"] is False
+    a2 = build_root_system("A2")
+    rep = post_critical_check(a2, 2, mutant(a2, 2), samples=10)
+    p, z, walls, _ = wall_preimages_mod(a2, 2, 10)
+    assert payload["prime"] == rep.prime == p
+    v, ell = walls[0]
+    assert payload["witness"] == rep.witness == {
+        "sample": 0, "check": "det", "component": None,
+        "wall": {"weight_coords": list(v.weight_coords), "level": ell},
+        "z": z[0].tolist()}
 
 
 # --- img-verify ------------------------------------------------------------------------

@@ -1,22 +1,39 @@
 """Wall sampling, post-critical structure, and the deltoid identity."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from weylcheb import chebmap, critical
-from weylcheb.chebmap import (PolynomialMap, build_cheb_map,
-                              verify_functional_equation)
+from weylcheb.chebmap import (PolynomialMap, build_cheb_map, gencos_pair_mod,
+                              is_prime, verify_functional_equation)
 from weylcheb.critical import (
+    LEVELS,
     DiagramSample,
-    bareiss_det,
     deltoid_check,
     deltoid_residual,
+    det_mod,
     post_critical_check,
     sample_diagram_points,
+    wall_preimages_mod,
 )
 from weylcheb.gencos import eval_gencos, is_on_diagram
+
+import fixed_point_oracle as fpo
+from fixed_point_oracle import bareiss_det, post_critical_fixed_point
+
+VERIFY_CASES = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
+                for d in (2, 3)] + [("B3", 2), ("F4", 2), ("G2", 6)]
+
+
+def _plus_one(pmap, d):
+    """pmap with 1 added to the coefficient of X_1^d in component 0."""
+    comps = [dict(c) for c in pmap.components]
+    e = tuple(d if j == 0 else 0 for j in range(pmap.rank))
+    comps[0][e] = comps[0].get(e, 0) + 1
+    return PolynomialMap(pmap.rank, tuple(comps))
 
 
 # --- wall sampling -------------------------------------------------------------
@@ -53,20 +70,18 @@ def test_postcritical_determinant_vanishes(spec, d, rs):
     rep = post_critical_check(rsys, d, build_cheb_map(rsys, d), samples=50, seed=33)
     assert len(rep.det_residuals) == 50
     assert rep.skipped > 0  # levels divisible by d are degenerate and flagged
-    assert rep.max_det_residual < 1e-7
-    assert rep.max_value_residual < 1e-7
+    assert rep.max_det_residual == 0 and rep.max_value_residual == 0
+    assert rep.witness is None
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_postcritical_g2_degree_6(seed, rs):
     # evaluated in float64 the det residual was about 4e-6 here, above tol;
-    # in mpmath at float64 wall points about 2e-11; with each point put on
-    # its wall at the working precision about 3e-21, and with the pivot
-    # solved in fixed point and the determinant exact about 1e-29
+    # modulo p it is exactly 0
     rsys = rs("G2")
     rep = post_critical_check(rsys, 6, build_cheb_map(rsys, 6), seed=seed)
-    assert rep.passed, (rep.max_det_residual, rep.max_value_residual)
-    assert rep.max_det_residual < 1e-15
+    assert rep.passed, rep.witness
+    assert rep.max_det_residual == 0 and rep.max_value_residual == 0
 
 
 @pytest.mark.parametrize("spec", ["B6", "C6"])
@@ -76,33 +91,32 @@ def test_postcritical_rank_six_at_default_samples(spec, rs):
     rsys = rs(spec)
     rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2))
     assert len(rep.det_residuals) == 50
-    assert rep.passed, (rep.max_det_residual, rep.max_value_residual)
+    assert rep.passed, rep.witness
 
 
 def test_postcritical_without_enough_preimages_does_not_pass(rs, monkeypatch):
-    # a level-0 wall passes through 0, so y = x / d lies on it too: every
-    # draw is skipped, and a check of no points must not pass
+    # a level-0 wall passes through 0, so y = x / d lies on it too (z^v = 1):
+    # every draw is skipped, and a check of no points must not pass
     rsys = rs("A2")
-    real = critical.sample_diagram_points
-    monkeypatch.setattr(
-        critical, "sample_diagram_points",
-        lambda rsys, count, seed: real(rsys, count, (0,), seed))
+    monkeypatch.setattr(critical, "LEVELS", (0,))
     rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2), samples=10)
     assert rep.det_residuals == [] and rep.skipped == 400
     assert rep.passed is False
     assert rep.as_dict() == {
         "type_spec": "A2", "d": 2, "samples": 10, "skipped": 400,
-        "max_det_residual": 0.0, "max_value_residual": 0.0, "tol": 1e-7,
-        "pass": False}
+        "prime": rep.prime, "max_det_residual": 0, "max_value_residual": 0,
+        "tol": 1e-7, "witness": None, "pass": False}
+    assert rep.prime == wall_preimages_mod(rsys, 2, 10)[0]
 
 
 @pytest.mark.parametrize("spec", ["B6", "C6"])
 def test_postcritical_fails_at_unrefined_pivots(spec, rs, monkeypatch):
-    # the float64 pivot sits about 1e-17 off its wall: at seed 0 the det
-    # residual is 3.4e-6 on B6 2 and 1.4e-6 on C6 2, past tol
-    monkeypatch.setattr(critical, "wall_root", lambda c, m, u0, P: u0)
+    # in the fixed-point oracle, the float64 pivot sits about 1e-17 off its
+    # wall: at seed 0 the det residual is 3.4e-6 on B6 2 and 1.4e-6 on
+    # C6 2, past tol
+    monkeypatch.setattr(fpo, "wall_root", lambda c, m, u0, P: u0)
     rsys = rs(spec)
-    rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2))
+    rep = post_critical_fixed_point(rsys, 2, build_cheb_map(rsys, 2))
     assert len(rep.det_residuals) == 50
     assert rep.max_det_residual > 10 * rep.tol
     assert not rep.passed
@@ -113,16 +127,16 @@ def test_wall_root_is_the_root_nearest_the_float64_pivot(spec, d, rs,
                                                          monkeypatch):
     import mpmath
     seen = []
-    real = critical.wall_root
+    real = fpo.wall_root
 
     def recording(c, m, u0, P):
         u = real(c, m, u0, P)
         seen.append((c, m, u0, u, P))
         return u
 
-    monkeypatch.setattr(critical, "wall_root", recording)
+    monkeypatch.setattr(fpo, "wall_root", recording)
     rsys = rs(spec)
-    post_critical_check(rsys, d, build_cheb_map(rsys, d), samples=20)
+    post_critical_fixed_point(rsys, d, build_cheb_map(rsys, d), samples=20)
     assert len(seen) == 20
     for c, m, u0, u, P in seen:
         with mpmath.workprec(2 * P):
@@ -177,10 +191,10 @@ def test_bareiss_det_of_singular_matrices_is_zero():
 
 @pytest.mark.parametrize("spec,d", [("G2", 6), ("F4", 2)])
 def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
-    # the post-critical check keeps one precision for all its points, and
-    # the functional check's residuals are exact, so cutting the batch into
-    # chunks of 7 changes no residual; the functional check runs on a +1
-    # mutant, so its per-point residuals are not all zero
+    # the residuals of both prime-field checks and of the fixed-point oracle
+    # (one precision for all its points) are exact, so cutting the batch
+    # into chunks of 7 changes no residual; the checks run on a +1 mutant,
+    # so their per-point residuals are not all zero
     rsys = rs(spec)
     pmap = build_cheb_map(rsys, d)
     comps = [dict(c) for c in pmap.components]
@@ -201,18 +215,135 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
         seen.clear()
         fun = verify_functional_equation(rsys, d, wrong, samples=30)
         per_point = [r for part in seen for r in part.tolist()]
-        post = post_critical_check(rsys, d, pmap, samples=20)
+        post = post_critical_check(rsys, d, wrong, samples=20)
+        oracle = post_critical_fixed_point(rsys, d, pmap, samples=20)
         return (fun.max_residual, fun.witness, per_point, post.det_residuals,
-                post.value_residuals)
+                post.value_residuals, post.witness, oracle.det_residuals,
+                oracle.value_residuals)
 
     whole = run()
     assert len(whole[2]) == 30 and len(whole[3]) == 20
     assert all(r[-1] != 0 for r in whole[2])
+    assert all(whole[4]) and whole[5] is not None
+    assert len(whole[6]) == 20
     rows = len(chebmap.fundamental_orbit_table(rsys)[0])
     monkeypatch.setattr(chebmap, "FIELD_CELLS", 7 * 2 * rows)
-    monkeypatch.setattr(chebmap, "CHECK_CHUNK", 7)
+    monkeypatch.setattr(fpo, "CHECK_CHUNK", 7)
     assert run() == whole
     assert len(seen) == 5  # 30 points in chunks of 7
+
+
+@pytest.mark.parametrize("spec,d", [("A1", 3), ("A2", 2), ("G2", 6),
+                                    ("B3xA1", 2), ("F4", 2), ("E6", 2)])
+def test_kept_points_lie_over_walls_and_off_them(spec, d, rs):
+    # z^{d v} = 1 for the drawn root v, and z^u != 1 for every root u,
+    # recomputed with Python ints; the prime holds the roots of unity
+    rsys = rs(spec)
+    p, z, walls, skipped = wall_preimages_mod(rsys, d, 50, seed=3)
+    assert is_prime(p) and 2 ** 30 <= p < 2 ** 31
+    pivots = [max(map(abs, v.weight_coords)) for v in rsys.roots]
+    assert (p - 1) % (d * math.lcm(*pivots)) == 0
+    assert len(z) == len(walls) == 50 and skipped > 0
+
+    def power(point, u):
+        return math.prod(pow(int(zj), uj, p) for zj, uj in zip(point, u)) % p
+
+    for point, (v, ell) in zip(z.tolist(), walls):
+        assert all(1 <= zj < p for zj in point)
+        assert ell in LEVELS and ell % d != 0
+        assert power(point, [d * w for w in v.weight_coords]) == 1
+        assert all(power(point, u.weight_coords) != 1 for u in rsys.roots)
+
+
+def _sympy_det_mod(m, p):
+    import sympy
+    return int(sympy.Matrix(m).det()) % p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_det_mod_matches_sympy(n):
+    # one batch mixes full-rank matrices, a zero leading pivot, a leading
+    # 2x2 minor that vanishes mod p (a swap midway), and singular ones: a
+    # row that is a combination of two others mod p, and a zero column
+    p = 2147483647
+    rng = random.Random(50 + n)
+    batch = []
+    for _ in range(6):
+        batch.append([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+    batch[1][0][0] = 0
+    if n >= 3:
+        m = batch[2]
+        m[1] = [3 * x % p for x in m[0]]  # rows 0, 1 dependent mod p ...
+        m[1][2] = (m[1][2] + 1) % p       # ... except in column 2
+    if n >= 2:
+        m = batch[3]
+        m[-1] = [(5 * a - 7 * b) % p for a, b in zip(m[0], m[1 % n])]
+        if n == 2:
+            m[1] = [5 * a % p for a in m[0]]
+        for row in batch[4]:
+            row[n - 1] = 0
+    else:
+        batch[3][0][0] = 0
+    got = det_mod(np.array(batch, dtype=np.int64), p).tolist()
+    want = [_sympy_det_mod(m, p) for m in batch]
+    assert got == want
+    if n >= 2:
+        assert want[3] == want[4] == 0
+        assert all(want[k] for k in (0, 1, 5))
+
+
+def test_postcritical_fails_on_the_determinant_alone(rs, monkeypatch):
+    # a determinant off by -1 at sample 2 only, every value right: the
+    # determinant alone must fail the check and name the sample, and the
+    # residual is |-1| = 1, not p - 1
+    real = critical.det_mod
+
+    def off_by_one(a, p):
+        det = real(a, p)
+        det[2] = (det[2] - 1) % p
+        return det
+
+    monkeypatch.setattr(critical, "det_mod", off_by_one)
+    rsys = rs("B2")
+    rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2), samples=10)
+    assert rep.det_residuals == [0, 0, 1] + [0] * 7
+    assert rep.max_value_residual == 0 and not rep.passed
+    assert (rep.witness["sample"], rep.witness["check"],
+            rep.witness["component"]) == (2, "det", None)
+
+
+@pytest.mark.parametrize("spec,d", VERIFY_CASES)
+def test_plus_one_mutant_fails_postcritical(spec, d, rs):
+    rsys = rs(spec)
+    pmap = build_cheb_map(rsys, d)
+    assert post_critical_check(rsys, d, pmap).passed
+    rep = post_critical_check(rsys, d, _plus_one(pmap, d))
+    if (spec, d) != ("A1", 2):
+        assert not rep.passed and rep.witness is not None, (spec, d)
+        return
+    # A1 2 cannot see this mutant: the strict preimages of the walls are
+    # the z with z^2 = -1, where X = z + 1/z = 0, so X^2 adds nothing
+    assert rep.passed
+    p, z, _, _ = wall_preimages_mod(rsys, 2, 50)
+    gy, _ = gencos_pair_mod(rsys, 2, z, p)
+    assert not gy.any()
+
+
+def test_prime_field_check_agrees_with_fixed_point_oracle(rs):
+    # on the verify grid both checks pass; on the +1 mutants the exact
+    # check fails wherever the fixed-point oracle does
+    oracle_fails = []
+    for spec, d in VERIFY_CASES:
+        rsys = rs(spec)
+        pmap = build_cheb_map(rsys, d)
+        assert post_critical_check(rsys, d, pmap).passed, (spec, d)
+        assert post_critical_fixed_point(rsys, d, pmap).passed, (spec, d)
+        wrong = _plus_one(pmap, d)
+        if not post_critical_fixed_point(rsys, d, wrong).passed:
+            oracle_fails.append((spec, d))
+            assert not post_critical_check(rsys, d, wrong).passed, (spec, d)
+    # A1 2's blindness: see test_plus_one_mutant_fails_postcritical
+    assert oracle_fails == [c for c in VERIFY_CASES if c != ("A1", 2)]
 
 
 def test_postcritical_refuses_no_samples(rs):
@@ -230,7 +361,7 @@ def test_postcritical_catches_wrong_coefficient(spec, d, rs):
     rep = post_critical_check(rsys, d, PolynomialMap(rsys.rank, tuple(comps)),
                               samples=20, seed=0)
     assert rep.max_det_residual > 1e3 * 1e-7
-    assert not rep.passed
+    assert not rep.passed and rep.witness["sample"] == 0
 
 
 def test_postcritical_a1_explicit(rs):
