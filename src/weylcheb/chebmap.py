@@ -34,19 +34,23 @@ z_j = e^{2 pi i x_j} both sides are integer Laurent polynomials in z, so
 the identity is tested modulo a prime p drawn from the seed in
 [2^30, 2^31) (draw_prime), at seeded points z of (F_p^*)^n, in int64 numpy:
 a product of two residues is below 2^62, and a sum of fewer than 2^32
-residues below 2^63.  gencos(z) and gencos(z^d) are sums of products of
-tabulated powers z_j^k mod p (monomials_mod, gencos_pair_mod), and T_d is
-evaluated from one exponent matrix of its monomials (eval_polys_mod).  A
-nonzero residual, a Laurent polynomial of total degree deg once its
-negative exponents are cleared, vanishes at a uniform point of (F_p^*)^n
-with probability at most deg/(p-1) (Schwartz-Zippel; Schwartz, JACM 27,
-1980), unless p divides all its integer coefficients; a new seed draws a
-new p.  Differentiating the identity in log z gives
-J_T(gencos z) E(z) = d E(z^d), E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam,
-so det J_T(gencos z) det E(z) = d^n det E(z^d) in Z[z^{+-1}]: the
+residues below 2^63.  One evaluator, polys_at_gencos_mod, serves both
+sampled checks: it gives gencos(z^d) and any integer polynomials at
+gencos(z), in batches of FIELD_CELLS cells.  Every monomial, of an orbit
+row or of a polynomial, is a product of powers z_j^k mod p from one table
+(monomials_mod): gencos is summed over the orbit rows (gencos_pair_mod),
+and the polynomials are evaluated from one exponent matrix of their
+monomials (eval_polys_mod).  A nonzero residual, a Laurent polynomial of
+total degree deg once its negative exponents are cleared, vanishes at a
+uniform point of (F_p^*)^n with probability at most deg/(p-1)
+(Schwartz-Zippel; Schwartz, JACM 27, 1980), unless p divides all its
+integer coefficients; a new seed draws a new p.  Differentiating the
+identity in log z gives J_T(gencos z) E(z) = d E(z^d),
+E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam, so
+det J_T(gencos z) det E(z) = d^n det E(z^d) in Z[z^{+-1}]: the
 post-critical check (critical.post_critical_check) tests its consequences
-on the same kernels, at points of (F_p^*)^n over the scaled walls, with the
-miss bound derived there.
+on the same evaluator, at points of (F_p^*)^n over the scaled walls, with
+the miss bound derived there.
 """
 
 from __future__ import annotations
@@ -445,26 +449,23 @@ def centred(r: np.ndarray, p: int) -> np.ndarray:
     return np.where(r > p // 2, r - p, r)
 
 
-def field_batch(rs: RootSystem) -> int:
-    """Points per batch of the prime-field checks: FIELD_CELLS cells of the
-    (points x 2 orbit rows) array of gencos_pair_mod."""
-    return max(1, FIELD_CELLS // (2 * len(fundamental_orbit_table(rs)[0])))
-
-
 def monomials_mod(z: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
     """prod_j z_j^{e_j} mod p for each row e of exps (ints of either sign)
-    at a batch of points z, an (S, n) int64 array of residues in
-    [1, p - 1]: an (S, len(exps)) array of residues.  The powers z_j^k,
-    |k| <= max|e_j|, are tabulated once, and each monomial is n gathered
+    at a batch of points z, an (S, n) int64 array of residues, nonzero where
+    an exponent is negative: an (S, len(exps)) array of residues.  The
+    powers z_j^k, min(e, 0) <= k <= max(e), are tabulated once (inverses
+    only when some exponent is negative), and each monomial is n gathered
     products."""
-    top = int(np.abs(exps).max(initial=0))
-    inv = inverse_mod(z, p)
-    # pw[s, j, top + k] = z_j^k at point s, |k| <= top
-    pw = np.ones((*z.shape, 2 * top + 1), dtype=np.int64)
-    for k in range(1, top + 1):
-        pw[..., top + k] = pw[..., top + k - 1] * z % p
-        pw[..., top - k] = pw[..., top - k + 1] * inv % p
-    cols = exps + top
+    lo, hi = int(exps.min(initial=0)), int(exps.max(initial=0))
+    # pw[s, j, k - lo] = z_j^k at point s
+    pw = np.ones((*z.shape, hi - lo + 1), dtype=np.int64)
+    for k in range(1, hi + 1):
+        pw[..., k - lo] = pw[..., k - lo - 1] * z % p
+    if lo:
+        inv = inverse_mod(z, p)
+        for k in range(-1, lo - 1, -1):
+            pw[..., k - lo] = pw[..., k - lo + 1] * inv % p
+    cols = exps - lo
     terms = pw[:, 0, cols[:, 0]]
     for j in range(1, z.shape[1]):
         terms *= pw[:, j, cols[:, j]]
@@ -490,18 +491,12 @@ def gencos_pair_mod(rs: RootSystem, d: int, z: np.ndarray, p: int) -> tuple:
 def eval_polys_mod(comps, x: np.ndarray, p: int) -> np.ndarray:
     """Sparse integer polynomials modulo p at a batch of points x, an (S, n)
     int64 array of residues: an (S, len(comps)) array of residues.  Every
-    monomial of all of them is evaluated once, from one exponent matrix;
-    the coefficients are reduced mod p."""
+    monomial of all of them is evaluated once, by monomials_mod on one
+    exponent matrix; the coefficients are reduced mod p."""
     monos = sorted({e for comp in comps for e in comp})
     index = {e: i for i, e in enumerate(monos)}
-    exps = np.array(monos, dtype=np.int64).reshape(len(monos), x.shape[1])
-    pw = np.ones((*x.shape, int(exps.max(initial=0)) + 1), dtype=np.int64)
-    for k in range(1, pw.shape[2]):
-        pw[..., k] = pw[..., k - 1] * x % p
-    values = np.ones((len(x), len(monos)), dtype=np.int64)
-    for j in range(x.shape[1]):
-        values *= pw[:, j, exps[:, j]]
-        values %= p
+    values = monomials_mod(x, np.array(monos, dtype=np.int64).reshape(
+        len(monos), x.shape[1]), p)
     out = np.empty((len(x), len(comps)), dtype=np.int64)
     for k, comp in enumerate(comps):
         coeffs = np.array([c % p for c in comp.values()], dtype=np.int64)
@@ -510,12 +505,28 @@ def eval_polys_mod(comps, x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def polys_at_gencos_mod(rs: RootSystem, d: int, polys, z: np.ndarray,
+                        p: int) -> tuple:
+    """The sparse integer polynomials `polys` at gencos(z), and gencos(z^d),
+    modulo p at points z, an (S, n) int64 array of residues in [1, p - 1]:
+    an (S, len(polys)) and an (S, n) array of residues, both empty for
+    S = 0.  The points run in batches of at most FIELD_CELLS cells of the
+    (points x 2 orbit rows) array of gencos_pair_mod."""
+    size = max(1, FIELD_CELLS // (2 * len(fundamental_orbit_table(rs)[0])))
+    vals = np.empty((len(z), len(polys)), dtype=np.int64)
+    gdz = np.empty((len(z), rs.rank), dtype=np.int64)
+    for lo in range(0, len(z), size):
+        gz, gdz[lo:lo + size] = gencos_pair_mod(rs, d, z[lo:lo + size], p)
+        vals[lo:lo + size] = eval_polys_mod(polys, gz, p)
+    return vals, gdz
+
+
 def residuals_mod_p(rs: RootSystem, d: int, pmap: PolynomialMap,
                     z: np.ndarray, p: int) -> np.ndarray:
-    """T_d(gencos z) - gencos(z^d) modulo p at a batch of points z, as an
-    (S, n) int64 array of representatives in (-p/2, p/2]."""
-    gx, gdx = gencos_pair_mod(rs, d, z, p)
-    return centred((eval_polys_mod(pmap.components, gx, p) - gdx) % p, p)
+    """T_d(gencos z) - gencos(z^d) modulo p at points z, as an (S, n) int64
+    array of representatives in (-p/2, p/2]."""
+    vals, gdz = polys_at_gencos_mod(rs, d, pmap.components, z, p)
+    return centred((vals - gdz) % p, p)
 
 
 @dataclass
@@ -551,17 +562,15 @@ def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
     """Check that the map intertwines the generalized cosine with
     multiplication by d, exactly modulo a prime p, at `samples` seeded
     points z of (F_p^*)^n (see the module docstring): p and then the points
-    are drawn from random.Random(seed).  The points run in batches of at
-    most FIELD_CELLS cells of the (points x 2 orbit rows) array."""
+    are drawn from random.Random(seed), and all go through one
+    residuals_mod_p call."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
     p = draw_prime(rng)
     z = np.array([[rng.randrange(1, p) for _ in range(rs.rank)]
                   for _ in range(samples)], dtype=np.int64)
-    size = field_batch(rs)
-    res = np.concatenate([residuals_mod_p(rs, d, pmap, z[lo:lo + size], p)
-                          for lo in range(0, samples, size)])
+    res = residuals_mod_p(rs, d, pmap, z, p)
     bad = np.flatnonzero(res)
     witness = None
     if len(bad):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import chebmap as cm
@@ -18,7 +17,6 @@ from . import monodromy as mo
 from . import selfsim as ss
 from .errors import WeylchebError
 from .rootsys import (
-    WEYL_CAP,
     affine_compose,
     affine_identity,
     build_root_system,
@@ -63,7 +61,7 @@ def cmd_roots(args) -> int:
 
 def cmd_weyl(args) -> int:
     rs = build_root_system(args.type)
-    elements = weyl_group_elements(rs, cap=args.cap_group)
+    elements = weyl_group_elements(rs)
     payload = {
         "type": rs.type_spec,
         "order": len(elements),
@@ -103,27 +101,17 @@ def cmd_verify_functional(args) -> int:
 
 def cmd_verify_postcritical(args) -> int:
     _check_samples(args)
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise WeylchebError(f"--tol must be finite and nonnegative, "
-                            f"got {args.tol}")
     rs = build_root_system(args.type)
     pmap = cm.build_cheb_map(rs, args.d)
     rep = cr.post_critical_check(rs, args.d, pmap, samples=args.samples,
-                                 tol=args.tol, seed=args.seed)
-    payload = rep.as_dict()
-    if rs.type_spec == "A2":
-        residuals = cr.deltoid_check(rs, samples=args.samples, seed=args.seed)
-        payload["deltoid_max_residual"] = float(max(residuals))
-        payload["deltoid_pass"] = bool(max(residuals) <= rep.tol)
-    ok = payload["pass"] and payload.get("deltoid_pass", True)
-    _emit(args, payload)
-    return 0 if ok else 1
+                                 seed=args.seed)
+    _emit(args, rep.as_dict())
+    return 0 if rep.passed else 1
 
 
 def cmd_img_verify(args) -> int:
     rs = build_root_system(args.type)
-    rep = mo.img_verification(rs, args.d, args.levels,
-                              vertex_cap=args.cap_vertices)
+    rep = mo.img_verification(rs, args.d, args.levels)
     _emit(args, rep.as_dict())
     return 0 if rep.passed else 1
 
@@ -211,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weyl", help="enumerate the finite Weyl group")
     common(p)
-    p.add_argument("--cap-group", type=int, default=WEYL_CAP)
     p.set_defaults(func=cmd_weyl)
 
     p = sub.add_parser("chebmap", help="synthesize and verify a polynomial map")
@@ -226,13 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-postcritical",
                        help="check critical/post-critical structure")
     common(p, d=True, sampled=True)
-    p.add_argument("--tol", type=float, default=1e-7)
     p.set_defaults(func=cmd_verify_postcritical, samples=50)
 
     p = sub.add_parser("img-verify",
                        help="check each generator loop lifts to its label")
     common(p, d=True, levels=True)
-    p.add_argument("--cap-vertices", type=int, default=mo.VERTEX_CAP)
     p.set_defaults(func=cmd_img_verify)
 
     p = sub.add_parser("automaton", help="export the generators' automaton")

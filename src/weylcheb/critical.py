@@ -1,7 +1,9 @@
-"""Critical and post-critical structure checks: sampling of the reflection
-walls, vanishing of the map's Jacobian at the images of their strict
-preimages, the critical values landing where the scaled walls map, and the
-deltoid identity in the A2 case.
+"""Critical and post-critical structure checks: vanishing of the map's
+Jacobian at the images of the strict preimages of the reflection walls, and
+the critical values landing where the scaled walls map, exact modulo a
+prime.  The float wall sampler and the A2 deltoid identity are kept for
+tests and for perfbench/tracer.py, which wraps them by name; no CLI verb
+runs them.
 
 The post-critical check is exact modulo a prime.  With z_j = e^{2 pi i y_j}
 and E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam, differentiating
@@ -45,9 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebmap import (PolynomialMap, centred, draw_prime, eval_polys_mod,
-                      field_batch, gencos_pair_mod, inverse_mod,
-                      jacobian_polys, monomials_mod)
+from .chebmap import (PolynomialMap, centred, draw_prime, inverse_mod,
+                      jacobian_polys, monomials_mod, polys_at_gencos_mod)
 from .gencos import eval_gencos
 from .rootsys import RootSystem
 
@@ -70,9 +71,9 @@ class PostCriticalReport:
     largest |T_d(G(z)) - G(z^d)|, exact integers (representatives in
     (-p/2, p/2]), 0 when the identities hold.  `witness` names the first
     failing sample: its index, the check (`det` or `value`), the component
-    (from 0; None for `det`), its wall and z as residues mod prime.  `tol`
-    bounds the float deltoid check that `verify-postcritical` runs beside
-    this one on A2; the exact residuals here pass only at 0."""
+    (from 0; None for `det`), its wall and z as residues mod prime.  The
+    residuals pass only at 0; `tol` bounds nothing and stays in the report
+    and its JSON because perfbench/tracer.py reads it."""
     type_spec: str
     d: int
     samples: int
@@ -122,7 +123,8 @@ def sample_diagram_points(rs: RootSystem, count: int, ell_range=LEVELS,
                           seed: int = 0) -> list:
     """Deterministic wall samples: pick a root and an integer level, fill the
     n-1 free coordinates at random, and solve the wall equation for the
-    remaining one."""
+    remaining one.  Float points for tests; perfbench/tracer.py wraps it
+    by name."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
@@ -244,24 +246,19 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
     the map's Jacobian must be singular at G(y), and T_d(G(y)) must be
     G(d*y): both checked exactly modulo a prime, at the points
     wall_preimages_mod draws (see the module docstring).  The Jacobian
-    entries and T_d are evaluated on gencos_pair_mod's values by
-    eval_polys_mod, and the determinant by det_mod, in batches of
-    field_batch points.  A check that finds fewer than `samples` strict
-    preimages does not pass."""
+    entries and T_d are evaluated at all of them by one polys_at_gencos_mod
+    call, and the determinants by one det_mod call.  A check that finds
+    fewer than `samples` strict preimages does not pass.  `tol` is only
+    carried into the report (see PostCriticalReport)."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     p, z, walls, skipped = wall_preimages_mod(rs, d, samples, seed)
     n = rs.rank
     polys = [*(q for row in jacobian_polys(pmap) for q in row),
              *pmap.components]
-    det, value = np.zeros(0, np.int64), np.zeros((0, n), np.int64)
-    size = field_batch(rs)
-    for lo in range(0, len(z), size):
-        gy, gdy = gencos_pair_mod(rs, d, z[lo:lo + size], p)
-        vals = eval_polys_mod(polys, gy, p)
-        det = np.append(det, det_mod(vals[:, :n * n].reshape(-1, n, n), p))
-        value = np.vstack([value, (vals[:, n * n:] - gdy) % p])
-    det, value = np.abs(centred(det, p)), np.abs(centred(value, p))
+    vals, gdz = polys_at_gencos_mod(rs, d, polys, z, p)
+    det = np.abs(centred(det_mod(vals[:, :n * n].reshape(-1, n, n), p), p))
+    value = np.abs(centred((vals[:, n * n:] - gdz) % p, p))
     worst = value.max(axis=1, initial=0)
     witness = None
     bad = np.flatnonzero(det + worst)
@@ -279,13 +276,17 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
 
 
 def deltoid_residual(x1: complex, x2: complex) -> complex:
-    """Residual of the deltoid quartic X1^2 X2^2 + 18 X1 X2 - 4(X1^3 + X2^3) - 27."""
+    """Residual of the deltoid quartic
+    X1^2 X2^2 + 18 X1 X2 - 4(X1^3 + X2^3) - 27, the image of the A2 walls
+    under gencos."""
     return x1 * x1 * x2 * x2 + 18 * x1 * x2 - 4 * (x1 ** 3 + x2 ** 3) - 27
 
 
 def deltoid_check(rs: RootSystem, samples: int = 100, seed: int = 0):
     """Images of wall samples under the A2 generalized cosine satisfy the
-    deltoid equation.  Returns the list of |residual| values."""
+    deltoid equation.  Returns the list of |residual| values.  A float
+    check of a fixed fact, independent of T_d: tests run it, and it stays
+    because perfbench/tracer.py wraps it by name."""
     if rs.type_spec != "A2":
         raise ValueError("the deltoid identity is specific to A2")
     points = [s.point for s in sample_diagram_points(rs, samples, seed=seed)]

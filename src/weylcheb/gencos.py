@@ -93,7 +93,8 @@ def _kernel(rs: RootSystem, x, jacobian: bool):
 
 def eval_gencos(rs: RootSystem, x) -> np.ndarray:
     """The generalized cosine at a complex point x (coroot coordinates), or
-    at each row of an (S, n) array of points."""
+    at each row of an (S, n) array of points.  perfbench/tracer.py counts
+    its calls by name."""
     return _kernel(rs, x, jacobian=False)
 
 

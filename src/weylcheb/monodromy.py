@@ -268,11 +268,11 @@ def lift_deck_element(rs: RootSystem, loop: Loop, y_start) -> AffineElement:
 
 
 def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
-                      y_start=None, vertex_cap: int = VERTEX_CAP):
+                      y_start=None):
     """Monodromy level actions of a loop, computed numerically: one
     continuation through the covering determines the deck element, which
     determines every level action."""
-    check_img_caps(rs, d, levels, vertex_cap)
+    check_img_caps(rs, d, levels)
     if y_start is None:
         y_start = basepoint_array(rs)
     y_start = np.asarray(y_start, dtype=complex)
@@ -464,8 +464,7 @@ def _affine_dict(g: AffineElement):
     return {"t": list(g.t), "w": [list(r) for r in g.w.weight_matrix]}
 
 
-def check_img_caps(rs: RootSystem, d: int, levels: int,
-                   vertex_cap: int = VERTEX_CAP):
+def check_img_caps(rs: RootSystem, d: int, levels: int):
     """Size the verification before running it; raises CapExceededError
     naming the vertices, the cap and the memory they stand for.
 
@@ -479,15 +478,14 @@ def check_img_caps(rs: RootSystem, d: int, levels: int,
     group order itself costs nothing: E6 2 1, order 3,317,760, takes 10 ms.
     A Weyl group above WEYL_CAP is refused by img_verification."""
     vertices = d ** (levels * rs.rank)
-    if vertices > vertex_cap:
+    if vertices > VERTEX_CAP:
         raise CapExceededError(
             f"level {levels} needs {vertices} vertices, above cap "
-            f"{vertex_cap}; its group order stores up to 2 * {vertices}^2 = "
+            f"{VERTEX_CAP}; its group order stores up to 2 * {vertices}^2 = "
             f"{2 * vertices ** 2} transversal cells")
 
 
-def img_verification(rs: RootSystem, d: int, levels: int,
-                     vertex_cap: int = VERTEX_CAP) -> MonodromyReport:
+def img_verification(rs: RootSystem, d: int, levels: int) -> MonodromyReport:
     """Verify, at the given depth, that the monodromy action computed by
     path lifting is the affine Weyl action on the tree:
 
@@ -497,7 +495,7 @@ def img_verification(rs: RootSystem, d: int, levels: int,
     (c) the order of the permutation group generated at each level is
         recorded.
     """
-    check_img_caps(rs, d, levels, vertex_cap)
+    check_img_caps(rs, d, levels)
     # deck_identify searches all of W: enumerate it (it is cached) before
     # any loop is lifted, so a Weyl group above WEYL_CAP is refused first
     weyl_group_elements(rs)

@@ -591,31 +591,26 @@ def weyl_order(rs: RootSystem) -> int:
 
 
 def positive_roots(rs: RootSystem):
-    """Roots whose simple-root coefficients are nonnegative."""
-    cinv = invert_fraction(rs.cartan)
-    out = []
-    for v in rs.roots:
-        coeffs = mat_vec(cinv, v.weight_coords)
-        if all(c >= 0 for c in coeffs):
-            out.append(v)
-    return tuple(out)
+    """Roots whose simple-coroot coefficients are nonnegative: v^vee is a
+    positive multiple of v, and each simple coroot of its simple root, so
+    the signs are those of the simple-root coefficients."""
+    return tuple(v for v in rs.roots if min(v.coroot_coords) >= 0)
 
 
 def highest_roots(rs: RootSystem):
-    """The highest root of each irreducible factor (in factor order)."""
-    cinv = invert_fraction(rs.cartan)
+    """The highest root of each irreducible factor (in factor order): the
+    factor's root maximizing |v|^2 sum_i c_i^vee = sum_i c_i |alpha_i|^2,
+    c^vee and c the coefficients of v^vee in the simple coroots and of v in
+    the simple roots.  That functional is positive on the simple roots, and
+    theta - v is a nonnegative combination of them for every root v of the
+    factor, so theta is its unique maximizer."""
     result = []
-    for letter, r, off in rs.factors:
-        best = None
-        best_h = None
-        for v in rs.roots:
-            coeffs = mat_vec(cinv, v.weight_coords)
-            if any(c != 0 for i, c in enumerate(coeffs) if not off <= i < off + r):
-                continue
-            h = sum(coeffs)
-            if best_h is None or h > best_h:
-                best, best_h = v, h
-        result.append(best)
+    for _, r, off in rs.factors:
+        inside = [v for v in rs.roots
+                  if not any(c for i, c in enumerate(v.coroot_coords)
+                             if not off <= i < off + r)]
+        result.append(max(inside,
+                          key=lambda v: v.length_sq * sum(v.coroot_coords)))
     return tuple(result)
 
 

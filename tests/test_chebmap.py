@@ -492,6 +492,54 @@ def test_functional_equation_catches_wrong_coefficient(spec, d, samples, rs):
     assert rep.witness == {"sample": 0, "component": 0, "z": z[0].tolist()}
 
 
+def test_eval_polys_mod_matches_python_ints(monkeypatch):
+    # exact Python-int evaluation mod p, on points with zero residues, of
+    # polynomials with a constant term, coefficients of either sign past p,
+    # and a variable (X_2) of degree 0; no exponent is negative, so no
+    # inverse is taken, and 0^0 = 1
+    p = 2147483629
+    rng = random.Random(60)
+    comps = [{(0, 0, 0): 5, (3, 0, 1): -7, (1, 0, 4): p + 2},
+             {(2, 0, 2): -(3 * p + 1), (0, 0, 1): 1},
+             {(0, 0, 0): -1}]
+    points = [[rng.randrange(p) for _ in range(3)] for _ in range(20)]
+    points[0] = [0, 0, 0]
+    points[1][0] = points[2][2] = 0
+
+    def no_inverse(a, p):
+        raise AssertionError("inverse taken with no negative exponent")
+
+    monkeypatch.setattr(chebmap, "inverse_mod", no_inverse)
+    got = chebmap.eval_polys_mod(comps, np.array(points, dtype=np.int64), p)
+    want = [[v % p for v in eval_polys(comps, x)] for x in points]
+    assert got.tolist() == want
+
+
+def test_monomials_mod_matches_python_ints():
+    # exponents of either sign, and rows that span only part of the table
+    p = 2147483629
+    rng = random.Random(61)
+    exps = np.array([[0, 0], [3, -2], [-4, 0], [1, 1], [0, 5]], dtype=np.int64)
+    z = np.array([[rng.randrange(1, p) for _ in range(2)] for _ in range(9)],
+                 dtype=np.int64)
+    got = chebmap.monomials_mod(z, exps, p)
+    want = [[math.prod(pow(int(zj), int(ej), p) for zj, ej in zip(x, e)) % p
+             for e in exps] for x in z]
+    assert got.tolist() == want
+
+
+def test_evaluator_takes_no_points(rs):
+    rsys = rs("B3")
+    pmap = build_cheb_map(rsys, 2)
+    polys = [*pmap.components, {(0, 0, 0): 1}]
+    none = np.zeros((0, 3), dtype=np.int64)
+    vals, gdz = chebmap.polys_at_gencos_mod(rsys, 2, polys, none, 2147483629)
+    assert vals.shape == (0, 4) and gdz.shape == (0, 3)
+    assert vals.dtype == gdz.dtype == np.int64
+    res = chebmap.residuals_mod_p(rsys, 2, pmap, none, 2147483629)
+    assert res.shape == (0, 3)
+
+
 @pytest.mark.parametrize("cases,samples", [(SYNTH_CASES, 10),
                                            (VERIFY_CASES, 100)],
                          ids=["synth", "verify"])

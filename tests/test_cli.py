@@ -161,15 +161,8 @@ def test_sampled_verbs_refuse_no_samples(capsys, argv):
     assert err.startswith("error: --samples must be at least 1")
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-7"])
-def test_postcritical_refuses_a_tolerance_that_is_not_one(capsys, tol):
-    code, out, err = run_cli(capsys, "verify-postcritical", "A1", "2",
-                             f"--tol={tol}")
-    assert code == 2 and out == ""
-    assert err.startswith("error: --tol must be finite and nonnegative")
-
-
-@pytest.mark.parametrize("verb", ["chebmap", "verify-functional"])
+@pytest.mark.parametrize("verb", ["chebmap", "verify-functional",
+                                  "verify-postcritical"])
 def test_exact_check_takes_no_tolerance(capsys, verb):
     with pytest.raises(SystemExit) as exc:
         main([verb, "A2", "2", "--tol", "1e-8"])
@@ -181,9 +174,10 @@ def test_verify_postcritical_a2(capsys):
     code, out, _ = run_cli(capsys, "verify-postcritical", "A2", "2",
                            "--samples", "25")
     payload = json.loads(out)
-    assert code == 0
-    assert payload["pass"] and payload["deltoid_pass"]
+    assert code == 0 and payload["pass"]
     assert payload["witness"] is None and 2 ** 30 <= payload["prime"] < 2 ** 31
+    # A2 runs the exact check only, like every type; tol is the default
+    assert "deltoid_pass" not in payload and payload["tol"] == 1e-7
 
 
 def test_verify_postcritical_e6_at_default_samples(capsys):
@@ -299,7 +293,7 @@ def test_automaton_deterministic(capsys):
 # --- options -------------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
-    # the caps are options of weyl and img-verify only
+    # the caps are constants, options of no verb
     ["chebmap", "A2", "2", "--cap-group", "5"],
     ["roots", "A2", "--cap-vertices", "5"],
     # img-verify's group order has no cap
@@ -307,6 +301,8 @@ def test_automaton_deterministic(capsys):
     # the positionals have no --flag spellings
     ["img-verify", "--type", "A2", "--d", "2", "--levels", "1"],
     ["img-verify", "A2", "2"],
+    ["weyl", "B2", "--cap-group", "4"],
+    ["img-verify", "A2", "2", "2", "--cap-vertices", "15"],
 ])
 def test_rejected_arguments_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -315,18 +311,23 @@ def test_rejected_arguments_exit_2(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-def test_caps_reach_the_verbs_that_read_them(capsys):
-    code, _, err = run_cli(capsys, "weyl", "B2", "--cap-group", "4")
-    assert code == 2 and "cap" in err
-    code, _, err = run_cli(capsys, "img-verify", "A2", "2", "2",
-                           "--cap-vertices", "15")
-    assert code == 2 and "cap 15" in err
-    # a zero cap refuses everything; it does not fall back to the default
-    code, out, err = run_cli(capsys, "weyl", "B2", "--cap-group", "0")
-    assert code == 2 and out == "" and "cap 0" in err
-    code, out, err = run_cli(capsys, "img-verify", "A1", "2", "2",
-                             "--cap-vertices", "0")
-    assert code == 2 and out == "" and "cap 0" in err
+def test_caps_refuse_before_any_work(capsys, monkeypatch):
+    # the caps are the constants WEYL_CAP and VERTEX_CAP; a refusal comes
+    # before any group element is built or any loop is made
+    from weylcheb import monodromy, rootsys
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the cap refused it")
+
+    monkeypatch.setattr(rootsys.RootSystem, "simple_reflection", no_work)
+    monkeypatch.setattr(monodromy, "make_generator_loop", no_work)
+    monkeypatch.setattr(monodromy, "weyl_group_elements", no_work)
+    code, out, err = run_cli(capsys, "weyl", "E6")
+    assert code == 2 and out == ""
+    assert "order 51840" in err and "cap 1152" in err
+    code, out, err = run_cli(capsys, "img-verify", "A1", "2", "13")
+    assert code == 2 and out == ""
+    assert "8192 vertices" in err and "cap 4096" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

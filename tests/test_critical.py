@@ -192,36 +192,46 @@ def test_bareiss_det_of_singular_matrices_is_zero():
 @pytest.mark.parametrize("spec,d", [("G2", 6), ("F4", 2)])
 def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
     # the residuals of both prime-field checks and of the fixed-point oracle
-    # (one precision for all its points) are exact, so cutting the batch
-    # into chunks of 7 changes no residual; the checks run on a +1 mutant,
-    # so their per-point residuals are not all zero
+    # (one precision for all its points) are exact, so cutting the points
+    # of the evaluator, polys_at_gencos_mod, into batches of 7 changes no
+    # residual; the checks run on a +1 mutant, so their per-point residuals
+    # are not all zero.  Each batch makes one gencos_pair_mod call.
     rsys = rs(spec)
     pmap = build_cheb_map(rsys, d)
     comps = [dict(c) for c in pmap.components]
     comps[-1][tuple(d if j == rsys.rank - 1 else 0
                     for j in range(rsys.rank))] += 1
     wrong = PolynomialMap(rsys.rank, tuple(comps))
-    seen = []
-    real = chebmap.residuals_mod_p
+    seen, batches = [], []
+    real_residuals, real_pair = chebmap.residuals_mod_p, chebmap.gencos_pair_mod
 
     def recording(*args):
-        out = real(*args)
+        out = real_residuals(*args)
         seen.append(out)
         return out
 
+    def batch(rsys, d, z, p):
+        batches.append(len(z))
+        return real_pair(rsys, d, z, p)
+
     monkeypatch.setattr(chebmap, "residuals_mod_p", recording)
+    monkeypatch.setattr(chebmap, "gencos_pair_mod", batch)
 
     def run():
         seen.clear()
+        batches.clear()
         fun = verify_functional_equation(rsys, d, wrong, samples=30)
+        fun_batches = batches[:]
         per_point = [r for part in seen for r in part.tolist()]
         post = post_critical_check(rsys, d, wrong, samples=20)
+        post_batches = batches[len(fun_batches):]
         oracle = post_critical_fixed_point(rsys, d, pmap, samples=20)
         return (fun.max_residual, fun.witness, per_point, post.det_residuals,
                 post.value_residuals, post.witness, oracle.det_residuals,
-                oracle.value_residuals)
+                oracle.value_residuals), (fun_batches, post_batches)
 
-    whole = run()
+    whole, sizes = run()
+    assert sizes == ([30], [20]) and len(seen) == 1
     assert len(whole[2]) == 30 and len(whole[3]) == 20
     assert all(r[-1] != 0 for r in whole[2])
     assert all(whole[4]) and whole[5] is not None
@@ -229,8 +239,25 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
     rows = len(chebmap.fundamental_orbit_table(rsys)[0])
     monkeypatch.setattr(chebmap, "FIELD_CELLS", 7 * 2 * rows)
     monkeypatch.setattr(fpo, "CHECK_CHUNK", 7)
-    assert run() == whole
-    assert len(seen) == 5  # 30 points in chunks of 7
+    chunked, sizes = run()
+    assert chunked == whole
+    # 30 functional points in 5 batches, 20 post-critical points in 3
+    assert sizes == ([7, 7, 7, 7, 2], [7, 7, 6])
+
+
+def test_postcritical_with_no_strict_preimages_fails(rs, monkeypatch):
+    # every draw skipped: no residuals, no witness, and no pass
+    rsys = rs("B2")
+    real = critical.wall_preimages_mod
+
+    def none_kept(rsys, d, samples, seed):
+        p, z, _, skipped = real(rsys, d, samples, seed)
+        return p, z[:0], [], skipped + len(z)
+
+    monkeypatch.setattr(critical, "wall_preimages_mod", none_kept)
+    rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2), samples=10)
+    assert rep.det_residuals == rep.value_residuals == []
+    assert rep.witness is None and rep.skipped >= 10 and not rep.passed
 
 
 @pytest.mark.parametrize("spec,d", [("A1", 3), ("A2", 2), ("G2", 6),

@@ -19,6 +19,9 @@ from weylcheb.rootsys import (
     build_root_system,
     dominant_rep,
     dominant_weight,
+    highest_roots,
+    invert_fraction,
+    mat_vec,
     orbit,
     orbit_size,
     positive_roots,
@@ -462,3 +465,32 @@ def test_positive_roots_half():
     for spec in ("A2", "B2", "G2", "A3"):
         rsys = build_root_system(spec)
         assert len(positive_roots(rsys)) * 2 == len(rsys.roots)
+
+
+def _cartan_inverse_roots(rsys):
+    """The former derivation, kept as an oracle: simple-root coefficients
+    C^{-1} w of each root's weight coordinates w; positive roots have them
+    all nonnegative, and the highest root of a factor has the largest sum
+    among the roots supported on it."""
+    cinv = invert_fraction(rsys.cartan)
+    coeffs = {v: mat_vec(cinv, v.weight_coords) for v in rsys.roots}
+    positive = tuple(v for v in rsys.roots if min(coeffs[v]) >= 0)
+    highest = []
+    for _, r, off in rsys.factors:
+        inside = [v for v in rsys.roots
+                  if not any(c for i, c in enumerate(coeffs[v])
+                             if not off <= i < off + r)]
+        highest.append(max(inside, key=lambda v: sum(coeffs[v])))
+    return positive, tuple(highest)
+
+
+@pytest.mark.parametrize("spec", [
+    "A1", "A2", "A3", "A5", "B2", "B3", "B5", "C3", "C4", "D4", "D5", "E6",
+    "E7", "E8", "F4", "G2", "A1xA1", "B3xA1", "C2xG2", "D4xA2",
+    "G2xB2xA3"])
+def test_roots_from_coroot_coords_match_cartan_inverse(spec):
+    rsys = build_root_system(spec)
+    positive, highest = _cartan_inverse_roots(rsys)
+    assert positive_roots(rsys) == positive
+    assert highest_roots(rsys) == highest
+    assert len(highest) == len(rsys.factors)
