@@ -161,8 +161,17 @@ def test_sampled_verbs_refuse_no_samples(capsys, argv):
     assert err.startswith("error: --samples must be at least 1")
 
 
-@pytest.mark.parametrize("verb", ["chebmap", "verify-functional",
-                                  "verify-postcritical"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-7"])
+def test_postcritical_refuses_a_tolerance_that_is_not_one(capsys, tol):
+    # the check is exact and takes no --tol: any value, bad or not, is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-postcritical", "A1", "2", f"--tol={tol}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --tol" in err
+
+
+@pytest.mark.parametrize("verb", ["chebmap", "verify-functional"])
 def test_exact_check_takes_no_tolerance(capsys, verb):
     with pytest.raises(SystemExit) as exc:
         main([verb, "A2", "2", "--tol", "1e-8"])
