@@ -11,8 +11,15 @@ One kernel computes both the values and the Jacobian, at one point or a
 batch of points, from the fundamental orbits stacked into one row matrix
 (rootsys.fundamental_orbit_table): e = exp(2 pi i rows @ x) once, the
 values are the sums of e over each orbit's rows, and Jacobian entry (k, j)
-is 2 pi i times the sum of e * lam_j over orbit k.  A Newton iterate of the
-path lifting takes one kernel call, and a sampled loop one batched call.
+is 2 pi i times the sum of e * lam_j over orbit k.  A sampled loop takes
+one batched call.
+
+Path lifting (lift_paths) carries a batch of paths, sampled on one time
+grid, along one step schedule: each Newton iterate is one kernel call on the
+still-unconverged paths and one stacked solve, each accepted step one
+stacked inverse for the condition estimates, and the value and Jacobian at
+an accepted point are the next step's first iterate.  lift_path is the
+batch of one.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ class PathSample:
     point (coroot coordinates) per time."""
 
     times: np.ndarray
-    points: np.ndarray  # shape (m, n)
+    points: np.ndarray  # shape (m, n), or (m, P, n) for a batch of P paths
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -144,84 +151,140 @@ def is_on_diagram(rs: RootSystem, x, tol: float):
 
 
 def lift_path(rs: RootSystem, target_path: PathSample, y_start) -> PathSample:
-    """Lift a path through the generalized cosine by predictor-corrector
-    Newton continuation, starting from a known preimage of the path's start.
+    """Lift one path through the generalized cosine from a known preimage of
+    its start: lift_paths on a batch of one."""
+    y_start = np.asarray(y_start, dtype=complex)
+    lifted = lift_paths(rs, target_path.times, target_path.points[:, None],
+                        y_start[None])
+    return PathSample(lifted.times, lifted.points[:, 0])
 
-    Steps halve on Newton divergence down to MIN_STEP (ContinuationError
-    beyond that); a Jacobian condition estimate above JACOBIAN_CONDITION_CAP
-    at an accepted point raises NearSingularError, signalling that the path
-    strayed too close to the walls or their image.
+
+def lift_paths(rs: RootSystem, times, points, y_starts) -> PathSample:
+    """Lift P paths through the generalized cosine by predictor-corrector
+    Newton continuation on one shared step schedule.  The paths are sampled
+    on one time grid, `points` of shape (m, P, n), and y_starts (P, n) are
+    known preimages of their starts; the lift is a PathSample whose points
+    have shape (m', P, n), one row of P points per accepted time.
+
+    Each Newton iterate makes one kernel call on the unconverged paths and
+    one stacked solve; the value and Jacobian at each accepted point carry
+    into the next step's first iterate.  A Newton failure on any path halves
+    the step for all of them, down to MIN_STEP (ContinuationError beyond
+    that); a Jacobian condition estimate above JACOBIAN_CONDITION_CAP at an
+    accepted point raises NearSingularError, signalling that a path strayed
+    too close to the walls or their image.  Both errors name the failing
+    path's index, t, the step and the value reached.
     """
-    y = np.asarray(y_start, dtype=complex).copy()
-    start_res = np.abs(eval_gencos(rs, y) - target_path.at(0.0)).max()
-    if start_res > NEWTON_TOL * 10:
-        raise ValueError(f"y_start is not a preimage of the path start "
-                         f"(residual {start_res:.3e})")
-    on, wit = is_on_diagram(rs, y, 1e-9)
-    if on:
-        raise ValueError(f"y_start lies on a reflection wall {wit}")
+    target = PathSample(times, points)
+    y = np.array(y_starts, dtype=complex)
+    if y.ndim != 2 or target.points.shape[1:] != y.shape:
+        raise DimensionError(f"starts have shape {y.shape}, paths "
+                             f"{target.points.shape}")
+    values, jac = _kernel(rs, y, jacobian=True)
+    start_res = np.abs(values - target.points[0]).max(axis=1)
+    for i, y_i in enumerate(y):
+        if not start_res[i] <= NEWTON_TOL * 10:
+            raise ValueError(f"path {i}: y_start is not a preimage of the "
+                             f"path start (residual {start_res[i]:.3e})")
+        on, wit = is_on_diagram(rs, y_i, 1e-9)
+        if on:
+            raise ValueError(f"path {i}: y_start lies on a reflection wall "
+                             f"{wit}")
 
-    times = [0.0]
-    points = [y.copy()]
+    lifted_times = [0.0]
+    lifted_points = [y]
     t = 0.0
     step = INITIAL_STEP
     while t < 1.0 - 1e-15:
         h = min(step, 1.0 - t)
-        target = target_path.at(t + h)
-        y_new, jac = _newton(rs, y, target)
-        if jac is not None:
-            badness = _condition_estimate(jac)
-            if badness > JACOBIAN_CONDITION_CAP:
+        y_new, values_new, jac_new, failed = _newton(
+            rs, y, values, jac, target.at(t + h))
+        if failed is None:
+            est = _condition_estimate(jac_new)
+            i = int(np.argmax(est))
+            if est[i] > JACOBIAN_CONDITION_CAP:
                 raise NearSingularError(
-                    f"Jacobian condition estimate {badness:.3e} above cap "
-                    f"{JACOBIAN_CONDITION_CAP:.0e} at t={t + h:.6f} "
-                    f"(step {h:.3e})")
+                    f"path {i}: Jacobian condition estimate {est[i]:.3e} "
+                    f"above cap {JACOBIAN_CONDITION_CAP:.0e} at "
+                    f"t={t + h:.6f} (step {h:.3e})",
+                    path=i, t=t + h, step=h, value=float(est[i]))
             t += h
-            y = y_new
-            times.append(t)
-            points.append(y.copy())
+            y, values, jac = y_new, values_new, jac_new
+            lifted_times.append(t)
+            lifted_points.append(y)
             step = min(INITIAL_STEP, step * 2.0)
         else:
             step *= 0.5
             if step < MIN_STEP:
+                i, res = failed
                 raise ContinuationError(
-                    f"continuation stalled at t={t:.6f} (step below "
-                    f"{MIN_STEP})")
-    times[-1] = 1.0
-    return PathSample(np.array(times), np.array(points))
+                    f"path {i}: continuation stalled at t={t:.6f} (step "
+                    f"{h:.3e}, halved below {MIN_STEP}; last Newton "
+                    f"residual {res:.3e})",
+                    path=i, t=t, step=h, value=res)
+    lifted_times[-1] = 1.0
+    return PathSample(np.array(lifted_times), np.array(lifted_points))
 
 
-def _newton(rs: RootSystem, y0: np.ndarray, target: np.ndarray):
-    """Newton's method for gencos(y) = target from y0, one kernel call per
-    iterate.  Returns (y, Jacobian at y) on convergence, (y, None) when the
-    iteration diverges or leaves its basin."""
-    y = y0.copy()
-    for _ in range(MAX_NEWTON_ITERS):
-        values, jac = _kernel(rs, y, jacobian=True)
+def _newton(rs: RootSystem, y, values, jac, target):
+    """Newton's method for gencos(y) = target on a batch of paths, from the
+    points y with their values and Jacobians: one kernel call on the
+    unconverged paths and one stacked solve per iterate.
+
+    Returns (y, values, Jacobians, None) at convergence.  When any path
+    diverges, leaves its basin (|delta| > 0.5) or meets a singular
+    Jacobian, returns three Nones and (that path's index, its last
+    residual)."""
+    y_out, values_out, jac_out = (np.empty_like(a) for a in (y, values, jac))
+    index = np.arange(len(y))
+    for it in range(MAX_NEWTON_ITERS):
+        if it:
+            values, jac = _kernel(rs, y, jacobian=True)
         res = values - target
-        if np.abs(res).max() <= NEWTON_TOL:
-            return y, jac
+        err = np.abs(res).max(axis=1)
+        done = err <= NEWTON_TOL
+        if done.any():
+            at = index[done]
+            y_out[at] = y[done]
+            values_out[at] = values[done]
+            jac_out[at] = jac[done]
+            if done.all():
+                return y_out, values_out, jac_out, None
+            keep = ~done
+            index, y, jac, target, res, err = (
+                a[keep] for a in (index, y, jac, target, res, err))
         try:
-            delta = np.linalg.solve(jac, res)
+            delta = np.linalg.solve(jac, res[..., None])[..., 0]
+            # left the basin, or not finite
+            bad = ~(np.abs(delta).max(axis=1) <= 0.5)
         except np.linalg.LinAlgError:
-            return y, None
-        if not np.abs(delta).max() <= 0.5:
-            # left the basin (or not finite); let the caller shrink the step
-            return y, None
+            # a member is exactly singular: name it
+            delta, bad = None, np.linalg.det(jac) == 0
+        if delta is None or bad.any():
+            i = int(np.argmax(bad))
+            return None, None, None, (int(index[i]), float(err[i]))
         y = y - delta
-    return y, None
+    i = int(np.argmax(err))
+    return None, None, None, (int(index[i]), float(err[i]))
 
 
-def _condition_estimate(jac: np.ndarray) -> float:
-    """max(|J|_1 |J^-1|_1, |J^-1|_1) from one inverse, inf when J is
-    singular.  The plain condition number is blind in rank one (it is 1 for
-    every nonzero 1x1 matrix); the inverse norm catches walls there."""
+def _condition_estimate(jac: np.ndarray):
+    """max(|J|_1 |J^-1|_1, |J^-1|_1) for each matrix of a stack (or for one
+    matrix) from one stacked inverse, inf where J is singular.  The plain
+    condition number is blind in rank one (it is 1 for every nonzero 1x1
+    matrix); the inverse norm catches walls there."""
+    jac = np.asarray(jac)
     try:
-        inv_norm = np.abs(np.linalg.inv(jac)).sum(axis=0).max()
+        inv = np.linalg.inv(jac)
     except np.linalg.LinAlgError:
-        return float("inf")
-    est = max(np.abs(jac).sum(axis=0).max() * inv_norm, inv_norm)
-    return float(est) if np.isfinite(est) else float("inf")
+        # a member is exactly singular: invert the others, NaN marks the rest
+        ok = np.linalg.det(jac) != 0
+        inv = np.full(jac.shape, np.nan, dtype=jac.dtype)
+        inv[ok] = np.linalg.inv(jac[ok])
+    inv_norm = np.abs(inv).sum(axis=-2).max(axis=-1)
+    est = np.maximum(np.abs(jac).sum(axis=-2).max(axis=-1) * inv_norm,
+                     inv_norm)
+    return np.where(np.isfinite(est), est, np.inf)[()]
 
 
 def deck_identify(rs: RootSystem, y0, y1, tol: float = 1e-7) -> AffineElement:

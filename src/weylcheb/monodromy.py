@@ -34,12 +34,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, LiftError
 from .gencos import (
     PathSample,
     deck_identify,
     eval_gencos,
     lift_path,
+    lift_paths,
     regular_direction,
 )
 from .rootsys import (
@@ -49,6 +50,7 @@ from .rootsys import (
     dot,
     highest_roots,
     reflection_element,
+    solve_fraction,
     weyl_group_elements,
 )
 
@@ -153,13 +155,19 @@ def _unit_direction(rs: RootSystem):
 
 
 def basepoint(rs: RootSystem):
-    """A deterministic regular point in the interior of the fundamental
-    alcove, plus its image under the generalized cosine.
+    """The Coxeter point rho^vee / h of the fundamental alcove, plus its
+    image under the generalized cosine.
 
-    The point sits at 1/3 along the unit direction (the sum of fundamental
-    weights divided by H); every positive root then pairs into (0, 1/3].
+    rho^vee pairs to 1 with every simple root, and h = 1 + max_v <v, rho^vee>
+    is the Coxeter number (for a product, the largest over its factors).  So
+    every simple root pairs with the point to 1/h and each highest root to at
+    most (h - 1)/h: every wall of the alcove, the affine ones included, is
+    at least 1/h away (Kostant, Amer. J. Math. 81, 1959).
     """
-    y0 = tuple(c / 3 for c in _unit_direction(rs))
+    rho = solve_fraction([v.weight_coords for v in rs.simple_roots],
+                         [1] * rs.rank)
+    h = 1 + max(dot(v.weight_coords, rho) for v in rs.roots)
+    y0 = tuple(c / h for c in rho)
     x0 = eval_gencos(rs, np.array([float(c) for c in y0], dtype=complex))
     return y0, x0
 
@@ -490,10 +498,13 @@ def img_verification(rs: RootSystem, d: int, levels: int) -> MonodromyReport:
     path lifting is the affine Weyl action on the tree:
 
     (a) loops for the standard affine generating set,
-    (b) each loop, lifted once, has the deck element it is labeled with, so
-        its action at every level is the label's affine action mod d^k,
+    (b) each loop, lifted once (all of them in one lift_paths call), has the
+        deck element it is labeled with, so its action at every level is the
+        label's affine action mod d^k,
     (c) the order of the permutation group generated at each level is
         recorded.
+
+    A lifting error is raised again with the failing generator's name.
     """
     check_img_caps(rs, d, levels)
     # deck_identify searches all of W: enumerate it (it is cached) before
@@ -501,9 +512,19 @@ def img_verification(rs: RootSystem, d: int, levels: int) -> MonodromyReport:
     weyl_group_elements(rs)
     report = MonodromyReport(rs.type_spec, d, levels)
     y0 = basepoint_array(rs)
-    for name, g in standard_affine_generators(rs):
-        loop = make_generator_loop(rs, g, y0)
-        deck = lift_deck_element(rs, loop, y0)
+    gens = standard_affine_generators(rs)
+    # every loop is sampled on the same grid, DEFAULT_LOOP_SAMPLES times
+    loops = [make_generator_loop(rs, g, y0) for _, g in gens]
+    try:
+        ends = lift_paths(
+            rs, loops[0].samples.times,
+            np.stack([loop.samples.points for loop in loops], 1),
+            np.tile(y0, (len(loops), 1))).points[-1]
+    except LiftError as err:
+        raise type(err)(f"generator {gens[err.path][0]}: {err}", err.path,
+                        err.t, err.step, err.value) from err
+    for (name, g), end in zip(gens, ends):
+        deck = deck_identify(rs, y0, end)
         actions = [algebraic_action(g, d, k) for k in range(1, levels + 1)]
         report.generators.append(GeneratorReport(
             name, g, deck, deck == g, actions))

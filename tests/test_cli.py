@@ -252,6 +252,17 @@ def test_img_verify_ignores_seed(capsys):
     assert runs[0][1] == runs[1][1]
 
 
+@pytest.mark.parametrize("spec", ["B4", "F4"])
+def test_img_verify_rank_four_passes(spec, capsys):
+    # from the Coxeter basepoint every alcove wall is 1/h away; from the
+    # earlier basepoint B4 lifted four loops to wrong decks and F4 stalled
+    code, out, err = run_cli(capsys, "img-verify", spec, "2", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"], err
+    assert len(payload["generators"]) == 5
+    assert all(g["deck_matches"] for g in payload["generators"])
+
+
 def test_img_verify_refuses_oversized(capsys):
     for case, named in ((("B3", "3", "3"), ("19683 vertices", "cap 4096")),
                         (("A1", "2", "13"), ("8192 vertices", "cap 4096")),

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from weylcheb import gencos
-from weylcheb.errors import DeckMatchError, DimensionError, NearSingularError
+from weylcheb.errors import (
+    ContinuationError,
+    DeckMatchError,
+    DimensionError,
+    NearSingularError,
+)
 from weylcheb.gencos import (
     PathSample,
     deck_identify,
@@ -15,6 +20,7 @@ from weylcheb.gencos import (
     gencos_jacobian,
     is_on_diagram,
     lift_path,
+    lift_paths,
     regular_direction,
 )
 from weylcheb.monodromy import (
@@ -26,6 +32,7 @@ from weylcheb.monodromy import (
 )
 from weylcheb.rootsys import (
     affine_apply,
+    build_root_system,
     affine_compose,
     affine_identity,
     orbit,
@@ -373,6 +380,132 @@ def test_lift_rejects_bad_start(rs):
     on_wall = PathSample(ts, np.tile(eval_gencos(a1, np.array([0j])), (3, 1)))
     with pytest.raises(ValueError):
         lift_path(a1, on_wall, np.array([0j]))  # start on a wall
+
+
+# --- batched lifting --------------------------------------------------------------
+
+def _batch(loops):
+    return (loops[0].samples.times,
+            np.stack([loop.samples.points for loop in loops], 1))
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "G2", "A1xA1", "A3", "B3", "B2",
+                                  "C3", "D4", "B3xA1"])
+def test_batch_gives_every_path_its_single_lift_deck(spec):
+    # the types of the img-verify benchmark cases plus C3, D4 and B3xA1
+    rsys = build_root_system(spec)
+    y0 = basepoint_array(rsys)
+    gens = [g for _, g in standard_affine_generators(rsys)]
+    loops = [make_generator_loop(rsys, g, y0) for g in gens]
+    ends = lift_paths(rsys, *_batch(loops), np.tile(y0, (len(loops), 1)))
+    assert ends.points.shape[1:] == (len(loops), rsys.rank)
+    for g, loop, end in zip(gens, loops, ends.points[-1]):
+        alone = lift_path(rsys, loop.samples, y0).points[-1]
+        assert deck_identify(rsys, y0, end) == deck_identify(
+            rsys, y0, alone) == g
+
+
+def test_batch_halves_the_step_for_every_path(rs):
+    # a bump of 1e-5 takes the s2 loop so close to a wall that a step of
+    # INITIAL_STEP fails there; the s1 loop with the default bump does not
+    # need it, but is lifted on the same halved schedule
+    a2 = rs("A2")
+    y0 = basepoint_array(a2)
+    (_, g1), (_, g2), _ = standard_affine_generators(a2)
+    easy = make_generator_loop(a2, g1, y0)
+    hard = make_generator_loop(a2, g2, y0, epsilon=1e-5)
+    assert np.all(np.diff(lift_path(a2, easy.samples, y0).times)
+                  == gencos.INITIAL_STEP)
+    hard_alone = lift_path(a2, hard.samples, y0)
+    lifted = lift_paths(a2, *_batch([easy, hard]), np.tile(y0, (2, 1)))
+    assert np.diff(lifted.times).min() < gencos.INITIAL_STEP
+    assert np.array_equal(lifted.times, hard_alone.times)
+    assert deck_identify(a2, y0, lifted.points[-1, 0]) == g1
+    assert deck_identify(a2, y0, lifted.points[-1, 1]) == g2
+
+
+def test_batch_start_that_is_not_a_preimage_names_its_path(rs):
+    a2 = rs("A2")
+    y0 = basepoint_array(a2)
+    loops = [make_generator_loop(a2, g, y0)
+             for _, g in standard_affine_generators(a2)]
+    starts = np.tile(y0, (3, 1))
+    starts[1] += 0.01
+    with pytest.raises(ValueError, match="path 1: y_start is not a preimage"):
+        lift_paths(a2, *_batch(loops), starts)
+
+
+def test_carried_point_is_not_evaluated_again(rs, monkeypatch):
+    # the value and Jacobian of each accepted point (and of the starts) carry
+    # into the next Newton iterate, so no kernel call repeats the last one
+    from weylcheb.monodromy import img_verification
+    calls = []
+    real = gencos._kernel
+
+    def spy(rsys, x, jacobian):
+        calls.append(np.array(x, dtype=complex))
+        return real(rsys, x, jacobian)
+
+    monkeypatch.setattr(gencos, "_kernel", spy)
+    assert img_verification(rs("A2"), 2, 2).passed
+    assert len(calls) > 64
+    for a, b in zip(calls, calls[1:]):
+        assert not (a.shape == b.shape and np.array_equal(a, b))
+
+
+def test_continuation_error_names_its_witness(rs, monkeypatch):
+    # with one residual check per step, only the still path converges: the
+    # moving path (index 1) fails every step until the step is below MIN_STEP
+    a2 = rs("A2")
+    y0 = basepoint_array(a2)
+    loop = make_generator_loop(a2, standard_affine_generators(a2)[0][1], y0)
+    still = np.tile(loop.samples.points[:1], (len(loop.samples.times), 1))
+    points = np.stack([still, loop.samples.points], 1)
+    monkeypatch.setattr(gencos, "MAX_NEWTON_ITERS", 1)
+    with pytest.raises(ContinuationError) as err:
+        lift_paths(a2, loop.samples.times, points, np.tile(y0, (2, 1)))
+    e = err.value
+    assert (e.path, e.t, e.step) == (1, 0.0, gencos.MIN_STEP)
+    assert e.value > gencos.NEWTON_TOL
+    msg = str(e)
+    assert msg.startswith("path 1: continuation stalled at t=0.000000")
+    assert f"step {gencos.MIN_STEP:.3e}" in msg
+    assert f"last Newton residual {e.value:.3e}" in msg
+
+
+def test_near_singular_error_names_the_worst_path(rs, monkeypatch):
+    a2 = rs("A2")
+    y0 = basepoint_array(a2)
+    loops = [make_generator_loop(a2, g, y0)
+             for _, g in standard_affine_generators(a2)]
+    first = lift_paths(a2, *_batch(loops), np.tile(y0, (3, 1)))
+    est = gencos._condition_estimate(gencos_jacobian(a2, first.points[1]))
+    worst = int(np.argmax(est))
+    # a cap between the estimates: only the worst path's is above it
+    monkeypatch.setattr(gencos, "JACOBIAN_CONDITION_CAP",
+                        (est.max() + np.sort(est)[-2]) / 2)
+    with pytest.raises(NearSingularError) as err:
+        lift_paths(a2, *_batch(loops), np.tile(y0, (3, 1)))
+    e = err.value
+    assert (e.path, e.t, e.step) == (worst, first.times[1], first.times[1])
+    assert e.value == pytest.approx(est[worst], rel=1e-12)
+    assert str(e).startswith(f"path {worst}: Jacobian condition estimate "
+                             f"{e.value:.3e}")
+
+
+def test_condition_estimate_is_stacked(rs):
+    # one stacked inverse; an exactly singular member reads inf and leaves
+    # the others as they are
+    a2 = rs("A2")
+    jacs = gencos_jacobian(a2, np.array([[0.1, 0.2], [0.3, 0.05]]))
+    est = gencos._condition_estimate(jacs)
+    assert est.shape == (2,)
+    for j, e in zip(jacs, est):
+        assert gencos._condition_estimate(j) == pytest.approx(e, rel=1e-12)
+    jacs[0] = 0
+    singular = gencos._condition_estimate(jacs)
+    assert singular[0] == np.inf
+    assert singular[1] == pytest.approx(est[1], rel=1e-12)
 
 
 # --- deck identification -----------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from weylcheb import monodromy
-from weylcheb.errors import CapExceededError
+from weylcheb import gencos
+from weylcheb.errors import CapExceededError, NearSingularError
 from weylcheb.gencos import deck_identify, eval_gencos, is_on_diagram, lift_path
 from weylcheb.monodromy import (
     ACTION_CELL_CAP,
@@ -54,8 +55,8 @@ BENCH_IMG_CASES = [("A1", 2, 4), ("A2", 2, 2), ("G2", 2, 2), ("A1xA1", 2, 3),
 
 def test_a1_basepoint_value(rs):
     y0, x0 = basepoint(rs("A1"))
-    assert y0 == (Fraction(1, 6),)
-    assert abs(x0[0] - 1.0) < 1e-12  # 2 cos(pi/3)
+    assert y0 == (Fraction(1, 4),)  # the Coxeter point rho^vee / h, h = 2
+    assert abs(x0[0]) < 1e-12  # 2 cos(pi/2)
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "B2", "B3", "G2", "A1xA1"])
@@ -590,6 +591,51 @@ def test_img_verification_catches_mislabeled_loop(rs, monkeypatch):
             rep.generators[0].actions[k])
 
 
+@pytest.mark.parametrize("spec,d,levels", [("A2", 2, 2), ("A1xA1", 2, 1),
+                                           ("G2", 2, 1)])
+def test_img_verification_lifts_every_loop_in_one_call(spec, d, levels, rs,
+                                                       monkeypatch):
+    rsys = rs(spec)
+    batches = []
+    real = monodromy.lift_paths
+
+    def spy(rsys_, times, points, y_starts):
+        batches.append(np.array(points))
+        return real(rsys_, times, points, y_starts)
+
+    monkeypatch.setattr(monodromy, "lift_paths", spy)
+    rep = img_verification(rsys, d, levels)
+    assert rep.passed
+    assert len(batches) == 1
+    y0 = basepoint_array(rsys)
+    want = [make_generator_loop(rsys, g, y0).samples.points
+            for _, g in standard_affine_generators(rsys)]
+    assert np.array_equal(batches[0], np.stack(want, 1))
+
+
+def test_img_verification_names_the_generator_of_a_lift_error(rs,
+                                                              monkeypatch):
+    # a cap of 1 refuses the first accepted step of every loop; the error
+    # names the loop with the largest estimate by its generator's name
+    a2 = rs("A2")
+    y0 = basepoint_array(a2)
+    gens = standard_affine_generators(a2)
+    estimates = []
+    for _, g in gens:
+        first = lift_path(a2, make_generator_loop(a2, g, y0).samples, y0)
+        estimates.append(gencos._condition_estimate(
+            gencos.gencos_jacobian(a2, first.points[1])))
+    worst = int(np.argmax(estimates))
+    monkeypatch.setattr(gencos, "JACOBIAN_CONDITION_CAP", 1.0)
+    with pytest.raises(NearSingularError) as err:
+        img_verification(a2, 2, 1)
+    assert err.value.path == worst
+    assert err.value.value == pytest.approx(estimates[worst], rel=1e-12)
+    assert str(err.value).startswith(
+        f"generator {gens[worst][0]}: path {worst}: Jacobian condition "
+        f"estimate")
+
+
 def test_img_verification_a2_level2_vertex_count(rs):
     rep = img_verification(rs("A2"), 2, 2)
     assert len(rep.generators[0].actions[1]) == 16
@@ -631,6 +677,7 @@ def test_img_verification_refuses_large_weyl_group_before_lifting(
         raise AssertionError("lift_path called")
 
     monkeypatch.setattr(monodromy, "lift_path", no_lift)
+    monkeypatch.setattr(monodromy, "lift_paths", no_lift)
     with pytest.raises(CapExceededError, match="order 51840"):
         img_verification(rs("E6"), 2, 1)
 
@@ -645,6 +692,7 @@ def test_img_verification_refuses_d5_after_a_larger_cap_filled_the_cache(
     d5 = build_root_system("D5")
     weyl_group_elements(d5, cap=10 ** 4)
     monkeypatch.setattr(monodromy, "lift_path", no_lift)
+    monkeypatch.setattr(monodromy, "lift_paths", no_lift)
     with pytest.raises(CapExceededError, match="order 1920, above cap 1152"):
         img_verification(d5, 2, 1)
 
