@@ -21,10 +21,10 @@ Tree model and conventions (fixed once, used by every module):
 A loop is lifted once through the generalized cosine; the deck
 transformation carrying the start of the lift to its end determines the
 loop's action at every level.  img_verification checks that deck element
-against the loop's label and records the order of the group the labels
-generate at each level.  Relations among the generators' actions are not
-re-checked: algebraic_action is a homomorphism, so they hold by
-construction (the tests pin this).
+against the loop's label and records, in closed form, the order of the
+group the labels generate at each level.  Relations among the generators'
+actions are not re-checked: algebraic_action is a homomorphism, so they
+hold by construction (the tests pin this).
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ from .rootsys import (
     weyl_group_elements,
 )
 
-# the Schreier-Sims transversals hold up to 2 * V^2 int64 cells for V
-# vertices, 256 MiB at this cap; check_img_caps gives the measurements
-VERTEX_CAP = 4096
+# img-verify holds and prints every level's permutation of every generator,
+# about 200 MiB at this cap; check_img_caps gives the measurements
+VERTEX_CAP = 2 ** 18
 # one level action of V vertices in rank n holds V * (n + 2) int64 cells,
 # 32 MiB at this cap: about a million vertices, which algebraic_action
 # builds in 0.07 s and perm_order walks in 0.2 s (A1, d = 2, level 20)
@@ -293,116 +293,23 @@ def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
 
 
 # ---------------------------------------------------------------------------
-# group order by Schreier-Sims
+# group order in closed form
 # ---------------------------------------------------------------------------
 
-class _Level:
-    """One level of a stabilizer chain: a base point, the strong generators
-    fixing the earlier base points (each with its inverse), and the
-    transversal of the base point's orbit under them.  Permutations are
-    image arrays, "p then q" is q[p]; trans[x] = (u, u^-1) with u[base] = x.
-    Entries are only ever added, never changed."""
+def generated_group_order(rs: RootSystem, d: int, k: int) -> int:
+    """Order of the group the standard generators' level-k actions generate:
+    the image of W_aff = Q^vee x| W in the affine maps of (Z/m)^n, m = d^k.
 
-    def __init__(self, base, ident):
-        self.base = base
-        self.gens = []
-        self.orbit = [base]
-        self.trans = {base: (ident, ident)}
-        self.tested = set()  # (orbit point, generator index) pairs sifted
-
-    def add_gen(self, g, ginv):
-        self.gens.append((g, ginv))
-        old = len(self.orbit)
-        for x in self.orbit[:old]:
-            self._visit(x, g, ginv)
-        k = old
-        while k < len(self.orbit):
-            for h, hinv in self.gens:
-                self._visit(self.orbit[k], h, hinv)
-            k += 1
-
-    def _visit(self, x, g, ginv):
-        y = int(g[x])
-        if y not in self.trans:
-            u, uinv = self.trans[x]
-            self.trans[y] = (g[u], uinv[ginv])
-            self.orbit.append(y)
-
-
-def _strip(chain, g, start):
-    """Sift g down the chain from level start: the residue and the level
-    where it stopped (len(chain) if it passed every level)."""
-    for i in range(start, len(chain)):
-        lvl = chain[i]
-        entry = lvl.trans.get(int(g[lvl.base]))
-        if entry is None:
-            return g, i
-        g = entry[1][g]
-    return g, len(chain)
-
-
-def _add_strong(chain, h, lo, hi, ident):
-    """Make h a strong generator of levels lo..hi; level hi is new, based at
-    the first point h moves, when hi == len(chain)."""
-    if hi == len(chain):
-        chain.append(_Level(int(np.flatnonzero(h != ident)[0]), ident))
-    hinv = np.empty_like(h)
-    hinv[h] = ident
-    for lvl in chain[lo:hi + 1]:
-        lvl.add_gen(h, hinv)
-
-
-def _first_residue(chain, i, ident):
-    """Sift the untested Schreier generators of level i through the levels
-    below it.  At the first non-trivial residue, make it a strong generator
-    of every level from i+1 to where its sift stopped and return that level;
-    return None when every one sifts to the identity."""
-    lvl = chain[i]
-    for x in lvl.orbit:
-        u = lvl.trans[x][0]
-        for k, (g, _) in enumerate(lvl.gens):
-            if (x, k) in lvl.tested:
-                continue
-            lvl.tested.add((x, k))
-            # u_x then g then u_{g(x)}^-1, which fixes the base point
-            h, j = _strip(chain, lvl.trans[int(g[x])][1][g[u]], i + 1)
-            if j < len(chain) or not np.array_equal(h, ident):
-                _add_strong(chain, h, i + 1, j, ident)
-                return j
-    return None
-
-
-def generated_group_order(actions) -> int:
-    """Order of the permutation group generated by the given level actions,
-    by deterministic Schreier-Sims (Holt's SCHREIERSIMS: Holt, Eick and
-    O'Brien, Handbook of Computational Group Theory, 2005, sec. 4.4.2).
-
-    Each generator becomes a strong generator of every level up to the
-    first whose base point it moves.  Then, from the deepest level up, every
-    Schreier generator u_x g u_{g(x)}^-1 of a level is sifted through the
-    levels below; a non-trivial residue becomes a strong generator of every
-    level from the next one to where its sift stopped (a new level if it
-    passed them all), and the work resumes there.  Transversal entries never
-    change, so a Schreier generator sifted once stays sifted.  The order is
-    the product of the orbit lengths; no group element is listed.  Memory is
-    the transversals: two permutations (an entry and its inverse) per orbit
-    point, at most 2 * degree^2 cells per level.
-    """
-    gens = list(actions)
-    if not gens:
-        return 1
-    ident = np.arange(len(gens[0]))
-    chain = []
-    for g in gens:
-        if not np.array_equal(g, ident):
-            j = next((i for i, lvl in enumerate(chain)
-                      if g[lvl.base] != lvl.base), len(chain))
-            _add_strong(chain, g, 0, j, ident)
-    i = len(chain) - 1
-    while i >= 0:
-        j = _first_residue(chain, i, ident)
-        i = i - 1 if j is None else j
-    return math.prod(len(lvl.orbit) for lvl in chain)
+    Q^vee is Z^n in coroot coordinates, and u |-> w(u) + t fixes t mod m
+    (the image of 0) and then w mod m.  So the image is (Z/m)^n x| W_m, with
+    W_m the image of W in GL_n(Z/m), of order m^n * |W| / |kernel|.  The
+    kernel {w == I mod m} is counted over the enumerated W (refused above
+    WEYL_CAP) in Python integers, so m may pass 2^63."""
+    m = d ** k
+    mats = np.array([w.coroot_matrix for w in weyl_group_elements(rs)],
+                    dtype=object)
+    kernel = ((mats - np.eye(rs.rank, dtype=int)) % m == 0).all(axis=(1, 2))
+    return m ** rs.rank * len(mats) // int(kernel.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -474,23 +381,26 @@ def _affine_dict(g: AffineElement):
 
 def check_img_caps(rs: RootSystem, d: int, levels: int):
     """Size the verification before running it; raises CapExceededError
-    naming the vertices, the cap and the memory they stand for.
+    naming the vertices, the cap and the permutation entries they stand for.
 
-    What the run stores grows with V = d^(levels * rank), the vertices of
-    the deepest level.  Level 0 of the Schreier-Sims transversals in
-    generated_group_order holds an entry and its inverse, each V cells, per
-    orbit point: at most 2 * V^2 int64 cells, 256 MiB at V = 4096.  Measured
-    on a 2-core Xeon, generated_group_order took 288-298 MiB of peak RSS and
-    0.6-1.5 s on every V = 4096 case (A1 2 12, A3 2 4, B3 2 4, G2 2 6,
-    C3 2 4, F4 2 3), and img-verify A1 2 13 (V = 8192) took 1065 MiB.  The
-    group order itself costs nothing: E6 2 1, order 3,317,760, takes 10 ms.
+    The run holds, and prints as JSON, every level's permutation of each of
+    the rank + #factors generators, sum_k d^(k * rank) entries apiece: about
+    160 bytes of peak RSS each, above 34 MiB.  With the cap lifted (whole
+    process, 2-core Xeon): 72 MiB at V = 2^16 (A1 2 16, A2 2 8), 191-221 MiB
+    at 2^18 (A1 2 18, A2 2 9, B3 2 6; 1.4 s), 352-384 MiB just above
+    (A1 2 19, B3 3 4), 673-678 MiB at 2^20: the cap is the largest power of
+    two under the 288-298 MiB of Schreier-Sims at the old cap, 4096.
+    Products of many factors hold more entries per vertex (A1^9 2 2:
+    757 MiB).  At rank <= 10 algebraic_action stays below ACTION_CELL_CAP.
     A Weyl group above WEYL_CAP is refused by img_verification."""
     vertices = d ** (levels * rs.rank)
     if vertices > VERTEX_CAP:
+        entries = (rs.rank + len(rs.factors)) * sum(
+            d ** (k * rs.rank) for k in range(1, levels + 1))
         raise CapExceededError(
             f"level {levels} needs {vertices} vertices, above cap "
-            f"{VERTEX_CAP}; its group order stores up to 2 * {vertices}^2 = "
-            f"{2 * vertices ** 2} transversal cells")
+            f"{VERTEX_CAP}; its generators' level permutations hold "
+            f"{entries} entries")
 
 
 def img_verification(rs: RootSystem, d: int, levels: int) -> MonodromyReport:
@@ -501,14 +411,15 @@ def img_verification(rs: RootSystem, d: int, levels: int) -> MonodromyReport:
     (b) each loop, lifted once (all of them in one lift_paths call), has the
         deck element it is labeled with, so its action at every level is the
         label's affine action mod d^k,
-    (c) the order of the permutation group generated at each level is
-        recorded.
+    (c) the order of the group the labels generate at each level is
+        recorded, in closed form (generated_group_order).
 
     A lifting error is raised again with the failing generator's name.
     """
     check_img_caps(rs, d, levels)
-    # deck_identify searches all of W: enumerate it (it is cached) before
-    # any loop is lifted, so a Weyl group above WEYL_CAP is refused first
+    # deck_identify searches all of W and the group order counts over it:
+    # enumerate it (it is cached) before any loop is lifted, so a Weyl group
+    # above WEYL_CAP is refused first
     weyl_group_elements(rs)
     report = MonodromyReport(rs.type_spec, d, levels)
     y0 = basepoint_array(rs)
@@ -529,8 +440,7 @@ def img_verification(rs: RootSystem, d: int, levels: int) -> MonodromyReport:
         report.generators.append(GeneratorReport(
             name, g, deck, deck == g, actions))
 
-    for k in range(levels):
-        order = generated_group_order(
-            [rep.actions[k] for rep in report.generators])
-        report.group_orders.append({"level": k + 1, "algebraic": order})
+    for k in range(1, levels + 1):
+        report.group_orders.append(
+            {"level": k, "algebraic": generated_group_order(rs, d, k)})
     return report

@@ -263,9 +263,18 @@ def test_img_verify_rank_four_passes(spec, capsys):
     assert all(g["deck_matches"] for g in payload["generators"])
 
 
+def test_img_verify_a1_level_thirteen(capsys):
+    # V = 8192; m = 2^13 >= 3, so the level-13 order is m * |W(A1)|
+    code, out, err = run_cli(capsys, "img-verify", "A1", "2", "13")
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"] is True, err
+    assert payload["group_orders"][-1] == {"level": 13, "algebraic": 16384}
+
+
 def test_img_verify_refuses_oversized(capsys):
-    for case, named in ((("B3", "3", "3"), ("19683 vertices", "cap 4096")),
-                        (("A1", "2", "13"), ("8192 vertices", "cap 4096")),
+    for case, named in ((("B3", "3", "4"), ("531441 vertices", "cap 262144")),
+                        (("A1", "2", "19"),
+                         ("524288 vertices", "cap 262144")),
                         (("E6", "2", "1"), ("order 51840", "cap 1152"))):
         code, _, err = run_cli(capsys, "img-verify", *case)
         assert code == 2
@@ -345,9 +354,9 @@ def test_caps_refuse_before_any_work(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "weyl", "E6")
     assert code == 2 and out == ""
     assert "order 51840" in err and "cap 1152" in err
-    code, out, err = run_cli(capsys, "img-verify", "A1", "2", "13")
+    code, out, err = run_cli(capsys, "img-verify", "A1", "2", "19")
     assert code == 2 and out == ""
-    assert "8192 vertices" in err and "cap 4096" in err
+    assert "524288 vertices" in err and "cap 262144" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -44,6 +44,7 @@ from weylcheb.rootsys import (
     reflection_element,
     translation_element,
     weyl_group_elements,
+    weyl_order,
 )
 
 # the img-verify cases of the benchmark (perfbench/cases.py)
@@ -416,8 +417,8 @@ def test_level_one_fiber_realizes_degree(rs):
 # --- group order ---------------------------------------------------------------------
 
 def _bfs_order(actions):
-    """The oracle: the breadth-first closure that generated_group_order used
-    before Schreier-Sims, listing every group element."""
+    """The oracle: the breadth-first closure of the given level actions,
+    listing every group element."""
     if not actions:
         return 1
     size = len(actions[0])
@@ -446,49 +447,46 @@ def _affine_level_actions(rsys, d, k):
             for _, g in standard_affine_generators(rsys)]
 
 
+def _assert_closed_form_matches_oracles(rsys, d, k, order=None):
+    acts = _affine_level_actions(rsys, d, k)
+    closed = generated_group_order(rsys, d, k)
+    assert closed == _bfs_order(acts) == _sympy_order(acts)
+    if order is not None:
+        assert closed == order
+    m = d ** k
+    if m >= 3:
+        # Minkowski: a finite-order integer matrix == I mod m >= 3 is I, so
+        # W embeds in GL_n(Z/m); weyl_order is the orbit size of rho
+        assert closed == m ** rsys.rank * weyl_order(rsys)
+
+
 @pytest.mark.parametrize("spec,d,levels", BENCH_IMG_CASES)
 def test_group_order_matches_oracles_on_benchmark_cases(rs, spec, d, levels):
     for k in range(1, levels + 1):
-        acts = _affine_level_actions(rs(spec), d, k)
-        assert generated_group_order(acts) == _bfs_order(acts) == _sympy_order(acts)
+        _assert_closed_form_matches_oracles(rs(spec), d, k)
 
 
 @pytest.mark.parametrize("spec,d,k,order", [
     ("A3", 3, 2, 17496), ("G2", 3, 3, 8748), ("A2", 3, 3, 4374),
     ("B2", 2, 4, 2048)])
 def test_group_order_matches_oracles_on_larger_levels(rs, spec, d, k, order):
-    acts = _affine_level_actions(rs(spec), d, k)
-    assert generated_group_order(acts) == order
-    assert _bfs_order(acts) == order
-    assert _sympy_order(acts) == order
+    _assert_closed_form_matches_oracles(rs(spec), d, k, order)
 
 
-def test_group_order_full_symmetric_group():
-    swap = np.array([1, 0, 2, 3, 4, 5, 6, 7])
-    cycle = np.array([1, 2, 3, 4, 5, 6, 7, 0])
-    assert generated_group_order([swap, cycle]) == 40320
-    assert _bfs_order([swap, cycle]) == 40320
-    assert _sympy_order([swap, cycle]) == 40320
+@pytest.mark.parametrize("spec,order,kernel", [
+    ("B2", 8, 4), ("C3", 48, 8), ("D4", 1536, 2), ("F4", 9216, 2)])
+def test_group_order_counts_the_kernel_mod_two(rs, spec, order, kernel):
+    # W -> GL_n(Z/2) is not injective here: a closed form that drops the
+    # kernel, 2^n * |W|, is off by its order
+    rsys = rs(spec)
+    assert _sympy_order(_affine_level_actions(rsys, 2, 1)) == order
+    assert generated_group_order(rsys, 2, 1) == order
+    assert 2 ** rsys.rank * weyl_order(rsys) == order * kernel
 
 
-def test_group_order_matches_oracles_on_random_sets():
-    rng = random.Random(0)
-    sets = [[np.arange(4)]]  # the identity alone
-    for _ in range(100):
-        size = rng.randint(1, 7)
-        acts = []
-        for _ in range(rng.randint(1, 3)):
-            perm = list(range(size))
-            rng.shuffle(perm)
-            acts.append(np.array(perm))
-        sets.append(acts)
-    for acts in sets:
-        assert generated_group_order(acts) == _bfs_order(acts) == _sympy_order(acts)
-
-
-def test_group_order_identity_only():
-    ident = np.arange(2)
-    assert generated_group_order([ident]) == 1
+def test_group_order_past_int64(rs):
+    # m = 2^70 builds no vertex set, and the kernel count stays exact
+    assert generated_group_order(rs("B2"), 2, 70) == 2 ** 140 * 8
 
 
 def test_group_order_dihedral_level_three(rs):
@@ -497,15 +495,21 @@ def test_group_order_dihedral_level_three(rs):
     plus, minus = a1_standard_loops(2)
     acts_plus, _ = numeric_monodromy(a1, 2, plus, 3, y_start=y)
     acts_minus, _ = numeric_monodromy(a1, 2, minus, 3, y_start=y)
-    assert generated_group_order([acts_plus[2], acts_minus[2]]) == 16
+    assert _bfs_order([acts_plus[2], acts_minus[2]]) == 16
+    assert _sympy_order([acts_plus[2], acts_minus[2]]) == 16
+    assert generated_group_order(a1, 2, 3) == 16
 
 
 @pytest.mark.parametrize("spec,order", [("E6", 3317760), ("E7", 185794560)])
 def test_group_order_e6_e7_level_one(rs, spec, order):
-    # |W| * vertices is twice the E7 order: -1 in W(E7) acts trivially mod 2
+    # |W| * vertices is twice the E7 order: -1 in W(E7) acts trivially mod 2.
+    # The closed form counts over the enumerated W, which WEYL_CAP refuses,
+    # as img-verify does
     acts = _affine_level_actions(rs(spec), 2, 1)
-    assert generated_group_order(acts) == order
     assert _sympy_order(acts) == order
+    weyl = {"E6": 51840, "E7": 2903040}[spec]
+    with pytest.raises(CapExceededError, match=f"order {weyl}, above cap"):
+        generated_group_order(rs(spec), 2, 1)
 
 
 # --- relations -----------------------------------------------------------------------
@@ -651,9 +655,11 @@ def test_img_verification_reducible(rs):
 
 def test_img_caps_refuse_oversized(rs):
     from weylcheb.gencos import PathSample
-    for spec, d, levels, vertices in (("B3", 3, 3, 19683),
-                                      ("A3", 10, 2, 10 ** 6),
-                                      ("A1", 2, 13, 8192)):
+    # entries: (rank + factors) generators times sum_k d^(k * rank)
+    for spec, d, levels, vertices, entries in (
+            ("B3", 3, 4, 531441, 4 * (27 + 729 + 19683 + 531441)),
+            ("A3", 10, 2, 10 ** 6, 4 * (10 ** 3 + 10 ** 6)),
+            ("A1", 2, 19, 524288, 2 * (2 ** 20 - 2))):
         rsys = rs(spec)
         # numeric_monodromy refuses with the same message, before any lift
         still = Loop(PathSample(np.array([0.0, 1.0]),
@@ -663,12 +669,13 @@ def test_img_caps_refuse_oversized(rs):
             with pytest.raises(CapExceededError) as exc:
                 refuse()
             msg = str(exc.value)
-            assert f"{vertices} vertices" in msg and "above cap 4096" in msg
-            assert f"{2 * vertices ** 2} transversal cells" in msg
+            assert f"{vertices} vertices" in msg and "above cap 262144" in msg
+            assert f"hold {entries} entries" in msg
 
 
 def test_img_caps_accept_a_full_size_level(rs):
-    check_img_caps(rs("A1"), 2, 12)
+    check_img_caps(rs("A1"), 2, 18)
+    check_img_caps(rs("B3"), 2, 6)
 
 
 def test_img_verification_refuses_large_weyl_group_before_lifting(
