@@ -25,9 +25,11 @@ Expanding X^e as X^{e - e_j} * m_{omega_j} meets the same pairs m_lam * m_mu
 over and over, so each root system has one memo (_Memo, held weakly and
 dropped with the root system): the pair table {(lam, mu): product}, walked
 once per pair; the monomial expansions; and the height vector of the
-reduction order.  Elimination pops the height-maximal term from a heap, and
-raises if a popped term is not below the previous one or an expansion does
-not lead with coefficient 1.
+reduction order.  build_root_system keeps one root system per type spec for
+the life of the process, so its memo serves every later synthesis too.
+Elimination pops the height-maximal term from a heap, and raises if a popped
+term is not below the previous one or an expansion does not lead with
+coefficient 1.
 
 The functional check T_d(gencos(x)) = gencos(d x) is exact.  With
 z_j = e^{2 pi i x_j} both sides are integer Laurent polynomials in z, so

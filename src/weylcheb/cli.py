@@ -8,6 +8,7 @@ randomized checks draw their samples from it; exit codes reflect pass/fail.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -175,7 +176,11 @@ def cmd_automaton(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parse_args reads it without changing it, so repeated main calls in one
+    process skip rebuilding the eight subparsers."""
     parser = argparse.ArgumentParser(
         prog="weylcheb",
         description="Root systems, Chebyshev-like maps, and tree monodromy")

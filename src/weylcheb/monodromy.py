@@ -29,6 +29,7 @@ hold by construction (the tests pin this).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -54,9 +55,10 @@ from .rootsys import (
     weyl_group_elements,
 )
 
-# img-verify holds and prints every level's permutation of every generator,
-# about 200 MiB at this cap; check_img_caps gives the measurements
-VERTEX_CAP = 2 ** 18
+# img-verify holds and prints every level's permutation of every generator:
+# this many entries (1.25 * 2^20) take about 200 MiB; check_img_caps gives
+# the measurements
+ENTRY_CAP = 5 * 2 ** 18
 # one level action of V vertices in rank n holds V * (n + 2) int64 cells,
 # 32 MiB at this cap: about a million vertices, which algebraic_action
 # builds in 0.07 s and perm_order walks in 0.2 s (A1, d = 2, level 20)
@@ -146,12 +148,16 @@ def affine_element_order(g: AffineElement, cap: int = 64):
 # basepoint and loops
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _unit_direction(rs: RootSystem):
     """The regular direction divided by H, its largest pairing with a root,
-    as exact Fractions: every positive root pairs with it into (0, 1]."""
+    as exact Fractions: every positive root pairs with it into (0, 1].
+    Returns it with its least pairing min_v |<v, u>| over the roots; both
+    are computed once per root system, not once per loop."""
     u = regular_direction(rs)
     h = max(dot(v.weight_coords, u) for v in rs.roots)
-    return tuple(c / h for c in u)
+    u = tuple(c / h for c in u)
+    return u, min(abs(dot(v.weight_coords, u)) for v in rs.roots)
 
 
 def basepoint(rs: RootSystem):
@@ -216,10 +222,9 @@ def make_generator_loop(rs: RootSystem, g: AffineElement, y0=None,
     y1 = affine_apply(g, y0)
     if np.abs(y1 - y0).max() < 1e-12:
         raise ValueError("generator fixes the basepoint; loop is degenerate")
-    u = _unit_direction(rs)
+    u, least = _unit_direction(rs)
     ts = np.linspace(0.0, 1.0, num_samples)
-    clearance = (abs(epsilon) * np.sin(np.pi * ts[1])
-                 * float(min(abs(dot(v.weight_coords, u)) for v in rs.roots)))
+    clearance = abs(epsilon) * np.sin(np.pi * ts[1]) * float(least)
     if clearance <= 1e-9:
         raise ValueError(f"generating path comes within {clearance:.3e} of "
                          f"a wall")
@@ -381,26 +386,30 @@ def _affine_dict(g: AffineElement):
 
 def check_img_caps(rs: RootSystem, d: int, levels: int):
     """Size the verification before running it; raises CapExceededError
-    naming the vertices, the cap and the permutation entries they stand for.
+    naming the deepest level's vertices, the permutation entries and the cap.
 
     The run holds, and prints as JSON, every level's permutation of each of
-    the rank + #factors generators, sum_k d^(k * rank) entries apiece: about
-    160 bytes of peak RSS each, above 34 MiB.  With the cap lifted (whole
-    process, 2-core Xeon): 72 MiB at V = 2^16 (A1 2 16, A2 2 8), 191-221 MiB
-    at 2^18 (A1 2 18, A2 2 9, B3 2 6; 1.4 s), 352-384 MiB just above
-    (A1 2 19, B3 3 4), 673-678 MiB at 2^20: the cap is the largest power of
-    two under the 288-298 MiB of Schreier-Sims at the old cap, 4096.
-    Products of many factors hold more entries per vertex (A1^9 2 2:
-    757 MiB).  At rank <= 10 algebraic_action stays below ACTION_CELL_CAP.
-    A Weyl group above WEYL_CAP is refused by img_verification."""
+    the rank + #factors generators, sum_k d^(k * rank) entries apiece, and
+    ENTRY_CAP bounds their total.  Whole-process peak RSS (2-core Xeon) came
+    to 152-166 bytes per entry, above 34 MiB, on 13 runs: 191-221 MiB for
+    A1 2 18, A2 2 9 and B3 2 6 (1.05-1.2 M entries, accepted), 310 MiB for
+    A1xA1xA1 2 6 (1.8 M), 352-384 MiB for A1 2 19 and B3 3 4 (2.1-2.2 M),
+    411 MiB for A2xA2xA2 2 3, 530 MiB for A1^6 2 3 and 757 MiB for A1^9 2 2
+    (4.7 M).  The cap accepts exactly the runs under the 288-298 MiB that
+    Schreier-Sims took at the old cap of 4096 vertices; a cap on vertices
+    let products of many factors through.  At rank <= 10 algebraic_action
+    stays below ACTION_CELL_CAP.  A Weyl group above WEYL_CAP is refused by
+    img_verification."""
     vertices = d ** (levels * rs.rank)
-    if vertices > VERTEX_CAP:
-        entries = (rs.rank + len(rs.factors)) * sum(
-            d ** (k * rs.rank) for k in range(1, levels + 1))
+    # sum_{k=1..levels} q^k in closed form, q the vertices of level one
+    q = d ** rs.rank
+    per_generator = levels if q == 1 else (q * vertices - q) // (q - 1)
+    entries = (rs.rank + len(rs.factors)) * per_generator
+    if entries > ENTRY_CAP:
         raise CapExceededError(
-            f"level {levels} needs {vertices} vertices, above cap "
-            f"{VERTEX_CAP}; its generators' level permutations hold "
-            f"{entries} entries")
+            f"level {levels} needs {vertices} vertices; its generators' "
+            f"level permutations hold {entries} entries, above cap "
+            f"{ENTRY_CAP}")
 
 
 def img_verification(rs: RootSystem, d: int, levels: int) -> MonodromyReport:

@@ -18,6 +18,7 @@ are normalized to squared length 2 in every irreducible factor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,8 +132,8 @@ _RANK_LIMITS = {
 }
 
 
-def parse_type_spec(spec: str) -> list[tuple[str, int]]:
-    """Parse "B3xA1"-style specs into a list of (letter, rank) factors."""
+def parse_type_spec(spec: str) -> tuple[tuple[str, int], ...]:
+    """Parse "B3xA1"-style specs into a tuple of (letter, rank) factors."""
     if not isinstance(spec, str) or not spec:
         raise TypeSpecError(f"empty type spec: {spec!r}")
     factors = []
@@ -145,7 +146,7 @@ def parse_type_spec(spec: str) -> list[tuple[str, int]]:
         if rank < lo or (hi is not None and rank > hi):
             raise TypeSpecError(f"unsupported rank {rank} for type {letter}")
         factors.append((letter, rank))
-    return factors
+    return tuple(factors)
 
 
 def _cartan_and_lengths(letter: str, n: int):
@@ -323,15 +324,17 @@ def reflection_element(v: Root, ell: int = 0) -> AffineElement:
 class RootSystem:
     """Exact data of a (possibly reducible) root system.
 
-    Instances are immutable by convention; every derived table (orbits, orbit
-    sizes, Weyl elements, the stacked fundamental orbits) is cached on the
-    instance, written only by this module, and safe for concurrent readers.
+    Instances are immutable: every public field is a tuple or a number, and
+    build_root_system shares one instance per type spec within a process.
+    Every derived table (orbits, orbit sizes, Weyl elements, the stacked
+    fundamental orbits) is cached on the instance, written only by this
+    module, and safe for concurrent readers.
     """
 
     def __init__(self, type_spec, factors, cartan, gram, lengths, roots,
                  simple_root_indices):
         self.type_spec = type_spec
-        self.factors = factors            # list of (letter, rank, offset)
+        self.factors = factors            # tuple of (letter, rank, offset)
         self.rank = len(cartan)
         self.cartan = cartan              # integer, column k = weight coords of a_k
         self.gram = gram                  # Fraction, <a_j^vee, a_k^vee>
@@ -361,11 +364,15 @@ class RootSystem:
         return tuple(1 if i == k else 0 for i in range(self.rank))
 
 
+@functools.cache
 def build_root_system(type_spec: str) -> RootSystem:
     """Construct the root system for a product type spec like "A2" or "B3xA1".
 
     Roots are enumerated by closure of the simple roots under simple
     reflections; reducible specs produce block-diagonal Cartan and Gram data.
+    Built once per spec string and process, so every caller of one spec
+    shares the instance and its cached tables; a bad spec raises on every
+    call.
     """
     factors = parse_type_spec(type_spec)
     n = sum(r for _, r in factors)
@@ -410,7 +417,7 @@ def build_root_system(type_spec: str) -> RootSystem:
                 roots.append(img)
                 queue.append(img)
 
-    return RootSystem(type_spec, fact_meta, cartan, gram, lengths,
+    return RootSystem(type_spec, tuple(fact_meta), cartan, gram, lengths,
                       tuple(roots), tuple(range(n)))
 
 

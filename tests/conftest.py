@@ -1,15 +1,9 @@
-import functools
-
 import pytest
 
 from weylcheb.rootsys import build_root_system
 
 
-@functools.lru_cache(maxsize=None)
-def cached_system(spec):
-    return build_root_system(spec)
-
-
 @pytest.fixture
 def rs():
-    return cached_system
+    # build_root_system shares one instance per spec within the process
+    return build_root_system

@@ -101,7 +101,8 @@ def test_product_matches_convolution_oracle(spec, rs):
 def test_map_matches_convolution_oracle(spec, d, monkeypatch):
     fast = build_cheb_map(build_root_system(spec), d)
     monkeypatch.setattr(chebmap, "orbit_sum_product", _convolution_product)
-    slow = build_cheb_map(build_root_system(spec), d)
+    # a fresh instance, so no memoized expansion of the fast run is reused
+    slow = build_cheb_map(build_root_system.__wrapped__(spec), d)
     assert fast.components == slow.components
 
 
@@ -117,7 +118,8 @@ def test_pair_table_matches_convolution_oracle():
 
 
 def test_pair_table_is_hit_in_both_orders():
-    a2 = build_root_system("A2")
+    # an uncached instance starts with an empty pair table
+    a2 = build_root_system.__wrapped__("A2")
     first = orbit_sum_product(a2, {(1, 0): 1}, {(2, 1): 1})
     assert list(chebmap._MEMO[a2].pairs) == [((1, 0), (2, 1))]
     assert orbit_sum_product(a2, {(2, 1): 2}, {(1, 0): 1}) == {
@@ -127,7 +129,9 @@ def test_pair_table_is_hit_in_both_orders():
 
 def test_memo_goes_away_with_its_root_system():
     before = len(chebmap._MEMO)
-    rsys = build_root_system("B2")
+    # the shared instance lives as long as the process; an uncached one
+    # can be dropped
+    rsys = build_root_system.__wrapped__("B2")
     build_cheb_map(rsys, 3)
     assert len(chebmap._MEMO) == before + 1
     gone = weakref.ref(rsys)
@@ -144,7 +148,8 @@ def test_wrong_orbit_size_breaks_integrality(monkeypatch):
     monkeypatch.setattr(chebmap, "orbit_size",
                         lambda rsys, nu: true_size(rsys, nu) + 1)
     with pytest.raises(ArithmeticError, match="not an integer"):
-        orbit_sum_product(build_root_system("A2"), {(1, 0): 1}, {(0, 1): 1})
+        orbit_sum_product(build_root_system.__wrapped__("A2"), {(1, 0): 1},
+                          {(0, 1): 1})
 
 
 def test_monomial_expand_base_cases(rs):

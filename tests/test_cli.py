@@ -161,6 +161,20 @@ def test_sampled_verbs_refuse_no_samples(capsys, argv):
     assert err.startswith("error: --samples must be at least 1")
 
 
+def test_parsed_options_do_not_leak_between_calls(capsys):
+    # the parser is built once per process; a value given to one call must
+    # not become the default of the next
+    from weylcheb.cli import build_parser
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, "verify-functional", "A2", "2",
+                           "--samples", "5")
+    assert code == 0 and json.loads(out)["samples"] == 5
+    code, out, _ = run_cli(capsys, "verify-functional", "A2", "2")
+    assert code == 0 and json.loads(out)["samples"] == 100
+    code, out, _ = run_cli(capsys, "verify-postcritical", "A2", "2")
+    assert code == 0 and json.loads(out)["samples"] == 50
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-7"])
 def test_postcritical_refuses_a_tolerance_that_is_not_one(capsys, tol):
     # the check is exact and takes no --tol: any value, bad or not, is refused
@@ -272,9 +286,12 @@ def test_img_verify_a1_level_thirteen(capsys):
 
 
 def test_img_verify_refuses_oversized(capsys):
-    for case, named in ((("B3", "3", "4"), ("531441 vertices", "cap 262144")),
+    for case, named in ((("B3", "3", "4"),
+                         ("531441 vertices", "2207520 entries", "cap 1310720")),
                         (("A1", "2", "19"),
-                         ("524288 vertices", "cap 262144")),
+                         ("524288 vertices", "2097148 entries", "cap 1310720")),
+                        (("A1xA1xA1", "2", "6"),
+                         ("262144 vertices", "1797552 entries", "cap 1310720")),
                         (("E6", "2", "1"), ("order 51840", "cap 1152"))):
         code, _, err = run_cli(capsys, "img-verify", *case)
         assert code == 2
@@ -341,7 +358,7 @@ def test_rejected_arguments_exit_2(argv, capsys):
 
 
 def test_caps_refuse_before_any_work(capsys, monkeypatch):
-    # the caps are the constants WEYL_CAP and VERTEX_CAP; a refusal comes
+    # the caps are the constants WEYL_CAP and ENTRY_CAP; a refusal comes
     # before any group element is built or any loop is made
     from weylcheb import monodromy, rootsys
 
@@ -356,7 +373,7 @@ def test_caps_refuse_before_any_work(capsys, monkeypatch):
     assert "order 51840" in err and "cap 1152" in err
     code, out, err = run_cli(capsys, "img-verify", "A1", "2", "19")
     assert code == 2 and out == ""
-    assert "524288 vertices" in err and "cap 262144" in err
+    assert "524288 vertices" in err and "cap 1310720" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -14,6 +14,7 @@ from weylcheb.errors import CapExceededError, NearSingularError
 from weylcheb.gencos import deck_identify, eval_gencos, is_on_diagram, lift_path
 from weylcheb.monodromy import (
     ACTION_CELL_CAP,
+    ENTRY_CAP,
     Loop,
     a1_standard_loops,
     affine_element_order,
@@ -245,7 +246,7 @@ def _generating_path(rsys, g, epsilon, num_samples):
     # the path make_generator_loop maps through gencos, rebuilt here
     y0 = basepoint_array(rsys)
     y1 = affine_apply(g, y0)
-    u = np.array([float(c) for c in monodromy._unit_direction(rsys)])
+    u = np.array([float(c) for c in monodromy._unit_direction(rsys)[0]])
     ts = np.linspace(0.0, 1.0, num_samples)
     return ((1 - ts)[:, None] * y0 + ts[:, None] * y1
             + 1j * epsilon * np.sin(np.pi * ts)[:, None] * u)
@@ -254,8 +255,10 @@ def _generating_path(rsys, g, epsilon, num_samples):
 @pytest.mark.parametrize("spec", [c[0] for c in BENCH_IMG_CASES])
 def test_clearance_bound_equals_the_wall_scan(spec, rs):
     rsys = rs(spec)
-    u = monodromy._unit_direction(rsys)
+    u, cached = monodromy._unit_direction(rsys)
     least = float(min(abs(dot(v.weight_coords, u)) for v in rsys.roots))
+    assert float(cached) == least
+    assert monodromy._unit_direction(rsys)[0] is u  # once per root system
     for epsilon, num in ((0.1, 257), (-0.3, 33), (0.02, 1001)):
         bound = abs(epsilon) * np.sin(np.pi / (num - 1)) * least
         for _, g in standard_affine_generators(rsys):
@@ -655,11 +658,15 @@ def test_img_verification_reducible(rs):
 
 def test_img_caps_refuse_oversized(rs):
     from weylcheb.gencos import PathSample
-    # entries: (rank + factors) generators times sum_k d^(k * rank)
+    # entries: (rank + factors) generators times sum_k d^(k * rank); the
+    # products have at most 2^18 vertices, which the old vertex cap accepted
     for spec, d, levels, vertices, entries in (
             ("B3", 3, 4, 531441, 4 * (27 + 729 + 19683 + 531441)),
             ("A3", 10, 2, 10 ** 6, 4 * (10 ** 3 + 10 ** 6)),
-            ("A1", 2, 19, 524288, 2 * (2 ** 20 - 2))):
+            ("A1", 2, 19, 524288, 2 * (2 ** 20 - 2)),
+            ("A1xA1xA1", 2, 6, 2 ** 18, 6 * sum(8 ** k for k in range(1, 7))),
+            ("x".join(["A1"] * 6), 2, 3, 2 ** 18, 12 * (64 + 4096 + 2 ** 18)),
+            ("x".join(["A1"] * 9), 2, 2, 2 ** 18, 18 * (2 ** 9 + 2 ** 18))):
         rsys = rs(spec)
         # numeric_monodromy refuses with the same message, before any lift
         still = Loop(PathSample(np.array([0.0, 1.0]),
@@ -669,13 +676,33 @@ def test_img_caps_refuse_oversized(rs):
             with pytest.raises(CapExceededError) as exc:
                 refuse()
             msg = str(exc.value)
-            assert f"{vertices} vertices" in msg and "above cap 262144" in msg
+            assert f"{vertices} vertices" in msg and "above cap 1310720" in msg
             assert f"hold {entries} entries" in msg
+            assert entries > ENTRY_CAP
 
 
 def test_img_caps_accept_a_full_size_level(rs):
+    # 1048572, 1048572 and 1198368 entries: the runs measured under budget
     check_img_caps(rs("A1"), 2, 18)
+    check_img_caps(rs("A2"), 2, 9)
     check_img_caps(rs("B3"), 2, 6)
+
+
+def test_img_caps_count_entries_in_closed_form(rs):
+    # the refusal is decided by the same entry count at every degree,
+    # d = 1 included (one vertex per level)
+    for spec, d in (("A1", 1), ("A1", 2), ("A2", 3), ("B3xA1", 2)):
+        rsys = rs(spec)
+        gens = rsys.rank + len(rsys.factors)
+        for levels in range(1, 40):
+            entries = gens * sum(d ** (k * rsys.rank)
+                                 for k in range(1, levels + 1))
+            if entries <= ENTRY_CAP:
+                check_img_caps(rsys, d, levels)
+            else:
+                with pytest.raises(CapExceededError,
+                                   match=f"hold {entries} entries"):
+                    check_img_caps(rsys, d, levels)
 
 
 def test_img_verification_refuses_large_weyl_group_before_lifting(

@@ -120,3 +120,14 @@ def test_verify_output_matches_pinned_digest(argv):
     text = _run(argv)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         VERIFY_DIGESTS[case_key(argv)]
+
+
+def test_verify_digests_hold_in_any_order_and_on_repeat():
+    # root systems and the parser are shared by every call in a process:
+    # run the whole grid in reverse, then again, and every output must
+    # still be the pinned one, so no state a call leaves behind shows
+    for _ in range(2):
+        for argv in reversed(WORKLOADS["verify"]):
+            text = _run(argv)
+            assert hashlib.sha256(text.encode()).hexdigest() == \
+                VERIFY_DIGESTS[case_key(argv)], case_key(argv)

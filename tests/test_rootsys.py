@@ -24,6 +24,7 @@ from weylcheb.rootsys import (
     mat_vec,
     orbit,
     orbit_size,
+    parse_type_spec,
     positive_roots,
     reflect,
     reflection_element,
@@ -100,6 +101,32 @@ def test_reducible_block_cartan():
 def test_bad_specs_rejected(bad):
     with pytest.raises(TypeSpecError):
         build_root_system(bad)
+
+
+def test_one_instance_per_spec():
+    f4 = build_root_system("F4")
+    assert build_root_system("F4") is f4
+    # keyed on the spec string as given, which outputs echo
+    assert build_root_system("B3xA1") is not build_root_system("B3 x A1")
+    assert build_root_system("B3 x A1").type_spec == "B3 x A1"
+    # an uncached build is a new, equal instance
+    fresh = build_root_system.__wrapped__("F4")
+    assert fresh is not f4 and fresh.roots == f4.roots
+
+
+def test_bad_spec_raises_on_every_call():
+    # exceptions are not cached: the second call parses again and raises
+    for _ in range(3):
+        with pytest.raises(TypeSpecError, match="cannot parse factor 'Z9'"):
+            build_root_system("Z9")
+
+
+def test_shared_instance_has_no_list_fields():
+    rsys = build_root_system("B3xA1")
+    assert rsys.factors == (("B", 3, 0), ("A", 1, 3))
+    assert parse_type_spec("B3xA1") == (("B", 3), ("A", 1))
+    for value in vars(rsys).values():
+        assert not isinstance(value, list)
 
 
 def test_gram_matches_cartan(rs):
