@@ -22,11 +22,11 @@ asserted, never rounded: each coefficient count * |W lam| / |W nu| must divide
 exactly, and a remainder raises ArithmeticError.
 
 Expanding X^e as X^{e - e_j} * m_{omega_j} meets the same pairs m_lam * m_mu
-over and over, so each root system has one memo (_Memo, held weakly and
-dropped with the root system): the pair table {(lam, mu): product}, walked
-once per pair; the monomial expansions; and the height vector of the
-reduction order.  build_root_system keeps one root system per type spec for
-the life of the process, so its memo serves every later synthesis too.
+over and over, so each root system has one memo (_Memo, built once per
+instance): the pair table {(lam, mu): product}, walked once per pair; the
+monomial expansions; and the height vector of the reduction order.
+build_root_system keeps one root system per type spec for the life of the
+process, so its memo serves every later synthesis too.
 Elimination pops the height-maximal term from a heap, and raises if a popped
 term is not below the previous one or an expansion does not lead with
 coefficient 1.
@@ -57,10 +57,10 @@ the miss bound derived there.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
-import weakref
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .rootsys import (RootSystem, dominant_weight, fundamental_orbit_table,
-                      invert_fraction, orbit, orbit_size)
+                      orbit, orbit_size, rho_vee)
 
 # int64 cells per (points x 2 orbit rows) array of one batch of the
 # prime-field checks (16 MiB): E7 runs 59 points a batch, F4 4369
@@ -82,12 +82,11 @@ FIELD_CELLS = 1 << 21
 def height_vector(rs: RootSystem) -> tuple:
     """Positive integer vector c with dot(alpha_j, c) equal for all simple
     roots: dot(lam, c) is a height functional, strictly positive on nonzero
-    dominant weights, used as the primary elimination key."""
-    cinv = invert_fraction(rs.cartan)
-    # column sums of C^{-1}; clearing denominators keeps the order integral
-    cols = [sum(cinv[k][m] for k in range(rs.rank)) for m in range(rs.rank)]
-    denom = math.lcm(*(c.denominator for c in cols))
-    vec = tuple(int(c * denom) for c in cols)
+    dominant weights, used as the primary elimination key.  It is rho^vee
+    with its denominators cleared, which keeps the order integral."""
+    rho = rho_vee(rs)
+    denom = math.lcm(*(c.denominator for c in rho))
+    vec = tuple(int(c * denom) for c in rho)
     assert all(c > 0 for c in vec)
     return vec
 
@@ -107,15 +106,8 @@ class _Memo:
         return sum(l * c for l, c in zip(lam, self.height)), lam
 
 
-# one entry per root system, dropped with it
-_MEMO = weakref.WeakKeyDictionary()
-
-
-def _memo(rs: RootSystem) -> _Memo:
-    memo = _MEMO.get(rs)
-    if memo is None:
-        memo = _MEMO[rs] = _Memo(rs)
-    return memo
+# one memo per RootSystem instance, kept as long as the process
+_memo = functools.cache(_Memo)
 
 
 # ---------------------------------------------------------------------------

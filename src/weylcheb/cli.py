@@ -176,6 +176,16 @@ def cmd_automaton(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int of at least `low`, else a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
@@ -189,9 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, d=False, levels=False, sampled=False):
         p.add_argument("type", help="root system type spec, e.g. A2 or B3xA1")
         if d:
-            p.add_argument("d", type=int, help="degree parameter (>= 2)")
+            p.add_argument("d", type=_int_at_least(2),
+                           help="degree parameter (>= 2)")
         if levels:
-            p.add_argument("levels", type=int, help="tree depth to verify")
+            p.add_argument("levels", type=_int_at_least(1),
+                           help="tree depth to verify (>= 1)")
         if sampled:
             p.add_argument("--samples", type=int, default=100)
         # every verb takes --seed, so one seed can be passed to any call
@@ -232,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("act", help="act on a tree word by a generator word")
     p.add_argument("type")
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=_int_at_least(2), help="degree parameter (>= 2)")
     p.add_argument("word", help="generator word, e.g. 's1*a0' or 't'")
     p.add_argument("treeword", help="flat digit string, rank digits per letter")
     p.add_argument("--seed", type=int, default=0)

@@ -25,7 +25,6 @@ batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,8 +33,6 @@ from .rootsys import (
     AffineElement,
     RootSystem,
     fundamental_orbit_table,
-    invert_fraction,
-    mat_vec,
     orbit_matrix,
     weyl_group_elements,
 )
@@ -124,14 +121,6 @@ def gencos_jacobian(rs: RootSystem, x) -> np.ndarray:
     """Jacobian matrix: entry (k, j) = 2*pi*i * sum_lam lam_j e^{2 pi i lam.x}
     (one per point for an (S, n) array of points)."""
     return _kernel(rs, x, jacobian=True)[1]
-
-
-def regular_direction(rs: RootSystem):
-    """The sum of the fundamental weights, in coroot coordinates: an interior
-    point of the fundamental chamber, so it pairs nonzero with every root."""
-    ginv = invert_fraction(rs.gram)
-    ones = tuple([Fraction(1)] * rs.rank)
-    return mat_vec(ginv, ones)
 
 
 def is_on_diagram(rs: RootSystem, x, tol: float):

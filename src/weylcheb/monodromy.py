@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .gencos import (
     eval_gencos,
     lift_path,
     lift_paths,
-    regular_direction,
 )
 from .rootsys import (
     AffineElement,
@@ -51,7 +51,7 @@ from .rootsys import (
     dot,
     highest_roots,
     reflection_element,
-    solve_fraction,
+    rho_vee,
     weyl_group_elements,
 )
 
@@ -148,16 +148,26 @@ def affine_element_order(g: AffineElement, cap: int = 64):
 # basepoint and loops
 # ---------------------------------------------------------------------------
 
+def _coxeter_number(rs: RootSystem) -> int:
+    """h = 1 + max_v <v, rho^vee>, the Coxeter number (for a product, the
+    largest over its factors)."""
+    rho = rho_vee(rs)
+    return 1 + int(max(dot(v.weight_coords, rho) for v in rs.roots))
+
+
 @functools.cache
 def _unit_direction(rs: RootSystem):
-    """The regular direction divided by H, its largest pairing with a root,
-    as exact Fractions: every positive root pairs with it into (0, 1].
-    Returns it with its least pairing min_v |<v, u>| over the roots; both
-    are computed once per root system, not once per loop."""
-    u = regular_direction(rs)
-    h = max(dot(v.weight_coords, u) for v in rs.roots)
-    u = tuple(c / h for c in u)
-    return u, min(abs(dot(v.weight_coords, u)) for v in rs.roots)
+    """rho^vee / (h - 1) as exact Fractions, with its least root pairing
+    1/(h - 1): every positive root pairs with it into [1/(h - 1), 1], the
+    simple roots to the least.  Computed once per root system, not once
+    per loop."""
+    top = _coxeter_number(rs) - 1
+    return tuple(c / top for c in rho_vee(rs)), Fraction(1, top)
+
+
+def _coxeter_point(rs: RootSystem) -> tuple:
+    h = _coxeter_number(rs)
+    return tuple(c / h for c in rho_vee(rs))
 
 
 def basepoint(rs: RootSystem):
@@ -170,17 +180,13 @@ def basepoint(rs: RootSystem):
     most (h - 1)/h: every wall of the alcove, the affine ones included, is
     at least 1/h away (Kostant, Amer. J. Math. 81, 1959).
     """
-    rho = solve_fraction([v.weight_coords for v in rs.simple_roots],
-                         [1] * rs.rank)
-    h = 1 + max(dot(v.weight_coords, rho) for v in rs.roots)
-    y0 = tuple(c / h for c in rho)
-    x0 = eval_gencos(rs, np.array([float(c) for c in y0], dtype=complex))
-    return y0, x0
+    y0 = _coxeter_point(rs)
+    return y0, eval_gencos(rs, basepoint_array(rs))
 
 
 def basepoint_array(rs: RootSystem) -> np.ndarray:
-    y0, _ = basepoint(rs)
-    return np.array([float(c) for c in y0], dtype=complex)
+    """The Coxeter point of basepoint, as a complex array."""
+    return np.array([float(c) for c in _coxeter_point(rs)], dtype=complex)
 
 
 @dataclass

@@ -107,16 +107,6 @@ def det_fraction(a):
     return det
 
 
-def invert_fraction(a):
-    """Exact matrix inverse, returned as tuples of Fractions."""
-    n = len(a)
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        cols.append(solve_fraction(a, e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
 # type-spec parsing and Cartan data
 # ---------------------------------------------------------------------------
@@ -324,38 +314,33 @@ def reflection_element(v: Root, ell: int = 0) -> AffineElement:
 class RootSystem:
     """Exact data of a (possibly reducible) root system.
 
-    Instances are immutable: every public field is a tuple or a number, and
+    Instances are immutable: every field is a tuple or a number, and
     build_root_system shares one instance per type spec within a process.
-    Every derived table (orbits, orbit sizes, Weyl elements, the stacked
-    fundamental orbits) is cached on the instance, written only by this
-    module, and safe for concurrent readers.
+    The tables derived from an instance (orbits, orbit sizes, Weyl
+    elements, the stacked fundamental orbits, rho^vee) are cached by the
+    functions that build them, keyed on the instance's identity.  The
+    first len(cartan) roots are the simple roots, in Cartan order.
     """
 
-    def __init__(self, type_spec, factors, cartan, gram, lengths, roots,
-                 simple_root_indices):
+    def __init__(self, type_spec, factors, cartan, gram, lengths, roots):
         self.type_spec = type_spec
         self.factors = factors            # tuple of (letter, rank, offset)
         self.rank = len(cartan)
         self.cartan = cartan              # integer, column k = weight coords of a_k
         self.gram = gram                  # Fraction, <a_j^vee, a_k^vee>
         self.lengths = lengths            # squared lengths of simple roots
-        self.roots = roots                # tuple of Root
-        self.simple_root_indices = simple_root_indices
-        self._orbit_cache = {}
-        self._orbit_size_cache = {}
+        self.roots = roots                # tuple of Root, simple ones first
         # nonzero entries (i, C[i][j]) of each column j: the simple root a_j
         self._simple_root_cols = tuple(
             tuple((i, row[j]) for i, row in enumerate(cartan) if row[j])
             for j in range(self.rank))
-        self._weyl_cache = None
-        self._orbit_table = None
 
     def __repr__(self):
         return f"RootSystem({self.type_spec!r}, rank={self.rank}, roots={len(self.roots)})"
 
     @property
     def simple_roots(self):
-        return tuple(self.roots[i] for i in self.simple_root_indices)
+        return self.roots[:self.rank]
 
     def simple_reflection(self, j) -> WeylElement:
         return reflection_element(self.simple_roots[j], 0).w
@@ -418,7 +403,7 @@ def build_root_system(type_spec: str) -> RootSystem:
                 queue.append(img)
 
     return RootSystem(type_spec, tuple(fact_meta), cartan, gram, lengths,
-                      tuple(roots), tuple(range(n)))
+                      tuple(roots))
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +426,18 @@ def reflect(v: Root, ell, x):
 
 def weyl_group_elements(rs: RootSystem, cap: int = WEYL_CAP):
     """All Weyl group elements by breadth-first closure from the simple
-    reflections.  Refuses when the order, weyl_order(rs), exceeds the cap;
-    the order is memoized, so the cap is checked on every call, cached or
-    not."""
+    reflections, built once per root system.  Refuses when the order,
+    weyl_order(rs), exceeds the cap; the order is memoized, so the cap is
+    checked on every call, cached or not."""
     order = weyl_order(rs)
     if order > cap:
         raise CapExceededError(
             f"Weyl group of {rs.type_spec} has order {order}, above cap {cap}")
-    if rs._weyl_cache is not None:
-        return rs._weyl_cache
+    return _weyl_group_elements(rs)
+
+
+@functools.cache
+def _weyl_group_elements(rs: RootSystem):
     n = rs.rank
     gens = [rs.simple_reflection(j) for j in range(n)]
     gen_w = np.array([s.weight_matrix for s in gens], dtype=np.int64)
@@ -472,20 +460,20 @@ def weyl_group_elements(rs: RootSystem, cap: int = WEYL_CAP):
         front_w, front_c = cand_w[new], cand_c[new]
         found_w.append(front_w)
         found_c.append(front_c)
-    result = tuple(
+    return tuple(
         WeylElement(tuple(map(tuple, w)), tuple(map(tuple, c)))
         for w, c in zip(np.concatenate(found_w).tolist(),
                         np.concatenate(found_c).tolist()))
-    rs._weyl_cache = result
-    return result
 
 
 def orbit(rs: RootSystem, lam) -> tuple:
     """The Weyl orbit of an integral weight, as a sorted tuple of weight
-    coordinate vectors."""
-    lam = tuple(lam)
-    if lam in rs._orbit_cache:
-        return rs._orbit_cache[lam]
+    coordinate vectors, enumerated once per root system and weight."""
+    return _orbit(rs, tuple(lam))
+
+
+@functools.cache
+def _orbit(rs: RootSystem, lam: tuple) -> tuple:
     cols = [tuple(rs.cartan[i][j] for i in range(rs.rank)) for j in range(rs.rank)]
     seen = {lam}
     queue = [lam]
@@ -498,27 +486,21 @@ def orbit(rs: RootSystem, lam) -> tuple:
             if img not in seen:
                 seen.add(img)
                 queue.append(img)
-    result = tuple(sorted(seen))
-    rs._orbit_cache[lam] = result
-    # orbits are Weyl-stable sets; cache under every member
-    for mu in result:
-        rs._orbit_cache.setdefault(mu, result)
-    return result
+    return tuple(sorted(seen))
 
 
+@functools.cache
 def fundamental_orbit_table(rs: RootSystem):
     """The orbits of the fundamental weights stacked into one read-only
     int64 matrix, orbit k in rows starts[k] up to starts[k + 1] (the last
     up to the end), each in the sorted order of orbit().  Returns
     (rows, starts); cached per root system."""
-    if rs._orbit_table is None:
-        orbits = [orbit(rs, rs.fundamental_weight(k)) for k in range(rs.rank)]
-        rows = np.array([r for o in orbits for r in o], dtype=np.int64)
-        starts = np.cumsum([0] + [len(o) for o in orbits[:-1]])
-        rows.setflags(write=False)
-        starts.setflags(write=False)
-        rs._orbit_table = (rows, starts)
-    return rs._orbit_table
+    orbits = [orbit(rs, rs.fundamental_weight(k)) for k in range(rs.rank)]
+    rows = np.array([r for o in orbits for r in o], dtype=np.int64)
+    starts = np.cumsum([0] + [len(o) for o in orbits[:-1]])
+    rows.setflags(write=False)
+    starts.setflags(write=False)
+    return rows, starts
 
 
 def orbit_matrix(rs: RootSystem, k: int) -> np.ndarray:
@@ -574,27 +556,38 @@ def orbit_size(rs: RootSystem, nu) -> int:
     Macdonald's product |W| = prod_{a > 0} (ht(a) + 1) / ht(a) (Math. Ann.
     199, 1972), taken over the positive coroots, holds for W and for W_J (whose positive coroots are
     those supported on J), so |W| / |W_J| is the product over the positive
-    coroots with <nu, a^vee> > 0.  Memoized on the zero pattern of nu.
+    coroots with <nu, a^vee> > 0.  Memoized on the support of nu.
     """
     if min(nu) < 0:
         raise ValueError(f"orbit_size needs a dominant weight, got {nu}")
-    key = tuple(map(bool, nu))
-    size = rs._orbit_size_cache.get(key)
-    if size is None:
-        prod = Fraction(1)
-        for v in rs.roots:
-            h = sum(v.coroot_coords)
-            if h > 0 and dot(nu, v.coroot_coords) > 0:
-                prod *= Fraction(h + 1, h)
-        if prod.denominator != 1:
-            raise RuntimeError(f"orbit size of {nu} is not an integer: {prod}")
-        size = rs._orbit_size_cache[key] = int(prod)
-    return size
+    return _orbit_size(rs, tuple(map(bool, nu)))
+
+
+@functools.cache
+def _orbit_size(rs: RootSystem, support: tuple) -> int:
+    prod = Fraction(1)
+    for v in rs.roots:
+        h = sum(v.coroot_coords)
+        if h > 0 and dot(support, v.coroot_coords) > 0:
+            prod *= Fraction(h + 1, h)
+    if prod.denominator != 1:
+        raise RuntimeError(f"orbit size on support {support} is not an "
+                           f"integer: {prod}")
+    return int(prod)
 
 
 def weyl_order(rs: RootSystem) -> int:
     """|W|: the orbit size of rho, whose stabilizer is trivial."""
     return orbit_size(rs, (1,) * rs.rank)
+
+
+@functools.cache
+def rho_vee(rs: RootSystem) -> tuple:
+    """rho^vee, half the sum of the positive coroots, in simple-coroot
+    coordinates as exact Fractions: the point pairing to 1 with every
+    simple root, the solution of C^T x = 1 (the rows of C^T are the
+    simple roots' weight coordinates).  Cached per root system."""
+    return solve_fraction(mat_transpose(rs.cartan), [1] * rs.rank)
 
 
 def positive_roots(rs: RootSystem):
@@ -662,8 +655,8 @@ def verify_axioms(rs: RootSystem) -> AxiomReport:
     witness."""
     checks = []
 
-    # span: n simple roots with linearly independent weight coordinates
-    span_ok = len(rs.simple_root_indices) == rs.rank and det_fraction(rs.cartan) != 0
+    # span: the simple roots, the columns of C, are linearly independent
+    span_ok = det_fraction(rs.cartan) != 0
     checks.append(AxiomCheck("span", span_ok,
                              None if span_ok else rs.cartan))
 

@@ -1,9 +1,7 @@
 """Orbit-sum algebra and exact synthesis of the polynomial maps."""
 
-import gc
 import math
 import random
-import weakref
 from fractions import Fraction
 
 import mpmath
@@ -26,7 +24,9 @@ from weylcheb.chebmap import (
     poly_map_as_dict,
     verify_functional_equation,
 )
-from weylcheb.rootsys import build_root_system, orbit, orbit_matrix
+from weylcheb.rootsys import (build_root_system, fundamental_orbit_table,
+                              orbit, orbit_matrix, rho_vee,
+                              weyl_group_elements)
 
 import fixed_point_oracle as fpo
 
@@ -111,7 +111,7 @@ def test_pair_table_matches_convolution_oracle():
     # convolution of that pair
     rsys = build_root_system("F4")
     build_cheb_map(rsys, 2)
-    pairs = chebmap._MEMO[rsys].pairs
+    pairs = chebmap._memo(rsys).pairs
     assert len(pairs) > 20
     for (lam, mu), prod in pairs.items():
         assert prod == _convolution_product(rsys, {lam: 1}, {mu: 1})
@@ -121,24 +121,28 @@ def test_pair_table_is_hit_in_both_orders():
     # an uncached instance starts with an empty pair table
     a2 = build_root_system.__wrapped__("A2")
     first = orbit_sum_product(a2, {(1, 0): 1}, {(2, 1): 1})
-    assert list(chebmap._MEMO[a2].pairs) == [((1, 0), (2, 1))]
+    assert list(chebmap._memo(a2).pairs) == [((1, 0), (2, 1))]
     assert orbit_sum_product(a2, {(2, 1): 2}, {(1, 0): 1}) == {
         nu: 2 * c for nu, c in first.items()}
-    assert len(chebmap._MEMO[a2].pairs) == 1
+    assert len(chebmap._memo(a2).pairs) == 1
 
 
-def test_memo_goes_away_with_its_root_system():
-    before = len(chebmap._MEMO)
-    # the shared instance lives as long as the process; an uncached one
-    # can be dropped
-    rsys = build_root_system.__wrapped__("B2")
-    build_cheb_map(rsys, 3)
-    assert len(chebmap._MEMO) == before + 1
-    gone = weakref.ref(rsys)
-    del rsys
-    gc.collect()
-    assert gone() is None
-    assert len(chebmap._MEMO) == before
+def _derived_tables(rsys):
+    return (fundamental_orbit_table(rsys), weyl_group_elements(rsys),
+            chebmap._memo(rsys), rho_vee(rsys))
+
+
+def test_each_table_is_built_once_per_instance():
+    shared = build_root_system("B2")
+    first = _derived_tables(shared)
+    assert all(a is b for a, b in zip(first, _derived_tables(shared)))
+    # an uncached instance of the same spec builds its own, equal tables
+    fresh = build_root_system.__wrapped__("B2")
+    own = _derived_tables(fresh)
+    assert not any(a is b for a, b in zip(first, own))
+    assert all(a is b for a, b in zip(own, _derived_tables(fresh)))
+    assert own[1] == first[1] and own[3] == first[3]
+    assert all((a == b).all() for a, b in zip(own[0], first[0]))
 
 
 def test_wrong_orbit_size_breaks_integrality(monkeypatch):

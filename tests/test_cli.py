@@ -349,6 +349,14 @@ def test_automaton_deterministic(capsys):
     ["img-verify", "A2", "2"],
     ["weyl", "B2", "--cap-group", "4"],
     ["img-verify", "A2", "2", "2", "--cap-vertices", "15"],
+    # d must be at least 2 and levels at least 1
+    ["img-verify", "A2", "2", "0"],
+    ["img-verify", "A2", "2", "-1"],
+    ["img-verify", "A2", "1", "2"],
+    ["img-verify", "A2", "0", "1"],
+    ["chebmap", "A2", "0"],
+    ["automaton", "A2", "0"],
+    ["act", "A1", "1", "t", "000"],
 ])
 def test_rejected_arguments_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -21,7 +21,6 @@ from weylcheb.gencos import (
     is_on_diagram,
     lift_path,
     lift_paths,
-    regular_direction,
 )
 from weylcheb.monodromy import (
     A1_LOOP_BASEPOINT,
@@ -37,6 +36,7 @@ from weylcheb.rootsys import (
     affine_identity,
     orbit,
     reflection_element,
+    rho_vee,
     translation_element,
 )
 
@@ -221,7 +221,7 @@ def test_generic_real_point_off_diagram(rs):
 def test_imaginary_regular_offset_off_diagram(rs):
     for spec in TEST_SPECS:
         rsys = rs(spec)
-        u = np.array([float(c) for c in regular_direction(rsys)])
+        u = np.array([float(c) for c in rho_vee(rsys)])
         x = np.full(rsys.rank, 0.25) + 0.1j * u
         assert not is_on_diagram(rsys, x, 1e-9)[0]
 
@@ -269,7 +269,7 @@ def test_lift_reproduces_segment(rs):
     # dyadic sample times keep the continuation on exact target values
     for spec in ("A1", "A2", "B2"):
         rsys = rs(spec)
-        u = np.array([float(c) for c in regular_direction(rsys)])
+        u = np.array([float(c) for c in rho_vee(rsys)])
         u = u / np.abs(u).max()
         y0 = np.full(rsys.rank, 0.11) + 0.13j * u
         ts = np.linspace(0, 1, 257)

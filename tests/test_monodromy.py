@@ -252,7 +252,8 @@ def _generating_path(rsys, g, epsilon, num_samples):
             + 1j * epsilon * np.sin(np.pi * ts)[:, None] * u)
 
 
-@pytest.mark.parametrize("spec", [c[0] for c in BENCH_IMG_CASES])
+@pytest.mark.parametrize("spec", [c[0] for c in BENCH_IMG_CASES]
+                         + ["B4", "F4", "C4"])
 def test_clearance_bound_equals_the_wall_scan(spec, rs):
     rsys = rs(spec)
     u, cached = monodromy._unit_direction(rsys)

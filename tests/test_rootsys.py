@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylcheb.chebmap import height_vector
 from weylcheb.errors import CapExceededError, TypeSpecError
 from weylcheb.rootsys import (
     WEYL_CAP,
@@ -19,8 +20,8 @@ from weylcheb.rootsys import (
     build_root_system,
     dominant_rep,
     dominant_weight,
+    dot,
     highest_roots,
-    invert_fraction,
     mat_vec,
     orbit,
     orbit_size,
@@ -28,6 +29,8 @@ from weylcheb.rootsys import (
     positive_roots,
     reflect,
     reflection_element,
+    rho_vee,
+    solve_fraction,
     translation_element,
     verify_axioms,
     fundamental_orbit_table,
@@ -149,7 +152,7 @@ def test_axioms_pass(spec, rs):
 def test_axioms_fail_with_deleted_root():
     rsys = build_root_system("B2")
     broken = RootSystem(rsys.type_spec, rsys.factors, rsys.cartan, rsys.gram,
-                        rsys.lengths, rsys.roots[:-1], rsys.simple_root_indices)
+                        rsys.lengths, rsys.roots[:-1])
     report = verify_axioms(broken)
     closure = next(c for c in report.checks if c.name == "closure")
     assert not closure.passed
@@ -158,7 +161,7 @@ def test_axioms_fail_with_deleted_root():
 
 def _with_roots(rsys, roots):
     return RootSystem(rsys.type_spec, rsys.factors, rsys.cartan, rsys.gram,
-                      rsys.lengths, tuple(roots), rsys.simple_root_indices)
+                      rsys.lengths, tuple(roots))
 
 
 def _check(report, name):
@@ -494,6 +497,15 @@ def test_positive_roots_half():
         assert len(positive_roots(rsys)) * 2 == len(rsys.roots)
 
 
+def invert_fraction(a):
+    """Exact matrix inverse, returned as tuples of Fractions: the oracle for
+    rho_vee and for the root data read off the coroot coordinates."""
+    n = len(a)
+    cols = [solve_fraction(a, [1 if i == j else 0 for i in range(n)])
+            for j in range(n)]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
 def _cartan_inverse_roots(rsys):
     """The former derivation, kept as an oracle: simple-root coefficients
     C^{-1} w of each root's weight coordinates w; positive roots have them
@@ -511,13 +523,39 @@ def _cartan_inverse_roots(rsys):
     return positive, tuple(highest)
 
 
-@pytest.mark.parametrize("spec", [
+CARTAN_INVERSE_SPECS = [
     "A1", "A2", "A3", "A5", "B2", "B3", "B5", "C3", "C4", "D4", "D5", "E6",
     "E7", "E8", "F4", "G2", "A1xA1", "B3xA1", "C2xG2", "D4xA2",
-    "G2xB2xA3"])
+    "G2xB2xA3"]
+
+
+@pytest.mark.parametrize("spec", CARTAN_INVERSE_SPECS)
 def test_roots_from_coroot_coords_match_cartan_inverse(spec):
     rsys = build_root_system(spec)
     positive, highest = _cartan_inverse_roots(rsys)
     assert positive_roots(rsys) == positive
     assert highest_roots(rsys) == highest
     assert len(highest) == len(rsys.factors)
+
+
+def _coxeter_number(letter, r):
+    """The Coxeter number of an irreducible type (Bourbaki, Plates I-IX)."""
+    return {"A": r + 1, "B": 2 * r, "C": 2 * r, "D": 2 * r - 2,
+            "E": {6: 12, 7: 18, 8: 30}.get(r), "F": 12, "G": 6}[letter]
+
+
+@pytest.mark.parametrize("spec", CARTAN_INVERSE_SPECS)
+def test_rho_vee_pairs_to_one_and_h_minus_one(spec):
+    rsys = build_root_system(spec)
+    rho = rho_vee(rsys)
+    assert [dot(v.weight_coords, rho) for v in rsys.simple_roots] == (
+        [1] * rsys.rank)
+    assert [dot(theta.weight_coords, rho) for theta in highest_roots(rsys)] \
+        == [_coxeter_number(letter, r) - 1 for letter, r, _ in rsys.factors]
+    # the synthesis height vector is rho^vee up to a positive scale
+    height = height_vector(rsys)
+    scale = height[0] / rho[0]
+    assert scale > 0 and height == tuple(scale * c for c in rho)
+    # and rho^vee is C^{-T} 1, the column sums of C^{-1}
+    cinv = invert_fraction(rsys.cartan)
+    assert rho == mat_vec(tuple(zip(*cinv)), [1] * rsys.rank)
