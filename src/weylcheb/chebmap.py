@@ -34,11 +34,12 @@ coefficient 1.
 The functional check T_d(gencos(x)) = gencos(d x) is exact.  With
 z_j = e^{2 pi i x_j} both sides are integer Laurent polynomials in z, so
 the identity is tested modulo a prime p drawn from the seed in
-[2^30, 2^31) (draw_prime), at seeded points z of (F_p^*)^n, in int64 numpy:
-a product of two residues is below 2^62, and a sum of fewer than 2^32
-residues below 2^63.  One evaluator, polys_at_gencos_mod, serves both
-sampled checks: it gives gencos(z^d) and any integer polynomials at
-gencos(z), in batches of FIELD_CELLS cells.  Every monomial, of an orbit
+[2^30, 2^31), then at uniform points z of (F_p^*)^n (draw_points), in
+int64 numpy: a product of two residues is below 2^62, and a sum of fewer
+than 2^32 residues below 2^63.  One sampler, draw_points, and one
+evaluator, polys_at_gencos_mod, serve both sampled checks: it gives
+gencos(z^d), E(z), E(z^d) and any integer polynomials at gencos(z), in
+batches of FIELD_CELLS cells.  Every monomial, of an orbit
 row or of a polynomial, is a product of powers z_j^k mod p from one table
 (monomials_mod): gencos is summed over the orbit rows (gencos_pair_mod),
 and the polynomials are evaluated from one exponent matrix of their
@@ -50,9 +51,8 @@ integer coefficients; a new seed draws a new p.  Differentiating the
 identity in log z gives J_T(gencos z) E(z) = d E(z^d),
 E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam, so
 det J_T(gencos z) det E(z) = d^n det E(z^d) in Z[z^{+-1}]: the
-post-critical check (critical.post_critical_check) tests its consequences
-on the same evaluator, at points of (F_p^*)^n over the scaled walls, with
-the miss bound derived there.
+post-critical check (critical.post_critical_check) tests it at the same
+points, with E taken from the same orbit terms as gencos.
 """
 
 from __future__ import annotations
@@ -411,18 +411,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def draw_prime(rng: random.Random, modulus: int = 1) -> int:
-    """A prime p = 1 (mod modulus) drawn uniformly from those in
-    [2^30, 2^31): residues are below 2^31, so a product of two fits in
-    int64, and F_p^* holds the modulus-th roots of unity.  modulus = 1
-    draws p = 2^30 + rng.randrange(2^30), the draw of the functional
-    check."""
-    lo = -(-((1 << 30) - 1) // modulus)
-    hi = ((1 << 31) - 2) // modulus + 1
+def draw_prime(rng: random.Random) -> int:
+    """A prime p drawn uniformly from those in [2^30, 2^31): residues are
+    below 2^31, so a product of two fits in int64."""
     while True:
-        p = 1 + modulus * rng.randrange(lo, hi)
+        p = (1 << 30) + rng.randrange(1 << 30)
         if is_prime(p):
             return p
+
+
+def draw_points(rs: RootSystem, samples: int, seed: int) -> tuple:
+    """(p, z): the prime, then `samples` points z of (F_p^*)^n, an (S, n)
+    int64 array of residues in [1, p - 1], both drawn from
+    random.Random(seed).  Both prime-field checks draw through it."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    rng = random.Random(seed)
+    p = draw_prime(rng)
+    z = np.array([[rng.randrange(1, p) for _ in range(rs.rank)]
+                  for _ in range(samples)], dtype=np.int64)
+    return p, z
 
 
 def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -468,18 +476,28 @@ def monomials_mod(z: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
 
 
 def gencos_pair_mod(rs: RootSystem, d: int, z: np.ndarray, p: int) -> tuple:
-    """gencos and gencos(d .) modulo p at a batch of points z, an (S, n)
-    int64 array of residues in [1, p - 1] standing for e^{2 pi i x_j}: two
-    (S, n) arrays of residues.
+    """gencos(z) and gencos(z^d), then E(z) and E(z^d), modulo p at a batch
+    of points z, an (S, n) int64 array of residues in [1, p - 1] standing
+    for e^{2 pi i x_j}: two (S, n) and two (S, n, n) arrays of residues,
+    E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam.
 
     The orbit term of a row r is prod_j z_j^{r_j}, and at d x
     prod_j z_j^{d r_j}: the rows and their d-multiples go through one
-    monomials_mod call, then one reduceat over the orbit starts."""
+    monomials_mod call, then one reduceat over the orbit starts gives the
+    gencos values, and per orbit one product of its terms with its rows
+    gives the rows of E."""
     rows, starts = fundamental_orbit_table(rs)
     terms = monomials_mod(z, np.concatenate([rows, d * rows]), p)
     sums = np.add.reduceat(terms, np.concatenate([starts, starts + len(rows)]),
                            axis=1) % p
-    return sums[:, :rs.rank], sums[:, rs.rank:]
+    # a term is below 2^31, and |lam_j| = |<omega_k, w alpha_j^vee>| is at
+    # most a coefficient of the highest coroot, <= 6: an orbit of fewer than
+    # 2^29 rows (E8's largest has 483840) sums to below 6 2^60 < 2^63
+    e = np.empty((2, len(z), rs.rank, rs.rank), dtype=np.int64)
+    for k, (lo, hi) in enumerate(zip(starts, [*starts[1:], len(rows)])):
+        e[0, :, k] = terms[:, lo:hi] @ rows[lo:hi] % p
+        e[1, :, k] = terms[:, len(rows) + lo:len(rows) + hi] @ rows[lo:hi] % p
+    return sums[:, :rs.rank], sums[:, rs.rank:], e[0], e[1]
 
 
 def eval_polys_mod(comps, x: np.ndarray, p: int) -> np.ndarray:
@@ -501,25 +519,30 @@ def eval_polys_mod(comps, x: np.ndarray, p: int) -> np.ndarray:
 
 def polys_at_gencos_mod(rs: RootSystem, d: int, polys, z: np.ndarray,
                         p: int) -> tuple:
-    """The sparse integer polynomials `polys` at gencos(z), and gencos(z^d),
-    modulo p at points z, an (S, n) int64 array of residues in [1, p - 1]:
-    an (S, len(polys)) and an (S, n) array of residues, both empty for
-    S = 0.  The points run in batches of at most FIELD_CELLS cells of the
+    """The sparse integer polynomials `polys` at gencos(z), gencos(z^d),
+    E(z) and E(z^d) (see gencos_pair_mod) modulo p at points z, an (S, n)
+    int64 array of residues in [1, p - 1]: (S, len(polys)), (S, n),
+    (S, n, n) and (S, n, n) arrays of residues, all empty for S = 0.  The
+    points run in batches of at most FIELD_CELLS cells of the
     (points x 2 orbit rows) array of gencos_pair_mod."""
     size = max(1, FIELD_CELLS // (2 * len(fundamental_orbit_table(rs)[0])))
+    n = rs.rank
     vals = np.empty((len(z), len(polys)), dtype=np.int64)
-    gdz = np.empty((len(z), rs.rank), dtype=np.int64)
+    gdz = np.empty((len(z), n), dtype=np.int64)
+    ez = np.empty((len(z), n, n), dtype=np.int64)
+    edz = np.empty((len(z), n, n), dtype=np.int64)
     for lo in range(0, len(z), size):
-        gz, gdz[lo:lo + size] = gencos_pair_mod(rs, d, z[lo:lo + size], p)
-        vals[lo:lo + size] = eval_polys_mod(polys, gz, p)
-    return vals, gdz
+        part = slice(lo, lo + size)
+        gz, gdz[part], ez[part], edz[part] = gencos_pair_mod(rs, d, z[part], p)
+        vals[part] = eval_polys_mod(polys, gz, p)
+    return vals, gdz, ez, edz
 
 
 def residuals_mod_p(rs: RootSystem, d: int, pmap: PolynomialMap,
                     z: np.ndarray, p: int) -> np.ndarray:
     """T_d(gencos z) - gencos(z^d) modulo p at points z, as an (S, n) int64
     array of representatives in (-p/2, p/2]."""
-    vals, gdz = polys_at_gencos_mod(rs, d, pmap.components, z, p)
+    vals, gdz, _, _ = polys_at_gencos_mod(rs, d, pmap.components, z, p)
     return centred((vals - gdz) % p, p)
 
 
@@ -556,14 +579,9 @@ def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
     """Check that the map intertwines the generalized cosine with
     multiplication by d, exactly modulo a prime p, at `samples` seeded
     points z of (F_p^*)^n (see the module docstring): p and then the points
-    are drawn from random.Random(seed), and all go through one
-    residuals_mod_p call."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = random.Random(seed)
-    p = draw_prime(rng)
-    z = np.array([[rng.randrange(1, p) for _ in range(rs.rank)]
-                  for _ in range(samples)], dtype=np.int64)
+    are drawn by draw_points, and all go through one residuals_mod_p
+    call."""
+    p, z = draw_points(rs, samples, seed)
     res = residuals_mod_p(rs, d, pmap, z, p)
     bad = np.flatnonzero(res)
     witness = None

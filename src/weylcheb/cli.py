@@ -29,12 +29,16 @@ from .rootsys import (
 
 
 def _emit(args, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Write a verb's output, a JSON payload or finished text, to --out or
+    to stdout, the same bytes either way, ending in one newline."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, indent=2, sort_keys=True)
+    text = payload.rstrip("\n") + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def cmd_roots(args) -> int:
@@ -72,13 +76,7 @@ def cmd_weyl(args) -> int:
     return 0
 
 
-def _check_samples(args) -> None:
-    if args.samples < 1:
-        raise WeylchebError(f"--samples must be at least 1, got {args.samples}")
-
-
 def _synthesize_and_verify(args):
-    _check_samples(args)
     rs = build_root_system(args.type)
     pmap = cm.build_cheb_map(rs, args.d)
     rep = cm.verify_functional_equation(rs, args.d, pmap,
@@ -101,7 +99,6 @@ def cmd_verify_functional(args) -> int:
 
 
 def cmd_verify_postcritical(args) -> int:
-    _check_samples(args)
     rs = build_root_system(args.type)
     pmap = cm.build_cheb_map(rs, args.d)
     rep = cr.post_critical_check(rs, args.d, pmap, samples=args.samples,
@@ -167,12 +164,7 @@ def cmd_act(args) -> int:
 def cmd_automaton(args) -> int:
     rs = build_root_system(args.type)
     gens = [g for _, g in mo.standard_affine_generators(rs)]
-    text = ss.export_automaton(gens, args.d, fmt=args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    _emit(args, ss.export_automaton(gens, args.d, fmt=args.format))
     return 0
 
 
@@ -205,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("levels", type=_int_at_least(1),
                            help="tree depth to verify (>= 1)")
         if sampled:
-            p.add_argument("--samples", type=int, default=100)
+            p.add_argument("--samples", type=_int_at_least(1), default=100)
         # every verb takes --seed, so one seed can be passed to any call
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="write JSON here instead of stdout")
+        p.add_argument("--out", help="write the output here instead of stdout")
 
     p = sub.add_parser("roots", help="dump a root system and its axiom report")
     common(p)

@@ -33,7 +33,6 @@ from .rootsys import (
     AffineElement,
     RootSystem,
     fundamental_orbit_table,
-    orbit_matrix,
     weyl_group_elements,
 )
 
@@ -100,21 +99,6 @@ def eval_gencos(rs: RootSystem, x) -> np.ndarray:
     at each row of an (S, n) array of points.  perfbench/tracer.py counts
     its calls by name."""
     return _kernel(rs, x, jacobian=False)
-
-
-def eval_gencos_fullsum(rs: RootSystem, x) -> np.ndarray:
-    """Stabilizer-normalized full-Weyl-group sum; must agree with
-    eval_gencos (cross-check of the two equivalent formulas)."""
-    x = np.asarray(x, dtype=complex)
-    elements = weyl_group_elements(rs)
-    out = np.empty(rs.rank, dtype=complex)
-    for k in range(rs.rank):
-        wk = rs.fundamental_weight(k)
-        images = np.array([w.apply_weight(wk) for w in elements], dtype=np.int64)
-        total = np.exp(TWO_PI_I * (images @ x)).sum()
-        stab = len(elements) // len(orbit_matrix(rs, k))
-        out[k] = total / stab
-    return out
 
 
 def gencos_jacobian(rs: RootSystem, x) -> np.ndarray:

@@ -503,18 +503,6 @@ def fundamental_orbit_table(rs: RootSystem):
     return rows, starts
 
 
-def orbit_matrix(rs: RootSystem, k: int) -> np.ndarray:
-    """Integer matrix whose rows are the orbit of the k-th fundamental
-    weight: a read-only slice of fundamental_orbit_table."""
-    rows, starts = fundamental_orbit_table(rs)
-    end = starts[k + 1] if k + 1 < rs.rank else len(rows)
-    return rows[starts[k]:end]
-
-
-def is_dominant(lam) -> bool:
-    return all(c >= 0 for c in lam)
-
-
 def dominant_weight(rs: RootSystem, lam, path=None) -> tuple:
     """The dominant weight in the Weyl orbit of lam, on weight coordinates
     alone (no WeylElement products).
@@ -588,13 +576,6 @@ def rho_vee(rs: RootSystem) -> tuple:
     simple root, the solution of C^T x = 1 (the rows of C^T are the
     simple roots' weight coordinates).  Cached per root system."""
     return solve_fraction(mat_transpose(rs.cartan), [1] * rs.rank)
-
-
-def positive_roots(rs: RootSystem):
-    """Roots whose simple-coroot coefficients are nonnegative: v^vee is a
-    positive multiple of v, and each simple coroot of its simple root, so
-    the signs are those of the simple-root coefficients."""
-    return tuple(v for v in rs.roots if min(v.coroot_coords) >= 0)
 
 
 def highest_roots(rs: RootSystem):

@@ -23,7 +23,9 @@ import numpy as np
 from weylcheb.chebmap import PolynomialMap, jacobian_polys
 from weylcheb.critical import _pivot, sample_diagram_points
 from weylcheb.gencos import is_on_diagram
-from weylcheb.rootsys import RootSystem, fundamental_orbit_table, orbit_matrix
+from weylcheb.rootsys import RootSystem, fundamental_orbit_table
+
+from root_oracles import orbit_matrix
 
 # points per fixed-point batch: memory stays bounded for any sample count,
 # and the default sample count runs as one batch

@@ -25,10 +25,10 @@ from weylcheb.chebmap import (
     verify_functional_equation,
 )
 from weylcheb.rootsys import (build_root_system, fundamental_orbit_table,
-                              orbit, orbit_matrix, rho_vee,
-                              weyl_group_elements)
+                              orbit, rho_vee, weyl_group_elements)
 
 import fixed_point_oracle as fpo
+from root_oracles import orbit_matrix
 
 FULL_MATRIX = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                for d in (2, 3)]
@@ -491,7 +491,7 @@ def test_functional_equation_catches_wrong_coefficient(spec, d, samples, rs):
     z = np.array([[rng.randrange(1, p) for _ in range(rsys.rank)]
                   for _ in range(samples)], dtype=np.int64)
     assert rep.prime == p
-    gx, _ = chebmap.gencos_pair_mod(rsys, d, z, p)
+    gx = chebmap.gencos_pair_mod(rsys, d, z, p)[0]
     want = [pow(int(v), d, p) for v in gx[:, 0]]
     want = [w - p if w > p // 2 else w for w in want]
     res = chebmap.residuals_mod_p(rsys, d, wrong, z, p)
@@ -542,9 +542,11 @@ def test_evaluator_takes_no_points(rs):
     pmap = build_cheb_map(rsys, 2)
     polys = [*pmap.components, {(0, 0, 0): 1}]
     none = np.zeros((0, 3), dtype=np.int64)
-    vals, gdz = chebmap.polys_at_gencos_mod(rsys, 2, polys, none, 2147483629)
+    vals, gdz, ez, edz = chebmap.polys_at_gencos_mod(rsys, 2, polys, none,
+                                                     2147483629)
     assert vals.shape == (0, 4) and gdz.shape == (0, 3)
-    assert vals.dtype == gdz.dtype == np.int64
+    assert ez.shape == edz.shape == (0, 3, 3)
+    assert vals.dtype == gdz.dtype == ez.dtype == edz.dtype == np.int64
     res = chebmap.residuals_mod_p(rsys, 2, pmap, none, 2147483629)
     assert res.shape == (0, 3)
 

@@ -156,9 +156,13 @@ def test_verify_functional_failure_names_its_witness(capsys, monkeypatch):
     ("verify-postcritical", "A2", "2", "--samples", "0"),
 ])
 def test_sampled_verbs_refuse_no_samples(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: --samples must be at least 1")
+    # refused at parse time, by the same argparse type as d and levels
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "usage:" in err
+    assert f"argument --samples: must be >= 1, got {argv[-1]}" in err
 
 
 def test_parsed_options_do_not_leak_between_calls(capsys):
@@ -213,9 +217,10 @@ def test_verify_postcritical_e6_at_default_samples(capsys):
 
 def test_verify_postcritical_failure_names_its_witness(capsys, monkeypatch):
     # a +1 on X_1^2 makes A2 2 fail at its first sample, in the determinant;
-    # the JSON carries the library report's witness and prime
+    # the JSON carries the library report's witness and prime, and the
+    # point is the first the functional check draws at the same seed
     from weylcheb import chebmap
-    from weylcheb.critical import post_critical_check, wall_preimages_mod
+    from weylcheb.critical import post_critical_check
     from weylcheb.rootsys import build_root_system
 
     real = chebmap.build_cheb_map
@@ -232,13 +237,10 @@ def test_verify_postcritical_failure_names_its_witness(capsys, monkeypatch):
     assert code == 1 and payload["pass"] is False
     a2 = build_root_system("A2")
     rep = post_critical_check(a2, 2, mutant(a2, 2), samples=10)
-    p, z, walls, _ = wall_preimages_mod(a2, 2, 10)
+    p, z = chebmap.draw_points(a2, 10, 0)
     assert payload["prime"] == rep.prime == p
-    v, ell = walls[0]
     assert payload["witness"] == rep.witness == {
-        "sample": 0, "check": "det", "component": None,
-        "wall": {"weight_coords": list(v.weight_coords), "level": ell},
-        "z": z[0].tolist()}
+        "sample": 0, "check": "det", "component": None, "z": z[0].tolist()}
 
 
 # --- img-verify ------------------------------------------------------------------------
@@ -334,6 +336,18 @@ def test_automaton_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "automaton", "A2", "2")
     _, out2, _ = run_cli(capsys, "automaton", "A2", "2")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_automaton_stdout_and_out_file_bytes_agree(fmt, capsys, tmp_path):
+    # one writer serves stdout and --out: the same bytes, one final newline
+    code, out, _ = run_cli(capsys, "automaton", "A1", "2", "--format", fmt)
+    assert code == 0 and out.endswith("\n") and not out.endswith("\n\n")
+    path = tmp_path / "automaton.out"
+    code, rest, _ = run_cli(capsys, "automaton", "A1", "2", "--format", fmt,
+                            "--out", str(path))
+    assert code == 0 and rest == ""
+    assert path.read_bytes() == out.encode()
 
 
 # --- options -------------------------------------------------------------------------

@@ -7,22 +7,22 @@ import numpy as np
 import pytest
 
 from weylcheb import chebmap, critical
-from weylcheb.chebmap import (PolynomialMap, build_cheb_map, gencos_pair_mod,
-                              is_prime, verify_functional_equation)
+from weylcheb.chebmap import (PolynomialMap, build_cheb_map, draw_points,
+                              gencos_pair_mod, residuals_mod_p,
+                              verify_functional_equation)
 from weylcheb.critical import (
-    LEVELS,
     DiagramSample,
     deltoid_check,
     deltoid_residual,
     det_mod,
     post_critical_check,
     sample_diagram_points,
-    wall_preimages_mod,
 )
 from weylcheb.gencos import eval_gencos, is_on_diagram
 
 import fixed_point_oracle as fpo
 from fixed_point_oracle import bareiss_det, post_critical_fixed_point
+from root_oracles import positive_roots
 
 VERIFY_CASES = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                 for d in (2, 3)] + [("B3", 2), ("F4", 2), ("G2", 6)]
@@ -69,7 +69,6 @@ def test_postcritical_determinant_vanishes(spec, d, rs):
     rsys = rs(spec)
     rep = post_critical_check(rsys, d, build_cheb_map(rsys, d), samples=50, seed=33)
     assert len(rep.det_residuals) == 50
-    assert rep.skipped > 0  # levels divisible by d are degenerate and flagged
     assert rep.max_det_residual == 0 and rep.max_value_residual == 0
     assert rep.witness is None
 
@@ -92,21 +91,6 @@ def test_postcritical_rank_six_at_default_samples(spec, rs):
     rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2))
     assert len(rep.det_residuals) == 50
     assert rep.passed, rep.witness
-
-
-def test_postcritical_without_enough_preimages_does_not_pass(rs, monkeypatch):
-    # a level-0 wall passes through 0, so y = x / d lies on it too (z^v = 1):
-    # every draw is skipped, and a check of no points must not pass
-    rsys = rs("A2")
-    monkeypatch.setattr(critical, "LEVELS", (0,))
-    rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2), samples=10)
-    assert rep.det_residuals == [] and rep.skipped == 400
-    assert rep.passed is False
-    assert rep.as_dict() == {
-        "type_spec": "A2", "d": 2, "samples": 10, "skipped": 400,
-        "prime": rep.prime, "max_det_residual": 0, "max_value_residual": 0,
-        "tol": 1e-7, "witness": None, "pass": False}
-    assert rep.prime == wall_preimages_mod(rsys, 2, 10)[0]
 
 
 @pytest.mark.parametrize("spec", ["B6", "C6"])
@@ -245,43 +229,6 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
     assert sizes == ([7, 7, 7, 7, 2], [7, 7, 6])
 
 
-def test_postcritical_with_no_strict_preimages_fails(rs, monkeypatch):
-    # every draw skipped: no residuals, no witness, and no pass
-    rsys = rs("B2")
-    real = critical.wall_preimages_mod
-
-    def none_kept(rsys, d, samples, seed):
-        p, z, _, skipped = real(rsys, d, samples, seed)
-        return p, z[:0], [], skipped + len(z)
-
-    monkeypatch.setattr(critical, "wall_preimages_mod", none_kept)
-    rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2), samples=10)
-    assert rep.det_residuals == rep.value_residuals == []
-    assert rep.witness is None and rep.skipped >= 10 and not rep.passed
-
-
-@pytest.mark.parametrize("spec,d", [("A1", 3), ("A2", 2), ("G2", 6),
-                                    ("B3xA1", 2), ("F4", 2), ("E6", 2)])
-def test_kept_points_lie_over_walls_and_off_them(spec, d, rs):
-    # z^{d v} = 1 for the drawn root v, and z^u != 1 for every root u,
-    # recomputed with Python ints; the prime holds the roots of unity
-    rsys = rs(spec)
-    p, z, walls, skipped = wall_preimages_mod(rsys, d, 50, seed=3)
-    assert is_prime(p) and 2 ** 30 <= p < 2 ** 31
-    pivots = [max(map(abs, v.weight_coords)) for v in rsys.roots]
-    assert (p - 1) % (d * math.lcm(*pivots)) == 0
-    assert len(z) == len(walls) == 50 and skipped > 0
-
-    def power(point, u):
-        return math.prod(pow(int(zj), uj, p) for zj, uj in zip(point, u)) % p
-
-    for point, (v, ell) in zip(z.tolist(), walls):
-        assert all(1 <= zj < p for zj in point)
-        assert ell in LEVELS and ell % d != 0
-        assert power(point, [d * w for w in v.weight_coords]) == 1
-        assert all(power(point, u.weight_coords) != 1 for u in rsys.roots)
-
-
 def _sympy_det_mod(m, p):
     import sympy
     return int(sympy.Matrix(m).det()) % p
@@ -320,20 +267,24 @@ def test_det_mod_matches_sympy(n):
 
 
 def test_postcritical_fails_on_the_determinant_alone(rs, monkeypatch):
-    # a determinant off by -1 at sample 2 only, every value right: the
+    # det E(z^d) off by +1 at sample 2 only, every value right: the
     # determinant alone must fail the check and name the sample, and the
-    # residual is |-1| = 1, not p - 1
+    # residual is |-d^n| = 4, not p - 4.  det_mod takes the stacked J_T,
+    # E(z) and E(z^d) of all 10 samples at once.
     real = critical.det_mod
+    sizes = []
 
     def off_by_one(a, p):
+        sizes.append(len(a))
         det = real(a, p)
-        det[2] = (det[2] - 1) % p
+        det[2 * 10 + 2] = (det[2 * 10 + 2] + 1) % p
         return det
 
     monkeypatch.setattr(critical, "det_mod", off_by_one)
     rsys = rs("B2")
     rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2), samples=10)
-    assert rep.det_residuals == [0, 0, 1] + [0] * 7
+    assert sizes == [30]
+    assert rep.det_residuals == [0, 0, 4] + [0] * 7
     assert rep.max_value_residual == 0 and not rep.passed
     assert (rep.witness["sample"], rep.witness["check"],
             rep.witness["component"]) == (2, "det", None)
@@ -341,25 +292,21 @@ def test_postcritical_fails_on_the_determinant_alone(rs, monkeypatch):
 
 @pytest.mark.parametrize("spec,d", VERIFY_CASES)
 def test_plus_one_mutant_fails_postcritical(spec, d, rs):
+    # A1 2 included: its wall preimages all have X = 0, where X^2 adds
+    # nothing, but at uniform points both identities see the +1
     rsys = rs(spec)
     pmap = build_cheb_map(rsys, d)
     assert post_critical_check(rsys, d, pmap).passed
     rep = post_critical_check(rsys, d, _plus_one(pmap, d))
-    if (spec, d) != ("A1", 2):
-        assert not rep.passed and rep.witness is not None, (spec, d)
-        return
-    # A1 2 cannot see this mutant: the strict preimages of the walls are
-    # the z with z^2 = -1, where X = z + 1/z = 0, so X^2 adds nothing
-    assert rep.passed
-    p, z, _, _ = wall_preimages_mod(rsys, 2, 50)
-    gy, _ = gencos_pair_mod(rsys, 2, z, p)
-    assert not gy.any()
+    assert not rep.passed and rep.witness is not None, (spec, d)
+    assert rep.max_det_residual and rep.max_value_residual, (spec, d)
 
 
 def test_prime_field_check_agrees_with_fixed_point_oracle(rs):
     # on the verify grid both checks pass; on the +1 mutants the exact
-    # check fails wherever the fixed-point oracle does
-    oracle_fails = []
+    # check fails wherever the fixed-point oracle does, and on A1 2 too,
+    # where the oracle's wall preimages all have X = 0 and cannot see X^2
+    oracle_fails, exact_fails = [], []
     for spec, d in VERIFY_CASES:
         rsys = rs(spec)
         pmap = build_cheb_map(rsys, d)
@@ -368,9 +315,100 @@ def test_prime_field_check_agrees_with_fixed_point_oracle(rs):
         wrong = _plus_one(pmap, d)
         if not post_critical_fixed_point(rsys, d, wrong).passed:
             oracle_fails.append((spec, d))
-            assert not post_critical_check(rsys, d, wrong).passed, (spec, d)
-    # A1 2's blindness: see test_plus_one_mutant_fails_postcritical
+        if not post_critical_check(rsys, d, wrong).passed:
+            exact_fails.append((spec, d))
     assert oracle_fails == [c for c in VERIFY_CASES if c != ("A1", 2)]
+    assert exact_fails == VERIFY_CASES
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "B3", "F4"])
+def test_det_e_is_a_constant_times_the_weyl_denominator(spec, rs):
+    # det E(z) z^rho / prod_{a > 0} (z^a - 1) is one nonzero constant mod p
+    # (Bourbaki, Lie Groups, ch. VI sec. 3): the positive roots come from
+    # their coefficients' signs, rho = (1, ..., 1) in weight coordinates,
+    # and the products are taken with Python ints
+    rsys = rs(spec)
+    p, z = draw_points(rsys, 20, seed=8)
+    _, _, ez, _ = gencos_pair_mod(rsys, 2, z, p)
+    dets = det_mod(ez, p).tolist()
+    ratios = set()
+    for point, det in zip(z.tolist(), dets):
+        def power(u):
+            return math.prod(pow(zj, uj, p) for zj, uj in zip(point, u)) % p
+        denom = math.prod(power(a.weight_coords) - 1
+                          for a in positive_roots(rsys)) % p
+        ratios.add(det * math.prod(point) * pow(denom, -1, p) % p)
+    assert len(ratios) == 1 and ratios != {0}, ratios
+
+
+@pytest.mark.parametrize("spec,d", [("A2", 2), ("G2", 6), ("F4", 2)])
+def test_postcritical_draws_the_functional_points(spec, d, rs, monkeypatch):
+    # at equal seed both checks draw the same prime and points through
+    # draw_points, and the post-critical value residuals are the functional
+    # residuals: per sample, the largest |residual| of a +1 mutant
+    rsys = rs(spec)
+    wrong = _plus_one(build_cheb_map(rsys, d), d)
+    drawn = []
+    real = chebmap.draw_points
+
+    def recording(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(chebmap, "draw_points", recording)
+    monkeypatch.setattr(critical, "draw_points", recording)
+    fun = verify_functional_equation(rsys, d, wrong, samples=30, seed=5)
+    post = post_critical_check(rsys, d, wrong, samples=30, seed=5)
+    assert len(drawn) == 2
+    (p, z), (q, y) = drawn
+    assert p == q == fun.prime == post.prime and np.array_equal(z, y)
+    res = np.abs(residuals_mod_p(rsys, d, wrong, z, p))
+    assert post.value_residuals == res.max(axis=1).tolist()
+    assert fun.max_residual == post.max_value_residual > 0
+    assert post.witness["z"] == fun.witness["z"] == z[0].tolist()
+    assert post.as_dict() == {
+        "type_spec": spec, "d": d, "samples": 30, "skipped": 0,
+        "prime": p, "max_det_residual": post.max_det_residual,
+        "max_value_residual": post.max_value_residual, "tol": 1e-7,
+        "witness": post.witness, "pass": False}
+
+
+@pytest.mark.parametrize("spec,d", [("A1", 2), ("A2", 2), ("B2", 3),
+                                    ("G2", 2)])
+def test_postcritical_fails_on_a_corrupted_e_weight(spec, d, rs,
+                                                    monkeypatch):
+    # E recomputed with Python ints from its definition is the evaluator's;
+    # with the weights lam_j + 1 in place of lam_j the det identity fails
+    # for the true map, in the det check, at every sample
+    rsys = rs(spec)
+    rows = [r.tolist() for r in chebmap.fundamental_orbit_table(rsys)[0]]
+    starts = [*chebmap.fundamental_orbit_table(rsys)[1].tolist(), len(rows)]
+
+    def e_mod(point, p, shift):
+        def power(u):
+            return math.prod(pow(zj, uj, p) for zj, uj in zip(point, u)) % p
+        return [[sum((lam[j] + shift) * power(lam) for lam in rows[lo:hi]) % p
+                 for j in range(rsys.rank)]
+                for lo, hi in zip(starts, starts[1:])]
+
+    real = chebmap.gencos_pair_mod
+
+    def corrupted(rsys, d, z, p):
+        gz, gdz, ez, edz = real(rsys, d, z, p)
+        for i, point in enumerate(z.tolist()):
+            assert ez[i].tolist() == e_mod(point, p, 0)
+            assert edz[i].tolist() == e_mod([pow(x, d, p) for x in point],
+                                            p, 0)
+            ez[i] = e_mod(point, p, 1)
+            edz[i] = e_mod([pow(x, d, p) for x in point], p, 1)
+        return gz, gdz, ez, edz
+
+    monkeypatch.setattr(chebmap, "gencos_pair_mod", corrupted)
+    rep = post_critical_check(rsys, d, build_cheb_map(rsys, d), samples=10)
+    assert rep.max_value_residual == 0
+    assert all(rep.det_residuals) and not rep.passed
+    assert rep.witness == {"sample": 0, "check": "det", "component": None,
+                           "z": draw_points(rsys, 10, 0)[1][0].tolist()}
 
 
 def test_postcritical_refuses_no_samples(rs):

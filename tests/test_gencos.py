@@ -16,7 +16,6 @@ from weylcheb.gencos import (
     PathSample,
     deck_identify,
     eval_gencos,
-    eval_gencos_fullsum,
     gencos_jacobian,
     is_on_diagram,
     lift_path,
@@ -39,6 +38,8 @@ from weylcheb.rootsys import (
     rho_vee,
     translation_element,
 )
+
+from root_oracles import eval_gencos_fullsum
 
 TEST_SPECS = ("A1", "A2", "B2", "G2")
 

@@ -26,7 +26,6 @@ from weylcheb.rootsys import (
     orbit,
     orbit_size,
     parse_type_spec,
-    positive_roots,
     reflect,
     reflection_element,
     rho_vee,
@@ -34,11 +33,12 @@ from weylcheb.rootsys import (
     translation_element,
     verify_axioms,
     fundamental_orbit_table,
-    orbit_matrix,
     weyl_group_elements,
     weyl_identity,
     weyl_order,
 )
+
+from root_oracles import orbit_matrix, positive_roots
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20,
