@@ -11,9 +11,7 @@ from .rootsys import (
     affine_identity,
     affine_inverse,
     build_root_system,
-    dominant_rep,
     orbit,
-    reflect,
     reflection_element,
     translation_element,
     verify_axioms,
@@ -30,9 +28,7 @@ __all__ = [
     "affine_identity",
     "affine_inverse",
     "build_root_system",
-    "dominant_rep",
     "orbit",
-    "reflect",
     "reflection_element",
     "translation_element",
     "verify_axioms",

@@ -22,11 +22,12 @@ asserted, never rounded: each coefficient count * |W lam| / |W nu| must divide
 exactly, and a remainder raises ArithmeticError.
 
 Expanding X^e as X^{e - e_j} * m_{omega_j} meets the same pairs m_lam * m_mu
-over and over, so each root system has one memo (_Memo, built once per
-instance): the pair table {(lam, mu): product}, walked once per pair; the
-monomial expansions; and the height vector of the reduction order.
+over and over, so the pair products (_pair_product, one orbit walk per
+pair), the table of monomial expansions (_expansions) and the height vector
+of the reduction order are cached with functools.cache, keyed on the
+root-system instance like every other root-system table.
 build_root_system keeps one root system per type spec for the life of the
-process, so its memo serves every later synthesis too.
+process, so these caches serve every later synthesis too.
 Elimination pops the height-maximal term from a heap, and raises if a popped
 term is not below the previous one or an expansion does not lead with
 coefficient 1.
@@ -60,6 +61,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import ClassVar
@@ -76,9 +78,10 @@ FIELD_CELLS = 1 << 21
 
 
 # ---------------------------------------------------------------------------
-# the reduction order on dominant weights, and the per-root-system memo
+# the reduction order on dominant weights
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def height_vector(rs: RootSystem) -> tuple:
     """Positive integer vector c with dot(alpha_j, c) equal for all simple
     roots: dot(lam, c) is a height functional, strictly positive on nonzero
@@ -91,37 +94,26 @@ def height_vector(rs: RootSystem) -> tuple:
     return vec
 
 
-class _Memo:
-    """What synthesis keeps per root system: the height vector, the pair
-    table {(lam, mu) sorted: {nu: coefficient}} of orbit_sum_product and
-    the expansions {exponent tuple: combination} of monomial_expand."""
-
-    def __init__(self, rs: RootSystem):
-        self.height = height_vector(rs)
-        self.pairs: dict = {}
-        self.expansions: dict = {}
-
-    def key(self, lam) -> tuple:
-        """The reduction order: height first, then lam lexicographically."""
-        return sum(l * c for l, c in zip(lam, self.height)), lam
-
-
-# one memo per RootSystem instance, kept as long as the process
-_memo = functools.cache(_Memo)
+def _reduction_key(rs: RootSystem):
+    """The reduction order as a sort key: height first, then lam
+    lexicographically."""
+    height = height_vector(rs)
+    return lambda lam: (sum(l * c for l, c in zip(lam, height)), lam)
 
 
 # ---------------------------------------------------------------------------
 # orbit-sum algebra
 # ---------------------------------------------------------------------------
 
-def _clean(combo: dict) -> dict:
-    return {lam: c for lam, c in combo.items() if c != 0}
-
-
-def _pair_product(rs: RootSystem, lam, mu) -> dict:
-    """m_lam * m_mu by the stabilizer formula (see orbit_sum_product)."""
+@functools.cache
+def _pair_product(rs: RootSystem, lam: tuple, mu: tuple) -> dict:
+    """m_lam * m_mu by the stabilizer formula (see orbit_sum_product), for
+    lam <= mu: each pair is walked once per root system.  Of two orbits of
+    one size, the walk takes that of the weight with the smaller coordinate
+    sum: in synthesis a fundamental weight, whose orbit is enumerated
+    anyway."""
     big, small = lam, mu
-    if orbit_size(rs, lam) < orbit_size(rs, mu):
+    if (orbit_size(rs, lam), sum(lam)) < (orbit_size(rs, mu), sum(mu)):
         big, small = mu, lam
     counts: dict = {}
     for s in orbit(rs, small):
@@ -151,43 +143,51 @@ def orbit_sum_product(rs: RootSystem, a: dict, b: dict) -> dict:
     on each dominant nu, then the coefficient of m_nu is
     count * |W lam| / |W nu|.  The division must be exact; a remainder
     raises ArithmeticError instead of being rounded.  Each pair's product
-    is computed once per root system and kept in its pair table.
+    is computed once per root system (_pair_product).
     """
-    pairs = _memo(rs).pairs
     out: dict = {}
     for lam, ca in a.items():
         for mu, cb in b.items():
-            key = (lam, mu) if lam <= mu else (mu, lam)
-            prod = pairs.get(key)
-            if prod is None:
-                prod = pairs[key] = _pair_product(rs, lam, mu)
+            prod = (_pair_product(rs, lam, mu) if lam <= mu
+                    else _pair_product(rs, mu, lam))
             c = ca * cb
             for nu, q in prod.items():
                 out[nu] = out.get(nu, 0) + c * q
-    return _clean(out)
+    return {nu: c for nu, c in out.items() if c != 0}
+
+
+@functools.cache
+def _expansions(rs: RootSystem) -> dict:
+    """monomial_expand's table {exponent tuple: combination}, one per root
+    system, starting from X^0 = 1.  A table, not functools.cache on the
+    expansion itself: the walk down X^e's chain then nests one call per
+    degree.  Through a cached function it nests three, and chebmap A1 400
+    exceeded Python's default recursion limit."""
+    return {(0,) * rs.rank: {(0,) * rs.rank: 1}}
 
 
 def monomial_expand(rs: RootSystem, e) -> dict:
     """Expansion of prod_j m_{omega_j}^{e_j} as an orbit-sum combination,
-    memoized per root system.  Its leading term is sum_j e_j omega_j with
-    coefficient 1."""
-    e = tuple(int(c) for c in e)
+    computed once per root system and exponent vector.  Its leading term is
+    sum_j e_j omega_j with coefficient 1.  An exponent that is not a
+    nonnegative integer raises ValueError, and a vector whose length is not
+    the rank DimensionError."""
+    try:
+        e = tuple(map(operator.index, e))
+    except TypeError:
+        raise ValueError(f"exponents must be integers, got {e}") from None
+    if len(e) != rs.rank:
+        raise DimensionError(f"{len(e)} exponents for rank {rs.rank}")
     if any(c < 0 for c in e):
         raise ValueError("exponents must be nonnegative")
-    memo = _memo(rs).expansions
-    cached = memo.get(e)
-    if cached is not None:
-        return cached
-    if all(c == 0 for c in e):
-        result = {tuple([0] * rs.rank): 1}
-    else:
+    table = _expansions(rs)
+    if e not in table:
         j = max(k for k, c in enumerate(e) if c > 0)
         prev = list(e)
         prev[j] -= 1
-        base = monomial_expand(rs, tuple(prev))
-        result = orbit_sum_product(rs, base, {rs.fundamental_weight(j): 1})
-    memo[e] = result
-    return result
+        table[e] = orbit_sum_product(rs, monomial_expand(rs, prev),
+                                     {rs.fundamental_weight(j): 1})
+    return table[e]
 
 
 def decompose_to_polynomial(rs: RootSystem, target: dict) -> dict:
@@ -202,7 +202,7 @@ def decompose_to_polynomial(rs: RootSystem, target: dict) -> dict:
     terminates; a leading coefficient other than 1 or a popped term not
     below the previous one raises RuntimeError.
     """
-    key = _memo(rs).key
+    key = _reduction_key(rs)
     work: dict = {}
     heap = []  # negated keys: the min-heap pops the height-maximal term
 
@@ -258,11 +258,6 @@ class PolynomialMap:
                     raise ValueError("coefficients must be nonzero integers")
 
 
-def identity_map(n: int) -> PolynomialMap:
-    comps = tuple({tuple(1 if j == k else 0 for j in range(n)): 1} for k in range(n))
-    return PolynomialMap(n, comps)
-
-
 def build_cheb_map(rs: RootSystem, d: int) -> PolynomialMap:
     """The degree-d Chebyshev-like map: component k is the rewriting of
     m_{d*omega_k} in the basic invariants.  d = 1 yields the identity and is
@@ -316,15 +311,6 @@ def eval_poly_map(pmap: PolynomialMap, x):
     return vals
 
 
-def poly_mul(a: dict, b: dict, n: int) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return _clean(out)
-
-
 def poly_partial(comp: dict, j: int) -> dict:
     """Exact partial derivative of a sparse polynomial."""
     out: dict = {}
@@ -341,37 +327,6 @@ def jacobian_polys(pmap: PolynomialMap):
     """Matrix of exact partial derivatives of the map's components."""
     return [[poly_partial(comp, j) for j in range(pmap.rank)]
             for comp in pmap.components]
-
-
-def compose_poly_maps(p: PolynomialMap, q: PolynomialMap,
-                      term_cap: int = 500000) -> PolynomialMap:
-    """Exact polynomial composition p(q(X))."""
-    if p.rank != q.rank:
-        raise DimensionError("rank mismatch in composition")
-    n = p.rank
-    one = {tuple([0] * n): 1}
-    pow_cache = [{0: dict(one)} for _ in range(n)]
-
-    def q_power(j, k):
-        cache = pow_cache[j]
-        if k not in cache:
-            cache[k] = poly_mul(q_power(j, k - 1), q.components[j], n)
-        return cache[k]
-
-    comps = []
-    for comp in p.components:
-        acc: dict = {}
-        for e, c in comp.items():
-            term = {tuple([0] * n): c}
-            for j, ej in enumerate(e):
-                if ej:
-                    term = poly_mul(term, q_power(j, ej), n)
-            for key, val in term.items():
-                acc[key] = acc.get(key, 0) + val
-            if len(acc) > term_cap:
-                raise RuntimeError("composition exceeded term cap")
-        comps.append(_clean(acc))
-    return PolynomialMap(n, tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +553,7 @@ def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
 
 def poly_map_as_dict(rs: RootSystem, d: int, pmap: PolynomialMap) -> dict:
     """JSON form with terms in descending reduction order (byte-stable)."""
-    key = _memo(rs).key
+    key = _reduction_key(rs)
     comps = []
     for comp in pmap.components:
         terms = [{"exponents": list(e), "coeff": c}

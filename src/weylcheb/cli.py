@@ -21,7 +21,6 @@ from .rootsys import (
     affine_compose,
     affine_identity,
     build_root_system,
-    reflection_element,
     translation_element,
     verify_axioms,
     weyl_group_elements,
@@ -146,6 +145,9 @@ def _parse_tree_word(rs, d: int, digits: str) -> ss.TreeWord:
     if len(digits) % rs.rank != 0:
         raise WeylchebError(
             f"word length {len(digits)} is not a multiple of rank {rs.rank}")
+    bad = [c for c in digits if c not in "0123456789"[:d]]
+    if bad:
+        raise WeylchebError(f"tree word digit {bad[0]!r} is not in 0..{d - 1}")
     vals = [int(c) for c in digits]
     letters = tuple(tuple(vals[i:i + rs.rank])
                     for i in range(0, len(vals), rs.rank))

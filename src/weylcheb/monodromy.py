@@ -19,10 +19,13 @@ Tree model and conventions (fixed once, used by every module):
   pin this bookkeeping.
 
 A loop is lifted once through the generalized cosine; the deck
-transformation carrying the start of the lift to its end determines the
-loop's action at every level.  img_verification checks that deck element
-against the loop's label and records, in closed form, the order of the
-group the labels generate at each level.  Relations among the generators'
+transformation carrying the start of the lift to its end (deck_identify)
+determines the loop's action at every level.  Generator loops are based at
+the Coxeter point rho^vee / h (basepoint_array).  img_verification lifts
+the standard generators' loops in one lift_paths batch, checks each deck
+element against the loop's label and records, in closed form, the order of
+the group the labels generate at each level; numeric_monodromy does the
+same for one loop from any basepoint.  Relations among the generators'
 actions are not re-checked: algebraic_action is a homomorphism, so they
 hold by construction (the tests pin this).
 """
@@ -47,7 +50,6 @@ from .gencos import (
 from .rootsys import (
     AffineElement,
     RootSystem,
-    affine_compose,
     dot,
     highest_roots,
     reflection_element,
@@ -134,16 +136,6 @@ def wreath_digit_step(g: AffineElement, d: int, letter):
     return img, AffineElement(carry, g.w)
 
 
-def affine_element_order(g: AffineElement, cap: int = 64):
-    """Exact order of an affine Weyl element, or None when infinite."""
-    acc = g
-    for k in range(1, cap + 1):
-        if acc.w.is_identity():
-            return k if all(c == 0 for c in acc.t) else None
-        acc = affine_compose(acc, g)
-    return None  # pragma: no cover - Weyl parts have small order
-
-
 # ---------------------------------------------------------------------------
 # basepoint and loops
 # ---------------------------------------------------------------------------
@@ -165,14 +157,9 @@ def _unit_direction(rs: RootSystem):
     return tuple(c / top for c in rho_vee(rs)), Fraction(1, top)
 
 
-def _coxeter_point(rs: RootSystem) -> tuple:
-    h = _coxeter_number(rs)
-    return tuple(c / h for c in rho_vee(rs))
-
-
-def basepoint(rs: RootSystem):
-    """The Coxeter point rho^vee / h of the fundamental alcove, plus its
-    image under the generalized cosine.
+def basepoint_array(rs: RootSystem) -> np.ndarray:
+    """The Coxeter point rho^vee / h of the fundamental alcove, as a complex
+    array.
 
     rho^vee pairs to 1 with every simple root, and h = 1 + max_v <v, rho^vee>
     is the Coxeter number (for a product, the largest over its factors).  So
@@ -180,13 +167,8 @@ def basepoint(rs: RootSystem):
     most (h - 1)/h: every wall of the alcove, the affine ones included, is
     at least 1/h away (Kostant, Amer. J. Math. 81, 1959).
     """
-    y0 = _coxeter_point(rs)
-    return y0, eval_gencos(rs, basepoint_array(rs))
-
-
-def basepoint_array(rs: RootSystem) -> np.ndarray:
-    """The Coxeter point of basepoint, as a complex array."""
-    return np.array([float(c) for c in _coxeter_point(rs)], dtype=complex)
+    h = _coxeter_number(rs)
+    return np.array([float(c / h) for c in rho_vee(rs)], dtype=complex)
 
 
 @dataclass
@@ -241,50 +223,9 @@ def make_generator_loop(rs: RootSystem, g: AffineElement, y0=None,
     return Loop(PathSample(ts, pts), label=g)
 
 
-def concat_loops(l1: Loop, l2: Loop) -> Loop:
-    """The loop "first l1, then l2" (deck elements multiply left to right)."""
-    if np.abs(l1.samples.points[0] - l2.samples.points[0]).max() > 1e-9:
-        raise ValueError("loops are based at different points")
-    t1 = l1.samples.times * 0.5
-    t2 = 0.5 + l2.samples.times * 0.5
-    times = np.concatenate([t1, t2[1:]])
-    points = np.concatenate([l1.samples.points, l2.samples.points[1:]])
-    label = None
-    if l1.label is not None and l2.label is not None:
-        label = affine_compose(l1.label, l2.label)
-    return Loop(PathSample(times, points), label=label)
-
-
-def a1_standard_loops(d: int, num_samples: int = DEFAULT_LOOP_SAMPLES):
-    """The two standard generating loops of the rank-one target space
-    punctured at -2 and +2, based at 0:  +-2(1 - e^{2 pi i s}).
-
-    They are based at 0 rather than at the image of the canonical basepoint;
-    lifting starts from the alcove-interior preimage 1/4 of 0, and the real
-    connecting segment from the canonical basepoint conjugates the actions
-    without changing any deck element, so no extra bookkeeping is needed.
-    """
-    ts = np.linspace(0.0, 1.0, num_samples)
-    circle = 1 - np.exp(2j * np.pi * ts)
-    plus = Loop(PathSample(ts, (2 * circle)[:, None]))
-    minus = Loop(PathSample(ts, (-2 * circle)[:, None]))
-    return plus, minus
-
-
-A1_LOOP_BASEPOINT = 0.25  # the alcove-interior preimage of 0
-
-
 # ---------------------------------------------------------------------------
 # monodromy by path lifting
 # ---------------------------------------------------------------------------
-
-def lift_deck_element(rs: RootSystem, loop: Loop, y_start) -> AffineElement:
-    """Lift the loop once through the generalized cosine and identify the
-    deck transformation carrying the start of the lift to its end."""
-    y_start = np.asarray(y_start, dtype=complex)
-    lifted = lift_path(rs, loop.samples, y_start)
-    return deck_identify(rs, y_start, lifted.points[-1])
-
 
 def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
                       y_start=None):
@@ -298,7 +239,8 @@ def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
     if np.abs(eval_gencos(rs, y_start) - loop.samples.points[0]).max() > 1e-8:
         raise ValueError("loop is not based at the image of y_start")
 
-    g = lift_deck_element(rs, loop, y_start)
+    g = deck_identify(rs, y_start,
+                      lift_path(rs, loop.samples, y_start).points[-1])
     actions = [algebraic_action(g, d, k) for k in range(1, levels + 1)]
     return actions, g
 

@@ -86,27 +86,6 @@ def solve_fraction(a, b):
     return tuple(m[i][n] for i in range(n))
 
 
-def det_fraction(a):
-    """Exact determinant via fraction-free-ish elimination."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [v - f * p for v, p in zip(m[r], m[col])]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # type-spec parsing and Cartan data
 # ---------------------------------------------------------------------------
@@ -407,22 +386,8 @@ def build_root_system(type_spec: str) -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# reflections, orbits, group enumeration
+# orbits and group enumeration
 # ---------------------------------------------------------------------------
-
-def reflect(v: Root, ell, x):
-    """Affine reflection rho_{v,ell} applied to a point x in coroot
-    coordinates: x - (<v,x> - ell) * v_coroot."""
-    if isinstance(x, np.ndarray):
-        if x.shape[-1] != len(v.weight_coords):
-            raise DimensionError("point length does not match root rank")
-        pairing = x @ np.array(v.weight_coords)
-        return x - np.multiply.outer(pairing - ell, np.array(v.coroot_coords))
-    if len(x) != len(v.weight_coords):
-        raise DimensionError("point length does not match root rank")
-    pairing = dot(v.weight_coords, tuple(x))
-    return tuple(a - (pairing - ell) * c for a, c in zip(x, v.coroot_coords))
-
 
 def weyl_group_elements(rs: RootSystem, cap: int = WEYL_CAP):
     """All Weyl group elements by breadth-first closure from the simple
@@ -503,14 +468,13 @@ def fundamental_orbit_table(rs: RootSystem):
     return rows, starts
 
 
-def dominant_weight(rs: RootSystem, lam, path=None) -> tuple:
+def dominant_weight(rs: RootSystem, lam) -> tuple:
     """The dominant weight in the Weyl orbit of lam, on weight coordinates
     alone (no WeylElement products).
 
     While some coordinate lam_j is negative, apply s_j(lam) = lam - lam_j a_j
     at the first such j.  Each step takes one positive root out of
-    {a > 0 : <lam, a^vee> < 0}, so the walk ends within |Phi+| steps.  When
-    path is a list, the index of each reflection applied is appended to it.
+    {a > 0 : <lam, a^vee> < 0}, so the walk ends within |Phi+| steps.
     """
     lam = list(lam)
     for _ in range(len(rs.roots) // 2 + 1):
@@ -521,20 +485,7 @@ def dominant_weight(rs: RootSystem, lam, path=None) -> tuple:
             return tuple(lam)
         for i, cij in rs._simple_root_cols[j]:
             lam[i] -= c * cij
-        if path is not None:
-            path.append(j)
     raise RuntimeError("dominant walk failed to terminate")
-
-
-def dominant_rep(rs: RootSystem, lam):
-    """The dominant representative of lam's orbit and one Weyl element
-    mapping lam onto it.  Idempotent on dominant inputs."""
-    path = []
-    dom = dominant_weight(rs, lam, path)
-    w = weyl_identity(rs.rank)
-    for j in path:
-        w = rs.simple_reflection(j).compose(w)
-    return dom, w
 
 
 def orbit_size(rs: RootSystem, nu) -> int:
@@ -622,8 +573,6 @@ class AxiomReport:
 def _json_safe(obj):
     if obj is None or isinstance(obj, (int, float, str, bool)):
         return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, Root):
         return {"weight_coords": list(obj.weight_coords)}
     if isinstance(obj, (tuple, list)):
@@ -636,8 +585,13 @@ def verify_axioms(rs: RootSystem) -> AxiomReport:
     witness."""
     checks = []
 
-    # span: the simple roots, the columns of C, are linearly independent
-    span_ok = det_fraction(rs.cartan) != 0
+    # span: the simple roots, the columns of C, are linearly independent;
+    # solve_fraction raises ValueError on any singular matrix
+    try:
+        rho_vee(rs)
+        span_ok = True
+    except ValueError:
+        span_ok = False
     checks.append(AxiomCheck("span", span_ok,
                              None if span_ok else rs.cartan))
 

@@ -14,11 +14,9 @@ import itertools
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapExceededError
-from .monodromy import algebraic_action, perm_order, wreath_digit_step
-from .rootsys import AffineElement, WeylElement
+from .monodromy import wreath_digit_step
+from .rootsys import AffineElement
 
 STATE_CAP = 10 ** 4
 
@@ -42,15 +40,6 @@ class TreeWord:
                 out[j] += c * self.d ** pos
         return tuple(out)
 
-    @classmethod
-    def from_vector(cls, u, length: int, d: int):
-        u = list(u)
-        letters = []
-        for _ in range(length):
-            letters.append(tuple(c % d for c in u))
-            u = [c // d for c in u]
-        return cls(tuple(letters), d, len(letters[0]) if letters else len(u))
-
 
 def act_on_word(g: AffineElement, w: TreeWord) -> TreeWord:
     """Apply g letter by letter, threading carries."""
@@ -61,11 +50,6 @@ def act_on_word(g: AffineElement, w: TreeWord) -> TreeWord:
         img, g = wreath_digit_step(g, w.d, letter)
         out.append(img)
     return TreeWord(tuple(out), w.d, w.n)
-
-
-def child(g: AffineElement, d: int, letter) -> AffineElement:
-    """The renormalized state of g below the given first letter."""
-    return wreath_digit_step(g, d, letter)[1]
 
 
 @dataclass
@@ -113,24 +97,8 @@ def reachable_states(gens, d: int, cap: int = STATE_CAP) -> Automaton:
     return Automaton(d, n, order, transitions, gen_idx)
 
 
-def element_equal_up_to_level(g1: AffineElement, g2: AffineElement, d: int,
-                              level: int) -> bool:
-    """Whether the two elements agree on all words of length <= level
-    (level-k actions are quotients of the level-`level` one, so comparing the
-    deepest level suffices)."""
-    if g1.rank != g2.rank:
-        raise ValueError("alphabet mismatch")
-    return np.array_equal(algebraic_action(g1, d, level),
-                          algebraic_action(g2, d, level))
-
-
-def order_on_level(g: AffineElement, d: int, level: int) -> int:
-    """Multiplicative order of the level-`level` permutation."""
-    return perm_order(algebraic_action(g, d, level))
-
-
 # ---------------------------------------------------------------------------
-# export / import
+# export
 # ---------------------------------------------------------------------------
 
 def export_automaton(gens, d: int, fmt: str = "json") -> str:
@@ -175,18 +143,3 @@ def export_automaton(gens, d: int, fmt: str = "json") -> str:
         lines.append("generators: " + ", ".join(f"g{i}" for i in aut.generators))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def import_automaton(text: str) -> Automaton:
-    """Rebuild an Automaton from its JSON export."""
-    payload = json.loads(text)
-    states = []
-    for s in payload["states"]:
-        w = WeylElement(tuple(tuple(r) for r in s["w_matrix"]),
-                        tuple(tuple(r) for r in s["w_coroot"]))
-        states.append(AffineElement(tuple(s["t"]), w))
-    transitions = {}
-    for si, letter, img, ci in payload["transitions"]:
-        transitions[(si, tuple(letter))] = (tuple(img), ci)
-    return Automaton(payload["d"], payload["n"], states, transitions,
-                     list(payload["generators"]))

@@ -9,11 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from weylcheb.chebmap import (
-    build_cheb_map,
-    compose_poly_maps,
-    verify_functional_equation,
-)
+from weylcheb.chebmap import build_cheb_map, verify_functional_equation
 from weylcheb.critical import (
     deltoid_check,
     post_critical_check,
@@ -21,17 +17,18 @@ from weylcheb.critical import (
 )
 from weylcheb.gencos import gencos_jacobian, is_on_diagram
 from weylcheb.monodromy import (
-    A1_LOOP_BASEPOINT,
-    a1_standard_loops,
     algebraic_action,
-    concat_loops,
     img_verification,
     numeric_monodromy,
     perm_order,
     standard_affine_generators,
+    wreath_digit_step,
 )
 from weylcheb.rootsys import affine_compose, affine_identity
-from weylcheb.selfsim import TreeWord, act_on_word, child, reachable_states
+from weylcheb.selfsim import TreeWord, act_on_word, reachable_states
+
+from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
+                          compose_poly_maps, concat_loops)
 
 TEST_MATRIX = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                for d in (2, 3)]
@@ -199,9 +196,8 @@ def test_10_self_similarity(rs):
             rest = TreeWord(tuple(rng.choice(letters) for _ in range(3)),
                             d, rsys.rank)
             whole = TreeWord((first,) + rest.letters, d, rsys.rank)
-            from weylcheb.monodromy import wreath_digit_step
-            img, _ = wreath_digit_step(g, d, first)
-            expected = (img,) + act_on_word(child(g, d, first), rest).letters
+            img, state = wreath_digit_step(g, d, first)
+            expected = (img,) + act_on_word(state, rest).letters
             ok = ok and act_on_word(g, whole).letters == expected
         # finite automata for every generator
         for g in gens:

@@ -12,23 +12,22 @@ from weylcheb import chebmap
 from weylcheb.chebmap import (
     PolynomialMap,
     build_cheb_map,
-    compose_poly_maps,
     decompose_to_polynomial,
     eval_poly_map,
     eval_polys,
     height_vector,
     jacobian_polys,
-    identity_map,
     monomial_expand,
     orbit_sum_product,
     poly_map_as_dict,
     verify_functional_equation,
 )
+from weylcheb.errors import DimensionError
 from weylcheb.rootsys import (build_root_system, fundamental_orbit_table,
                               orbit, rho_vee, weyl_group_elements)
 
 import fixed_point_oracle as fpo
-from root_oracles import orbit_matrix
+from root_oracles import compose_poly_maps, orbit_matrix
 
 FULL_MATRIX = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                for d in (2, 3)]
@@ -106,30 +105,40 @@ def test_map_matches_convolution_oracle(spec, d, monkeypatch):
     assert fast.components == slow.components
 
 
-def test_pair_table_matches_convolution_oracle():
-    # every pair product that F4 2 synthesis memoized is the full-orbit
-    # convolution of that pair
-    rsys = build_root_system("F4")
+def test_pair_table_matches_convolution_oracle(monkeypatch):
+    # every pair product that F4 2 synthesis walks is the full-orbit
+    # convolution of that pair; a fresh instance walks every pair it needs
+    rsys = build_root_system.__wrapped__("F4")
+    pairs = {}
+    true_pair = chebmap._pair_product
+
+    def recorded(rsys, lam, mu):
+        pairs[lam, mu] = true_pair(rsys, lam, mu)
+        return pairs[lam, mu]
+
+    monkeypatch.setattr(chebmap, "_pair_product", recorded)
     build_cheb_map(rsys, 2)
-    pairs = chebmap._memo(rsys).pairs
     assert len(pairs) > 20
+    assert all(lam <= mu for lam, mu in pairs)
     for (lam, mu), prod in pairs.items():
         assert prod == _convolution_product(rsys, {lam: 1}, {mu: 1})
 
 
 def test_pair_table_is_hit_in_both_orders():
-    # an uncached instance starts with an empty pair table
+    # an uncached instance has walked no pair yet: the first product walks
+    # the pair once, the swapped one finds it
     a2 = build_root_system.__wrapped__("A2")
+    before = chebmap._pair_product.cache_info()
     first = orbit_sum_product(a2, {(1, 0): 1}, {(2, 1): 1})
-    assert list(chebmap._memo(a2).pairs) == [((1, 0), (2, 1))]
     assert orbit_sum_product(a2, {(2, 1): 2}, {(1, 0): 1}) == {
         nu: 2 * c for nu, c in first.items()}
-    assert len(chebmap._memo(a2).pairs) == 1
+    after = chebmap._pair_product.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def _derived_tables(rsys):
     return (fundamental_orbit_table(rsys), weyl_group_elements(rsys),
-            chebmap._memo(rsys), rho_vee(rsys))
+            height_vector(rsys), rho_vee(rsys))
 
 
 def test_each_table_is_built_once_per_instance():
@@ -160,6 +169,27 @@ def test_monomial_expand_base_cases(rs):
     a1 = rs("A1")
     assert monomial_expand(a1, (0,)) == {(0,): 1}
     assert monomial_expand(a1, (2,)) == {(2,): 1, (0,): 2}
+
+
+def test_deep_expansion_chain_stays_below_the_recursion_limit():
+    # a cold instance expands X^600 down a chain of 600 degrees; m_(600)
+    # is 2 at z = 1, where X = 2
+    pmap = build_cheb_map(build_root_system.__wrapped__("A1"), 600)
+    assert pmap.components[0][(600,)] == 1
+    assert eval_polys(pmap.components, [2]) == [2]
+
+
+def test_monomial_expand_refuses_non_integer_exponents(rs):
+    a2 = rs("A2")
+    # int() would truncate 1.5 to 1 and return the expansion of (1, 0)
+    for e in [(1.5, 0), (1.0, 0), (Fraction(1, 2), 0), ("1", 0)]:
+        with pytest.raises(ValueError, match="integers"):
+            monomial_expand(a2, e)
+    with pytest.raises(ValueError, match="nonnegative"):
+        monomial_expand(a2, (-1, 0))
+    with pytest.raises(DimensionError, match="1 exponents for rank 2"):
+        monomial_expand(a2, (1,))
+    assert monomial_expand(a2, np.array([1, 0])) == monomial_expand(a2, (1, 0))
 
 
 @pytest.mark.parametrize("spec", ["A2", "B2"])
@@ -266,7 +296,7 @@ def test_a2_degree_2_matches_known_pair(rs):
 
 
 def test_degree_one_is_identity(rs):
-    assert build_cheb_map(rs("B2"), 1).components == identity_map(2).components
+    assert build_cheb_map(rs("B2"), 1).components == ({(1, 0): 1}, {(0, 1): 1})
 
 
 def test_product_type_splits(rs):
@@ -643,8 +673,9 @@ def test_a1xa1_is_product_map(rs):
 
 def test_compose_with_identity(rs):
     pmap = build_cheb_map(rs("A2"), 2)
-    assert compose_poly_maps(pmap, identity_map(2)).components == pmap.components
-    assert compose_poly_maps(identity_map(2), pmap).components == pmap.components
+    ident = build_cheb_map(rs("A2"), 1)
+    assert compose_poly_maps(pmap, ident).components == pmap.components
+    assert compose_poly_maps(ident, pmap).components == pmap.components
 
 
 def test_a1_semigroup(rs):

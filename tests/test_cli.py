@@ -324,6 +324,17 @@ def test_act_rejects_bad_word(capsys):
     assert code == 2 and "q7" in err
 
 
+@pytest.mark.parametrize("d,treeword,bad", [
+    ("2", "121", "'2'"), ("2", "1a", "'a'"), ("3", "3", "'3'"),
+    ("2", "1²", "'²'")])
+def test_act_rejects_bad_tree_word(capsys, d, treeword, bad):
+    # a digit outside [0, d) or a character that is not a digit is a usage
+    # error naming it, not a traceback
+    code, out, err = run_cli(capsys, "act", "A1", d, "t", treeword)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and bad in err
+
+
 def test_automaton_json(capsys):
     code, out, _ = run_cli(capsys, "automaton", "A1", "2")
     payload = json.loads(out)

@@ -22,8 +22,6 @@ from weylcheb.gencos import (
     lift_paths,
 )
 from weylcheb.monodromy import (
-    A1_LOOP_BASEPOINT,
-    a1_standard_loops,
     basepoint_array,
     make_generator_loop,
     standard_affine_generators,
@@ -39,7 +37,7 @@ from weylcheb.rootsys import (
     translation_element,
 )
 
-from root_oracles import eval_gencos_fullsum
+from root_oracles import A1_LOOP_BASEPOINT, a1_standard_loops, eval_gencos_fullsum
 
 TEST_SPECS = ("A1", "A2", "B2", "G2")
 

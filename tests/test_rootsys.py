@@ -18,7 +18,6 @@ from weylcheb.rootsys import (
     affine_identity,
     affine_inverse,
     build_root_system,
-    dominant_rep,
     dominant_weight,
     dot,
     highest_roots,
@@ -26,7 +25,6 @@ from weylcheb.rootsys import (
     orbit,
     orbit_size,
     parse_type_spec,
-    reflect,
     reflection_element,
     rho_vee,
     solve_fraction,
@@ -181,6 +179,21 @@ def test_axioms_fail_with_a_doubled_root():
     assert _check(report, "span").passed
 
 
+def test_axioms_fail_with_a_singular_cartan_matrix():
+    # A2's roots over a Cartan matrix of rank one: the simple roots no
+    # longer span, and the witness is the matrix
+    rsys = build_root_system("A2")
+    singular = ((2, -2), (-1, 1))
+    fake = RootSystem(rsys.type_spec, rsys.factors, singular, rsys.gram,
+                      rsys.lengths, rsys.roots)
+    report = verify_axioms(fake)
+    span = _check(report, "span")
+    assert not span.passed and span.witness == singular
+    assert report.as_dict()["span"] == {"pass": False,
+                                        "witness": [[2, -2], [-1, 1]]}
+    assert not report.all_pass
+
+
 def test_axioms_fail_with_a_wrong_length():
     # <v, v^vee> is still 2, but len_v <v^vee, v^vee> is no longer 4
     rsys = build_root_system("G2")
@@ -231,7 +244,7 @@ def test_reflect_fixes_wall_points():
     # x with <v, x> = ell stays fixed
     x = (Fraction(1, 2), Fraction(0))
     ell = sum(a * b for a, b in zip(v.weight_coords, x))
-    assert reflect(v, ell, x) == x
+    assert affine_apply(reflection_element(v, ell), x) == x
 
 
 def test_reflect_is_involution():
@@ -243,13 +256,15 @@ def test_reflect_is_involution():
             ell = rng.randint(-3, 3)
             x = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 9))
                       for _ in range(rsys.rank))
-            assert reflect(v, ell, reflect(v, ell, x)) == x
+            g = reflection_element(v, ell)
+            assert affine_apply(g, affine_apply(g, x)) == x
 
 
 def test_reflect_a1_example():
     rsys = build_root_system("A1")
     v = rsys.roots[0]
-    assert reflect(v, 0, (Fraction(1, 2),)) == (Fraction(-1, 2),)
+    assert (affine_apply(reflection_element(v, 0), (Fraction(1, 2),))
+            == (Fraction(-1, 2),))
 
 
 # --- Weyl group and orbits --------------------------------------------------
@@ -377,34 +392,26 @@ def test_orbit_size_divides_group_order(rs):
 
 # --- dominant representatives ------------------------------------------------
 
-def test_dominant_rep_identity_on_dominant():
+def test_dominant_weight_identity_on_dominant():
     a2 = build_root_system("A2")
-    lam, w = dominant_rep(a2, (2, 1))
-    assert lam == (2, 1)
-    assert w.is_identity()
+    assert dominant_weight(a2, (2, 1)) == (2, 1)
 
 
-def test_dominant_rep_a2_example():
+def test_dominant_weight_a2_example():
     a2 = build_root_system("A2")
-    lam, w = dominant_rep(a2, (-1, 1))
-    assert lam == (1, 0)
-    assert w == a2.simple_reflection(0)
-    assert w.apply_weight((-1, 1)) == (1, 0)
+    assert dominant_weight(a2, (-1, 1)) == (1, 0)
+    assert a2.simple_reflection(0).apply_weight((-1, 1)) == (1, 0)
 
 
-def test_dominant_rep_property():
+def test_dominant_weight_property():
+    # the walk ends on the one dominant weight of lam's orbit
     rng = random.Random(2)
     for spec in ("A2", "B2", "G2", "A3"):
         rsys = build_root_system(spec)
         for _ in range(100):
             lam = tuple(rng.randint(-6, 6) for _ in range(rsys.rank))
-            dom, w = dominant_rep(rsys, lam)
-            assert all(c >= 0 for c in dom)
-            assert w.apply_weight(lam) == dom
-            assert dom in orbit(rsys, lam)
-            path = []
-            assert dominant_weight(rsys, lam, path) == dom
-            assert len(path) <= len(rsys.roots) // 2
+            dominant = [mu for mu in orbit(rsys, lam) if min(mu) >= 0]
+            assert dominant == [dominant_weight(rsys, lam)]
 
 
 @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "D4", "B3xA1"])
@@ -454,13 +461,16 @@ def test_affine_group_axioms_random_words():
 
 
 def test_affine_apply_matches_reflect():
+    # the affine reflection is x - (<v, x> - ell) v^vee
     rng = random.Random(4)
     rsys = build_root_system("G2")
     for _ in range(50):
         v = rng.choice(rsys.roots)
         ell = rng.randint(-2, 2)
         x = tuple(Fraction(rng.randint(-9, 9), 7) for _ in range(rsys.rank))
-        assert affine_apply(reflection_element(v, ell), x) == reflect(v, ell, x)
+        shift = dot(v.weight_coords, x) - ell
+        assert affine_apply(reflection_element(v, ell), x) == tuple(
+            a - shift * c for a, c in zip(x, v.coroot_coords))
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "B2"])
