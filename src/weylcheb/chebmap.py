@@ -159,10 +159,7 @@ def orbit_sum_product(rs: RootSystem, a: dict, b: dict) -> dict:
 @functools.cache
 def _expansions(rs: RootSystem) -> dict:
     """monomial_expand's table {exponent tuple: combination}, one per root
-    system, starting from X^0 = 1.  A table, not functools.cache on the
-    expansion itself: the walk down X^e's chain then nests one call per
-    degree.  Through a cached function it nests three, and chebmap A1 400
-    exceeded Python's default recursion limit."""
+    system, starting from X^0 = 1."""
     return {(0,) * rs.rank: {(0,) * rs.rank: 1}}
 
 
@@ -171,7 +168,11 @@ def monomial_expand(rs: RootSystem, e) -> dict:
     computed once per root system and exponent vector.  Its leading term is
     sum_j e_j omega_j with coefficient 1.  An exponent that is not a
     nonnegative integer raises ValueError, and a vector whose length is not
-    the rank DimensionError."""
+    the rank DimensionError.
+
+    X^e is X^{e - e_j} * m_{omega_j}, j the last nonzero exponent: walk
+    down that chain to the nearest tabulated exponent, then multiply back
+    up it in a loop, so the depth of the chain costs no recursion."""
     try:
         e = tuple(map(operator.index, e))
     except TypeError:
@@ -181,12 +182,16 @@ def monomial_expand(rs: RootSystem, e) -> dict:
     if any(c < 0 for c in e):
         raise ValueError("exponents must be nonnegative")
     table = _expansions(rs)
-    if e not in table:
-        j = max(k for k, c in enumerate(e) if c > 0)
-        prev = list(e)
-        prev[j] -= 1
-        table[e] = orbit_sum_product(rs, monomial_expand(rs, prev),
-                                     {rs.fundamental_weight(j): 1})
+    chain = []
+    low = e
+    while low not in table:
+        j = max(k for k, c in enumerate(low) if c > 0)
+        chain.append((low, j))
+        low = low[:j] + (low[j] - 1,) + low[j + 1:]
+    for high, j in reversed(chain):
+        table[high] = orbit_sum_product(rs, table[low],
+                                        {rs.fundamental_weight(j): 1})
+        low = high
     return table[e]
 
 

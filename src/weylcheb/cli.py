@@ -29,13 +29,18 @@ from .rootsys import (
 
 def _emit(args, payload) -> None:
     """Write a verb's output, a JSON payload or finished text, to --out or
-    to stdout, the same bytes either way, ending in one newline."""
+    to stdout, the same bytes either way, ending in one newline.  An --out
+    that cannot be written is bad input: a WeylchebError naming it."""
     if not isinstance(payload, str):
         payload = json.dumps(payload, indent=2, sort_keys=True)
     text = payload.rstrip("\n") + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise WeylchebError(f"cannot write --out {args.out}: "
+                                f"{exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -17,24 +17,15 @@ class CapExceededError(WeylchebError):
     """A configured size cap (group order, vertex count, state count) would be exceeded."""
 
 
-class LiftError(WeylchebError):
-    """Path lifting failed.  The witness: `path`, the index of the failing
-    path in its batch; `t` and `step`, where it failed; `value`, the margin
-    it reached."""
+class ContinuationError(WeylchebError):
+    """Path lifting failed: the step size fell below the minimum.  The
+    witness: `path`, the index of the failing path in its batch; `t` and
+    `step`, where it failed; `value`, its last Newton residual or the
+    ratio of its last step's move toward a wall to its distance from it."""
 
     def __init__(self, message, path=None, t=None, step=None, value=None):
         super().__init__(message)
         self.path, self.t, self.step, self.value = path, t, step, value
-
-
-class ContinuationError(LiftError):
-    """Path continuation failed: the step size fell below the minimum.  The
-    witness value is the failing path's last Newton residual."""
-
-
-class NearSingularError(LiftError):
-    """Jacobian condition estimate exceeded its cap; the path strayed too close
-    to the critical locus or its image.  The witness value is the estimate."""
 
 
 class DeckMatchError(WeylchebError):

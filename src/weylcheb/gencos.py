@@ -11,24 +11,27 @@ One kernel computes both the values and the Jacobian, at one point or a
 batch of points, from the fundamental orbits stacked into one row matrix
 (rootsys.fundamental_orbit_table): e = exp(2 pi i rows @ x) once, the
 values are the sums of e over each orbit's rows, and Jacobian entry (k, j)
-is 2 pi i times the sum of e * lam_j over orbit k.  A sampled loop takes
-one batched call.
+is 2 pi i times the sum of e * lam_j over orbit k.
 
-Path lifting (lift_paths) carries a batch of paths, sampled on one time
-grid, along one step schedule: each Newton iterate is one kernel call on the
-still-unconverged paths and one stacked solve, each accepted step one
-stacked inverse for the condition estimates, and the value and Jacobian at
-an accepted point are the next step's first iterate.  lift_path is the
-batch of one.
+Path lifting (lift_paths) carries a batch of paths, each given by its exact
+value at any time t, along one step schedule: each Newton iterate is one
+kernel call on the still-unconverged paths and one stacked solve, and the
+value and Jacobian at an accepted point are the next step's first iterate.
+One routine measures how far points are from the walls (_wall_distance):
+it serves wall membership (is_on_diagram), the check that the lift starts
+off the walls, and the step rule that keeps each lift on its own sheet,
+which halves a step that moved toward a wall by as much as two thirds of
+the new point's distance from it.  lift_path is the batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContinuationError, DeckMatchError, DimensionError, NearSingularError
+from .errors import ContinuationError, DeckMatchError, DimensionError
 from .rootsys import (
     AffineElement,
     RootSystem,
@@ -39,43 +42,24 @@ from .rootsys import (
 TWO_PI_I = 2j * np.pi
 
 # path lifting: Newton tolerance and iterations per step, the first and the
-# smallest step in t, and the Jacobian condition estimate taken as a wall
+# smallest step in t, and the largest accepted ratio of a step's move toward
+# a wall to the new point's distance from it (a jump across the wall gives
+# a ratio near 2)
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITERS = 25
 INITIAL_STEP = 1.0 / 64
 MIN_STEP = 1.0 / 65536
-JACOBIAN_CONDITION_CAP = 1e8
+WALL_RATIO = 2.0 / 3
 
 
 @dataclass
 class PathSample:
-    """A discretized path: strictly increasing times in [0, 1] and one complex
-    point (coroot coordinates) per time."""
+    """A lifted path: its accepted times, increasing from 0 to 1, and one
+    complex point (coroot coordinates) per time, shape (m, n), or (m, P, n)
+    for a batch of P paths."""
 
     times: np.ndarray
-    points: np.ndarray  # shape (m, n), or (m, P, n) for a batch of P paths
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.points = np.asarray(self.points, dtype=complex)
-        if self.points.ndim == 1:
-            self.points = self.points[:, None]
-        if abs(self.times[0]) > 1e-15 or abs(self.times[-1] - 1.0) > 1e-15:
-            raise ValueError("path times must run from 0 to 1")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("path times must be strictly increasing")
-
-    def at(self, t: float) -> np.ndarray:
-        """Piecewise-linear interpolation."""
-        ts = self.times
-        if t <= ts[0]:
-            return self.points[0]
-        if t >= ts[-1]:
-            return self.points[-1]
-        i = int(np.searchsorted(ts, t))
-        t0, t1 = ts[i - 1], ts[i]
-        a = (t - t0) / (t1 - t0)
-        return (1 - a) * self.points[i - 1] + a * self.points[i]
+    points: np.ndarray
 
 
 def _kernel(rs: RootSystem, x, jacobian: bool):
@@ -107,54 +91,74 @@ def gencos_jacobian(rs: RootSystem, x) -> np.ndarray:
     return _kernel(rs, x, jacobian=True)[1]
 
 
+@functools.cache
+def _positive_roots(rs: RootSystem):
+    """The positive roots, those with nonnegative simple-coroot
+    coefficients, and their weight coordinates as the rows of a read-only
+    float matrix.  Cached per root system."""
+    roots = tuple(v for v in rs.roots if min(v.coroot_coords) >= 0)
+    rows = np.array([v.weight_coords for v in roots], dtype=float)
+    rows.setflags(write=False)
+    return roots, rows
+
+
+def _wall_distance(rs: RootSystem, x):
+    """The pairings p = <v, x> of x, a point or a stack of points, with
+    every positive root v, and the distance |p - round(Re p)| of each from
+    the nearest wall <v, .> = ell, ell an integer."""
+    p = np.asarray(x, dtype=complex) @ _positive_roots(rs)[1].T
+    return p, np.abs(p - np.round(p.real))
+
+
 def is_on_diagram(rs: RootSystem, x, tol: float):
     """Whether x lies within tol of some reflection wall <v, x> = ell,
-    ell integer.  Returns (bool, witness) with witness = (root, ell)."""
+    ell integer.  Returns (bool, witness) with witness = (root, ell), the
+    positive root and level of the nearest wall."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = np.asarray(x, dtype=complex)
-    for v in rs.roots:
-        p = complex(np.dot(np.array(v.weight_coords), x))
-        if abs(p.imag) > tol:
-            continue
-        ell = int(round(p.real))
-        if abs(p - ell) <= tol:
-            return True, (v, ell)
+    p, dist = _wall_distance(rs, x)
+    i = int(np.argmin(dist))
+    if dist[i] <= tol:
+        return True, (_positive_roots(rs)[0][i], int(np.round(p[i].real)))
     return False, None
 
 
-def lift_path(rs: RootSystem, target_path: PathSample, y_start) -> PathSample:
-    """Lift one path through the generalized cosine from a known preimage of
-    its start: lift_paths on a batch of one."""
+def lift_path(rs: RootSystem, target, y_start) -> PathSample:
+    """Lift one path, target(t) of shape (n,) for t in [0, 1], through the
+    generalized cosine from a preimage of its start: lift_paths on a batch
+    of one."""
     y_start = np.asarray(y_start, dtype=complex)
-    lifted = lift_paths(rs, target_path.times, target_path.points[:, None],
+    lifted = lift_paths(rs, lambda t: np.asarray(target(t))[None],
                         y_start[None])
     return PathSample(lifted.times, lifted.points[:, 0])
 
 
-def lift_paths(rs: RootSystem, times, points, y_starts) -> PathSample:
-    """Lift P paths through the generalized cosine by predictor-corrector
-    Newton continuation on one shared step schedule.  The paths are sampled
-    on one time grid, `points` of shape (m, P, n), and y_starts (P, n) are
-    known preimages of their starts; the lift is a PathSample whose points
-    have shape (m', P, n), one row of P points per accepted time.
+def lift_paths(rs: RootSystem, target, y_starts) -> PathSample:
+    """Lift P paths through the generalized cosine by Newton continuation on
+    one shared step schedule.  target(t) gives the paths' exact values at
+    time t in [0, 1], shape (P, n), and y_starts (P, n) are preimages of
+    target(0) off the walls; the lift is a PathSample whose points have
+    shape (m, P, n), one row of P points per accepted time.
 
     Each Newton iterate makes one kernel call on the unconverged paths and
     one stacked solve; the value and Jacobian at each accepted point carry
-    into the next step's first iterate.  A Newton failure on any path halves
-    the step for all of them, down to MIN_STEP (ContinuationError beyond
-    that); a Jacobian condition estimate above JACOBIAN_CONDITION_CAP at an
-    accepted point raises NearSingularError, signalling that a path strayed
-    too close to the walls or their image.  Both errors name the failing
-    path's index, t, the step and the value reached.
+    into the next step's first iterate.  A converged point y' reached from
+    y is accepted only if |<v, y' - y>| < WALL_RATIO |<v, y'> - ell| for
+    every path and positive root v, ell the integer nearest to Re <v, y'>:
+    the step moved toward no wall by as much as two thirds of the new
+    point's distance from it.  A jump from the lift's own sheet to its
+    mirror image across a nearby wall of v gives a ratio near 2.  A Newton
+    failure or a refused point on any path halves the step for all of them,
+    down to MIN_STEP; beyond that a ContinuationError names the failing
+    path's index, t, the step and its last Newton residual or wall ratio.
     """
-    target = PathSample(times, points)
     y = np.array(y_starts, dtype=complex)
-    if y.ndim != 2 or target.points.shape[1:] != y.shape:
-        raise DimensionError(f"starts have shape {y.shape}, paths "
-                             f"{target.points.shape}")
+    x = np.asarray(target(0.0), dtype=complex)
+    if y.ndim != 2 or x.shape != y.shape:
+        raise DimensionError(f"starts have shape {y.shape}, path values "
+                             f"{x.shape}")
     values, jac = _kernel(rs, y, jacobian=True)
-    start_res = np.abs(values - target.points[0]).max(axis=1)
+    start_res = np.abs(values - x).max(axis=1)
     for i, y_i in enumerate(y):
         if not start_res[i] <= NEWTON_TOL * 10:
             raise ValueError(f"path {i}: y_start is not a preimage of the "
@@ -164,38 +168,37 @@ def lift_paths(rs: RootSystem, times, points, y_starts) -> PathSample:
             raise ValueError(f"path {i}: y_start lies on a reflection wall "
                              f"{wit}")
 
+    rows = _positive_roots(rs)[1]
     lifted_times = [0.0]
     lifted_points = [y]
+    # t stays exact: every step is a power of two no smaller than MIN_STEP
     t = 0.0
     step = INITIAL_STEP
-    while t < 1.0 - 1e-15:
+    while t < 1.0:
         h = min(step, 1.0 - t)
         y_new, values_new, jac_new, failed = _newton(
-            rs, y, values, jac, target.at(t + h))
+            rs, y, values, jac, np.asarray(target(t + h), dtype=complex))
         if failed is None:
-            est = _condition_estimate(jac_new)
-            i = int(np.argmax(est))
-            if est[i] > JACOBIAN_CONDITION_CAP:
-                raise NearSingularError(
-                    f"path {i}: Jacobian condition estimate {est[i]:.3e} "
-                    f"above cap {JACOBIAN_CONDITION_CAP:.0e} at "
-                    f"t={t + h:.6f} (step {h:.3e})",
-                    path=i, t=t + h, step=h, value=float(est[i]))
-            t += h
-            y, values, jac = y_new, values_new, jac_new
-            lifted_times.append(t)
-            lifted_points.append(y)
-            step = min(INITIAL_STEP, step * 2.0)
-        else:
-            step *= 0.5
-            if step < MIN_STEP:
-                i, res = failed
-                raise ContinuationError(
-                    f"path {i}: continuation stalled at t={t:.6f} (step "
-                    f"{h:.3e}, halved below {MIN_STEP}; last Newton "
-                    f"residual {res:.3e})",
-                    path=i, t=t, step=h, value=res)
-    lifted_times[-1] = 1.0
+            move = np.abs((y_new - y) @ rows.T)
+            dist = _wall_distance(rs, y_new)[1]
+            if (move < WALL_RATIO * dist).all():
+                t += h
+                y, values, jac = y_new, values_new, jac_new
+                lifted_times.append(t)
+                lifted_points.append(y)
+                step = min(INITIAL_STEP, step * 2.0)
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = (move / dist).max(axis=1)
+            i = int(np.argmax(ratio))
+            failed = i, "wall ratio", float(ratio[i])
+        step *= 0.5
+        if step < MIN_STEP:
+            i, what, value = failed
+            raise ContinuationError(
+                f"path {i}: continuation stalled at t={t:.6f} (step "
+                f"{h:.3e}, halved below {MIN_STEP}; {what} {value:.3e})",
+                path=i, t=t, step=h, value=value)
     return PathSample(np.array(lifted_times), np.array(lifted_points))
 
 
@@ -206,8 +209,8 @@ def _newton(rs: RootSystem, y, values, jac, target):
 
     Returns (y, values, Jacobians, None) at convergence.  When any path
     diverges, leaves its basin (|delta| > 0.5) or meets a singular
-    Jacobian, returns three Nones and (that path's index, its last
-    residual)."""
+    Jacobian, returns three Nones and (that path's index, "last Newton
+    residual", its last residual)."""
     y_out, values_out, jac_out = (np.empty_like(a) for a in (y, values, jac))
     index = np.arange(len(y))
     for it in range(MAX_NEWTON_ITERS):
@@ -235,29 +238,12 @@ def _newton(rs: RootSystem, y, values, jac, target):
             delta, bad = None, np.linalg.det(jac) == 0
         if delta is None or bad.any():
             i = int(np.argmax(bad))
-            return None, None, None, (int(index[i]), float(err[i]))
+            break
         y = y - delta
-    i = int(np.argmax(err))
-    return None, None, None, (int(index[i]), float(err[i]))
-
-
-def _condition_estimate(jac: np.ndarray):
-    """max(|J|_1 |J^-1|_1, |J^-1|_1) for each matrix of a stack (or for one
-    matrix) from one stacked inverse, inf where J is singular.  The plain
-    condition number is blind in rank one (it is 1 for every nonzero 1x1
-    matrix); the inverse norm catches walls there."""
-    jac = np.asarray(jac)
-    try:
-        inv = np.linalg.inv(jac)
-    except np.linalg.LinAlgError:
-        # a member is exactly singular: invert the others, NaN marks the rest
-        ok = np.linalg.det(jac) != 0
-        inv = np.full(jac.shape, np.nan, dtype=jac.dtype)
-        inv[ok] = np.linalg.inv(jac[ok])
-    inv_norm = np.abs(inv).sum(axis=-2).max(axis=-1)
-    est = np.maximum(np.abs(jac).sum(axis=-2).max(axis=-1) * inv_norm,
-                     inv_norm)
-    return np.where(np.isfinite(est), est, np.inf)[()]
+    else:
+        i = int(np.argmax(err))
+    return None, None, None, (int(index[i]), "last Newton residual",
+                              float(err[i]))
 
 
 def deck_identify(rs: RootSystem, y0, y1, tol: float = 1e-7) -> AffineElement:

@@ -18,14 +18,18 @@ Tree model and conventions (fixed once, used by every module):
   representative y - u of vertex u ends at ((-u, id) * g)(y).  The tests
   pin this bookkeeping.
 
-A loop is lifted once through the generalized cosine; the deck
-transformation carrying the start of the lift to its end (deck_identify)
-determines the loop's action at every level.  Generator loops are based at
-the Coxeter point rho^vee / h (basepoint_array).  img_verification lifts
-the standard generators' loops in one lift_paths batch, checks each deck
-element against the loop's label and records, in closed form, the order of
-the group the labels generate at each level; numeric_monodromy does the
-same for one loop from any basepoint.  Relations among the generators'
+A loop is a function of t in [0, 1], and it is lifted once through the
+generalized cosine; the deck transformation carrying the start of the lift
+to its end (deck_identify) determines the loop's action at every level.
+The loop of a generator g is the image of its generating path
+(make_generator_loop), which runs from the Coxeter point y0 = rho^vee / h
+(basepoint_array) to g(y0).  The lift is given only that image, evaluated
+exactly at each time it asks for, and never the path, which is the lift
+the check must find.  img_verification lifts the standard generators'
+loops in one lift_paths batch, checks each deck element against the
+generator the loop was built from and records, in closed form, the order
+of the group the generators generate at each level; numeric_monodromy
+lifts one closed loop from any basepoint.  Relations among the generators'
 actions are not re-checked: algebraic_action is a homomorphism, so they
 hold by construction (the tests pin this).
 """
@@ -35,21 +39,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceededError, LiftError
-from .gencos import (
-    PathSample,
-    deck_identify,
-    eval_gencos,
-    lift_path,
-    lift_paths,
-)
+from .errors import CapExceededError, ContinuationError
+from .gencos import deck_identify, eval_gencos, lift_path, lift_paths
 from .rootsys import (
     AffineElement,
     RootSystem,
+    affine_apply,
     dot,
     highest_roots,
     reflection_element,
@@ -65,7 +63,6 @@ ENTRY_CAP = 5 * 2 ** 18
 # 32 MiB at this cap: about a million vertices, which algebraic_action
 # builds in 0.07 s and perm_order walks in 0.2 s (A1, d = 2, level 20)
 ACTION_CELL_CAP = 2 ** 22
-DEFAULT_LOOP_SAMPLES = 257
 DEFAULT_EPSILON = 0.1
 
 
@@ -148,13 +145,14 @@ def _coxeter_number(rs: RootSystem) -> int:
 
 
 @functools.cache
-def _unit_direction(rs: RootSystem):
-    """rho^vee / (h - 1) as exact Fractions, with its least root pairing
-    1/(h - 1): every positive root pairs with it into [1/(h - 1), 1], the
-    simple roots to the least.  Computed once per root system, not once
-    per loop."""
+def _unit_direction(rs: RootSystem) -> np.ndarray:
+    """rho^vee / (h - 1): every positive root pairs with it into
+    [1/(h - 1), 1], the simple roots to the least.  Computed once per root
+    system, not once per loop."""
     top = _coxeter_number(rs) - 1
-    return tuple(c / top for c in rho_vee(rs)), Fraction(1, top)
+    u = np.array([float(c / top) for c in rho_vee(rs)])
+    u.setflags(write=False)
+    return u
 
 
 def basepoint_array(rs: RootSystem) -> np.ndarray:
@@ -171,37 +169,22 @@ def basepoint_array(rs: RootSystem) -> np.ndarray:
     return np.array([float(c / h) for c in rho_vee(rs)], dtype=complex)
 
 
-@dataclass
-class Loop:
-    """A sampled loop in the target space with equal endpoints, optionally
-    labeled by the deck element it was built from."""
-
-    samples: PathSample
-    label: AffineElement | None = None
-
-    def __post_init__(self):
-        gap = np.abs(self.samples.points[0] - self.samples.points[-1]).max()
-        if gap > 1e-10:
-            raise ValueError(f"loop endpoints differ by {gap:.3e}")
-
-
 def make_generator_loop(rs: RootSystem, g: AffineElement, y0=None,
-                        epsilon: float = DEFAULT_EPSILON,
-                        num_samples: int = DEFAULT_LOOP_SAMPLES) -> Loop:
-    """The image of the straight segment from the real point y0 to g(y0),
-    bent into the complex domain by +i*epsilon*sin(pi t) times the unit
-    direction u so it crosses no wall; its image is a loop with monodromy
-    label g.
+                        epsilon: float = DEFAULT_EPSILON):
+    """The generating path of g's loop, as a function of t in [0, 1]: the
+    straight segment from the real point y0 to g(y0), bent into the complex
+    domain by +i*epsilon*sin(pi t) times the unit direction u so it crosses
+    no wall.  Its image t |-> eval_gencos(rs, path(t)) is a loop with
+    monodromy label g, and the path is that loop's lift from y0.
 
     Every root pairs with u to a nonzero value of size at most 1: clearance
     from the walls without exponential blowup of the loop values.  A wall
-    <v, y> = ell has ell real, so the distance of y(t) from it is at least
-    |Im <v, y(t)>| = |epsilon| * sin(pi t) * |<v, u>|.  Over the interior
-    samples that is smallest at the first one, t1: the clearance is
-    |epsilon| * sin(pi t1) * min_v |<v, u>|, and a loop whose clearance is
-    at most 1e-9 is refused.
+    <v, y> = ell has ell real, so at time t the path is at least
+    |epsilon| * sin(pi t) * |<v, u>| from it.  Near the ends, and on the
+    whole path for a small epsilon, lift_paths' step rule meets that
+    clearance: it halves the step there, and ends in ContinuationError on a
+    path that comes too close to a wall.
     """
-    from .rootsys import affine_apply
     if y0 is None:
         y0 = basepoint_array(rs)
     y0 = np.asarray(y0, dtype=complex)
@@ -210,37 +193,36 @@ def make_generator_loop(rs: RootSystem, g: AffineElement, y0=None,
     y1 = affine_apply(g, y0)
     if np.abs(y1 - y0).max() < 1e-12:
         raise ValueError("generator fixes the basepoint; loop is degenerate")
-    u, least = _unit_direction(rs)
-    ts = np.linspace(0.0, 1.0, num_samples)
-    clearance = abs(epsilon) * np.sin(np.pi * ts[1]) * float(least)
-    if clearance <= 1e-9:
-        raise ValueError(f"generating path comes within {clearance:.3e} of "
-                         f"a wall")
-    u = np.array([float(c) for c in u])
-    ys = ((1 - ts)[:, None] * y0[None, :] + ts[:, None] * y1[None, :]
-          + 1j * epsilon * np.sin(np.pi * ts)[:, None] * u[None, :])
-    pts = eval_gencos(rs, ys)
-    return Loop(PathSample(ts, pts), label=g)
+    step, bump = y1 - y0, 1j * epsilon * _unit_direction(rs)
+
+    def path(t: float) -> np.ndarray:
+        return y0 + t * step + math.sin(math.pi * t) * bump
+
+    return path
 
 
 # ---------------------------------------------------------------------------
 # monodromy by path lifting
 # ---------------------------------------------------------------------------
 
-def numeric_monodromy(rs: RootSystem, d: int, loop: Loop, levels: int,
+def numeric_monodromy(rs: RootSystem, d: int, loop, levels: int,
                       y_start=None):
-    """Monodromy level actions of a loop, computed numerically: one
-    continuation through the covering determines the deck element, which
-    determines every level action."""
+    """Monodromy level actions of a loop, loop(t) of shape (n,) for t in
+    [0, 1] with loop(0) = loop(1) = gencos(y_start), computed numerically:
+    one continuation through the covering determines the deck element,
+    which determines every level action."""
     check_img_caps(rs, d, levels)
     if y_start is None:
         y_start = basepoint_array(rs)
     y_start = np.asarray(y_start, dtype=complex)
-    if np.abs(eval_gencos(rs, y_start) - loop.samples.points[0]).max() > 1e-8:
+    x0 = np.asarray(loop(0.0))
+    gap = np.abs(x0 - loop(1.0)).max()
+    if gap > 1e-10:
+        raise ValueError(f"loop endpoints differ by {gap:.3e}")
+    if np.abs(eval_gencos(rs, y_start) - x0).max() > 1e-8:
         raise ValueError("loop is not based at the image of y_start")
 
-    g = deck_identify(rs, y_start,
-                      lift_path(rs, loop.samples, y_start).points[-1])
+    g = deck_identify(rs, y_start, lift_path(rs, loop, y_start).points[-1])
     actions = [algebraic_action(g, d, k) for k in range(1, levels + 1)]
     return actions, g
 
@@ -381,16 +363,15 @@ def img_verification(rs: RootSystem, d: int, levels: int) -> MonodromyReport:
     report = MonodromyReport(rs.type_spec, d, levels)
     y0 = basepoint_array(rs)
     gens = standard_affine_generators(rs)
-    # every loop is sampled on the same grid, DEFAULT_LOOP_SAMPLES times
-    loops = [make_generator_loop(rs, g, y0) for _, g in gens]
+    paths = [make_generator_loop(rs, g, y0) for _, g in gens]
     try:
+        # the loops' exact values: one kernel call per time for all of them
         ends = lift_paths(
-            rs, loops[0].samples.times,
-            np.stack([loop.samples.points for loop in loops], 1),
-            np.tile(y0, (len(loops), 1))).points[-1]
-    except LiftError as err:
-        raise type(err)(f"generator {gens[err.path][0]}: {err}", err.path,
-                        err.t, err.step, err.value) from err
+            rs, lambda t: eval_gencos(rs, np.array([p(t) for p in paths])),
+            np.tile(y0, (len(paths), 1))).points[-1]
+    except ContinuationError as err:
+        raise ContinuationError(f"generator {gens[err.path][0]}: {err}",
+                                err.path, err.t, err.step, err.value) from err
     for (name, g), end in zip(gens, ends):
         deck = deck_identify(rs, y0, end)
         actions = [algebraic_action(g, d, k) for k in range(1, levels + 1)]

@@ -32,14 +32,6 @@ class TreeWord:
             if len(letter) != self.n or any(not 0 <= c < self.d for c in letter):
                 raise ValueError(f"letter {letter} outside alphabet")
 
-    def encode(self) -> tuple:
-        """The lattice vector mod d^len represented by the word."""
-        out = [0] * self.n
-        for pos, letter in enumerate(self.letters):
-            for j, c in enumerate(letter):
-                out[j] += c * self.d ** pos
-        return tuple(out)
-
 
 def act_on_word(g: AffineElement, w: TreeWord) -> TreeWord:
     """Apply g letter by letter, threading carries."""

@@ -3,9 +3,9 @@ helpers that only the tests use, kept as test oracles: an orbit's rows
 sliced from the stacked table, the positive roots by the signs of their
 coefficients, the generalized cosine as a stabilizer-normalized sum over the
 whole Weyl group, exact polynomial composition, the order of an affine
-element by repeated products, loop concatenation and the rank-one standard
-loops, the automaton JSON read back, and a tree word from a lattice
-vector."""
+element by repeated products, a generating path's loop and the wall ratio
+of its first step, loop concatenation and the rank-one standard loops, the automaton JSON read back, a tree word
+from a lattice vector, and back."""
 
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ import numpy as np
 
 from weylcheb.chebmap import PolynomialMap
 from weylcheb.errors import DimensionError
-from weylcheb.gencos import TWO_PI_I, PathSample
-from weylcheb.monodromy import DEFAULT_LOOP_SAMPLES, Loop
+from weylcheb.gencos import TWO_PI_I, eval_gencos
 from weylcheb.rootsys import (AffineElement, RootSystem, WeylElement,
                               affine_compose, fundamental_orbit_table,
                               weyl_group_elements)
@@ -103,33 +102,49 @@ def affine_element_order(g: AffineElement, cap: int = 64):
     return None  # pragma: no cover - Weyl parts have small order
 
 
-def concat_loops(l1: Loop, l2: Loop) -> Loop:
-    """The loop "first l1, then l2" (deck elements multiply left to right)."""
-    if np.abs(l1.samples.points[0] - l2.samples.points[0]).max() > 1e-9:
+def loop_of(rs: RootSystem, path):
+    """The loop t |-> gencos(path(t)) of a generating path, such as
+    make_generator_loop's: the function lift_path takes."""
+    return lambda t: eval_gencos(rs, path(t))
+
+
+def first_step_wall_ratios(rs: RootSystem, paths, h: float) -> np.ndarray:
+    """Each generating path's ratio of its move from t = 0 to t = h toward
+    a wall to its distance from that wall at h, the largest over the
+    positive roots: the path is its loop's lift, so this is the ratio the
+    lift's step rule sees on a first step of h."""
+    roots = np.array([v.weight_coords for v in positive_roots(rs)])
+    out = []
+    for path in paths:
+        p = roots @ path(h)
+        move = np.abs(roots @ (path(h) - path(0.0)))
+        out.append((move / np.abs(p - np.round(p.real))).max())
+    return np.array(out)
+
+
+def concat_loops(l1, l2):
+    """The loop "first l1, then l2" (deck elements multiply left to right),
+    each loop a function of t in [0, 1]."""
+    if np.abs(l1(0.0) - l2(0.0)).max() > 1e-9:
         raise ValueError("loops are based at different points")
-    t1 = l1.samples.times * 0.5
-    t2 = 0.5 + l2.samples.times * 0.5
-    times = np.concatenate([t1, t2[1:]])
-    points = np.concatenate([l1.samples.points, l2.samples.points[1:]])
-    label = None
-    if l1.label is not None and l2.label is not None:
-        label = affine_compose(l1.label, l2.label)
-    return Loop(PathSample(times, points), label=label)
+    return lambda t: l1(2 * t) if t <= 0.5 else l2(2 * t - 1)
 
 
-def a1_standard_loops(d: int, num_samples: int = DEFAULT_LOOP_SAMPLES):
+def a1_standard_loops(d: int):
     """The two standard generating loops of the rank-one target space
-    punctured at -2 and +2, based at 0:  +-2(1 - e^{2 pi i s}).
+    punctured at -2 and +2, based at 0:  +-2(1 - e^{2 pi i t}).
 
     They are based at 0 rather than at the image of the canonical basepoint;
     lifting starts from the alcove-interior preimage 1/4 of 0, and the real
     connecting segment from the canonical basepoint conjugates the actions
     without changing any deck element, so no extra bookkeeping is needed.
     """
-    ts = np.linspace(0.0, 1.0, num_samples)
-    circle = 1 - np.exp(2j * np.pi * ts)
-    plus = Loop(PathSample(ts, (2 * circle)[:, None]))
-    minus = Loop(PathSample(ts, (-2 * circle)[:, None]))
+    def plus(t):
+        return np.array([2 * (1 - np.exp(TWO_PI_I * t))])
+
+    def minus(t):
+        return -plus(t)
+
     return plus, minus
 
 
@@ -160,3 +175,12 @@ def tree_word_from_vector(u, length: int, d: int) -> TreeWord:
         letters.append(tuple(c % d for c in u))
         u = [c // d for c in u]
     return TreeWord(tuple(letters), d, len(letters[0]) if letters else len(u))
+
+
+def tree_word_vector(w: TreeWord) -> tuple:
+    """The lattice vector mod d^len that the word represents."""
+    out = [0] * w.n
+    for pos, letter in enumerate(w.letters):
+        for j, c in enumerate(letter):
+            out[j] += c * w.d ** pos
+    return tuple(out)

@@ -1,5 +1,6 @@
 """Orbit-sum algebra and exact synthesis of the polynomial maps."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -177,6 +178,26 @@ def test_deep_expansion_chain_stays_below_the_recursion_limit():
     pmap = build_cheb_map(build_root_system.__wrapped__("A1"), 600)
     assert pmap.components[0][(600,)] == 1
     assert eval_polys(pmap.components, [2]) == [2]
+
+
+def test_chebmap_a1_1200_follows_the_rank_one_recurrence(capsys):
+    # X^1200's chain is deeper than Python's recursion limit, which a
+    # recursive walk down it exceeded (chebmap A1 990 ended in RecursionError).
+    # In rank one m_(d+1) = X m_d - m_(d-1) for d >= 2, from m_1 = X and
+    # m_2 = X^2 - 2
+    from weylcheb import cli
+    assert cli.main(["chebmap", "A1", "1200", "--samples", "5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    got = {term["exponents"][0]: term["coeff"]
+           for term in out["components"][0]}
+    prev, cur = {1: 1}, {2: 1, 0: -2}
+    for _ in range(2, 1200):
+        nxt = {e + 1: c for e, c in cur.items()}
+        for e, c in prev.items():
+            nxt[e] = nxt.get(e, 0) - c
+        prev, cur = cur, {e: c for e, c in nxt.items() if c}
+    assert got == cur
+    assert out["verification"]["pass"] is True
 
 
 def test_monomial_expand_refuses_non_integer_exponents(rs):

@@ -361,6 +361,18 @@ def test_automaton_stdout_and_out_file_bytes_agree(fmt, capsys, tmp_path):
     assert path.read_bytes() == out.encode()
 
 
+@pytest.mark.parametrize("name", ["missing/x.json", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_unwritable_out_is_an_error_not_a_traceback(name, capsys, tmp_path):
+    # a path in a missing directory, and a directory: exit 2 with error: ...
+    target = tmp_path / name
+    code, out, err = run_cli(capsys, "img-verify", "A1", "2", "1", "--out",
+                             str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # --- options -------------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [

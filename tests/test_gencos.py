@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from weylcheb import gencos
-from weylcheb.errors import (
-    ContinuationError,
-    DeckMatchError,
-    DimensionError,
-    NearSingularError,
-)
+from weylcheb.errors import ContinuationError, DeckMatchError, DimensionError
 from weylcheb.gencos import (
-    PathSample,
     deck_identify,
     eval_gencos,
     gencos_jacobian,
@@ -37,7 +31,9 @@ from weylcheb.rootsys import (
     translation_element,
 )
 
-from root_oracles import A1_LOOP_BASEPOINT, a1_standard_loops, eval_gencos_fullsum
+from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
+                          eval_gencos_fullsum, first_step_wall_ratios, loop_of,
+                          positive_roots)
 
 TEST_SPECS = ("A1", "A2", "B2", "G2")
 
@@ -147,17 +143,19 @@ def test_kernel_lifts_like_the_oracles(spec, rs, monkeypatch):
     rsys = rs(spec)
     y0 = basepoint_array(rsys)
     gens = [g for _, g in standard_affine_generators(rsys)]
-    loops = [make_generator_loop(rsys, g) for g in gens]
-    lifts = [lift_path(rsys, loop.samples, y0) for loop in loops]
+    paths = [make_generator_loop(rsys, g) for g in gens]
+    lifts = [lift_path(rsys, loop_of(rsys, p), y0) for p in paths]
+    ts = np.linspace(0, 1, 33)
+    batched = [eval_gencos(rsys, np.array([p(t) for t in ts])) for p in paths]
     monkeypatch.setattr(gencos, "_kernel", _oracle_kernel)
-    for loop, lifted in zip(loops, lifts):
-        want = lift_path(rsys, loop.samples, y0)
+    for path, lifted in zip(paths, lifts):
+        want = lift_path(rsys, loop_of(rsys, path), y0)
         assert np.array_equal(lifted.times, want.times)
         assert np.abs(lifted.points - want.points).max() <= 1e-12
-    # the loops' samples too, batched against one oracle call per sample
-    for loop, g in zip(loops, gens):
-        want = make_generator_loop(rsys, g).samples.points
-        _assert_rel_close(loop.samples.points, want)
+    # the loops' values too, batched against one oracle call per time
+    for path, got in zip(paths, batched):
+        want = np.array([eval_gencos(rsys, path(t)) for t in ts])
+        _assert_rel_close(got, want)
 
 
 # --- Jacobian -----------------------------------------------------------------
@@ -258,23 +256,18 @@ def test_constant_path_lifts_constant(rs):
     a2 = rs("A2")
     y0 = np.array([1 / 6, 1 / 6], dtype=complex)
     x0 = eval_gencos(a2, y0)
-    path = PathSample(np.array([0.0, 1.0]), np.array([x0, x0]))
-    lifted = lift_path(a2, path, y0)
+    lifted = lift_path(a2, lambda t: x0, y0)
     assert np.abs(lifted.points - y0).max() < 1e-9
 
 
 def test_lift_reproduces_segment(rs):
-    # the unique lift of the image of a wall-avoiding segment is the segment;
-    # dyadic sample times keep the continuation on exact target values
+    # the unique lift of the image of a wall-avoiding segment is the segment
     for spec in ("A1", "A2", "B2"):
         rsys = rs(spec)
         u = np.array([float(c) for c in rho_vee(rsys)])
         u = u / np.abs(u).max()
         y0 = np.full(rsys.rank, 0.11) + 0.13j * u
-        ts = np.linspace(0, 1, 257)
-        seg = y0[None, :] + 0.2 * ts[:, None] * u[None, :]
-        path = PathSample(ts, np.array([eval_gencos(rsys, y) for y in seg]))
-        lifted = lift_path(rsys, path, y0)
+        lifted = lift_path(rsys, loop_of(rsys, lambda t: y0 + 0.2 * t * u), y0)
         expected = y0[None, :] + 0.2 * lifted.times[:, None] * u[None, :]
         assert np.abs(lifted.points - expected).max() < 1e-8
 
@@ -282,16 +275,19 @@ def test_lift_reproduces_segment(rs):
 def test_lift_uniqueness_across_settings(rs, monkeypatch):
     a2 = rs("A2")
     from weylcheb.monodromy import make_generator_loop, basepoint_array
-    loop = make_generator_loop(a2, reflection_element(a2.simple_roots[0], 0))
+    loop = loop_of(a2, make_generator_loop(
+        a2, reflection_element(a2.simple_roots[0], 0)))
     y0 = basepoint_array(a2)
     monkeypatch.setattr(gencos, "INITIAL_STEP", 1 / 64)
-    lift1 = lift_path(a2, loop.samples, y0)
+    lift1 = lift_path(a2, loop, y0)
     monkeypatch.setattr(gencos, "INITIAL_STEP", 1 / 128)
-    lift2 = lift_path(a2, loop.samples, y0)
+    lift2 = lift_path(a2, loop, y0)
     assert len(lift2.times) > len(lift1.times)
     assert np.abs(lift1.points[-1] - lift2.points[-1]).max() < 1e-8
-    for t in (0.25, 0.5, 0.75):
-        assert np.abs(lift1.at(t) - lift2.at(t)).max() < 1e-6
+    # the coarse schedule's times are on the fine one: the lifts agree there
+    at = np.searchsorted(lift2.times, lift1.times)
+    assert np.array_equal(lift2.times[at], lift1.times)
+    assert np.abs(lift1.points - lift2.points[at]).max() < 1e-6
 
 
 def test_a1_standard_loop_deck_elements(rs):
@@ -300,10 +296,10 @@ def test_a1_standard_loop_deck_elements(rs):
     a1 = rs("A1")
     y = np.array([A1_LOOP_BASEPOINT], dtype=complex)
     plus, minus = a1_standard_loops(2)
-    lifted = lift_path(a1, plus.samples, y)
+    lifted = lift_path(a1, plus, y)
     g_plus = deck_identify(a1, y, lifted.points[-1])
     assert g_plus == reflection_element(a1.roots[0], 0)
-    lifted = lift_path(a1, minus.samples, y)
+    lifted = lift_path(a1, minus, y)
     g_minus = deck_identify(a1, y, lifted.points[-1])
     assert g_minus == reflection_element(a1.roots[0], 1)
     assert affine_compose(g_minus, g_plus) == translation_element((1,))
@@ -311,49 +307,65 @@ def test_a1_standard_loop_deck_elements(rs):
 
 def test_lift_fails_crossing_critical_image(rs):
     # a target path through a critical value cannot be lifted: the engine
-    # reports a stall or a near-singular Jacobian instead of jumping branches
-    from weylcheb.errors import ContinuationError, NearSingularError
+    # reports a stall instead of jumping branches
     a1 = rs("A1")
     y0 = np.array([1 / 6 + 0j])
     x0 = eval_gencos(a1, y0)
-    ts = np.linspace(0, 1, 101)
-    through_two = (x0[0] * (1 - ts) + 3.0 * ts)[:, None]
-    with pytest.raises((ContinuationError, NearSingularError)):
-        lift_path(a1, PathSample(ts, through_two), y0)
+    with pytest.raises(ContinuationError):
+        lift_path(a1, lambda t: x0 * (1 - t) + 3.0 * t, y0)
     a2 = rs("A2")
     y2 = np.array([1 / 6 + 0j, 1 / 6 + 0j])
     x2 = eval_gencos(a2, y2)
-    to_cusp = np.array([(1 - t) * x2 + t * np.array([3.0, 3.0]) for t in ts])
-    with pytest.raises((ContinuationError, NearSingularError)):
-        lift_path(a2, PathSample(ts, to_cusp), y2)
+    with pytest.raises(ContinuationError):
+        lift_path(a2, lambda t: (1 - t) * x2 + t * np.array([3.0, 3.0]), y2)
 
 
-def test_near_singular_error_names_its_witness(rs, monkeypatch):
+def test_wall_ratio_error_names_its_witness(rs, monkeypatch):
+    # a ratio bound of 1e-9 refuses every step down to MIN_STEP, where the
+    # error names the ratio of the last step tried
     a2 = rs("A2")
-    loop = make_generator_loop(a2, reflection_element(a2.simple_roots[0], 0))
     y0 = basepoint_array(a2)
-    first = lift_path(a2, loop.samples, y0)
-    t1 = first.times[1]
-    est = gencos._condition_estimate(gencos_jacobian(a2, first.points[1]))
-    # every condition estimate is at least 1, so the first accepted point
-    # is refused
-    monkeypatch.setattr(gencos, "JACOBIAN_CONDITION_CAP", 1.0)
-    with pytest.raises(NearSingularError) as err:
-        lift_path(a2, loop.samples, y0)
-    msg = str(err.value)
-    assert f"t={t1:.6f}" in msg
-    assert f"{est:.3e}" in msg
-    assert f"step {t1:.3e}" in msg
+    path = make_generator_loop(a2, reflection_element(a2.simple_roots[0], 0))
+    want = first_step_wall_ratios(a2, [path], gencos.MIN_STEP)[0]
+    monkeypatch.setattr(gencos, "WALL_RATIO", 1e-9)
+    with pytest.raises(ContinuationError) as err:
+        lift_path(a2, loop_of(a2, path), y0)
+    e = err.value
+    assert (e.path, e.t, e.step) == (0, 0.0, gencos.MIN_STEP)
+    assert e.value == pytest.approx(want, rel=1e-4)
+    msg = str(e)
+    assert msg.startswith("path 0: continuation stalled at t=0.000000")
+    assert f"step {gencos.MIN_STEP:.3e}" in msg
+    assert f"wall ratio {e.value:.3e}" in msg
 
 
-def test_singular_jacobian_at_converged_point_is_near_singular(rs, monkeypatch):
-    # a constant path converges at its first iterate; a Jacobian with a zero
-    # row there must raise NearSingularError, not numpy's LinAlgError
-    assert gencos._condition_estimate(np.zeros((2, 2))) == float("inf")
+@pytest.mark.parametrize("spec", ["A2", "G2", "B3"])
+def test_tiny_bump_stalls_at_the_wall_it_crosses(spec, rs):
+    # the s1 loop's generating path crosses the wall of s1 at t = 1/2, a
+    # bump of epsilon away; for a small epsilon no step above MIN_STEP
+    # keeps the wall ratio below WALL_RATIO there
+    rsys = rs(spec)
+    y0 = basepoint_array(rsys)
+    g = standard_affine_generators(rsys)[0][1]
+    for epsilon in (1e-5, 1e-7, 0.0):
+        path = make_generator_loop(rsys, g, epsilon=epsilon)
+        with pytest.raises(ContinuationError) as err:
+            lift_path(rsys, loop_of(rsys, path), y0)
+        e = err.value
+        assert 0.5 - 2 * gencos.MIN_STEP <= e.t < 0.5
+        assert e.step == gencos.MIN_STEP
+        assert gencos.WALL_RATIO <= e.value < 2
+        assert f"wall ratio {e.value:.3e}" in str(e)
+
+
+def test_singular_jacobian_at_converged_point_is_no_linalg_error(
+        rs, monkeypatch):
+    # with a zero row in every Jacobian, a constant path converges at each
+    # step's first iterate and never solves; a moving path fails its first
+    # solve: a ContinuationError naming its residual, not numpy's LinAlgError
     a2 = rs("A2")
     y0 = np.array([1 / 6, 1 / 6], dtype=complex)
     x0 = eval_gencos(a2, y0)
-    path = PathSample(np.array([0.0, 1.0]), np.array([x0, x0]))
     real = gencos._kernel
 
     def singular(rsys, x, jacobian):
@@ -361,31 +373,33 @@ def test_singular_jacobian_at_converged_point_is_near_singular(rs, monkeypatch):
             return real(rsys, x, jacobian)
         values, jac = real(rsys, x, jacobian)
         jac = jac.copy()
-        jac[-1] = 0
+        jac[..., -1, :] = 0
         return values, jac
 
     monkeypatch.setattr(gencos, "_kernel", singular)
-    with pytest.raises(NearSingularError, match="estimate inf above cap"):
-        lift_path(a2, path, y0)
+    lifted = lift_path(a2, lambda t: x0, y0)
+    assert np.abs(lifted.points - y0).max() < 1e-9
+    with pytest.raises(ContinuationError,
+                       match="last Newton residual") as err:
+        lift_path(a2, lambda t: x0 + 0.1 * t, y0)
+    assert (err.value.path, err.value.t) == (0, 0.0)
 
 
 def test_lift_rejects_bad_start(rs):
     a1 = rs("A1")
-    ts = np.linspace(0, 1, 3)
     x0 = eval_gencos(a1, np.array([1 / 6 + 0j]))
-    path = PathSample(ts, np.tile(x0, (3, 1)))
     with pytest.raises(ValueError):
-        lift_path(a1, path, np.array([0.3 + 0j]))  # not a preimage
-    on_wall = PathSample(ts, np.tile(eval_gencos(a1, np.array([0j])), (3, 1)))
+        lift_path(a1, lambda t: x0, np.array([0.3 + 0j]))  # not a preimage
+    on_wall = eval_gencos(a1, np.array([0j]))
     with pytest.raises(ValueError):
-        lift_path(a1, on_wall, np.array([0j]))  # start on a wall
+        lift_path(a1, lambda t: on_wall, np.array([0j]))  # start on a wall
 
 
 # --- batched lifting --------------------------------------------------------------
 
-def _batch(loops):
-    return (loops[0].samples.times,
-            np.stack([loop.samples.points for loop in loops], 1))
+def _batch(rsys, paths):
+    """The batched target of generating paths: their loops' values."""
+    return lambda t: eval_gencos(rsys, np.array([p(t) for p in paths]))
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "G2", "A1xA1", "A3", "B3", "B2",
@@ -395,29 +409,29 @@ def test_batch_gives_every_path_its_single_lift_deck(spec):
     rsys = build_root_system(spec)
     y0 = basepoint_array(rsys)
     gens = [g for _, g in standard_affine_generators(rsys)]
-    loops = [make_generator_loop(rsys, g, y0) for g in gens]
-    ends = lift_paths(rsys, *_batch(loops), np.tile(y0, (len(loops), 1)))
-    assert ends.points.shape[1:] == (len(loops), rsys.rank)
-    for g, loop, end in zip(gens, loops, ends.points[-1]):
-        alone = lift_path(rsys, loop.samples, y0).points[-1]
+    paths = [make_generator_loop(rsys, g, y0) for g in gens]
+    ends = lift_paths(rsys, _batch(rsys, paths), np.tile(y0, (len(paths), 1)))
+    assert ends.points.shape[1:] == (len(paths), rsys.rank)
+    for g, path, end in zip(gens, paths, ends.points[-1]):
+        alone = lift_path(rsys, loop_of(rsys, path), y0).points[-1]
         assert deck_identify(rsys, y0, end) == deck_identify(
             rsys, y0, alone) == g
 
 
 def test_batch_halves_the_step_for_every_path(rs):
-    # a bump of 1e-5 takes the s2 loop so close to a wall that a step of
-    # INITIAL_STEP fails there; the s1 loop with the default bump does not
-    # need it, but is lifted on the same halved schedule
+    # a bump of 1e-3 takes the s2 loop so close to a wall that the step rule
+    # halves the step there, down to 2^-11; the s1 loop with the default
+    # bump does not need it, but is lifted on the same halved schedule
     a2 = rs("A2")
     y0 = basepoint_array(a2)
     (_, g1), (_, g2), _ = standard_affine_generators(a2)
     easy = make_generator_loop(a2, g1, y0)
-    hard = make_generator_loop(a2, g2, y0, epsilon=1e-5)
-    assert np.all(np.diff(lift_path(a2, easy.samples, y0).times)
+    hard = make_generator_loop(a2, g2, y0, epsilon=1e-3)
+    assert np.all(np.diff(lift_path(a2, loop_of(a2, easy), y0).times)
                   == gencos.INITIAL_STEP)
-    hard_alone = lift_path(a2, hard.samples, y0)
-    lifted = lift_paths(a2, *_batch([easy, hard]), np.tile(y0, (2, 1)))
-    assert np.diff(lifted.times).min() < gencos.INITIAL_STEP
+    hard_alone = lift_path(a2, loop_of(a2, hard), y0)
+    lifted = lift_paths(a2, _batch(a2, [easy, hard]), np.tile(y0, (2, 1)))
+    assert np.diff(lifted.times).min() == 2.0 ** -11
     assert np.array_equal(lifted.times, hard_alone.times)
     assert deck_identify(a2, y0, lifted.points[-1, 0]) == g1
     assert deck_identify(a2, y0, lifted.points[-1, 1]) == g2
@@ -426,29 +440,32 @@ def test_batch_halves_the_step_for_every_path(rs):
 def test_batch_start_that_is_not_a_preimage_names_its_path(rs):
     a2 = rs("A2")
     y0 = basepoint_array(a2)
-    loops = [make_generator_loop(a2, g, y0)
+    paths = [make_generator_loop(a2, g, y0)
              for _, g in standard_affine_generators(a2)]
     starts = np.tile(y0, (3, 1))
     starts[1] += 0.01
     with pytest.raises(ValueError, match="path 1: y_start is not a preimage"):
-        lift_paths(a2, *_batch(loops), starts)
+        lift_paths(a2, _batch(a2, paths), starts)
 
 
 def test_carried_point_is_not_evaluated_again(rs, monkeypatch):
     # the value and Jacobian of each accepted point (and of the starts) carry
-    # into the next Newton iterate, so no kernel call repeats the last one
+    # into the next Newton iterate, so no Jacobian call repeats the last one;
+    # the value-only calls are the loops' targets, one per step tried
     from weylcheb.monodromy import img_verification
     calls = []
     real = gencos._kernel
 
     def spy(rsys, x, jacobian):
-        calls.append(np.array(x, dtype=complex))
+        calls.append((jacobian, np.array(x, dtype=complex)))
         return real(rsys, x, jacobian)
 
     monkeypatch.setattr(gencos, "_kernel", spy)
     assert img_verification(rs("A2"), 2, 2).passed
-    assert len(calls) > 64
-    for a, b in zip(calls, calls[1:]):
+    jacobian_calls = [x for jac, x in calls if jac]
+    assert len(jacobian_calls) > 64
+    assert len(calls) - len(jacobian_calls) == 65  # t = 0, then 64 steps
+    for a, b in zip(jacobian_calls, jacobian_calls[1:]):
         assert not (a.shape == b.shape and np.array_equal(a, b))
 
 
@@ -457,12 +474,10 @@ def test_continuation_error_names_its_witness(rs, monkeypatch):
     # moving path (index 1) fails every step until the step is below MIN_STEP
     a2 = rs("A2")
     y0 = basepoint_array(a2)
-    loop = make_generator_loop(a2, standard_affine_generators(a2)[0][1], y0)
-    still = np.tile(loop.samples.points[:1], (len(loop.samples.times), 1))
-    points = np.stack([still, loop.samples.points], 1)
+    path = make_generator_loop(a2, standard_affine_generators(a2)[0][1], y0)
     monkeypatch.setattr(gencos, "MAX_NEWTON_ITERS", 1)
     with pytest.raises(ContinuationError) as err:
-        lift_paths(a2, loop.samples.times, points, np.tile(y0, (2, 1)))
+        lift_paths(a2, _batch(a2, [lambda t: y0, path]), np.tile(y0, (2, 1)))
     e = err.value
     assert (e.path, e.t, e.step) == (1, 0.0, gencos.MIN_STEP)
     assert e.value > gencos.NEWTON_TOL
@@ -472,39 +487,38 @@ def test_continuation_error_names_its_witness(rs, monkeypatch):
     assert f"last Newton residual {e.value:.3e}" in msg
 
 
-def test_near_singular_error_names_the_worst_path(rs, monkeypatch):
+def test_wall_ratio_error_names_the_worst_path(rs, monkeypatch):
     a2 = rs("A2")
     y0 = basepoint_array(a2)
-    loops = [make_generator_loop(a2, g, y0)
+    paths = [make_generator_loop(a2, g, y0)
              for _, g in standard_affine_generators(a2)]
-    first = lift_paths(a2, *_batch(loops), np.tile(y0, (3, 1)))
-    est = gencos._condition_estimate(gencos_jacobian(a2, first.points[1]))
-    worst = int(np.argmax(est))
-    # a cap between the estimates: only the worst path's is above it
-    monkeypatch.setattr(gencos, "JACOBIAN_CONDITION_CAP",
-                        (est.max() + np.sort(est)[-2]) / 2)
-    with pytest.raises(NearSingularError) as err:
-        lift_paths(a2, *_batch(loops), np.tile(y0, (3, 1)))
+    ratios = first_step_wall_ratios(a2, paths, gencos.MIN_STEP)
+    worst = int(np.argmax(ratios))
+    assert ratios[worst] > 1.01 * np.sort(ratios)[-2]
+    monkeypatch.setattr(gencos, "WALL_RATIO", 1e-9)
+    with pytest.raises(ContinuationError) as err:
+        lift_paths(a2, _batch(a2, paths), np.tile(y0, (3, 1)))
     e = err.value
-    assert (e.path, e.t, e.step) == (worst, first.times[1], first.times[1])
-    assert e.value == pytest.approx(est[worst], rel=1e-12)
-    assert str(e).startswith(f"path {worst}: Jacobian condition estimate "
-                             f"{e.value:.3e}")
+    assert (e.path, e.t, e.step) == (worst, 0.0, gencos.MIN_STEP)
+    assert e.value == pytest.approx(ratios[worst], rel=1e-4)
+    assert str(e).startswith(f"path {worst}: continuation stalled at "
+                             f"t=0.000000")
 
 
-def test_condition_estimate_is_stacked(rs):
-    # one stacked inverse; an exactly singular member reads inf and leaves
-    # the others as they are
+def test_wall_distance_is_stacked(rs):
+    # one product for a stack of points, equal to the per-point rows; the
+    # distance is taken to the nearest integer level of each pairing
     a2 = rs("A2")
-    jacs = gencos_jacobian(a2, np.array([[0.1, 0.2], [0.3, 0.05]]))
-    est = gencos._condition_estimate(jacs)
-    assert est.shape == (2,)
-    for j, e in zip(jacs, est):
-        assert gencos._condition_estimate(j) == pytest.approx(e, rel=1e-12)
-    jacs[0] = 0
-    singular = gencos._condition_estimate(jacs)
-    assert singular[0] == np.inf
-    assert singular[1] == pytest.approx(est[1], rel=1e-12)
+    pts = np.array([[0.1 + 0.02j, 0.2], [0.3, 1.05 - 0.01j]])
+    p, dist = gencos._wall_distance(a2, pts)
+    assert p.shape == dist.shape == (2, len(positive_roots(a2)))
+    for x, row_p, row_d in zip(pts, p, dist):
+        want_p = np.array([np.dot(v.weight_coords, x)
+                           for v in positive_roots(a2)])
+        assert np.array_equal(gencos._wall_distance(a2, x)[1], row_d)
+        assert np.abs(row_p - want_p).max() < 1e-15
+        assert np.abs(row_d - np.abs(want_p - np.round(want_p.real))).max() \
+            < 1e-15
 
 
 # --- deck identification -----------------------------------------------------------

@@ -9,12 +9,11 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from weylcheb import monodromy
 from weylcheb import gencos
-from weylcheb.errors import CapExceededError, NearSingularError
+from weylcheb.errors import CapExceededError, ContinuationError
 from weylcheb.gencos import deck_identify, eval_gencos, is_on_diagram, lift_path
 from weylcheb.monodromy import (
     ACTION_CELL_CAP,
     ENTRY_CAP,
-    Loop,
     algebraic_action,
     basepoint_array,
     check_img_caps,
@@ -34,13 +33,15 @@ from weylcheb.rootsys import (
     build_root_system,
     dot,
     reflection_element,
+    rho_vee,
     translation_element,
     weyl_group_elements,
     weyl_order,
 )
 
 from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
-                          affine_element_order, concat_loops, positive_roots)
+                          affine_element_order, concat_loops,
+                          first_step_wall_ratios, loop_of, positive_roots)
 
 # the img-verify cases of the benchmark (perfbench/cases.py)
 BENCH_IMG_CASES = [("A1", 2, 4), ("A2", 2, 2), ("G2", 2, 2), ("A1xA1", 2, 3),
@@ -218,10 +219,14 @@ def test_generator_loop_closes_and_avoids_walls(rs):
     for spec in ("A2", "G2"):
         rsys = rs(spec)
         g = reflection_element(rsys.simple_roots[0], 0)
-        loop = make_generator_loop(rsys, g)
-        pts = loop.samples.points
-        assert np.abs(pts[0] - pts[-1]).max() < 1e-12
-        assert loop.label == g
+        path = make_generator_loop(rsys, g)
+        y0 = basepoint_array(rsys)
+        assert np.array_equal(path(0.0), y0)
+        assert np.abs(path(1.0) - affine_apply(g, y0)).max() < 1e-15
+        loop = loop_of(rsys, path)
+        assert np.abs(loop(0.0) - loop(1.0)).max() < 1e-12
+        ys = np.array([path(t) for t in np.linspace(0, 1, 65)])
+        assert not any(is_on_diagram(rsys, y, 1e-3)[0] for y in ys)
 
 
 def test_generator_loop_rejects_identity(rs):
@@ -231,17 +236,16 @@ def test_generator_loop_rejects_identity(rs):
 
 def _scan_clearance(rsys, loop_samples):
     """The oracle: the smallest |Im <v, y(t)>| over every root and every
-    interior sample of the generating path, the per-sample wall scan that
-    make_generator_loop ran before it used the closed-form bound."""
+    interior sample of the generating path."""
     roots = np.array([v.weight_coords for v in rsys.roots], dtype=float)
     return np.abs((loop_samples[1:-1] @ roots.T).imag).min()
 
 
 def _generating_path(rsys, g, epsilon, num_samples):
-    # the path make_generator_loop maps through gencos, rebuilt here
+    # the path make_generator_loop builds, rebuilt here on a grid
     y0 = basepoint_array(rsys)
     y1 = affine_apply(g, y0)
-    u = np.array([float(c) for c in monodromy._unit_direction(rsys)[0]])
+    u = monodromy._unit_direction(rsys)
     ts = np.linspace(0.0, 1.0, num_samples)
     return ((1 - ts)[:, None] * y0 + ts[:, None] * y1
             + 1j * epsilon * np.sin(np.pi * ts)[:, None] * u)
@@ -250,41 +254,52 @@ def _generating_path(rsys, g, epsilon, num_samples):
 @pytest.mark.parametrize("spec", [c[0] for c in BENCH_IMG_CASES]
                          + ["B4", "F4", "C4"])
 def test_clearance_bound_equals_the_wall_scan(spec, rs):
+    # the clearance make_generator_loop's docstring states, |epsilon| *
+    # sin(pi t) * min_v |<v, u>| at time t, is the path's least distance
+    # from a wall over a sample grid; u is rho^vee / (h - 1), built once
     rsys = rs(spec)
-    u, cached = monodromy._unit_direction(rsys)
-    least = float(min(abs(dot(v.weight_coords, u)) for v in rsys.roots))
-    assert float(cached) == least
-    assert monodromy._unit_direction(rsys)[0] is u  # once per root system
+    u = monodromy._unit_direction(rsys)
+    top = max(dot(v.weight_coords, rho_vee(rsys)) for v in rsys.roots)
+    assert np.array_equal(u, [float(c / top) for c in rho_vee(rsys)])
+    least = min(abs(dot(v.weight_coords, u)) for v in rsys.roots)
+    assert least == pytest.approx(1 / top, rel=1e-12)
+    assert monodromy._unit_direction(rsys) is u  # once per root system
     for epsilon, num in ((0.1, 257), (-0.3, 33), (0.02, 1001)):
         bound = abs(epsilon) * np.sin(np.pi / (num - 1)) * least
         for _, g in standard_affine_generators(rsys):
             ys = _generating_path(rsys, g, epsilon, num)
             assert _scan_clearance(rsys, ys) == pytest.approx(bound, rel=1e-9)
-    # the rebuilt path is the one make_generator_loop maps
+    # the rebuilt path is the one make_generator_loop builds
     for _, g in standard_affine_generators(rsys):
         ys = _generating_path(rsys, g, 0.1, 257)
-        loop = make_generator_loop(rsys, g)
-        assert np.array_equal(loop.samples.points,
-                              [eval_gencos(rsys, y) for y in ys])
-    # make_generator_loop refuses exactly the bumps whose bound is <= 1e-9,
-    # and names the bound
+        path = make_generator_loop(rsys, g)
+        got = np.array([path(t) for t in np.linspace(0.0, 1.0, 257)])
+        assert np.abs(got - ys).max() < 1e-15
+    # a bump of 1e-9 is far below what a step of MIN_STEP moves near the
+    # wall the path crosses, so the lift ends in ContinuationError there;
+    # the default bump lifts to its label
+    y0 = basepoint_array(rsys)
     g = standard_affine_generators(rsys)[0][1]
-    t1 = 1 / (monodromy.DEFAULT_LOOP_SAMPLES - 1)
-    critical_eps = 1e-9 / (np.sin(np.pi * t1) * least)
-    make_generator_loop(rsys, g, epsilon=1.001 * critical_eps)
-    with pytest.raises(ValueError) as exc:
-        make_generator_loop(rsys, g, epsilon=0.999 * critical_eps)
-    named = float(str(exc.value).split("within ")[1].split()[0])
-    assert named == pytest.approx(0.999e-9, rel=1e-3)
+    end = lift_path(rsys, loop_of(rsys, make_generator_loop(rsys, g)),
+                    y0).points[-1]
+    assert deck_identify(rsys, y0, end) == g
+    with pytest.raises(ContinuationError) as exc:
+        lift_path(rsys, loop_of(rsys, make_generator_loop(rsys, g,
+                                                          epsilon=1e-9)), y0)
+    assert 0.49 < exc.value.t < 0.5
+    assert exc.value.value >= gencos.WALL_RATIO
+    assert f"wall ratio {exc.value.value:.3e}" in str(exc.value)
 
 
 @pytest.mark.parametrize("spec", ["A2", "G2", "B3"])
 def test_tiny_epsilon_loop_is_refused(spec, rs):
     rsys = rs(spec)
+    y0 = basepoint_array(rsys)
     g = standard_affine_generators(rsys)[0][1]
-    with pytest.raises(ValueError, match=r"within \d\.\d+e-\d+ of a wall"):
-        make_generator_loop(rsys, g, epsilon=1e-12)
-    # the per-sample wall scan refused this path too: it crosses g's wall
+    path = make_generator_loop(rsys, g, epsilon=1e-12)
+    with pytest.raises(ContinuationError, match=r"wall ratio \d\.\d+e[+-]\d+"):
+        lift_path(rsys, loop_of(rsys, path), y0)
+    # the path crosses g's wall
     ys = _generating_path(rsys, g, 1e-12, 257)
     assert any(is_on_diagram(rsys, y, 1e-9)[0] for y in ys[1:-1])
 
@@ -300,22 +315,54 @@ def test_lifted_generator_loop_recovers_label(rs):
     for spec in ("A1", "A2", "B2", "G2"):
         rsys = rs(spec)
         for _, g in standard_affine_generators(rsys):
-            loop = make_generator_loop(rsys, g)
+            loop = loop_of(rsys, make_generator_loop(rsys, g))
             _, deck = numeric_monodromy(rsys, 2, loop, 1)
             assert deck == g
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_long_a2_loops_lift_to_their_own_decks(k, rs):
+    # the loops of t*s1 and s1*t, t a translation by (k, 0), pass many walls
+    # close to their ends, where the step rule halves the step; without it
+    # (steps of 1/64 throughout) each lift jumps sheets and ends at s1
+    a2 = rs("A2")
+    y0 = basepoint_array(a2)
+    t = translation_element((k, 0))
+    s1 = standard_affine_generators(a2)[0][1]
+    for g in (affine_compose(t, s1), affine_compose(s1, t)):
+        lifted = lift_path(a2, loop_of(a2, make_generator_loop(a2, g, y0)),
+                           y0)
+        assert deck_identify(a2, y0, lifted.points[-1]) == g
+        assert np.diff(lifted.times).min() < gencos.INITIAL_STEP
+        _, deck = numeric_monodromy(a2, 2, loop_of(
+            a2, make_generator_loop(a2, g, y0)), 1)
+        assert deck == g
 
 
 # --- numeric engine ------------------------------------------------------------------
 
 def test_constant_loop_identity_monodromy(rs):
-    from weylcheb.gencos import PathSample
     a1 = rs("A1")
     y0 = basepoint_array(a1)
     x0 = eval_gencos(a1, y0)
-    loop = Loop(PathSample(np.array([0.0, 1.0]), np.array([x0, x0])))
-    actions, deck = numeric_monodromy(a1, 2, loop, 3)
+    actions, deck = numeric_monodromy(a1, 2, lambda t: x0, 3)
     assert deck.is_identity()
     assert all(_is_identity(a) for a in actions)
+
+
+def test_numeric_monodromy_refuses_an_open_or_misplaced_loop(rs):
+    # the endpoints check that Loop made, and the basepoint check
+    a2 = rs("A2")
+    y0 = basepoint_array(a2)
+    g = standard_affine_generators(a2)[0][1]
+    y1 = affine_apply(g, y0)
+    half = loop_of(a2, lambda t: y0 + 0.25 * t * (y1 - y0) + 0.1j * np.sin(
+        np.pi * t))
+    with pytest.raises(ValueError, match="loop endpoints differ by"):
+        numeric_monodromy(a2, 2, half, 1)
+    with pytest.raises(ValueError, match="not based at the image"):
+        numeric_monodromy(a2, 2, loop_of(a2, make_generator_loop(a2, g)), 1,
+                          y_start=y0 + 0.05)
 
 
 def test_numeric_equals_algebraic_for_generators(rs):
@@ -323,7 +370,7 @@ def test_numeric_equals_algebraic_for_generators(rs):
         rsys = rs(spec)
         y0 = basepoint_array(rsys)
         for _, g in standard_affine_generators(rsys):
-            loop = make_generator_loop(rsys, g, y0)
+            loop = loop_of(rsys, make_generator_loop(rsys, g, y0))
             numeric, deck = numeric_monodromy(rsys, d, loop, k, y_start=y0)
             assert deck == g
             for lvl in range(k):
@@ -339,9 +386,9 @@ def test_lift_from_shifted_representative(spec, rs):
     rsys = rs(spec)
     y0 = basepoint_array(rsys)
     for _, g in standard_affine_generators(rsys):
-        loop = make_generator_loop(rsys, g, y0)
+        loop = loop_of(rsys, make_generator_loop(rsys, g, y0))
         for u in itertools.product(range(2), repeat=rsys.rank):
-            end = lift_path(rsys, loop.samples, y0 - np.array(u)).points[-1]
+            end = lift_path(rsys, loop, y0 - np.array(u)).points[-1]
             shift = translation_element(tuple(-c for c in u))
             assert deck_identify(rsys, y0, end) == affine_compose(shift, g)
 
@@ -350,8 +397,8 @@ def test_concatenation_composes_deck_elements(rs):
     a2 = rs("A2")
     y0 = basepoint_array(a2)
     gens = [g for _, g in standard_affine_generators(a2)]
-    l1 = make_generator_loop(a2, gens[0], y0)
-    l2 = make_generator_loop(a2, gens[2], y0)
+    l1 = loop_of(a2, make_generator_loop(a2, gens[0], y0))
+    l2 = loop_of(a2, make_generator_loop(a2, gens[2], y0))
     both = concat_loops(l1, l2)
     act_both, deck = numeric_monodromy(a2, 2, both, 1, y_start=y0)
     assert deck == affine_compose(gens[0], gens[2])
@@ -384,7 +431,7 @@ def test_a1_standard_loops_orders(d, rs):
 
 def test_a1_standard_loop_encircles_plus_two():
     plus, _ = a1_standard_loops(2)
-    pts = plus.samples.points[:, 0]
+    pts = np.array([plus(t)[0] for t in np.linspace(0, 1, 257)])
     assert abs(pts[0]) < 1e-14
     # winding number of the loop around +2 is 1
     winding = np.angle((pts[1:] - 2) / (pts[:-1] - 2)).sum() / (2 * np.pi)
@@ -568,18 +615,15 @@ def test_img_verification_catches_mislabeled_loop(rs, monkeypatch):
     # the loop of t*g, t a translation by d^levels e_1, acts like g on every
     # level up to `levels`; only the deck check can tell it from g's loop.
     # Its path is about four times longer than g's and passes walls near its
-    # ends, so it gets a wider bump than the default to lift on one sheet.
+    # ends, where the step rule keeps its lift on one sheet
     a2, d, levels = rs("A2"), 2, 2
     t = translation_element((d ** levels, 0))
     wrong = standard_affine_generators(a2)[0][1]
     build = monodromy.make_generator_loop
 
     def mislabeled(rsys, g, *args, **kwargs):
-        if g != wrong:
-            return build(rsys, g, *args, **kwargs)
-        loop = build(rsys, affine_compose(t, g), *args, epsilon=0.5, **kwargs)
-        loop.label = g
-        return loop
+        return build(rsys, affine_compose(t, g) if g == wrong else g, *args,
+                     **kwargs)
 
     monkeypatch.setattr(monodromy, "make_generator_loop", mislabeled)
     rep = img_verification(a2, d, levels)
@@ -597,45 +641,49 @@ def test_img_verification_catches_mislabeled_loop(rs, monkeypatch):
                                            ("G2", 2, 1)])
 def test_img_verification_lifts_every_loop_in_one_call(spec, d, levels, rs,
                                                        monkeypatch):
+    # one batch, whose target at each time is every generator loop's exact
+    # value there
     rsys = rs(spec)
     batches = []
     real = monodromy.lift_paths
 
-    def spy(rsys_, times, points, y_starts):
-        batches.append(np.array(points))
-        return real(rsys_, times, points, y_starts)
+    def spy(rsys_, target, y_starts):
+        batches.append(target)
+        return real(rsys_, target, y_starts)
 
     monkeypatch.setattr(monodromy, "lift_paths", spy)
     rep = img_verification(rsys, d, levels)
     assert rep.passed
     assert len(batches) == 1
     y0 = basepoint_array(rsys)
-    want = [make_generator_loop(rsys, g, y0).samples.points
-            for _, g in standard_affine_generators(rsys)]
-    assert np.array_equal(batches[0], np.stack(want, 1))
+    paths = [make_generator_loop(rsys, g, y0)
+             for _, g in standard_affine_generators(rsys)]
+    for t in (0.0, 1 / 64, 0.3, 0.5, 1.0):
+        assert np.array_equal(batches[0](t),
+                              [eval_gencos(rsys, p(t)) for p in paths])
 
 
 def test_img_verification_names_the_generator_of_a_lift_error(rs,
                                                               monkeypatch):
-    # a cap of 1 refuses the first accepted step of every loop; the error
-    # names the loop with the largest estimate by its generator's name
+    # a ratio bound of 1e-9 refuses every step; the error names the loop
+    # with the largest ratio at the last step tried, MIN_STEP, by its
+    # generator's name
     a2 = rs("A2")
     y0 = basepoint_array(a2)
     gens = standard_affine_generators(a2)
-    estimates = []
-    for _, g in gens:
-        first = lift_path(a2, make_generator_loop(a2, g, y0).samples, y0)
-        estimates.append(gencos._condition_estimate(
-            gencos.gencos_jacobian(a2, first.points[1])))
-    worst = int(np.argmax(estimates))
-    monkeypatch.setattr(gencos, "JACOBIAN_CONDITION_CAP", 1.0)
-    with pytest.raises(NearSingularError) as err:
+    ratios = first_step_wall_ratios(
+        a2, [make_generator_loop(a2, g, y0) for _, g in gens], gencos.MIN_STEP)
+    worst = int(np.argmax(ratios))
+    monkeypatch.setattr(gencos, "WALL_RATIO", 1e-9)
+    with pytest.raises(ContinuationError) as err:
         img_verification(a2, 2, 1)
     assert err.value.path == worst
-    assert err.value.value == pytest.approx(estimates[worst], rel=1e-12)
+    assert (err.value.t, err.value.step) == (0.0, gencos.MIN_STEP)
+    assert err.value.value == pytest.approx(ratios[worst], rel=1e-4)
     assert str(err.value).startswith(
-        f"generator {gens[worst][0]}: path {worst}: Jacobian condition "
-        f"estimate")
+        f"generator {gens[worst][0]}: path {worst}: continuation stalled at "
+        f"t=0.000000")
+    assert f"wall ratio {err.value.value:.3e}" in str(err.value)
 
 
 def test_img_verification_a2_level2_vertex_count(rs):
@@ -652,7 +700,6 @@ def test_img_verification_reducible(rs):
 
 
 def test_img_caps_refuse_oversized(rs):
-    from weylcheb.gencos import PathSample
     # entries: (rank + factors) generators times sum_k d^(k * rank); the
     # products have at most 2^18 vertices, which the old vertex cap accepted
     for spec, d, levels, vertices, entries in (
@@ -664,8 +711,9 @@ def test_img_caps_refuse_oversized(rs):
             ("x".join(["A1"] * 9), 2, 2, 2 ** 18, 18 * (2 ** 9 + 2 ** 18))):
         rsys = rs(spec)
         # numeric_monodromy refuses with the same message, before any lift
-        still = Loop(PathSample(np.array([0.0, 1.0]),
-                                np.zeros((2, rsys.rank), dtype=complex)))
+        def still(t):
+            return np.zeros(rsys.rank, dtype=complex)
+
         for refuse in (lambda: check_img_caps(rsys, d, levels),
                        lambda: numeric_monodromy(rsys, d, still, levels)):
             with pytest.raises(CapExceededError) as exc:

@@ -21,7 +21,8 @@ from weylcheb.selfsim import (
     reachable_states,
 )
 
-from root_oracles import import_automaton, tree_word_from_vector
+from root_oracles import (import_automaton, tree_word_from_vector,
+                          tree_word_vector)
 
 
 def word_of(digits, d=2, n=1):
@@ -63,7 +64,7 @@ def test_word_encoding_round_trip():
         k = rng.randint(1, 4)
         u = tuple(rng.randrange(d ** k) for _ in range(n))
         w = tree_word_from_vector(u, k, d)
-        assert w.encode() == u
+        assert tree_word_vector(w) == u
 
 
 @pytest.mark.parametrize("spec,d", [("A1", 2), ("A1", 3), ("A2", 2), ("B2", 2)])
@@ -87,7 +88,7 @@ def test_action_matches_lattice_action(spec, d, rs):
             idx = idx * m + u[j]
         expected = act[idx]
         got = 0
-        enc = out.encode()
+        enc = tree_word_vector(out)
         for j in reversed(range(rsys.rank)):
             got = got * m + enc[j]
         assert got == expected
