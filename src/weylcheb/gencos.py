@@ -14,14 +14,17 @@ values are the sums of e over each orbit's rows, and Jacobian entry (k, j)
 is 2 pi i times the sum of e * lam_j over orbit k.
 
 Path lifting (lift_paths) carries a batch of paths, each given by its exact
-value at any time t, along one step schedule: each Newton iterate is one
-kernel call on the still-unconverged paths and one stacked solve, and the
-value and Jacobian at an accepted point are the next step's first iterate.
-One routine measures how far points are from the walls (_wall_distance):
-it serves wall membership (is_on_diagram), the check that the lift starts
-off the walls, and the step rule that keeps each lift on its own sheet,
-which halves a step that moved toward a wall by as much as two thirds of
-the new point's distance from it.  lift_path is the batch of one.
+value at any time t, along one dyadic step schedule: each Newton iterate is
+one kernel call on the whole batch and one stacked solve, and the value,
+Jacobian and root pairings at an accepted point are the next step's first
+iterate and the wall rule's reference.  One routine measures how far
+points are from the walls (_wall_distance): it serves wall membership
+(is_on_diagram), the check that the lift starts off the walls, and the step
+rule that keeps each lift on its own sheet, which halves a step that moved
+toward a wall by as much as two thirds of the new point's distance from it.
+The step starts at INITIAL_STEP and, after an accepted step, doubles when t
+is a multiple of the doubled step, up to MAX_STEP.  lift_path is the batch
+of one.
 """
 
 from __future__ import annotations
@@ -41,13 +44,16 @@ from .rootsys import (
 
 TWO_PI_I = 2j * np.pi
 
-# path lifting: Newton tolerance and iterations per step, the first and the
-# smallest step in t, and the largest accepted ratio of a step's move toward
-# a wall to the new point's distance from it (a jump across the wall gives
-# a ratio near 2)
+# path lifting: Newton tolerance and iterations per step, the first, the
+# largest and the smallest step in t, and the largest accepted ratio of a
+# step's move toward a wall to the new point's distance from it (a jump
+# across the wall gives a ratio near 2).  The first step stays small: begun
+# at MAX_STEP, the A2 loop of s1*t, t the translation by (4, 0), lifts to
+# the wrong deck element with no error (the tests pin this)
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITERS = 25
 INITIAL_STEP = 1.0 / 64
+MAX_STEP = 1.0 / 16
 MIN_STEP = 1.0 / 65536
 WALL_RATIO = 2.0 / 3
 
@@ -140,10 +146,10 @@ def lift_paths(rs: RootSystem, target, y_starts) -> PathSample:
     target(0) off the walls; the lift is a PathSample whose points have
     shape (m, P, n), one row of P points per accepted time.
 
-    Each Newton iterate makes one kernel call on the unconverged paths and
-    one stacked solve; the value and Jacobian at each accepted point carry
-    into the next step's first iterate.  A converged point y' reached from
-    y is accepted only if |<v, y' - y>| < WALL_RATIO |<v, y'> - ell| for
+    Each Newton iterate makes one kernel call on the whole batch and one
+    stacked solve; the value, Jacobian and root pairings at each accepted
+    point carry into the next step.  A converged point y' reached from y
+    is accepted only if |<v, y' - y>| < WALL_RATIO |<v, y'> - ell| for
     every path and positive root v, ell the integer nearest to Re <v, y'>:
     the step moved toward no wall by as much as two thirds of the new
     point's distance from it.  A jump from the lift's own sheet to its
@@ -151,6 +157,11 @@ def lift_paths(rs: RootSystem, target, y_starts) -> PathSample:
     failure or a refused point on any path halves the step for all of them,
     down to MIN_STEP; beyond that a ContinuationError names the failing
     path's index, t, the step and its last Newton residual or wall ratio.
+
+    The first step is INITIAL_STEP.  After an accepted step the step
+    doubles, up to MAX_STEP, when t is a multiple of the doubled step, so
+    every time stays on the dyadic grid of the step that reached it and a
+    halved step is held until that grid lets it grow.
     """
     y = np.array(y_starts, dtype=complex)
     x = np.asarray(target(0.0), dtype=complex)
@@ -158,77 +169,68 @@ def lift_paths(rs: RootSystem, target, y_starts) -> PathSample:
         raise DimensionError(f"starts have shape {y.shape}, path values "
                              f"{x.shape}")
     values, jac = _kernel(rs, y, jacobian=True)
+    pairings, dist = _wall_distance(rs, y)
     start_res = np.abs(values - x).max(axis=1)
     for i, y_i in enumerate(y):
         if not start_res[i] <= NEWTON_TOL * 10:
             raise ValueError(f"path {i}: y_start is not a preimage of the "
                              f"path start (residual {start_res[i]:.3e})")
-        on, wit = is_on_diagram(rs, y_i, 1e-9)
-        if on:
+        if dist[i].min() <= 1e-9:
             raise ValueError(f"path {i}: y_start lies on a reflection wall "
-                             f"{wit}")
+                             f"{is_on_diagram(rs, y_i, 1e-9)[1]}")
 
-    rows = _positive_roots(rs)[1]
     lifted_times = [0.0]
     lifted_points = [y]
-    # t stays exact: every step is a power of two no smaller than MIN_STEP
+    # t stays exact and a multiple of the step: every step is a power of two
+    # between MIN_STEP and MAX_STEP, so t + step never passes 1
     t = 0.0
     step = INITIAL_STEP
     while t < 1.0:
-        h = min(step, 1.0 - t)
         y_new, values_new, jac_new, failed = _newton(
-            rs, y, values, jac, np.asarray(target(t + h), dtype=complex))
+            rs, y, values, jac, np.asarray(target(t + step), dtype=complex))
         if failed is None:
-            move = np.abs((y_new - y) @ rows.T)
-            dist = _wall_distance(rs, y_new)[1]
+            pairings_new, dist = _wall_distance(rs, y_new)
+            move = np.abs(pairings_new - pairings)
             if (move < WALL_RATIO * dist).all():
-                t += h
-                y, values, jac = y_new, values_new, jac_new
+                t += step
+                y, values, jac, pairings = (y_new, values_new, jac_new,
+                                            pairings_new)
                 lifted_times.append(t)
                 lifted_points.append(y)
-                step = min(INITIAL_STEP, step * 2.0)
+                if step < MAX_STEP and t % (2.0 * step) == 0.0:
+                    step *= 2.0
                 continue
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = (move / dist).max(axis=1)
             i = int(np.argmax(ratio))
             failed = i, "wall ratio", float(ratio[i])
-        step *= 0.5
-        if step < MIN_STEP:
+        if step * 0.5 < MIN_STEP:
             i, what, value = failed
             raise ContinuationError(
                 f"path {i}: continuation stalled at t={t:.6f} (step "
-                f"{h:.3e}, halved below {MIN_STEP}; {what} {value:.3e})",
-                path=i, t=t, step=h, value=value)
+                f"{step:.3e}, halved below {MIN_STEP}; {what} {value:.3e})",
+                path=i, t=t, step=step, value=value)
+        step *= 0.5
     return PathSample(np.array(lifted_times), np.array(lifted_points))
 
 
 def _newton(rs: RootSystem, y, values, jac, target):
     """Newton's method for gencos(y) = target on a batch of paths, from the
-    points y with their values and Jacobians: one kernel call on the
-    unconverged paths and one stacked solve per iterate.
+    points y with their values and Jacobians: one kernel call on the whole
+    batch and one stacked solve per iterate, until every path is within
+    NEWTON_TOL.
 
     Returns (y, values, Jacobians, None) at convergence.  When any path
     diverges, leaves its basin (|delta| > 0.5) or meets a singular
     Jacobian, returns three Nones and (that path's index, "last Newton
     residual", its last residual)."""
-    y_out, values_out, jac_out = (np.empty_like(a) for a in (y, values, jac))
-    index = np.arange(len(y))
     for it in range(MAX_NEWTON_ITERS):
         if it:
             values, jac = _kernel(rs, y, jacobian=True)
         res = values - target
         err = np.abs(res).max(axis=1)
-        done = err <= NEWTON_TOL
-        if done.any():
-            at = index[done]
-            y_out[at] = y[done]
-            values_out[at] = values[done]
-            jac_out[at] = jac[done]
-            if done.all():
-                return y_out, values_out, jac_out, None
-            keep = ~done
-            index, y, jac, target, res, err = (
-                a[keep] for a in (index, y, jac, target, res, err))
+        if (err <= NEWTON_TOL).all():
+            return y, values, jac, None
         try:
             delta = np.linalg.solve(jac, res[..., None])[..., 0]
             # left the basin, or not finite
@@ -242,8 +244,7 @@ def _newton(rs: RootSystem, y, values, jac, target):
         y = y - delta
     else:
         i = int(np.argmax(err))
-    return None, None, None, (int(index[i]), "last Newton residual",
-                              float(err[i]))
+    return None, None, None, (i, "last Newton residual", float(err[i]))
 
 
 def deck_identify(rs: RootSystem, y0, y1, tol: float = 1e-7) -> AffineElement:

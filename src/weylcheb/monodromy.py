@@ -169,29 +169,33 @@ def basepoint_array(rs: RootSystem) -> np.ndarray:
     return np.array([float(c / h) for c in rho_vee(rs)], dtype=complex)
 
 
-def make_generator_loop(rs: RootSystem, g: AffineElement, y0=None,
+def make_generator_loop(rs: RootSystem,
+                        g: AffineElement | list[AffineElement], y0=None,
                         epsilon: float = DEFAULT_EPSILON):
     """The generating path of g's loop, as a function of t in [0, 1]: the
     straight segment from the real point y0 to g(y0), bent into the complex
     domain by +i*epsilon*sin(pi t) times the unit direction u so it crosses
     no wall.  Its image t |-> eval_gencos(rs, path(t)) is a loop with
-    monodromy label g, and the path is that loop's lift from y0.
+    monodromy label g, and the path is that loop's lift from y0.  For a
+    list of P generators, path(t) is their P paths at t stacked, shape
+    (P, n): one numpy expression per time for all of them.
 
     Every root pairs with u to a nonzero value of size at most 1: clearance
     from the walls without exponential blowup of the loop values.  A wall
     <v, y> = ell has ell real, so at time t the path is at least
-    |epsilon| * sin(pi t) * |<v, u>| from it.  Near the ends, and on the
-    whole path for a small epsilon, lift_paths' step rule meets that
-    clearance: it halves the step there, and ends in ContinuationError on a
-    path that comes too close to a wall.
+    |epsilon| * sin(pi t) * |<v, u>| from it.  lift_paths' step rule meets
+    that clearance: it halves the step where the path comes near a wall,
+    holds it there until the dyadic grid lets it grow again, and ends in
+    ContinuationError on a path that comes too close to a wall.
     """
     if y0 is None:
         y0 = basepoint_array(rs)
     y0 = np.asarray(y0, dtype=complex)
     if np.any(y0.imag):
         raise ValueError("the loop's basepoint must be real")
-    y1 = affine_apply(g, y0)
-    if np.abs(y1 - y0).max() < 1e-12:
+    y1 = (affine_apply(g, y0) if isinstance(g, AffineElement)
+          else np.array([affine_apply(h, y0) for h in g]))
+    if (np.abs(y1 - y0).max(axis=-1) < 1e-12).any():
         raise ValueError("generator fixes the basepoint; loop is degenerate")
     step, bump = y1 - y0, 1j * epsilon * _unit_direction(rs)
 
@@ -363,12 +367,11 @@ def img_verification(rs: RootSystem, d: int, levels: int) -> MonodromyReport:
     report = MonodromyReport(rs.type_spec, d, levels)
     y0 = basepoint_array(rs)
     gens = standard_affine_generators(rs)
-    paths = [make_generator_loop(rs, g, y0) for _, g in gens]
+    paths = make_generator_loop(rs, [g for _, g in gens], y0)
     try:
         # the loops' exact values: one kernel call per time for all of them
-        ends = lift_paths(
-            rs, lambda t: eval_gencos(rs, np.array([p(t) for p in paths])),
-            np.tile(y0, (len(paths), 1))).points[-1]
+        ends = lift_paths(rs, lambda t: eval_gencos(rs, paths(t)),
+                          np.tile(y0, (len(gens), 1))).points[-1]
     except ContinuationError as err:
         raise ContinuationError(f"generator {gens[err.path][0]}: {err}",
                                 err.path, err.t, err.step, err.value) from err

@@ -284,6 +284,12 @@ def test_lift_uniqueness_across_settings(rs, monkeypatch):
     lift2 = lift_path(a2, loop, y0)
     assert len(lift2.times) > len(lift1.times)
     assert np.abs(lift1.points[-1] - lift2.points[-1]).max() < 1e-8
+    # each accepted time is on the dyadic grid of the step that reached it,
+    # and no step passes MAX_STEP
+    for lifted in (lift1, lift2):
+        steps = np.diff(lifted.times)
+        assert np.all(lifted.times[1:] % steps == 0)
+        assert steps.max() == gencos.MAX_STEP
     # the coarse schedule's times are on the fine one: the lifts agree there
     at = np.searchsorted(lift2.times, lift1.times)
     assert np.array_equal(lift2.times[at], lift1.times)
@@ -421,14 +427,19 @@ def test_batch_gives_every_path_its_single_lift_deck(spec):
 def test_batch_halves_the_step_for_every_path(rs):
     # a bump of 1e-3 takes the s2 loop so close to a wall that the step rule
     # halves the step there, down to 2^-11; the s1 loop with the default
-    # bump does not need it, but is lifted on the same halved schedule
+    # bump needs only one halving, near the wall it passes at t = 1/2, but
+    # is lifted on the same halved schedule
     a2 = rs("A2")
     y0 = basepoint_array(a2)
     (_, g1), (_, g2), _ = standard_affine_generators(a2)
     easy = make_generator_loop(a2, g1, y0)
     hard = make_generator_loop(a2, g2, y0, epsilon=1e-3)
-    assert np.all(np.diff(lift_path(a2, loop_of(a2, easy), y0).times)
-                  == gencos.INITIAL_STEP)
+    # from INITIAL_STEP = 1/64 the step doubles on the dyadic grid up to
+    # MAX_STEP = 1/16, is halved once before t = 1/2 and grows back there
+    assert np.array_equal(
+        lift_path(a2, loop_of(a2, easy), y0).times * 64,
+        [0, 1, 2, 4, 8, 12, 16, 20, 24, 28, 30, 32, 36, 40, 44, 48, 52, 56,
+         60, 64])
     hard_alone = lift_path(a2, loop_of(a2, hard), y0)
     lifted = lift_paths(a2, _batch(a2, [easy, hard]), np.tile(y0, (2, 1)))
     assert np.diff(lifted.times).min() == 2.0 ** -11
@@ -454,17 +465,25 @@ def test_carried_point_is_not_evaluated_again(rs, monkeypatch):
     # the value-only calls are the loops' targets, one per step tried
     from weylcheb.monodromy import img_verification
     calls = []
+    tried = []
     real = gencos._kernel
+    real_newton = gencos._newton
 
     def spy(rsys, x, jacobian):
         calls.append((jacobian, np.array(x, dtype=complex)))
         return real(rsys, x, jacobian)
 
+    def newton_spy(*args):
+        tried.append(args)
+        return real_newton(*args)
+
     monkeypatch.setattr(gencos, "_kernel", spy)
+    monkeypatch.setattr(gencos, "_newton", newton_spy)
     assert img_verification(rs("A2"), 2, 2).passed
     jacobian_calls = [x for jac, x in calls if jac]
     assert len(jacobian_calls) > 64
-    assert len(calls) - len(jacobian_calls) == 65  # t = 0, then 64 steps
+    # t = 0, then one per step tried
+    assert len(calls) - len(jacobian_calls) == 1 + len(tried)
     for a, b in zip(jacobian_calls, jacobian_calls[1:]):
         assert not (a.shape == b.shape and np.array_equal(a, b))
 

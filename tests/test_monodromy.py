@@ -320,23 +320,62 @@ def test_lifted_generator_loop_recovers_label(rs):
             assert deck == g
 
 
-@pytest.mark.parametrize("k", [4, 8])
-def test_long_a2_loops_lift_to_their_own_decks(k, rs):
+def _long_loops(rsys, k):
+    """The generators t*s1 and s1*t, t the translation by (k, 0, ...)."""
+    t = translation_element((k,) + (0,) * (rsys.rank - 1))
+    s1 = standard_affine_generators(rsys)[0][1]
+    return affine_compose(t, s1), affine_compose(s1, t)
+
+
+# the A2 inputs keep their first ids
+@pytest.mark.parametrize("spec,k", [
+    pytest.param("A2", 4, id="4"), pytest.param("A2", 8, id="8"),
+    ("B2", 4), ("B2", 8), ("G2", 4)])
+def test_long_a2_loops_lift_to_their_own_decks(spec, k, rs):
     # the loops of t*s1 and s1*t, t a translation by (k, 0), pass many walls
-    # close to their ends, where the step rule halves the step; without it
-    # (steps of 1/64 throughout) each lift jumps sheets and ends at s1
+    # close to their ends, where the step rule halves the step; on A2
+    # without it each lift jumps sheets and ends on a wrong deck element
+    # (test_long_a2_loops_need_the_wall_rule)
+    rsys = rs(spec)
+    y0 = basepoint_array(rsys)
+    for g in _long_loops(rsys, k):
+        lifted = lift_path(rsys, loop_of(rsys, make_generator_loop(rsys, g,
+                                                                   y0)), y0)
+        assert deck_identify(rsys, y0, lifted.points[-1]) == g
+        assert np.diff(lifted.times).min() < gencos.INITIAL_STEP
+        _, deck = numeric_monodromy(rsys, 2, loop_of(
+            rsys, make_generator_loop(rsys, g, y0)), 1)
+        assert deck == g
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_long_a2_loops_need_the_wall_rule(k, rs, monkeypatch):
+    # with a ratio bound no step can fail, every long A2 loop lifts to a
+    # wrong deck element, with no error
     a2 = rs("A2")
     y0 = basepoint_array(a2)
-    t = translation_element((k, 0))
-    s1 = standard_affine_generators(a2)[0][1]
-    for g in (affine_compose(t, s1), affine_compose(s1, t)):
+    monkeypatch.setattr(gencos, "WALL_RATIO", 1e9)
+    for g in _long_loops(a2, k):
         lifted = lift_path(a2, loop_of(a2, make_generator_loop(a2, g, y0)),
                            y0)
-        assert deck_identify(a2, y0, lifted.points[-1]) == g
-        assert np.diff(lifted.times).min() < gencos.INITIAL_STEP
-        _, deck = numeric_monodromy(a2, 2, loop_of(
-            a2, make_generator_loop(a2, g, y0)), 1)
-        assert deck == g
+        assert deck_identify(a2, y0, lifted.points[-1]) != g
+
+
+def test_long_a2_loop_needs_a_small_first_step(rs, monkeypatch):
+    # begun at MAX_STEP, the lift of s1*t, t the translation by (4, 0),
+    # raises no error and ends on the translation by (4, 0), where its
+    # label is a reflection with translation part (-4, 0)
+    a2 = rs("A2")
+    y0 = basepoint_array(a2)
+    g = _long_loops(a2, 4)[1]
+    path = make_generator_loop(a2, g, y0)
+    assert deck_identify(a2, y0, lift_path(a2, loop_of(a2, path),
+                                           y0).points[-1]) == g
+    monkeypatch.setattr(gencos, "INITIAL_STEP", gencos.MAX_STEP)
+    deck = deck_identify(a2, y0, lift_path(a2, loop_of(a2, path),
+                                           y0).points[-1])
+    assert g.t == (-4, 0)
+    assert deck == translation_element((4, 0))
 
 
 # --- numeric engine ------------------------------------------------------------------
@@ -621,9 +660,9 @@ def test_img_verification_catches_mislabeled_loop(rs, monkeypatch):
     wrong = standard_affine_generators(a2)[0][1]
     build = monodromy.make_generator_loop
 
-    def mislabeled(rsys, g, *args, **kwargs):
-        return build(rsys, affine_compose(t, g) if g == wrong else g, *args,
-                     **kwargs)
+    def mislabeled(rsys, gens, *args, **kwargs):
+        return build(rsys, [affine_compose(t, g) if g == wrong else g
+                            for g in gens], *args, **kwargs)
 
     monkeypatch.setattr(monodromy, "make_generator_loop", mislabeled)
     rep = img_verification(a2, d, levels)
