@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import chebmap as cm
 from . import critical as cr
@@ -27,12 +28,39 @@ from .rootsys import (
 )
 
 
+def json_text(obj, pad: str = "\n") -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+    With an indent the json module falls back to its pure-Python encoder,
+    one generator per container; this builds each container with one join.
+    Leaves other than strings go through json.dumps itself, so floats, bools
+    and None print exactly as it prints them, and anything it cannot encode
+    (a numpy scalar, a set) raises its TypeError, as does a non-str key."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        items = [str(x) if type(x) is int else json_text(x, inner)
+                 for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(k) + ": "
+                 + (str(v) if type(v) is int else json_text(v, inner))
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    return json.dumps(obj)
+
+
 def _emit(args, payload) -> None:
     """Write a verb's output, a JSON payload or finished text, to --out or
     to stdout, the same bytes either way, ending in one newline.  An --out
     that cannot be written is bad input: a WeylchebError naming it."""
     if not isinstance(payload, str):
-        payload = json.dumps(payload, indent=2, sort_keys=True)
+        payload = json_text(payload)
     text = payload.rstrip("\n") + "\n"
     if args.out:
         try:

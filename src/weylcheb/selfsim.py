@@ -11,8 +11,10 @@ encoded words exactly.
 from __future__ import annotations
 
 import itertools
-import json
+from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapExceededError
 from .monodromy import wreath_digit_step
@@ -58,34 +60,51 @@ class Automaton:
 def reachable_states(gens, d: int, cap: int = STATE_CAP) -> Automaton:
     """Close a set of affine elements under child-state formation.  Carries
     are bounded by the Weyl part, so the closure is finite; the cap only
-    guards against model bugs."""
+    guards against model bugs.
+
+    A state (t, w) takes every letter a at once: V = A C^T + t over the
+    (d^n, n) int64 alphabet A, C the coroot matrix of w, so row a of V is
+    w(a) + t as in `wreath_digit_step`.  The image letters are V mod d and
+    the child translations the carries V // d; numpy floors both as Python
+    does, negative values included.  Children are visited in alphabet order,
+    breadth first."""
     if isinstance(gens, AffineElement):
         gens = [gens]
     n = gens[0].rank
+    # a child's carry is smaller than its parent's translation once that
+    # passes 2^62, so bounding the generators keeps every row inside int64
+    if any(abs(c) >= 2 ** 62 for g in gens for c in g.t):
+        raise ValueError("translation too large for the int64 closure")
+    letters = list(itertools.product(range(d), repeat=n))
+    alphabet = np.array(letters, dtype=np.int64)
     index = {}
     order = []
-    queue = []
-    for g in gens:
+    queue = deque()
+
+    def visit(g):
         if g not in index:
+            if len(order) >= cap:
+                raise CapExceededError(
+                    f"automaton closure exceeded {cap} states")
             index[g] = len(order)
             order.append(g)
             queue.append(g)
-    letters = list(itertools.product(range(d), repeat=n))
+        return index[g]
+
+    gen_idx = [visit(g) for g in gens]
     transitions = {}
     while queue:
-        state = queue.pop(0)
+        state = queue.popleft()
         si = index[state]
-        for letter in letters:
-            img, nxt = wreath_digit_step(state, d, letter)
-            if nxt not in index:
-                if len(order) >= cap:
-                    raise CapExceededError(
-                        f"automaton closure exceeded {cap} states")
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            transitions[(si, letter)] = (img, index[nxt])
-    gen_idx = [index[g] for g in gens]
+        v = (alphabet @ np.array(state.w.coroot_matrix, dtype=np.int64).T
+             + np.array(state.t, dtype=np.int64))
+        kids = {}  # carry -> child index; every child of a state shares w
+        for letter, img, carry in zip(letters, (v % d).tolist(),
+                                      (v // d).tolist()):
+            carry = tuple(carry)
+            if carry not in kids:
+                kids[carry] = visit(AffineElement(carry, state.w))
+            transitions[(si, letter)] = (tuple(img), kids[carry])
     return Automaton(d, n, order, transitions, gen_idx)
 
 
@@ -93,18 +112,19 @@ def reachable_states(gens, d: int, cap: int = STATE_CAP) -> Automaton:
 # export
 # ---------------------------------------------------------------------------
 
-def export_automaton(gens, d: int, fmt: str = "json") -> str:
-    """Serialize the reachable-state automaton of the given generators.
+def export_automaton(gens, d: int, fmt: str = "json") -> dict | str:
+    """The reachable-state automaton of the given generators: for "json" a
+    payload dict, for "text" finished text.
 
-    JSON schema: {alphabet_size, d, n, states: [{t, w_matrix}],
+    JSON schema: {alphabet_size, d, n, states: [{t, w_matrix, w_coroot}],
     transitions: [[state, letter, image_letter, child_state]],
     generators: [state indices]}.  The text format adds one wreath-recursion
     line per state: "g3 = [image letters](children)".
     """
     aut = reachable_states(gens, d)
-    letters = sorted({k[1] for k in aut.transitions})
+    letters = list(itertools.product(range(d), repeat=aut.n))
     if fmt == "json":
-        payload = {
+        return {
             "alphabet_size": d ** aut.n,
             "d": d,
             "n": aut.n,
@@ -119,7 +139,6 @@ def export_automaton(gens, d: int, fmt: str = "json") -> str:
             ],
             "generators": aut.generators,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
     if fmt == "text":
         lines = [f"alphabet: {d ** aut.n} letters ({aut.n} digits base {d})"]
         for si, s in enumerate(aut.states):

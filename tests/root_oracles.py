@@ -4,18 +4,22 @@ sliced from the stacked table, the positive roots by the signs of their
 coefficients, the generalized cosine as a stabilizer-normalized sum over the
 whole Weyl group, exact polynomial composition, the order of an affine
 element by repeated products, a generating path's loop and the wall ratio
-of its first step, loop concatenation and the rank-one standard loops, the automaton JSON read back, a tree word
-from a lattice vector, and back."""
+of its first step, loop concatenation and the rank-one standard loops, the automaton closure
+one letter at a time, the automaton JSON read back, a tree word from a
+lattice vector, and back."""
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import deque
 
 import numpy as np
 
 from weylcheb.chebmap import PolynomialMap
 from weylcheb.errors import DimensionError
 from weylcheb.gencos import TWO_PI_I, eval_gencos
+from weylcheb.monodromy import wreath_digit_step
 from weylcheb.rootsys import (AffineElement, RootSystem, WeylElement,
                               affine_compose, fundamental_orbit_table,
                               weyl_group_elements)
@@ -149,6 +153,31 @@ def a1_standard_loops(d: int):
 
 
 A1_LOOP_BASEPOINT = 0.25  # the alcove-interior preimage of 0
+
+
+def reachable_states_by_letter(gens, d: int) -> Automaton:
+    """The automaton closure with one `wreath_digit_step` per (state,
+    letter), breadth first, children in `itertools.product` letter order."""
+    if isinstance(gens, AffineElement):
+        gens = [gens]
+    n = gens[0].rank
+    index, order = {}, []
+    for g in gens:
+        if g not in index:
+            index[g] = len(order)
+            order.append(g)
+    queue = deque(order)
+    transitions = {}
+    while queue:
+        state = queue.popleft()
+        for letter in itertools.product(range(d), repeat=n):
+            img, nxt = wreath_digit_step(state, d, letter)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+            transitions[(index[state], letter)] = (img, index[nxt])
+    return Automaton(d, n, order, transitions, [index[g] for g in gens])
 
 
 def import_automaton(text: str) -> Automaton:

@@ -1,11 +1,16 @@
 """Tree words, wreath recursion, automata, and the faithfulness sweep."""
 
+import contextlib
+import hashlib
+import io
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+from weylcheb import cli
+from weylcheb.errors import CapExceededError
 from weylcheb.monodromy import (algebraic_action, perm_order,
                                 standard_affine_generators, wreath_digit_step)
 from weylcheb.rootsys import (
@@ -21,8 +26,8 @@ from weylcheb.selfsim import (
     reachable_states,
 )
 
-from root_oracles import (import_automaton, tree_word_from_vector,
-                          tree_word_vector)
+from root_oracles import (import_automaton, reachable_states_by_letter,
+                          tree_word_from_vector, tree_word_vector)
 
 
 def word_of(digits, d=2, n=1):
@@ -149,6 +154,46 @@ def test_generators_have_finite_automata(spec, d, rs):
         assert aut.states == again.states  # stable across runs
 
 
+def closure_matching_oracle(gens, d):
+    """The closure, after checking that the per-letter carry recursion gives
+    the same states, transitions and generator indices, in the same order."""
+    aut = reachable_states(gens, d)
+    oracle = reachable_states_by_letter(gens, d)
+    assert aut.states == oracle.states
+    assert aut.transitions == oracle.transitions
+    assert aut.generators == oracle.generators
+    return aut
+
+
+@pytest.mark.parametrize("spec,d", [
+    ("A1", 2), ("A1", 3), ("A2", 2), ("B2", 3), ("G2", 3), ("A3", 4),
+    ("C3", 3), ("F4", 2), ("B3xA1", 2), ("E6", 2)])
+def test_closure_matches_per_letter_oracle(spec, d, rs):
+    closure_matching_oracle(
+        [g for _, g in standard_affine_generators(rs(spec))], d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_closure_floors_negative_carries(d):
+    aut = closure_matching_oracle(translation_element((-3, 2)), d)
+    assert any(c < 0 for s in aut.states for c in s.t)
+
+
+def test_state_cap_can_fail(rs):
+    gens = [g for _, g in standard_affine_generators(rs("B2"))]
+    k = len(reachable_states(gens, 3).states)
+    with pytest.raises(CapExceededError, match=f"exceeded {k - 1} states"):
+        reachable_states(gens, 3, cap=k - 1)
+    assert len(reachable_states(gens, 3, cap=k).states) == k
+
+
+def test_closure_refuses_translations_beyond_int64():
+    # a translation near 2^63 would wrap in the int64 rows
+    with pytest.raises(ValueError, match="int64"):
+        reachable_states(translation_element((2 ** 63 - 2,)), 2)
+    closure_matching_oracle(translation_element((2 ** 62 - 1,)), 2)
+
+
 # --- levelwise separation --------------------------------------------------------------
 
 def test_equal_up_to_level_examples():
@@ -200,7 +245,7 @@ def test_faithfulness_sweep(spec, d, rs):
 # --- export / import ---------------------------------------------------------------------
 
 def test_export_identity_automaton():
-    text = export_automaton(affine_identity(1), 2)
+    text = cli.json_text(export_automaton(affine_identity(1), 2))
     aut = import_automaton(text)
     assert len(aut.states) == 1
     assert aut.transitions[(0, (0,))] == ((0,), 0)
@@ -216,15 +261,34 @@ def test_a1_generator_automaton_size(rs):
 def test_export_round_trip(rs):
     a2 = rs("A2")
     gens = [g for _, g in standard_affine_generators(a2)]
-    text = export_automaton(gens, 2)
+    text = cli.json_text(export_automaton(gens, 2))
     aut = import_automaton(text)
     direct = reachable_states(gens, 2)
     assert aut.states == direct.states
     assert aut.transitions == direct.transitions
     assert aut.generators == direct.generators
-    assert export_automaton(gens, 2) == text  # deterministic bytes
+    assert cli.json_text(export_automaton(gens, 2)) == text  # deterministic bytes
 
 
 def test_export_text_format(rs):
     text = export_automaton(translation_element((1,)), 2, fmt="text")
     assert "g0 = " in text and "generators:" in text
+
+
+# SHA-256 of `weylcheb automaton <type> <d> --format text`, recorded when each
+# state's children were still found one wreath_digit_step at a time
+TEXT_DIGESTS = {
+    ("B2", "3"):
+        "003c2bcc28f3fa29eeb46f431093d80eb94d5be45640ca15ffe6e4c7e469661d",
+    ("A2", "2"):
+        "75b2265328def315bf645a0650133593b4aac4a5cb9aeb4abf2e455df3a463f8",
+}
+
+
+@pytest.mark.parametrize("spec,d", sorted(TEXT_DIGESTS))
+def test_text_export_bytes_are_pinned(spec, d):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["automaton", spec, d, "--format", "text"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        TEXT_DIGESTS[(spec, d)]
