@@ -40,16 +40,17 @@ int64 numpy: a product of two residues is below 2^62, and a sum of fewer
 than 2^32 residues below 2^63.  One sampler, draw_points, and one
 evaluator, polys_at_gencos_mod, serve both sampled checks: it gives
 gencos(z^d), E(z), E(z^d) and any integer polynomials at gencos(z), in
-batches of FIELD_CELLS cells.  Every monomial, of an orbit
-row or of a polynomial, is a product of powers z_j^k mod p from one table
-(monomials_mod): gencos is summed over the orbit rows (gencos_pair_mod),
-and the polynomials are evaluated from one exponent matrix of their
-monomials (eval_polys_mod).  A nonzero residual, a Laurent polynomial of
-total degree deg once its negative exponents are cleared, vanishes at a
-uniform point of (F_p^*)^n with probability at most deg/(p-1)
-(Schwartz-Zippel; Schwartz, JACM 27, 1980), unless p divides all its
-integer coefficients; a new seed draws a new p.  Differentiating the
-identity in log z gives J_T(gencos z) E(z) = d E(z^d),
+batches of FIELD_CELLS orbit terms.  gencos and E are evaluated from their
+definition, by gencos_mod once at z and once at the point z^d
+(power_mod).  Every monomial, of an orbit row or of a polynomial, is a
+product of powers z_j^k mod p from one table (monomials_mod): gencos is
+summed over the orbit rows, and the polynomials are evaluated from one
+exponent matrix of their monomials (eval_polys_mod).  A nonzero residual,
+a Laurent polynomial of total degree deg once its negative exponents are
+cleared, vanishes at a uniform point of (F_p^*)^n with probability at
+most deg/(p-1) (Schwartz-Zippel; Schwartz, JACM 27, 1980), unless p
+divides all its integer coefficients; a new seed draws a new p.
+Differentiating the identity in log z gives J_T(gencos z) E(z) = d E(z^d),
 E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam, so
 det J_T(gencos z) det E(z) = d^n det E(z^d) in Z[z^{+-1}]: the
 post-critical check (critical.post_critical_check) tests it at the same
@@ -72,8 +73,8 @@ from .errors import DimensionError
 from .rootsys import (RootSystem, dominant_weight, fundamental_orbit_table,
                       orbit, orbit_size, rho_vee)
 
-# int64 cells per (points x 2 orbit rows) array of one batch of the
-# prime-field checks (16 MiB): E7 runs 59 points a batch, F4 4369
+# orbit terms, at z and at z^d together, of one batch of the prime-field
+# checks (16 MiB of int64): E7 runs 59 points a batch, F4 4369
 FIELD_CELLS = 1 << 21
 
 
@@ -393,11 +394,11 @@ def draw_points(rs: RootSystem, samples: int, seed: int) -> tuple:
     return p, z
 
 
-def inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a^{p-2} mod p of an int64 array of residues, by squaring over the
-    whole array: the inverse of each nonzero entry (Fermat), 0 for 0."""
+def power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p of an int64 array of residues, by squaring over the whole
+    array, with 0^0 = 1: at e = p - 2 the inverse of each nonzero entry
+    (Fermat), 0 for 0."""
     out = np.ones_like(a)
-    e = p - 2
     while e:
         if e & 1:
             out = out * a % p
@@ -424,7 +425,7 @@ def monomials_mod(z: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
     for k in range(1, hi + 1):
         pw[..., k - lo] = pw[..., k - lo - 1] * z % p
     if lo:
-        inv = inverse_mod(z, p)
+        inv = power_mod(z, p - 2, p)
         for k in range(-1, lo - 1, -1):
             pw[..., k - lo] = pw[..., k - lo + 1] * inv % p
     cols = exps - lo
@@ -435,29 +436,26 @@ def monomials_mod(z: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
     return terms
 
 
-def gencos_pair_mod(rs: RootSystem, d: int, z: np.ndarray, p: int) -> tuple:
-    """gencos(z) and gencos(z^d), then E(z) and E(z^d), modulo p at a batch
-    of points z, an (S, n) int64 array of residues in [1, p - 1] standing
-    for e^{2 pi i x_j}: two (S, n) and two (S, n, n) arrays of residues,
+def gencos_mod(rs: RootSystem, z: np.ndarray, p: int) -> tuple:
+    """gencos(z) and E(z) modulo p at a batch of points z, an (S, n) int64
+    array of residues in [1, p - 1] standing for e^{2 pi i x_j}: an (S, n)
+    and an (S, n, n) array of residues,
     E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam.
 
-    The orbit term of a row r is prod_j z_j^{r_j}, and at d x
-    prod_j z_j^{d r_j}: the rows and their d-multiples go through one
+    The orbit term of a row r is prod_j z_j^{r_j}: all rows go through one
     monomials_mod call, then one reduceat over the orbit starts gives the
     gencos values, and per orbit one product of its terms with its rows
     gives the rows of E."""
     rows, starts = fundamental_orbit_table(rs)
-    terms = monomials_mod(z, np.concatenate([rows, d * rows]), p)
-    sums = np.add.reduceat(terms, np.concatenate([starts, starts + len(rows)]),
-                           axis=1) % p
+    terms = monomials_mod(z, rows, p)
+    gz = np.add.reduceat(terms, starts, axis=1) % p
     # a term is below 2^31, and |lam_j| = |<omega_k, w alpha_j^vee>| is at
     # most a coefficient of the highest coroot, <= 6: an orbit of fewer than
     # 2^29 rows (E8's largest has 483840) sums to below 6 2^60 < 2^63
-    e = np.empty((2, len(z), rs.rank, rs.rank), dtype=np.int64)
+    ez = np.empty((len(z), rs.rank, rs.rank), dtype=np.int64)
     for k, (lo, hi) in enumerate(zip(starts, [*starts[1:], len(rows)])):
-        e[0, :, k] = terms[:, lo:hi] @ rows[lo:hi] % p
-        e[1, :, k] = terms[:, len(rows) + lo:len(rows) + hi] @ rows[lo:hi] % p
-    return sums[:, :rs.rank], sums[:, rs.rank:], e[0], e[1]
+        ez[:, k] = terms[:, lo:hi] @ rows[lo:hi] % p
+    return gz, ez
 
 
 def eval_polys_mod(comps, x: np.ndarray, p: int) -> np.ndarray:
@@ -480,11 +478,11 @@ def eval_polys_mod(comps, x: np.ndarray, p: int) -> np.ndarray:
 def polys_at_gencos_mod(rs: RootSystem, d: int, polys, z: np.ndarray,
                         p: int) -> tuple:
     """The sparse integer polynomials `polys` at gencos(z), gencos(z^d),
-    E(z) and E(z^d) (see gencos_pair_mod) modulo p at points z, an (S, n)
-    int64 array of residues in [1, p - 1]: (S, len(polys)), (S, n),
-    (S, n, n) and (S, n, n) arrays of residues, all empty for S = 0.  The
-    points run in batches of at most FIELD_CELLS cells of the
-    (points x 2 orbit rows) array of gencos_pair_mod."""
+    E(z) and E(z^d) modulo p at points z, an (S, n) int64 array of residues
+    in [1, p - 1]: (S, len(polys)), (S, n), (S, n, n) and (S, n, n) arrays
+    of residues, all empty for S = 0.  Each batch calls gencos_mod at z and
+    at z^d; the points run in batches of at most FIELD_CELLS orbit terms of
+    the two calls together."""
     size = max(1, FIELD_CELLS // (2 * len(fundamental_orbit_table(rs)[0])))
     n = rs.rank
     vals = np.empty((len(z), len(polys)), dtype=np.int64)
@@ -493,7 +491,8 @@ def polys_at_gencos_mod(rs: RootSystem, d: int, polys, z: np.ndarray,
     edz = np.empty((len(z), n, n), dtype=np.int64)
     for lo in range(0, len(z), size):
         part = slice(lo, lo + size)
-        gz, gdz[part], ez[part], edz[part] = gencos_pair_mod(rs, d, z[part], p)
+        gz, ez[part] = gencos_mod(rs, z[part], p)
+        gdz[part], edz[part] = gencos_mod(rs, power_mod(z[part], d, p), p)
         vals[part] = eval_polys_mod(polys, gz, p)
     return vals, gdz, ez, edz
 

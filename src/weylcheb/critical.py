@@ -9,11 +9,12 @@ T_d(G(z)) = G(z^d) in log z gives J_T(G(z)) E(z) = d E(z^d), so
     det J_T(G(z)) det E(z) = d^n det E(z^d)    in Z[z^{+-1}].
 
 post_critical_check tests this identity, and T_d(G(z)) = G(z^d), at the
-uniform points of (F_p^*)^n the functional check draws (draw_points).
-Together they prove post-criticality.  det E is a constant times the Weyl
-denominator (Bourbaki, Lie Groups, ch. VI sec. 3), so it vanishes exactly
-on the walls, where z^u = 1 for some root u.  So det J_T(X) = 0 at
-X = G(z) (G maps onto C^n) forces z^d onto a wall, and the critical value
+uniform points of (F_p^*)^n the functional check draws (draw_points), G
+and E evaluated at z and at z^d (chebmap.gencos_mod).  Together they
+prove post-criticality.  det E is a constant times the Weyl denominator
+(Bourbaki, Lie Groups, ch. VI sec. 3), so it vanishes exactly on the
+walls, where z^u = 1 for some root u.  So det J_T(X) = 0 at X = G(z)
+(G maps onto C^n) forces z^d onto a wall, and the critical value
 T_d(X) = G(z^d) lies in D = G(walls).  And T_d(G(walls)) = G(d walls)
 lies in D.
 
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebmap import (PolynomialMap, centred, draw_points, inverse_mod,
-                      jacobian_polys, polys_at_gencos_mod)
+from .chebmap import (PolynomialMap, centred, draw_points, jacobian_polys,
+                      polys_at_gencos_mod, power_mod)
 from .gencos import eval_gencos
 from .rootsys import RootSystem
 
@@ -132,9 +133,10 @@ def sample_diagram_points(rs: RootSystem, count: int, ell_range=LEVELS,
 def det_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Determinants modulo p of a batch of square matrices, an (S, n, n)
     int64 array of residues: an (S,) array of residues, by Gaussian
-    elimination mod p over the whole batch.  In each column the first row at
-    or below the diagonal with a nonzero entry is swapped up, negating the
-    determinant; a column with none makes it 0."""
+    elimination mod p over the whole batch, pivots inverted by power_mod.
+    In each column the first row at or below the diagonal with a nonzero
+    entry is swapped up, negating the determinant; a column with none
+    makes it 0."""
     a = a.copy()
     size, n, _ = a.shape
     det = np.ones(size, dtype=np.int64)
@@ -148,7 +150,8 @@ def det_mod(a: np.ndarray, p: int) -> np.ndarray:
         a[:, k] = top
         # a column without a pivot leaves a zero here, and the det 0
         det = det * top[:, k] % p
-        factor = a[:, k + 1:, k] * inverse_mod(top[:, k], p)[:, None] % p
+        inv = power_mod(top[:, k], p - 2, p)
+        factor = a[:, k + 1:, k] * inv[:, None] % p
         a[:, k + 1:, k:] = (a[:, k + 1:, k:]
                             - factor[:, :, None] * top[:, None, k:] % p) % p
     return det

@@ -14,7 +14,7 @@ class DimensionError(WeylchebError, ValueError):
 
 
 class CapExceededError(WeylchebError):
-    """A configured size cap (group order, vertex count, state count) would be exceeded."""
+    """A size cap (group order, permutation entries, automaton transitions) would be exceeded."""
 
 
 class ContinuationError(WeylchebError):

@@ -117,22 +117,6 @@ def perm_order(perm) -> int:
     return order
 
 
-def wreath_digit_step(g: AffineElement, d: int, letter):
-    """One digit of the action of g = (t, w): on first letter a, the integer
-    vector v = w(a) + t splits as image letter (v mod d) plus d times a carry,
-    and the carry becomes the child state's translation:
-
-        g . (a, rest) = (v mod d, (carry, w) . rest)
-    """
-    letter = tuple(int(c) for c in letter)
-    if len(letter) != g.rank:
-        raise ValueError("letter has wrong number of digits")
-    v = tuple(a + b for a, b in zip(g.w.apply_point(letter), g.t))
-    img = tuple(c % d for c in v)
-    carry = tuple((c - r) // d for c, r in zip(v, img))
-    return img, AffineElement(carry, g.w)
-
-
 # ---------------------------------------------------------------------------
 # basepoint and loops
 # ---------------------------------------------------------------------------

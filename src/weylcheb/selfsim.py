@@ -1,11 +1,12 @@
 """Self-similar actions of affine Weyl elements on the d^n-ary tree.
 
-Vertices at depth m are words of m letters, each letter a vector of n base-d
-digits; a word is read least-significant-letter first, so depth-m words
-encode lattice vectors mod d^m.  An element acts letter by letter through the
-carry recursion of `wreath_digit_step`: translations become odometers (adding
-machines with carries) and the whole action matches `algebraic_action` on
-encoded words exactly.
+Vertices at depth k are words of k letters, each letter a vector of n base-d
+digits; a word is read least-significant-letter first, so depth-k words
+encode lattice vectors u mod d^k, on which g = (t, w) acts as
+u |-> w(u) + t mod d^k (act_on_word).  Taken one letter at a time this is
+the wreath recursion: on first letter a, v = w(a) + t is the image letter
+v mod d plus d times a carry, and the child state (carry, w) acts on the
+rest.  Its reachable states form a finite automaton (reachable_states).
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError
-from .monodromy import wreath_digit_step
-from .rootsys import AffineElement
+from .rootsys import AffineElement, affine_apply
 
-STATE_CAP = 10 ** 4
+# an automaton holds and prints states x d^n transitions, at 1.1-1.3 KiB of
+# peak RSS each (automaton E6 3: 122472 transitions, 150 MiB; E8 2: 353792,
+# 384 MiB): this cap lets E8 2 run and bounds a run near 650 MiB
+TRANSITION_CAP = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -36,38 +39,44 @@ class TreeWord:
 
 
 def act_on_word(g: AffineElement, w: TreeWord) -> TreeWord:
-    """Apply g letter by letter, threading carries."""
+    """u |-> w(u) + t mod d^k on the word's lattice vector u, in Python
+    ints, so words of any length work."""
     if g.rank != w.n:
         raise ValueError("alphabet mismatch between element and word")
-    out = []
-    for letter in w.letters:
-        img, g = wreath_digit_step(g, w.d, letter)
-        out.append(img)
-    return TreeWord(tuple(out), w.d, w.n)
+    u = [0] * w.n
+    for letter in reversed(w.letters):
+        u = [c * w.d + a for c, a in zip(u, letter)]
+    v = affine_apply(g, u)
+    return TreeWord(tuple(tuple(c // w.d ** i % w.d for c in v)
+                          for i in range(len(w.letters))), w.d, w.n)
 
 
 @dataclass
 class Automaton:
-    """Transition-closed automaton of an automorphism's reachable states."""
+    """Transition-closed automaton of an automorphism's reachable states: on
+    the a-th letter (itertools.product order) state s writes images[s][a]
+    and moves to state children[s][a]."""
 
     d: int
     n: int
-    states: list       # AffineElement, BFS order from the generators
-    transitions: dict  # (state index, letter) -> (image letter, state index)
-    generators: list   # indices of the initial states
+    states: list      # AffineElement, BFS order from the generators
+    images: list      # per state, its image letters (digit lists)
+    children: list    # per state, its child state indices
+    generators: list  # indices of the initial states
 
 
-def reachable_states(gens, d: int, cap: int = STATE_CAP) -> Automaton:
+def reachable_states(gens, d: int, cap: int = TRANSITION_CAP) -> Automaton:
     """Close a set of affine elements under child-state formation.  Carries
-    are bounded by the Weyl part, so the closure is finite; the cap only
-    guards against model bugs.
+    are bounded by the Weyl part, so the closure is finite.  Each state
+    holds d^n transitions, and a state that would bring them past `cap`
+    raises CapExceededError when it is visited, the generators first, so an
+    oversized alphabet is refused before it is built.
 
     A state (t, w) takes every letter a at once: V = A C^T + t over the
     (d^n, n) int64 alphabet A, C the coroot matrix of w, so row a of V is
-    w(a) + t as in `wreath_digit_step`.  The image letters are V mod d and
-    the child translations the carries V // d; numpy floors both as Python
-    does, negative values included.  Children are visited in alphabet order,
-    breadth first."""
+    w(a) + t.  The image letters are V mod d and the child translations
+    the carries V // d; numpy floors both as Python does, negative values
+    included.  Children are visited in alphabet order, breadth first."""
     if isinstance(gens, AffineElement):
         gens = [gens]
     n = gens[0].rank
@@ -75,37 +84,40 @@ def reachable_states(gens, d: int, cap: int = STATE_CAP) -> Automaton:
     # passes 2^62, so bounding the generators keeps every row inside int64
     if any(abs(c) >= 2 ** 62 for g in gens for c in g.t):
         raise ValueError("translation too large for the int64 closure")
-    letters = list(itertools.product(range(d), repeat=n))
-    alphabet = np.array(letters, dtype=np.int64)
+    size = d ** n
     index = {}
     order = []
     queue = deque()
 
     def visit(g):
         if g not in index:
-            if len(order) >= cap:
+            if (len(order) + 1) * size > cap:
                 raise CapExceededError(
-                    f"automaton closure exceeded {cap} states")
+                    f"automaton closure needs {(len(order) + 1) * size} "
+                    f"transitions ({len(order) + 1} states x {size} "
+                    f"letters), above cap {cap}")
             index[g] = len(order)
             order.append(g)
             queue.append(g)
         return index[g]
 
     gen_idx = [visit(g) for g in gens]
-    transitions = {}
+    alphabet = np.array(list(itertools.product(range(d), repeat=n)),
+                        dtype=np.int64)
+    images, children = [], []
     while queue:
         state = queue.popleft()
-        si = index[state]
         v = (alphabet @ np.array(state.w.coroot_matrix, dtype=np.int64).T
              + np.array(state.t, dtype=np.int64))
         kids = {}  # carry -> child index; every child of a state shares w
-        for letter, img, carry in zip(letters, (v % d).tolist(),
-                                      (v // d).tolist()):
-            carry = tuple(carry)
+        row = []
+        for carry in map(tuple, (v // d).tolist()):
             if carry not in kids:
                 kids[carry] = visit(AffineElement(carry, state.w))
-            transitions[(si, letter)] = (tuple(img), kids[carry])
-    return Automaton(d, n, order, transitions, gen_idx)
+            row.append(kids[carry])
+        images.append((v % d).tolist())
+        children.append(row)
+    return Automaton(d, n, order, images, children, gen_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +134,8 @@ def export_automaton(gens, d: int, fmt: str = "json") -> dict | str:
     line per state: "g3 = [image letters](children)".
     """
     aut = reachable_states(gens, d)
-    letters = list(itertools.product(range(d), repeat=aut.n))
     if fmt == "json":
+        letters = [list(a) for a in itertools.product(range(d), repeat=aut.n)]
         return {
             "alphabet_size": d ** aut.n,
             "d": d,
@@ -133,9 +145,10 @@ def export_automaton(gens, d: int, fmt: str = "json") -> dict | str:
                         "w_coroot": [list(r) for r in s.w.coroot_matrix]}
                        for s in aut.states],
             "transitions": [
-                [si, list(letter), list(aut.transitions[(si, letter)][0]),
-                 aut.transitions[(si, letter)][1]]
-                for si in range(len(aut.states)) for letter in letters
+                [si, letter, img, ci]
+                for si, (imgs, kids) in enumerate(zip(aut.images,
+                                                      aut.children))
+                for letter, img, ci in zip(letters, imgs, kids)
             ],
             "generators": aut.generators,
         }
@@ -143,14 +156,10 @@ def export_automaton(gens, d: int, fmt: str = "json") -> dict | str:
         lines = [f"alphabet: {d ** aut.n} letters ({aut.n} digits base {d})"]
         for si, s in enumerate(aut.states):
             lines.append(f"state g{si}: t={list(s.t)} w={[list(r) for r in s.w.weight_matrix]}")
-        for si in range(len(aut.states)):
-            imgs = []
-            kids = []
-            for letter in letters:
-                img, ci = aut.transitions[(si, letter)]
-                imgs.append("".join(map(str, img)))
-                kids.append(f"g{ci}")
-            lines.append(f"g{si} = [{' '.join(imgs)}]({', '.join(kids)})")
+        for si, (imgs, kids) in enumerate(zip(aut.images, aut.children)):
+            words = " ".join("".join(map(str, img)) for img in imgs)
+            states = ", ".join(f"g{ci}" for ci in kids)
+            lines.append(f"g{si} = [{words}]({states})")
         lines.append("generators: " + ", ".join(f"g{i}" for i in aut.generators))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

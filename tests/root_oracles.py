@@ -4,14 +4,17 @@ sliced from the stacked table, the positive roots by the signs of their
 coefficients, the generalized cosine as a stabilizer-normalized sum over the
 whole Weyl group, exact polynomial composition, the order of an affine
 element by repeated products, a generating path's loop and the wall ratio
-of its first step, loop concatenation and the rank-one standard loops, the automaton closure
-one letter at a time, the automaton JSON read back, a tree word from a
-lattice vector, and back."""
+of its first step, loop concatenation and the rank-one standard loops, the
+generalized cosine and E modulo p with Python ints, the wreath recursion one
+digit at a time, a tree word acted on and the automaton closed one letter at
+a time, the automaton JSON read back, a tree word from a lattice vector, and
+back."""
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import deque
 
 import numpy as np
@@ -19,7 +22,6 @@ import numpy as np
 from weylcheb.chebmap import PolynomialMap
 from weylcheb.errors import DimensionError
 from weylcheb.gencos import TWO_PI_I, eval_gencos
-from weylcheb.monodromy import wreath_digit_step
 from weylcheb.rootsys import (AffineElement, RootSystem, WeylElement,
                               affine_compose, fundamental_orbit_table,
                               weyl_group_elements)
@@ -155,6 +157,50 @@ def a1_standard_loops(d: int):
 A1_LOOP_BASEPOINT = 0.25  # the alcove-interior preimage of 0
 
 
+def gencos_e_mod(rs: RootSystem, point, p: int, shift: int = 0) -> tuple:
+    """G(z) and E(z) modulo p at one point z of residues, from their
+    definitions with Python ints: G(z)_k = sum_{lam in W omega_k} z^lam
+    and E(z)_{kj} = sum_{lam in W omega_k} (lam_j + shift) z^lam, the
+    orbits read from fundamental_orbit_table."""
+    rows = [r.tolist() for r in fundamental_orbit_table(rs)[0]]
+    starts = [*fundamental_orbit_table(rs)[1].tolist(), len(rows)]
+
+    def power(u):
+        return math.prod(pow(zj, uj, p) for zj, uj in zip(point, u)) % p
+
+    orbits = [rows[lo:hi] for lo, hi in zip(starts, starts[1:])]
+    g = [sum(map(power, lams)) % p for lams in orbits]
+    e = [[sum((lam[j] + shift) * power(lam) for lam in lams) % p
+          for j in range(rs.rank)] for lams in orbits]
+    return g, e
+
+
+def wreath_digit_step(g: AffineElement, d: int, letter):
+    """One digit of the action of g = (t, w): on first letter a, the integer
+    vector v = w(a) + t splits as image letter (v mod d) plus d times a carry,
+    and the carry becomes the child state's translation:
+
+        g . (a, rest) = (v mod d, (carry, w) . rest)
+    """
+    letter = tuple(int(c) for c in letter)
+    if len(letter) != g.rank:
+        raise ValueError("letter has wrong number of digits")
+    v = tuple(a + b for a, b in zip(g.w.apply_point(letter), g.t))
+    img = tuple(c % d for c in v)
+    carry = tuple((c - r) // d for c, r in zip(v, img))
+    return img, AffineElement(carry, g.w)
+
+
+def act_on_word_by_letter(g: AffineElement, w: TreeWord) -> TreeWord:
+    """g on a tree word one `wreath_digit_step` per letter, threading the
+    child states."""
+    out = []
+    for letter in w.letters:
+        img, g = wreath_digit_step(g, w.d, letter)
+        out.append(img)
+    return TreeWord(tuple(out), w.d, w.n)
+
+
 def reachable_states_by_letter(gens, d: int) -> Automaton:
     """The automaton closure with one `wreath_digit_step` per (state,
     letter), breadth first, children in `itertools.product` letter order."""
@@ -167,31 +213,41 @@ def reachable_states_by_letter(gens, d: int) -> Automaton:
             index[g] = len(order)
             order.append(g)
     queue = deque(order)
-    transitions = {}
+    images, children = [], []
     while queue:
         state = queue.popleft()
+        images.append([])
+        children.append([])
         for letter in itertools.product(range(d), repeat=n):
             img, nxt = wreath_digit_step(state, d, letter)
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
                 queue.append(nxt)
-            transitions[(index[state], letter)] = (img, index[nxt])
-    return Automaton(d, n, order, transitions, [index[g] for g in gens])
+            images[-1].append(list(img))
+            children[-1].append(index[nxt])
+    return Automaton(d, n, order, images, children,
+                     [index[g] for g in gens])
 
 
 def import_automaton(text: str) -> Automaton:
-    """Rebuild an Automaton from its JSON export."""
+    """Rebuild an Automaton from its JSON export: each state's transitions
+    must be listed together, in alphabet order."""
     payload = json.loads(text)
     states = []
     for s in payload["states"]:
         w = WeylElement(tuple(tuple(r) for r in s["w_matrix"]),
                         tuple(tuple(r) for r in s["w_coroot"]))
         states.append(AffineElement(tuple(s["t"]), w))
-    transitions = {}
+    d, n = payload["d"], payload["n"]
+    letters = [list(a) for a in itertools.product(range(d), repeat=n)]
+    images = [[] for _ in states]
+    children = [[] for _ in states]
     for si, letter, img, ci in payload["transitions"]:
-        transitions[(si, tuple(letter))] = (tuple(img), ci)
-    return Automaton(payload["d"], payload["n"], states, transitions,
+        assert letter == letters[len(images[si])]
+        images[si].append(img)
+        children[si].append(ci)
+    return Automaton(d, n, states, images, children,
                      list(payload["generators"]))
 
 

@@ -22,13 +22,12 @@ from weylcheb.monodromy import (
     numeric_monodromy,
     perm_order,
     standard_affine_generators,
-    wreath_digit_step,
 )
 from weylcheb.rootsys import affine_compose, affine_identity
 from weylcheb.selfsim import TreeWord, act_on_word, reachable_states
 
 from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
-                          compose_poly_maps, concat_loops)
+                          compose_poly_maps, concat_loops, wreath_digit_step)
 
 TEST_MATRIX = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                for d in (2, 3)]
@@ -187,7 +186,8 @@ def test_10_self_similarity(rs):
         rsys = rs(spec)
         gens = [g for _, g in standard_affine_generators(rsys)]
         letters = list(itertools.product(range(d), repeat=rsys.rank))
-        # renormalization identity on 200 random (element, word) pairs
+        # renormalization identity on 200 random (element, word) pairs:
+        # the lattice map mod d^k against one digit of the wreath recursion
         for _ in range(200):
             g = affine_identity(rsys.rank)
             for _ in range(rng.randint(1, 5)):

@@ -28,7 +28,7 @@ from weylcheb.rootsys import (build_root_system, fundamental_orbit_table,
                               orbit, rho_vee, weyl_group_elements)
 
 import fixed_point_oracle as fpo
-from root_oracles import compose_poly_maps, orbit_matrix
+from root_oracles import compose_poly_maps, gencos_e_mod, orbit_matrix
 
 FULL_MATRIX = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                for d in (2, 3)]
@@ -542,7 +542,7 @@ def test_functional_equation_catches_wrong_coefficient(spec, d, samples, rs):
     z = np.array([[rng.randrange(1, p) for _ in range(rsys.rank)]
                   for _ in range(samples)], dtype=np.int64)
     assert rep.prime == p
-    gx = chebmap.gencos_pair_mod(rsys, d, z, p)[0]
+    gx = chebmap.gencos_mod(rsys, z, p)[0]
     want = [pow(int(v), d, p) for v in gx[:, 0]]
     want = [w - p if w > p // 2 else w for w in want]
     res = chebmap.residuals_mod_p(rsys, d, wrong, z, p)
@@ -566,10 +566,10 @@ def test_eval_polys_mod_matches_python_ints(monkeypatch):
     points[0] = [0, 0, 0]
     points[1][0] = points[2][2] = 0
 
-    def no_inverse(a, p):
+    def no_inverse(a, e, p):
         raise AssertionError("inverse taken with no negative exponent")
 
-    monkeypatch.setattr(chebmap, "inverse_mod", no_inverse)
+    monkeypatch.setattr(chebmap, "power_mod", no_inverse)
     got = chebmap.eval_polys_mod(comps, np.array(points, dtype=np.int64), p)
     want = [[v % p for v in eval_polys(comps, x)] for x in points]
     assert got.tolist() == want
@@ -586,6 +586,38 @@ def test_monomials_mod_matches_python_ints():
     want = [[math.prod(pow(int(zj), int(ej), p) for zj, ej in zip(x, e)) % p
              for e in exps] for x in z]
     assert got.tolist() == want
+
+
+def test_power_mod_matches_python_pow():
+    # zero residues included, and 0^0 = 1; at p - 2 the Fermat inverse
+    p = 2147483629
+    rng = random.Random(62)
+    a = np.array([0, 1, 2, p - 1, *(rng.randrange(p) for _ in range(12))],
+                 dtype=np.int64)
+    for e in (0, 1, 2, 3, 6, p - 2, *(rng.randrange(p) for _ in range(5))):
+        assert chebmap.power_mod(a, e, p).tolist() == \
+            [pow(int(x), e, p) for x in a]
+    inv = chebmap.power_mod(a, p - 2, p)
+    assert (a * inv % p).tolist() == [0] + [1] * (len(a) - 1)
+
+
+@pytest.mark.parametrize("spec,d", [("A1", 2), ("G2", 6), ("B3xA1", 2),
+                                    ("F4", 2)])
+def test_gencos_mod_matches_python_ints(spec, d, rs):
+    # G and E at z and at z^d against their definitions summed with Python
+    # ints over the orbit rows
+    rsys = rs(spec)
+    p, z = chebmap.draw_points(rsys, 6, seed=9)
+    zd = chebmap.power_mod(z, d, p)
+    assert zd.tolist() == [[pow(x, d, p) for x in point]
+                           for point in z.tolist()]
+    for points in (z, zd):
+        g, e = chebmap.gencos_mod(rsys, points, p)
+        assert g.shape == (6, rsys.rank) and e.shape == (6, rsys.rank,
+                                                         rsys.rank)
+        for i, point in enumerate(points.tolist()):
+            assert (g[i].tolist(), e[i].tolist()) == \
+                gencos_e_mod(rsys, point, p)
 
 
 def test_evaluator_takes_no_points(rs):

@@ -1,14 +1,15 @@
 """Wall sampling, post-critical structure, and the deltoid identity."""
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from weylcheb import chebmap, critical
+from weylcheb import chebmap, cli, critical
 from weylcheb.chebmap import (PolynomialMap, build_cheb_map, draw_points,
-                              gencos_pair_mod, residuals_mod_p,
+                              gencos_mod, residuals_mod_p,
                               verify_functional_equation)
 from weylcheb.critical import (
     DiagramSample,
@@ -22,7 +23,7 @@ from weylcheb.gencos import eval_gencos, is_on_diagram
 
 import fixed_point_oracle as fpo
 from fixed_point_oracle import bareiss_det, post_critical_fixed_point
-from root_oracles import positive_roots
+from root_oracles import gencos_e_mod, positive_roots
 
 VERIFY_CASES = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                 for d in (2, 3)] + [("B3", 2), ("F4", 2), ("G2", 6)]
@@ -179,7 +180,8 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
     # (one precision for all its points) are exact, so cutting the points
     # of the evaluator, polys_at_gencos_mod, into batches of 7 changes no
     # residual; the checks run on a +1 mutant, so their per-point residuals
-    # are not all zero.  Each batch makes one gencos_pair_mod call.
+    # are not all zero.  Each batch makes two gencos_mod calls, at z and at
+    # z^d.
     rsys = rs(spec)
     pmap = build_cheb_map(rsys, d)
     comps = [dict(c) for c in pmap.components]
@@ -187,19 +189,19 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
                     for j in range(rsys.rank))] += 1
     wrong = PolynomialMap(rsys.rank, tuple(comps))
     seen, batches = [], []
-    real_residuals, real_pair = chebmap.residuals_mod_p, chebmap.gencos_pair_mod
+    real_residuals, real_gencos = chebmap.residuals_mod_p, chebmap.gencos_mod
 
     def recording(*args):
         out = real_residuals(*args)
         seen.append(out)
         return out
 
-    def batch(rsys, d, z, p):
+    def batch(rsys, z, p):
         batches.append(len(z))
-        return real_pair(rsys, d, z, p)
+        return real_gencos(rsys, z, p)
 
     monkeypatch.setattr(chebmap, "residuals_mod_p", recording)
-    monkeypatch.setattr(chebmap, "gencos_pair_mod", batch)
+    monkeypatch.setattr(chebmap, "gencos_mod", batch)
 
     def run():
         seen.clear()
@@ -210,9 +212,13 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
         post = post_critical_check(rsys, d, wrong, samples=20)
         post_batches = batches[len(fun_batches):]
         oracle = post_critical_fixed_point(rsys, d, pmap, samples=20)
+        # each batch's size, from its first call, after checking that its
+        # second call takes as many points
+        calls = fun_batches, post_batches
+        assert all(b[0::2] == b[1::2] for b in calls)
         return (fun.max_residual, fun.witness, per_point, post.det_residuals,
                 post.value_residuals, post.witness, oracle.det_residuals,
-                oracle.value_residuals), (fun_batches, post_batches)
+                oracle.value_residuals), tuple(b[0::2] for b in calls)
 
     whole, sizes = run()
     assert sizes == ([30], [20]) and len(seen) == 1
@@ -329,7 +335,7 @@ def test_det_e_is_a_constant_times_the_weyl_denominator(spec, rs):
     # and the products are taken with Python ints
     rsys = rs(spec)
     p, z = draw_points(rsys, 20, seed=8)
-    _, _, ez, _ = gencos_pair_mod(rsys, 2, z, p)
+    _, ez = gencos_mod(rsys, z, p)
     dets = det_mod(ez, p).tolist()
     ratios = set()
     for point, det in zip(z.tolist(), dets):
@@ -377,38 +383,47 @@ def test_postcritical_draws_the_functional_points(spec, d, rs, monkeypatch):
                                     ("G2", 2)])
 def test_postcritical_fails_on_a_corrupted_e_weight(spec, d, rs,
                                                     monkeypatch):
-    # E recomputed with Python ints from its definition is the evaluator's;
-    # with the weights lam_j + 1 in place of lam_j the det identity fails
-    # for the true map, in the det check, at every sample
+    # G and E recomputed with Python ints from their definitions are the
+    # evaluator's, the second call of each batch at z^d; with the weights
+    # lam_j + 1 in place of lam_j the det identity fails for the true map,
+    # in the det check, at every sample
     rsys = rs(spec)
-    rows = [r.tolist() for r in chebmap.fundamental_orbit_table(rsys)[0]]
-    starts = [*chebmap.fundamental_orbit_table(rsys)[1].tolist(), len(rows)]
+    real = chebmap.gencos_mod
+    calls = []
 
-    def e_mod(point, p, shift):
-        def power(u):
-            return math.prod(pow(zj, uj, p) for zj, uj in zip(point, u)) % p
-        return [[sum((lam[j] + shift) * power(lam) for lam in rows[lo:hi]) % p
-                 for j in range(rsys.rank)]
-                for lo, hi in zip(starts, starts[1:])]
-
-    real = chebmap.gencos_pair_mod
-
-    def corrupted(rsys, d, z, p):
-        gz, gdz, ez, edz = real(rsys, d, z, p)
+    def corrupted(rsys, z, p):
+        g, e = real(rsys, z, p)
+        calls.append(z.tolist())
         for i, point in enumerate(z.tolist()):
-            assert ez[i].tolist() == e_mod(point, p, 0)
-            assert edz[i].tolist() == e_mod([pow(x, d, p) for x in point],
-                                            p, 0)
-            ez[i] = e_mod(point, p, 1)
-            edz[i] = e_mod([pow(x, d, p) for x in point], p, 1)
-        return gz, gdz, ez, edz
+            assert (g[i].tolist(), e[i].tolist()) == \
+                gencos_e_mod(rsys, point, p)
+            e[i] = gencos_e_mod(rsys, point, p, shift=1)[1]
+        return g, e
 
-    monkeypatch.setattr(chebmap, "gencos_pair_mod", corrupted)
+    monkeypatch.setattr(chebmap, "gencos_mod", corrupted)
     rep = post_critical_check(rsys, d, build_cheb_map(rsys, d), samples=10)
     assert rep.max_value_residual == 0
     assert all(rep.det_residuals) and not rep.passed
+    p, z = draw_points(rsys, 10, 0)
+    assert calls == [z.tolist(), [[pow(x, d, p) for x in point]
+                                  for point in z.tolist()]]
     assert rep.witness == {"sample": 0, "check": "det", "component": None,
-                           "z": draw_points(rsys, 10, 0)[1][0].tolist()}
+                           "z": z[0].tolist()}
+
+
+@pytest.mark.parametrize("spec,d", VERIFY_CASES)
+def test_both_verbs_fail_when_the_second_gencos_is_at_z(spec, d, monkeypatch,
+                                                        capsys):
+    # a mutant evaluator whose second gencos_mod call of each batch is at z
+    # in place of z^d: both verify verbs exit 1 and name a witness
+    real = chebmap.power_mod
+    monkeypatch.setattr(chebmap, "power_mod",
+                        lambda a, e, p: a if e == d else real(a, e, p))
+    for verb in ("verify-functional", "verify-postcritical"):
+        capsys.readouterr()
+        assert cli.main([verb, spec, str(d)]) == 1, (verb, spec, d)
+        out = json.loads(capsys.readouterr().out)
+        assert out["pass"] is False and out["witness"] is not None
 
 
 def test_postcritical_refuses_no_samples(rs):

@@ -23,7 +23,6 @@ from weylcheb.monodromy import (
     numeric_monodromy,
     perm_order,
     standard_affine_generators,
-    wreath_digit_step,
 )
 from weylcheb.rootsys import (
     affine_apply,
@@ -41,7 +40,8 @@ from weylcheb.rootsys import (
 
 from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
                           affine_element_order, concat_loops,
-                          first_step_wall_ratios, loop_of, positive_roots)
+                          first_step_wall_ratios, loop_of, positive_roots,
+                          wreath_digit_step)
 
 # the img-verify cases of the benchmark (perfbench/cases.py)
 BENCH_IMG_CASES = [("A1", 2, 4), ("A2", 2, 2), ("G2", 2, 2), ("A1xA1", 2, 3),
@@ -169,7 +169,7 @@ def test_action_cap_counts_the_cells_it_allocates():
     assert f"above cap {ACTION_CELL_CAP} cells ({8 * ACTION_CELL_CAP} bytes)" in msg
 
 
-# --- wreath recursion ----------------------------------------------------------------
+# --- wreath recursion (the test oracle in root_oracles) -------------------------------
 
 def test_wreath_identity_step():
     e = affine_identity(2)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,22 +13,23 @@ import pytest
 from weylcheb import cli
 from weylcheb.errors import CapExceededError
 from weylcheb.monodromy import (algebraic_action, perm_order,
-                                standard_affine_generators, wreath_digit_step)
+                                standard_affine_generators)
 from weylcheb.rootsys import (
     affine_compose,
     affine_identity,
     translation_element,
 )
 from weylcheb.selfsim import (
-    Automaton,
+    TRANSITION_CAP,
     TreeWord,
     act_on_word,
     export_automaton,
     reachable_states,
 )
 
-from root_oracles import (import_automaton, reachable_states_by_letter,
-                          tree_word_from_vector, tree_word_vector)
+from root_oracles import (act_on_word_by_letter, import_automaton,
+                          reachable_states_by_letter, tree_word_from_vector,
+                          tree_word_vector, wreath_digit_step)
 
 
 def word_of(digits, d=2, n=1):
@@ -55,7 +57,6 @@ def test_odometer_increments_with_carries():
     assert out == word_of([0, 0, 0])
     # the final carry state is again the unit translation
     state = g
-    from weylcheb.monodromy import wreath_digit_step
     for letter in ((1,), (1,), (1,)):
         _, state = wreath_digit_step(state, 2, letter)
     assert state == translation_element((1,))
@@ -100,7 +101,8 @@ def test_action_matches_lattice_action(spec, d, rs):
 
 
 def test_renormalization_identity(rs):
-    # g(first letter . rest) = (image letter) . (child state of g)(rest)
+    # g(first letter . rest) = (image letter) . (child state of g)(rest):
+    # act_on_word's lattice map against one digit of the wreath recursion
     rng = random.Random(52)
     for spec, d in (("A1", 2), ("A2", 2)):
         rsys = rs(spec)
@@ -115,6 +117,35 @@ def test_renormalization_identity(rs):
             img, state = wreath_digit_step(g, d, first)
             tail = act_on_word(state, rest)
             assert out.letters == (img,) + tail.letters
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "B3xA1"])
+def test_action_matches_per_letter_oracle(spec, d, rs):
+    # every standard generator, on words of 70 letters too, whose lattice
+    # vectors pass 2^63: the top letter is all d - 1
+    rsys = rs(spec)
+    rng = random.Random(54)
+    letters = list(itertools.product(range(d), repeat=rsys.rank))
+    for _, g in standard_affine_generators(rsys):
+        for length in (1, 2, 5, 70):
+            body = tuple(rng.choice(letters) for _ in range(length - 1))
+            w = TreeWord(body + (letters[-1],), d, rsys.rank)
+            assert act_on_word(g, w) == act_on_word_by_letter(g, w)
+    assert min(tree_word_vector(w)) >= 2 ** 63
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_action_with_negative_carries_matches_per_letter_oracle(d):
+    g = translation_element((-3, 2))
+    rng = random.Random(55)
+    letters = list(itertools.product(range(d), repeat=2))
+    for length in (1, 3, 70):
+        w = TreeWord(tuple(rng.choice(letters) for _ in range(length)), d, 2)
+        assert act_on_word(g, w) == act_on_word_by_letter(g, w)
+    # the zero vector goes to (-3, 2) mod d^70, past 2^63
+    zero = TreeWord(((0, 0),) * 70, d, 2)
+    assert tree_word_vector(act_on_word(g, zero)) == (d ** 70 - 3, 2)
 
 
 def test_action_homomorphism(rs):
@@ -156,11 +187,13 @@ def test_generators_have_finite_automata(spec, d, rs):
 
 def closure_matching_oracle(gens, d):
     """The closure, after checking that the per-letter carry recursion gives
-    the same states, transitions and generator indices, in the same order."""
+    the same states, image and child rows and generator indices, in the
+    same order."""
     aut = reachable_states(gens, d)
     oracle = reachable_states_by_letter(gens, d)
     assert aut.states == oracle.states
-    assert aut.transitions == oracle.transitions
+    assert aut.images == oracle.images
+    assert aut.children == oracle.children
     assert aut.generators == oracle.generators
     return aut
 
@@ -180,11 +213,29 @@ def test_closure_floors_negative_carries(d):
 
 
 def test_state_cap_can_fail(rs):
+    # the cap counts transitions, d^n = 9 per state: k states need 9 k
     gens = [g for _, g in standard_affine_generators(rs("B2"))]
     k = len(reachable_states(gens, 3).states)
-    with pytest.raises(CapExceededError, match=f"exceeded {k - 1} states"):
-        reachable_states(gens, 3, cap=k - 1)
-    assert len(reachable_states(gens, 3, cap=k).states) == k
+    with pytest.raises(CapExceededError,
+                       match=fr"needs {9 * k} transitions \({k} states x 9 "
+                             fr"letters\), above cap {9 * k - 1}"):
+        reachable_states(gens, 3, cap=9 * k - 1)
+    assert len(reachable_states(gens, 3, cap=9 * k).states) == k
+
+
+def test_oversized_automaton_is_refused_before_any_closure_work(capsys):
+    # A3 100 has 10^6 letters: its first generator alone passes the cap, so
+    # the verb exits 2 before the (10^6, 3) int64 alphabet (24 MB) is built
+    tracemalloc.start()
+    try:
+        assert cli.main(["automaton", "A3", "100"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    err = capsys.readouterr().err
+    assert ("needs 1000000 transitions (1 states x 1000000 letters), "
+            f"above cap {TRANSITION_CAP}") in err
 
 
 def test_closure_refuses_translations_beyond_int64():
@@ -248,7 +299,7 @@ def test_export_identity_automaton():
     text = cli.json_text(export_automaton(affine_identity(1), 2))
     aut = import_automaton(text)
     assert len(aut.states) == 1
-    assert aut.transitions[(0, (0,))] == ((0,), 0)
+    assert (aut.images[0][0], aut.children[0][0]) == ([0], 0)
 
 
 def test_a1_generator_automaton_size(rs):
@@ -265,7 +316,8 @@ def test_export_round_trip(rs):
     aut = import_automaton(text)
     direct = reachable_states(gens, 2)
     assert aut.states == direct.states
-    assert aut.transitions == direct.transitions
+    assert aut.images == direct.images
+    assert aut.children == direct.children
     assert aut.generators == direct.generators
     assert cli.json_text(export_automaton(gens, 2)) == text  # deterministic bytes
 
@@ -276,7 +328,7 @@ def test_export_text_format(rs):
 
 
 # SHA-256 of `weylcheb automaton <type> <d> --format text`, recorded when each
-# state's children were still found one wreath_digit_step at a time
+# state's children were still found one wreath-recursion digit at a time
 TEXT_DIGESTS = {
     ("B2", "3"):
         "003c2bcc28f3fa29eeb46f431093d80eb94d5be45640ca15ffe6e4c7e469661d",
