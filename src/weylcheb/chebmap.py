@@ -8,9 +8,15 @@ of orbit sums is stored as a dict
 
     {dominant weight (int tuple): nonzero int coefficient}.
 
-Component k of the map is obtained by rewriting m_{d*omega_k} as an integer
-polynomial in the basic invariants m_{omega_1}, ..., m_{omega_n} via
-triangular elimination against a height order.
+For prime d, component k of the map is obtained by rewriting m_{d*omega_k}
+as an integer polynomial in the basic invariants m_{omega_1}, ...,
+m_{omega_n} via triangular elimination against a height order.  The maps
+form a semigroup, T_a(T_b(gencos x)) = T_a(gencos(b x)) = gencos(a b x),
+and T_d is the only polynomial map with T_d(gencos x) = gencos(d x),
+because the basic invariants are algebraically independent (Chevalley;
+Hoffman and Withers, Trans. AMS 308, 1988).  So a composite d is built as
+T_p o T_{d/p}, p its least prime factor, by exact composition of integer
+polynomials (compose_maps), and elimination runs only on prime degrees.
 
 Products of orbit sums use the stabilizer formula
 
@@ -41,9 +47,10 @@ than 2^32 residues below 2^63.  One sampler, draw_points, and one
 evaluator, polys_at_gencos_mod, serve both sampled checks: it gives
 gencos(z^d), E(z), E(z^d) and any integer polynomials at gencos(z), in
 batches of FIELD_CELLS orbit terms.  gencos and E are evaluated from their
-definition, by gencos_mod once at z and once at the point z^d
-(power_mod).  Every monomial, of an orbit row or of a polynomial, is a
-product of powers z_j^k mod p from one table (monomials_mod): gencos is
+definition, by one gencos_mod call per batch on the points z stacked over
+the points z^d (power_mod), so one Fermat ladder inverts both.  Every
+monomial, of an orbit row or of a polynomial, is a product of powers
+z_j^k mod p from one table (monomials_mod): gencos is
 summed over the orbit rows, and the polynomials are evaluated from one
 exponent matrix of their monomials (eval_polys_mod).  A nonzero residual,
 a Laurent polynomial of total degree deg once its negative exponents are
@@ -171,9 +178,8 @@ def monomial_expand(rs: RootSystem, e) -> dict:
     nonnegative integer raises ValueError, and a vector whose length is not
     the rank DimensionError.
 
-    X^e is X^{e - e_j} * m_{omega_j}, j the last nonzero exponent: walk
-    down that chain to the nearest tabulated exponent, then multiply back
-    up it in a loop, so the depth of the chain costs no recursion."""
+    X^e is X^{e - e_j} * m_{omega_j}, j the last nonzero exponent
+    (_power_chain)."""
     try:
         e = tuple(map(operator.index, e))
     except TypeError:
@@ -182,7 +188,16 @@ def monomial_expand(rs: RootSystem, e) -> dict:
         raise DimensionError(f"{len(e)} exponents for rank {rs.rank}")
     if any(c < 0 for c in e):
         raise ValueError("exponents must be nonnegative")
-    table = _expansions(rs)
+    return _power_chain(_expansions(rs), e, lambda low, j: orbit_sum_product(
+        rs, low, {rs.fundamental_weight(j): 1}))
+
+
+def _power_chain(table: dict, e: tuple, times) -> dict:
+    """table[e], for a table {exponent tuple: product X^e} that holds X^0:
+    X^e is times(X^{e - e_j}, j), j the last nonzero exponent.  Walk down
+    that chain to the nearest tabulated exponent, then multiply back up it
+    in a loop, tabulating each step, so the depth of the chain costs no
+    recursion."""
     chain = []
     low = e
     while low not in table:
@@ -190,8 +205,7 @@ def monomial_expand(rs: RootSystem, e) -> dict:
         chain.append((low, j))
         low = low[:j] + (low[j] - 1,) + low[j + 1:]
     for high, j in reversed(chain):
-        table[high] = orbit_sum_product(rs, table[low],
-                                        {rs.fundamental_weight(j): 1})
+        table[high] = times(table[low], j)
         low = high
     return table[e]
 
@@ -265,16 +279,50 @@ class PolynomialMap:
 
 
 def build_cheb_map(rs: RootSystem, d: int) -> PolynomialMap:
-    """The degree-d Chebyshev-like map: component k is the rewriting of
-    m_{d*omega_k} in the basic invariants.  d = 1 yields the identity and is
-    allowed for testing."""
-    if not isinstance(d, int) or d < 1:
+    """The degree-d Chebyshev-like map T_d, with T_d(gencos x) = gencos(d x).
+    For prime d, component k is the rewriting of m_{d*omega_k} in the basic
+    invariants (decompose_to_polynomial); d = 1 yields the identity and is
+    allowed for testing.  A composite d is T_p o T_{d/p}, p its least prime
+    factor, composed exactly (compose_maps): T_p(T_{d/p}(gencos x)) =
+    gencos(d x), and only one polynomial map intertwines gencos with
+    multiplication by d, because the basic invariants are algebraically
+    independent, so the composite is the map elimination would give."""
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError("d must be a positive integer")
+    p = next((k for k in range(2, math.isqrt(d) + 1) if d % k == 0), d)
+    if p < d:
+        return compose_maps(build_cheb_map(rs, p), build_cheb_map(rs, d // p))
     comps = []
     for k in range(rs.rank):
         target = {tuple(d if j == k else 0 for j in range(rs.rank)): 1}
         comps.append(decompose_to_polynomial(rs, target))
     return PolynomialMap(rs.rank, tuple(comps))
+
+
+def compose_maps(outer: PolynomialMap, inner: PolynomialMap) -> PolynomialMap:
+    """outer(inner(X)), exactly.  The powers prod_j inner_j^{e_j} are
+    tabulated once for all outer components, each from the one at e - e_j
+    (_power_chain); each component is then sum_e c_e * power(e), with zero
+    coefficients dropped."""
+    one = (0,) * inner.rank
+
+    def times(low, j):
+        out: dict = {}
+        for ea, ca in low.items():
+            for eb, cb in inner.components[j].items():
+                e = tuple(map(operator.add, ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return {e: c for e, c in out.items() if c}
+
+    powers = {one: {one: 1}}
+    comps = []
+    for comp in outer.components:
+        acc: dict = {}
+        for e, c in comp.items():
+            for m, k in _power_chain(powers, e, times).items():
+                acc[m] = acc.get(m, 0) + c * k
+        comps.append({m: c for m, c in acc.items() if c})
+    return PolynomialMap(inner.rank, tuple(comps))
 
 
 def eval_polys(comps, x) -> list:
@@ -480,9 +528,10 @@ def polys_at_gencos_mod(rs: RootSystem, d: int, polys, z: np.ndarray,
     """The sparse integer polynomials `polys` at gencos(z), gencos(z^d),
     E(z) and E(z^d) modulo p at points z, an (S, n) int64 array of residues
     in [1, p - 1]: (S, len(polys)), (S, n), (S, n, n) and (S, n, n) arrays
-    of residues, all empty for S = 0.  Each batch calls gencos_mod at z and
-    at z^d; the points run in batches of at most FIELD_CELLS orbit terms of
-    the two calls together."""
+    of residues, all empty for S = 0.  Each batch makes one gencos_mod call
+    on its points z stacked over their powers z^d, so one Fermat ladder
+    inverts both; the points run in batches of at most FIELD_CELLS orbit
+    terms of that call."""
     size = max(1, FIELD_CELLS // (2 * len(fundamental_orbit_table(rs)[0])))
     n = rs.rank
     vals = np.empty((len(z), len(polys)), dtype=np.int64)
@@ -491,9 +540,11 @@ def polys_at_gencos_mod(rs: RootSystem, d: int, polys, z: np.ndarray,
     edz = np.empty((len(z), n, n), dtype=np.int64)
     for lo in range(0, len(z), size):
         part = slice(lo, lo + size)
-        gz, ez[part] = gencos_mod(rs, z[part], p)
-        gdz[part], edz[part] = gencos_mod(rs, power_mod(z[part], d, p), p)
-        vals[part] = eval_polys_mod(polys, gz, p)
+        zs = z[part]
+        m = len(zs)
+        g, e = gencos_mod(rs, np.concatenate([zs, power_mod(zs, d, p)]), p)
+        gdz[part], ez[part], edz[part] = g[m:], e[:m], e[m:]
+        vals[part] = eval_polys_mod(polys, g[:m], p)
     return vals, gdz, ez, edz
 
 

@@ -13,6 +13,7 @@ from weylcheb import chebmap
 from weylcheb.chebmap import (
     PolynomialMap,
     build_cheb_map,
+    compose_maps,
     decompose_to_polynomial,
     eval_poly_map,
     eval_polys,
@@ -173,18 +174,22 @@ def test_monomial_expand_base_cases(rs):
 
 
 def test_deep_expansion_chain_stays_below_the_recursion_limit():
-    # a cold instance expands X^600 down a chain of 600 degrees; m_(600)
-    # is 2 at z = 1, where X = 2
-    pmap = build_cheb_map(build_root_system.__wrapped__("A1"), 600)
+    # a cold instance expands X^600 down a chain of 600 degrees when it
+    # eliminates m_(600); m_(600) is 2 at z = 1, where X = 2.  The map
+    # itself is composed from T_2, T_3 and T_5, and equals the elimination
+    a1 = build_root_system.__wrapped__("A1")
+    pmap = build_cheb_map(a1, 600)
     assert pmap.components[0][(600,)] == 1
     assert eval_polys(pmap.components, [2]) == [2]
+    assert decompose_to_polynomial(a1, {(600,): 1}) == pmap.components[0]
 
 
 def test_chebmap_a1_1200_follows_the_rank_one_recurrence(capsys):
     # X^1200's chain is deeper than Python's recursion limit, which a
-    # recursive walk down it exceeded (chebmap A1 990 ended in RecursionError).
-    # In rank one m_(d+1) = X m_d - m_(d-1) for d >= 2, from m_1 = X and
-    # m_2 = X^2 - 2
+    # recursive walk down it exceeded (chebmap A1 990 ended in RecursionError):
+    # the verb composes T_1200 from prime degrees, and eliminating m_(1200)
+    # on a cold instance walks the whole chain.  In rank one
+    # m_(d+1) = X m_d - m_(d-1) for d >= 2, from m_1 = X and m_2 = X^2 - 2
     from weylcheb import cli
     assert cli.main(["chebmap", "A1", "1200", "--samples", "5"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -198,6 +203,9 @@ def test_chebmap_a1_1200_follows_the_rank_one_recurrence(capsys):
         prev, cur = cur, {e: c for e, c in nxt.items() if c}
     assert got == cur
     assert out["verification"]["pass"] is True
+    direct = decompose_to_polynomial(build_root_system.__wrapped__("A1"),
+                                     {(1200,): 1})
+    assert {e[0]: c for e, c in direct.items()} == cur
 
 
 def test_monomial_expand_refuses_non_integer_exponents(rs):
@@ -318,6 +326,76 @@ def test_a2_degree_2_matches_known_pair(rs):
 
 def test_degree_one_is_identity(rs):
     assert build_cheb_map(rs("B2"), 1).components == ({(1, 0): 1}, {(0, 1): 1})
+
+
+@pytest.mark.parametrize("d", [True, False, 0, -4, 2.0, 4.0, "4", None])
+def test_degree_must_be_a_positive_int(d, rs):
+    # bool is an int subclass: True would pass for 1
+    with pytest.raises(ValueError, match="positive integer"):
+        build_cheb_map(rs("A2"), d)
+
+
+def _direct_map(rsys, d):
+    """The components of T_d by elimination of each m_{d omega_k}."""
+    return tuple(decompose_to_polynomial(
+        rsys, {tuple(d if j == k else 0 for j in range(rsys.rank)): 1})
+        for k in range(rsys.rank))
+
+
+@pytest.mark.parametrize("spec,d", [("G2", 12), ("B2", 16), ("A2", 24),
+                                    ("A3", 6), ("G2", 6), ("A1", 6),
+                                    ("F4", 4)])
+def test_composite_map_matches_direct_elimination(spec, d):
+    # a composite d is composed from prime degrees; the unique map that
+    # intertwines gencos with d is also m_{d omega_k} eliminated directly
+    rsys = build_root_system.__wrapped__(spec)
+    pmap = build_cheb_map(rsys, d)
+    for comp, direct in zip(pmap.components, _direct_map(rsys, d),
+                            strict=True):
+        assert comp == direct
+
+
+def test_e6_4_map_passes_and_equals_direct_elimination():
+    # T_4 = T_2 o T_2 passes the functional check and equals the
+    # elimination of each m_{4 omega_k}
+    rsys = build_root_system.__wrapped__("E6")
+    pmap = build_cheb_map(rsys, 4)
+    assert verify_functional_equation(rsys, 4, pmap, samples=20).passed
+    assert pmap.components == _direct_map(rsys, 4)
+
+
+@pytest.mark.parametrize("spec,d", [("G2", 12), ("B2", 16), ("A2", 24),
+                                    ("A3", 6), ("A1", 1200), ("A2", 5),
+                                    ("G2", 2), ("B2", 1)])
+def test_only_prime_degrees_are_eliminated(spec, d, rs, monkeypatch):
+    # elimination runs on p omega_k for the primes p dividing a composite
+    # d, on d omega_k for a prime d, and on omega_k for d = 1
+    import sympy
+    rsys = rs(spec)
+    targets = []
+    real = chebmap.decompose_to_polynomial
+
+    def spy(rsys, target):
+        targets.append(target)
+        return real(rsys, target)
+
+    monkeypatch.setattr(chebmap, "decompose_to_polynomial", spy)
+    pmap = build_cheb_map(rsys, d)
+    eliminated = []  # (p, k) for each target m_{p omega_k}
+    for target in targets:
+        [(lam, c)] = target.items()
+        [k] = [j for j, x in enumerate(lam) if x]
+        assert c == 1
+        eliminated.append((lam[k], k))
+    ks = range(rsys.rank)
+    if d == 1 or sympy.isprime(d):
+        assert eliminated == [(d, k) for k in ks]
+    else:
+        assert set(eliminated) == {(p, k) for p in sympy.primefactors(d)
+                                   for k in ks}
+    if d == 1:
+        assert pmap.components == tuple({tuple(int(j == k) for j in ks): 1}
+                                        for k in ks)
 
 
 def test_product_type_splits(rs):
@@ -732,19 +810,48 @@ def test_compose_with_identity(rs):
 
 
 def test_a1_semigroup(rs):
+    # build_cheb_map composes T_4 and T_6 itself, so both sides are also
+    # checked against direct elimination
     a1 = rs("A1")
     t2 = build_cheb_map(a1, 2)
     comp = compose_poly_maps(t2, t2)
     assert comp.components == ({(4,): 1, (2,): -4, (0,): 2},)
     assert comp.components == build_cheb_map(a1, 4).components
-    assert compose_poly_maps(t2, build_cheb_map(a1, 3)).components == \
-        build_cheb_map(a1, 6).components
+    assert comp.components == _direct_map(a1, 4)
+    t6 = compose_poly_maps(t2, build_cheb_map(a1, 3))
+    assert t6.components == build_cheb_map(a1, 6).components
+    assert t6.components == _direct_map(a1, 6)
 
 
 def test_a2_semigroup(rs):
     a2 = rs("A2")
     t2 = build_cheb_map(a2, 2)
-    assert compose_poly_maps(t2, t2).components == build_cheb_map(a2, 4).components
+    t4 = compose_poly_maps(t2, t2)
+    assert t4.components == build_cheb_map(a2, 4).components
+    assert t4.components == _direct_map(a2, 4)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_compose_maps_matches_the_oracle(rank):
+    # random integer maps, with repeated and cancelling terms, against
+    # root_oracles.compose_poly_maps
+    rng = random.Random(26 + rank)
+
+    def random_map():
+        return PolynomialMap(rank, tuple(
+            {e: c for e, c in ((tuple(rng.randint(0, 3) for _ in range(rank)),
+                                rng.choice((-2, -1, 1, 3)))
+                               for _ in range(rng.randint(1, 5)))}
+            for _ in range(rank)))
+
+    for _ in range(10):
+        outer, inner = random_map(), random_map()
+        assert compose_maps(outer, inner).components == \
+            compose_poly_maps(outer, inner).components
+    # x^2 - y^2 at (x + y, x - y) is 4 x y: its other terms cancel
+    square = PolynomialMap(2, ({(2, 0): 1, (0, 2): -1}, {(0, 0): 1}))
+    turn = PolynomialMap(2, ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}))
+    assert compose_maps(square, turn).components == ({(1, 1): 4}, {(0, 0): 1})
 
 
 # --- serialization -------------------------------------------------------------------

@@ -180,8 +180,8 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
     # (one precision for all its points) are exact, so cutting the points
     # of the evaluator, polys_at_gencos_mod, into batches of 7 changes no
     # residual; the checks run on a +1 mutant, so their per-point residuals
-    # are not all zero.  Each batch makes two gencos_mod calls, at z and at
-    # z^d.
+    # are not all zero.  Each batch makes one gencos_mod call, on its points
+    # z stacked over their powers z^d.
     rsys = rs(spec)
     pmap = build_cheb_map(rsys, d)
     comps = [dict(c) for c in pmap.components]
@@ -197,7 +197,11 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
         return out
 
     def batch(rsys, z, p):
-        batches.append(len(z))
+        m = len(z) // 2
+        assert len(z) == 2 * m
+        assert z[m:].tolist() == [[pow(x, d, p) for x in point]
+                                  for point in z[:m].tolist()]
+        batches.append(m)
         return real_gencos(rsys, z, p)
 
     monkeypatch.setattr(chebmap, "residuals_mod_p", recording)
@@ -212,13 +216,10 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
         post = post_critical_check(rsys, d, wrong, samples=20)
         post_batches = batches[len(fun_batches):]
         oracle = post_critical_fixed_point(rsys, d, pmap, samples=20)
-        # each batch's size, from its first call, after checking that its
-        # second call takes as many points
-        calls = fun_batches, post_batches
-        assert all(b[0::2] == b[1::2] for b in calls)
+        # each batch's size: the points z of its one call
         return (fun.max_residual, fun.witness, per_point, post.det_residuals,
                 post.value_residuals, post.witness, oracle.det_residuals,
-                oracle.value_residuals), tuple(b[0::2] for b in calls)
+                oracle.value_residuals), (fun_batches, post_batches)
 
     whole, sizes = run()
     assert sizes == ([30], [20]) and len(seen) == 1
@@ -384,9 +385,9 @@ def test_postcritical_draws_the_functional_points(spec, d, rs, monkeypatch):
 def test_postcritical_fails_on_a_corrupted_e_weight(spec, d, rs,
                                                     monkeypatch):
     # G and E recomputed with Python ints from their definitions are the
-    # evaluator's, the second call of each batch at z^d; with the weights
-    # lam_j + 1 in place of lam_j the det identity fails for the true map,
-    # in the det check, at every sample
+    # evaluator's, whose one call per batch takes z stacked over z^d; with
+    # the weights lam_j + 1 in place of lam_j the det identity fails for the
+    # true map, in the det check, at every sample
     rsys = rs(spec)
     real = chebmap.gencos_mod
     calls = []
@@ -405,8 +406,8 @@ def test_postcritical_fails_on_a_corrupted_e_weight(spec, d, rs,
     assert rep.max_value_residual == 0
     assert all(rep.det_residuals) and not rep.passed
     p, z = draw_points(rsys, 10, 0)
-    assert calls == [z.tolist(), [[pow(x, d, p) for x in point]
-                                  for point in z.tolist()]]
+    assert calls == [z.tolist() + [[pow(x, d, p) for x in point]
+                                   for point in z.tolist()]]
     assert rep.witness == {"sample": 0, "check": "det", "component": None,
                            "z": z[0].tolist()}
 
@@ -414,8 +415,8 @@ def test_postcritical_fails_on_a_corrupted_e_weight(spec, d, rs,
 @pytest.mark.parametrize("spec,d", VERIFY_CASES)
 def test_both_verbs_fail_when_the_second_gencos_is_at_z(spec, d, monkeypatch,
                                                         capsys):
-    # a mutant evaluator whose second gencos_mod call of each batch is at z
-    # in place of z^d: both verify verbs exit 1 and name a witness
+    # a mutant evaluator whose gencos_mod call of each batch takes z in
+    # place of z^d: both verify verbs exit 1 and name a witness
     real = chebmap.power_mod
     monkeypatch.setattr(chebmap, "power_mod",
                         lambda a, e, p: a if e == d else real(a, e, p))
