@@ -22,16 +22,26 @@ Products of orbit sums use the stabilizer formula
 
     m_lam * m_mu = sum_{s in W mu} (|W lam| / |W dom(lam + s)|) m_{dom(lam + s)},
 
-which walks one orbit (the smaller) instead of convolving both; orbit sizes
-come from rootsys.orbit_size without enumeration.  Chevalley integrality is
-asserted, never rounded: each coefficient count * |W lam| / |W nu| must divide
-exactly, and a remainder raises ArithmeticError.
+summed over one orbit (the smaller) instead of convolving both; orbit sizes
+come from rootsys.orbit_size without enumeration.  The sum is constant on
+the orbits of W_J = Stab(lam), J = {j : lam_j = 0}, since
+dom(lam + w s) = dom(w (lam + s)) for w in W_J.  The closed J-chamber
+{s : s_j >= 0 for j in J} is a fundamental domain for W_J, and the
+stabilizer in W_J of a point s in it is generated by the simple
+reflections s_j, j in J, that fix s (Humphreys, Reflection Groups and
+Coxeter Groups, 1.12).  So only the J-dominant s are walked, each weighted
+by |W_J s| = orbit_size(supp(lam) u supp(s)) / orbit_size(lam), an exact
+integer division.  The weights must sum to |W mu|.  Chevalley integrality
+is asserted, never rounded: each coefficient count * |W lam| / |W nu| must
+divide exactly.  A remainder in either division, or a weight sum other
+than |W mu|, raises ArithmeticError.
 
 Expanding X^e as X^{e - e_j} * m_{omega_j} meets the same pairs m_lam * m_mu
-over and over, so the pair products (_pair_product, one orbit walk per
-pair), the table of monomial expansions (_expansions) and the height vector
-of the reduction order are cached with functools.cache, keyed on the
-root-system instance like every other root-system table.
+over and over, so the pair products (_pair_product, one walk of the
+J-chamber rows per pair), the table of monomial expansions (_expansions)
+and the height vector of the reduction order are cached with
+functools.cache, keyed on the root-system instance like every other
+root-system table.
 build_root_system keeps one root system per type spec for the life of the
 process, so these caches serve every later synthesis too.
 Elimination pops the height-maximal term from a heap, and raises if a popped
@@ -119,15 +129,32 @@ def _pair_product(rs: RootSystem, lam: tuple, mu: tuple) -> dict:
     lam <= mu: each pair is walked once per root system.  Of two orbits of
     one size, the walk takes that of the weight with the smaller coordinate
     sum: in synthesis a fundamental weight, whose orbit is enumerated
-    anyway."""
+    anyway.
+
+    Only the J-dominant rows s of the smaller orbit are walked
+    (_chamber_rows), J = {j : big_j = 0}, each weighted by the size of its
+    W_J-orbit; the weights must sum to |W small|, or ArithmeticError."""
     big, small = lam, mu
     if (orbit_size(rs, lam), sum(lam)) < (orbit_size(rs, mu), sum(mu)):
         big, small = mu, lam
-    counts: dict = {}
-    for s in orbit(rs, small):
-        nu = dominant_weight(rs, [x + y for x, y in zip(big, s)])
-        counts[nu] = counts.get(nu, 0) + 1
+    rows = orbit(rs, small)
     size = orbit_size(rs, big)
+    counts: dict = {}
+    total = 0
+    for s in _chamber_rows(rows, big).tolist():
+        union = tuple(int(b > 0 or x != 0) for b, x in zip(big, s))
+        weight, r = divmod(orbit_size(rs, union), size)
+        if r:
+            raise ArithmeticError(
+                f"m_{lam} * m_{mu}: |W_J {tuple(s)}| is "
+                f"{orbit_size(rs, union)}/{size}, not an integer")
+        nu = dominant_weight(rs, [x + y for x, y in zip(big, s)])
+        counts[nu] = counts.get(nu, 0) + weight
+        total += weight
+    if total != len(rows):
+        raise ArithmeticError(
+            f"m_{lam} * m_{mu}: the W_J-orbit weights sum to {total}, "
+            f"not to |W {small}| = {len(rows)}")
     out = {}
     for nu, k in counts.items():
         q, r = divmod(k * size, orbit_size(rs, nu))
@@ -137,6 +164,14 @@ def _pair_product(rs: RootSystem, lam: tuple, mu: tuple) -> dict:
                 f"{k * size}/{orbit_size(rs, nu)}, not an integer")
         out[nu] = q
     return out
+
+
+def _chamber_rows(rows: np.ndarray, big: tuple) -> np.ndarray:
+    """The rows s with s_j >= 0 wherever big_j = 0: the closed J-chamber,
+    J = {j : big_j = 0}, a fundamental domain for W_J = Stab(big), so one
+    row of each W_J-orbit in the orbit of rows (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.12)."""
+    return rows[(rows[:, [b == 0 for b in big]] >= 0).all(axis=1)]
 
 
 def orbit_sum_product(rs: RootSystem, a: dict, b: dict) -> dict:
@@ -149,9 +184,11 @@ def orbit_sum_product(rs: RootSystem, a: dict, b: dict) -> dict:
 
     summed over whichever of the two orbits is smaller: count the s that land
     on each dominant nu, then the coefficient of m_nu is
-    count * |W lam| / |W nu|.  The division must be exact; a remainder
-    raises ArithmeticError instead of being rounded.  Each pair's product
-    is computed once per root system (_pair_product).
+    count * |W lam| / |W nu|.  The count walks one s per W_J-orbit, J the
+    zero coordinates of lam, weighted by that orbit's size (see the module
+    docstring).  The divisions must be exact; a remainder raises
+    ArithmeticError instead of being rounded.  Each pair's product is
+    computed once per root system (_pair_product).
     """
     out: dict = {}
     for lam, ca in a.items():
@@ -286,12 +323,28 @@ def build_cheb_map(rs: RootSystem, d: int) -> PolynomialMap:
     factor, composed exactly (compose_maps): T_p(T_{d/p}(gencos x)) =
     gencos(d x), and only one polynomial map intertwines gencos with
     multiplication by d, because the basic invariants are algebraically
-    independent, so the composite is the map elimination would give."""
+    independent, so the composite is the map elimination would give.  Each
+    distinct prime factor of d is eliminated once per call."""
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError("d must be a positive integer")
-    p = next((k for k in range(2, math.isqrt(d) + 1) if d % k == 0), d)
-    if p < d:
-        return compose_maps(build_cheb_map(rs, p), build_cheb_map(rs, d // p))
+    primes = []  # the prime factors of d, least first, with multiplicity
+    rest = d
+    while rest > 1:
+        p = next((k for k in range(2, math.isqrt(rest) + 1) if rest % k == 0),
+                 rest)
+        primes.append(p)
+        rest //= p
+    primes = primes or [1]
+    maps = {p: _eliminated_map(rs, p) for p in sorted(set(primes))}
+    pmap = maps[primes[-1]]
+    for p in reversed(primes[:-1]):
+        pmap = compose_maps(maps[p], pmap)
+    return pmap
+
+
+def _eliminated_map(rs: RootSystem, d: int) -> PolynomialMap:
+    """T_d by elimination: component k rewrites m_{d*omega_k} in the basic
+    invariants."""
     comps = []
     for k in range(rs.rank):
         target = {tuple(d if j == k else 0 for j in range(rs.rank)): 1}

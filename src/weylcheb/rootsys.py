@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -431,37 +432,59 @@ def _weyl_group_elements(rs: RootSystem):
                         np.concatenate(found_c).tolist()))
 
 
-def orbit(rs: RootSystem, lam) -> tuple:
-    """The Weyl orbit of an integral weight, as a sorted tuple of weight
-    coordinate vectors, enumerated once per root system and weight."""
-    return _orbit(rs, tuple(lam))
+def orbit(rs: RootSystem, lam) -> np.ndarray:
+    """The Weyl orbit of an integral weight, as a read-only int64 matrix
+    whose rows are its weight coordinate vectors in sorted (lexicographic)
+    order.  Each orbit is enumerated once per root system, from its
+    dominant weight (_orbit), and the orbit of a fundamental weight is a
+    slice of fundamental_orbit_table, so every caller shares one copy."""
+    return _orbit(rs, dominant_weight(rs, lam))
 
 
 @functools.cache
-def _orbit(rs: RootSystem, lam: tuple) -> tuple:
-    cols = [tuple(rs.cartan[i][j] for i in range(rs.rank)) for j in range(rs.rank)]
-    seen = {lam}
-    queue = [lam]
-    while queue:
-        mu = queue.pop()
-        for j in range(rs.rank):
-            if mu[j] == 0:
-                continue
-            img = tuple(m - mu[j] * c for m, c in zip(mu, cols[j]))
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return tuple(sorted(seen))
+def _orbit(rs: RootSystem, dom: tuple) -> np.ndarray:
+    if sum(dom) == 1:  # a fundamental weight
+        rows, starts = fundamental_orbit_table(rs)
+        k = dom.index(1)
+        return rows[starts[k]:starts[k + 1] if k + 1 < rs.rank else len(rows)]
+    return _orbit_walk(rs, dom)
+
+
+def _orbit_walk(rs: RootSystem, dom: tuple) -> np.ndarray:
+    """The orbit of a dominant weight, sorted, one level at a time down from
+    dom.  The next level holds s_j(x) = x - x_j a_j for each x of the level
+    and each j with x_j > 0: that step lengthens the shortest w with
+    x = w dom by one, and every x other than dom has some x_j < 0, whose
+    s_j(x) lies one level up.  So each orbit element lies at exactly one
+    depth, and deduplicating within each level is enough."""
+    level = [dom]
+    found = [dom]
+    while level:
+        below = set()
+        for x in level:
+            for j, xj in enumerate(x):
+                if xj > 0:
+                    y = list(x)
+                    for i, c in rs._simple_root_cols[j]:
+                        y[i] -= xj * c
+                    below.add(tuple(y))
+        found += below
+        level = below
+    rows = np.array(found, dtype=np.int64).reshape(len(found), rs.rank)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows.setflags(write=False)
+    return rows
 
 
 @functools.cache
 def fundamental_orbit_table(rs: RootSystem):
     """The orbits of the fundamental weights stacked into one read-only
     int64 matrix, orbit k in rows starts[k] up to starts[k + 1] (the last
-    up to the end), each in the sorted order of orbit().  Returns
-    (rows, starts); cached per root system."""
-    orbits = [orbit(rs, rs.fundamental_weight(k)) for k in range(rs.rank)]
-    rows = np.array([r for o in orbits for r in o], dtype=np.int64)
+    up to the end), each in the sorted order of orbit(), which returns
+    these slices.  Returns (rows, starts); cached per root system."""
+    orbits = [_orbit_walk(rs, rs.fundamental_weight(k))
+              for k in range(rs.rank)]
+    rows = np.concatenate(orbits)
     starts = np.cumsum([0] + [len(o) for o in orbits[:-1]])
     rows.setflags(write=False)
     starts.setflags(write=False)
@@ -504,15 +527,19 @@ def orbit_size(rs: RootSystem, nu) -> int:
 
 @functools.cache
 def _orbit_size(rs: RootSystem, support: tuple) -> int:
-    prod = Fraction(1)
+    num = den = 1
     for v in rs.roots:
         h = sum(v.coroot_coords)
-        if h > 0 and dot(support, v.coroot_coords) > 0:
-            prod *= Fraction(h + 1, h)
-    if prod.denominator != 1:
+        # a positive coroot's coefficients are >= 0: it pairs positively
+        # with nu exactly when its support meets nu's
+        if h > 0 and any(map(operator.mul, support, v.coroot_coords)):
+            num *= h + 1
+            den *= h
+    size, rem = divmod(num, den)
+    if rem:
         raise RuntimeError(f"orbit size on support {support} is not an "
-                           f"integer: {prod}")
-    return int(prod)
+                           f"integer: {num}/{den}")
+    return size
 
 
 def weyl_order(rs: RootSystem) -> int:
@@ -580,6 +607,21 @@ def _json_safe(obj):
     return str(obj)
 
 
+def _row_codes(rows: np.ndarray, bound: int) -> np.ndarray:
+    """One int64 code per row of an integer matrix with entries in
+    [-bound, bound]: sum_i rows[:, i] R^(n-1-i), R = 2 bound + 1, balanced
+    mixed radix, so distinct rows get distinct codes.  Refuses
+    (CapExceededError) when a code could pass int64, |code| <= (R^n - 1)/2."""
+    radix = 2 * bound + 1
+    n = rows.shape[1]
+    if radix ** n > 1 << 64:
+        raise CapExceededError(
+            f"rows of length {n} with entries up to {bound} do not fit one "
+            "int64 code")
+    return rows @ np.array([radix ** (n - 1 - i) for i in range(n)],
+                           dtype=np.int64)
+
+
 def verify_axioms(rs: RootSystem) -> AxiomReport:
     """Check the four root-system axioms on exact data; failures carry a
     witness."""
@@ -616,13 +658,12 @@ def verify_axioms(rs: RootSystem) -> AxiomReport:
     checks.append(AxiomCheck("multiples", mult_wit is None, mult_wit))
 
     # closure under reflections: s_v(w) = w - <w, v^vee> v must be a root;
-    # images and roots are keyed by their index among the distinct rows
+    # images and roots are keyed by one int64 code each (_row_codes)
     pair = wts @ cos.T   # pair[i, j] = <root i, root j^vee>
     imgs = wts[None, :, :] - pair.T[:, :, None] * wts[:, None, :]
-    _, keys = np.unique(np.concatenate([wts, imgs.reshape(-1, rs.rank)]),
-                        axis=0, return_inverse=True)
-    keys = keys.reshape(-1)
-    clo_wit = first(~np.isin(keys[len(roots):], keys[:len(roots)])
+    bound = int(max(np.abs(wts).max(initial=0), np.abs(imgs).max(initial=0)))
+    codes = _row_codes(imgs.reshape(-1, rs.rank), bound)
+    clo_wit = first(~np.isin(codes, _row_codes(wts, bound))
                     .reshape(len(roots), len(roots)))
     checks.append(AxiomCheck("closure", clo_wit is None, clo_wit))
 

@@ -1,6 +1,8 @@
 """Slow, direct forms of facts the program computes another way, and
 helpers that only the tests use, kept as test oracles: an orbit's rows
-sliced from the stacked table, the positive roots by the signs of their
+sliced from the stacked table, an orbit by closure under the simple
+reflections, an orbit-sum product walked over the whole smaller orbit,
+the positive roots by the signs of their
 coefficients, the generalized cosine as a stabilizer-normalized sum over the
 whole Weyl group, exact polynomial composition, the order of an affine
 element by repeated products, a generating path's loop and the wall ratio
@@ -23,7 +25,8 @@ from weylcheb.chebmap import PolynomialMap
 from weylcheb.errors import DimensionError
 from weylcheb.gencos import TWO_PI_I, eval_gencos
 from weylcheb.rootsys import (AffineElement, RootSystem, WeylElement,
-                              affine_compose, fundamental_orbit_table,
+                              affine_compose, dominant_weight,
+                              fundamental_orbit_table, orbit_size,
                               weyl_group_elements)
 from weylcheb.selfsim import Automaton, TreeWord
 
@@ -34,6 +37,48 @@ def orbit_matrix(rs: RootSystem, k: int) -> np.ndarray:
     rows, starts = fundamental_orbit_table(rs)
     end = starts[k + 1] if k + 1 < rs.rank else len(rows)
     return rows[starts[k]:end]
+
+
+def orbit_bfs(rs: RootSystem, lam) -> tuple:
+    """The Weyl orbit of lam, dominant or not, as a sorted tuple of weight
+    tuples: the closure of {lam} under the simple reflections s_j with
+    mu_j != 0, one weight at a time."""
+    lam = tuple(lam)
+    cols = [tuple(rs.cartan[i][j] for i in range(rs.rank))
+            for j in range(rs.rank)]
+    seen = {lam}
+    queue = [lam]
+    while queue:
+        mu = queue.pop()
+        for j in range(rs.rank):
+            if mu[j] == 0:
+                continue
+            img = tuple(m - mu[j] * c for m, c in zip(mu, cols[j]))
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+    return tuple(sorted(seen))
+
+
+def pair_product_full_walk(rs: RootSystem, lam: tuple, mu: tuple) -> dict:
+    """m_lam * m_mu by the stabilizer formula with one dominant walk from
+    every element of the smaller orbit (orbit_bfs), ties broken toward the
+    smaller coordinate sum: count the s landing on each nu, then the
+    coefficient of m_nu is count * |W big| / |W nu|, which must divide."""
+    big, small = lam, mu
+    if (orbit_size(rs, lam), sum(lam)) < (orbit_size(rs, mu), sum(mu)):
+        big, small = mu, lam
+    counts: dict = {}
+    for s in orbit_bfs(rs, small):
+        nu = dominant_weight(rs, [x + y for x, y in zip(big, s)])
+        counts[nu] = counts.get(nu, 0) + 1
+    size = orbit_size(rs, big)
+    out = {}
+    for nu, k in counts.items():
+        q, r = divmod(k * size, orbit_size(rs, nu))
+        assert r == 0, (lam, mu, nu)
+        out[nu] = q
+    return out
 
 
 def positive_roots(rs: RootSystem):

@@ -29,7 +29,8 @@ from weylcheb.rootsys import (build_root_system, fundamental_orbit_table,
                               orbit, rho_vee, weyl_group_elements)
 
 import fixed_point_oracle as fpo
-from root_oracles import compose_poly_maps, gencos_e_mod, orbit_matrix
+from root_oracles import (compose_poly_maps, gencos_e_mod, orbit_matrix,
+                          pair_product_full_walk)
 
 FULL_MATRIX = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                for d in (2, 3)]
@@ -70,8 +71,8 @@ def _convolution_product(rsys, a, b):
     counts = {}
     for lam, ca in a.items():
         for mu, cb in b.items():
-            for r in orbit(rsys, lam):
-                for s in orbit(rsys, mu):
+            for r in orbit(rsys, lam).tolist():
+                for s in orbit(rsys, mu).tolist():
                     key = tuple(x + y for x, y in zip(r, s))
                     counts[key] = counts.get(key, 0) + ca * cb
     return {lam: c for lam, c in counts.items() if c and min(lam) >= 0}
@@ -136,6 +137,52 @@ def test_pair_table_is_hit_in_both_orders():
         nu: 2 * c for nu, c in first.items()}
     after = chebmap._pair_product.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("spec", ["A2", "G2", "B3", "F4", "E6"])
+def test_pair_product_matches_the_full_orbit_walk(spec):
+    # every pair of weights among 0, omega_k and 2 omega_k: the walk of one
+    # row per W_J-orbit, weighted, gives the walk of the whole orbit; a
+    # fresh instance walks every pair itself
+    rsys = build_root_system.__wrapped__(spec)
+    n = rsys.rank
+    weights = [(0,) * n] + [tuple(c if j == k else 0 for j in range(n))
+                            for c in (1, 2) for k in range(n)]
+    pairs = [(lam, mu) for lam in weights for mu in weights if lam <= mu]
+    for lam, mu in pairs:
+        assert (chebmap._pair_product(rsys, lam, mu)
+                == pair_product_full_walk(rsys, lam, mu)), (lam, mu)
+
+
+def test_a_wrong_stabilizer_weight_fails_the_sum_check(monkeypatch):
+    # m_(1,0) * m_(0,1) on A2 walks (0,1) and (-1,0) of W(0,1), weighted 2
+    # and 1.  A size of 12 for the support (1,1) makes the first weight 4;
+    # the product would still come out right, 4 * 3 / 12 = 1, but the
+    # weights sum to 5, not |W (0,1)| = 3
+    true_size = chebmap.orbit_size
+    monkeypatch.setattr(chebmap, "orbit_size", lambda rsys, nu: true_size(
+        rsys, nu) * (2 if tuple(nu) == (1, 1) else 1))
+    with pytest.raises(ArithmeticError, match="sum to 5, not to"):
+        orbit_sum_product(build_root_system.__wrapped__("A2"), {(1, 0): 1},
+                          {(0, 1): 1})
+
+
+def test_a_chamber_filter_keeping_one_row_too_many_fails(monkeypatch):
+    # one row outside the J-chamber walked as well adds its weight to the
+    # sum, which then passes |W small|
+    true_rows = chebmap._chamber_rows
+
+    def one_too_many(rows, big):
+        kept = true_rows(rows, big)
+        extra = next(r for r in rows.tolist() if r not in kept.tolist())
+        return np.concatenate([kept, [extra]])
+
+    monkeypatch.setattr(chebmap, "_chamber_rows", one_too_many)
+    for spec, lam, mu in [("A2", (1, 0), (0, 1)), ("B3", (0, 2, 0), (1, 0, 0)),
+                          ("G2", (0, 1), (2, 0))]:
+        with pytest.raises(ArithmeticError, match="weights sum to"):
+            orbit_sum_product(build_root_system.__wrapped__(spec), {lam: 1},
+                              {mu: 1})
 
 
 def _derived_tables(rsys):
@@ -368,8 +415,8 @@ def test_e6_4_map_passes_and_equals_direct_elimination():
                                     ("A3", 6), ("A1", 1200), ("A2", 5),
                                     ("G2", 2), ("B2", 1)])
 def test_only_prime_degrees_are_eliminated(spec, d, rs, monkeypatch):
-    # elimination runs on p omega_k for the primes p dividing a composite
-    # d, on d omega_k for a prime d, and on omega_k for d = 1
+    # elimination runs once on p omega_k for each prime p dividing a
+    # composite d, on d omega_k for a prime d, and on omega_k for d = 1
     import sympy
     rsys = rs(spec)
     targets = []
@@ -391,8 +438,9 @@ def test_only_prime_degrees_are_eliminated(spec, d, rs, monkeypatch):
     if d == 1 or sympy.isprime(d):
         assert eliminated == [(d, k) for k in ks]
     else:
-        assert set(eliminated) == {(p, k) for p in sympy.primefactors(d)
-                                   for k in ks}
+        # each distinct prime once, however often it divides d
+        assert sorted(eliminated) == [(p, k) for p in sympy.primefactors(d)
+                                      for k in ks]
     if d == 1:
         assert pmap.components == tuple({tuple(int(j == k) for j in ks): 1}
                                         for k in ks)

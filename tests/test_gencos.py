@@ -25,7 +25,6 @@ from weylcheb.rootsys import (
     build_root_system,
     affine_compose,
     affine_identity,
-    orbit,
     reflection_element,
     rho_vee,
     translation_element,
@@ -33,7 +32,7 @@ from weylcheb.rootsys import (
 
 from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
                           eval_gencos_fullsum, first_step_wall_ratios, loop_of,
-                          positive_roots)
+                          orbit_bfs, positive_roots)
 
 TEST_SPECS = ("A1", "A2", "B2", "G2")
 
@@ -73,8 +72,10 @@ def test_fullsum_at_zero_counts_orbit(rs):
 # --- the stacked-orbit kernel against per-orbit oracles ----------------------
 
 def _orbit_rows(rsys, k):
-    # from orbit() itself, not from the stacked table the kernel slices
-    return np.array(orbit(rsys, rsys.fundamental_weight(k)), dtype=np.int64)
+    # by closure under the simple reflections, not from the stacked table
+    # the kernel slices, which orbit() also returns
+    return np.array(orbit_bfs(rsys, rsys.fundamental_weight(k)),
+                    dtype=np.int64)
 
 
 def _oracle_eval(rsys, x):

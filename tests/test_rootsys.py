@@ -4,8 +4,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from weylcheb import rootsys
 from weylcheb.chebmap import height_vector
 from weylcheb.errors import CapExceededError, TypeSpecError
 from weylcheb.rootsys import (
@@ -36,7 +38,7 @@ from weylcheb.rootsys import (
     weyl_order,
 )
 
-from root_oracles import orbit_matrix, positive_roots
+from root_oracles import orbit_bfs, orbit_matrix, positive_roots
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20,
@@ -155,6 +157,25 @@ def test_axioms_fail_with_deleted_root():
     closure = next(c for c in report.checks if c.name == "closure")
     assert not closure.passed
     assert closure.witness is not None
+
+
+@pytest.mark.parametrize("spec", ["B2", "G2", "F4", "B3xA1"])
+def test_closure_witness_is_the_first_pair_off_the_roots(spec):
+    # the first (v, w) in root order whose s_v(w) is not a root, found by
+    # reflecting each pair in Python, with one root deleted or tripled
+    rsys = build_root_system(spec)
+    v = rsys.roots[2]
+    tripled = Root(tuple(3 * c for c in v.weight_coords), v.coroot_coords,
+                   v.length_sq)
+    for roots in (rsys.roots[1:], rsys.roots[:-1],
+                  (*rsys.roots, tripled)):
+        have = {r.weight_coords for r in roots}
+        want = next((a, b) for a in roots for b in roots
+                    if tuple(x - dot(b.weight_coords, a.coroot_coords) * y
+                             for x, y in zip(b.weight_coords,
+                                             a.weight_coords)) not in have)
+        closure = _check(verify_axioms(_with_roots(rsys, roots)), "closure")
+        assert not closure.passed and closure.witness == want
 
 
 def _with_roots(rsys, roots):
@@ -343,9 +364,11 @@ def test_orbit_matrix_slices_the_stacked_table(spec, rs):
     blocks = [orbit_matrix(rsys, k) for k in range(rsys.rank)]
     assert sum(len(b) for b in blocks) == len(rows)
     for k, block in enumerate(blocks):
-        assert block.tolist() == [list(r) for r in
-                                  orbit(rsys, rsys.fundamental_weight(k))]
+        omega = rsys.fundamental_weight(k)
+        assert block.tolist() == [list(r) for r in orbit_bfs(rsys, omega)]
         assert not block.flags.writeable
+        # orbit() hands out the table's own rows, not a copy
+        assert np.shares_memory(orbit(rsys, omega), rows)
 
 
 def test_weyl_elements_preserve_roots(rs):
@@ -367,9 +390,59 @@ def test_weyl_matrices_integer_invertible(rs):
 def test_orbit_sizes():
     a2 = build_root_system("A2")
     assert len(orbit(a2, (1, 0))) == 3
-    assert orbit(a2, (0, 0)) == ((0, 0),)
+    assert orbit(a2, (0, 0)).tolist() == [[0, 0]]
     a1 = build_root_system("A1")
-    assert orbit(a1, (1,)) == ((-1,), (1,))
+    assert orbit(a1, (1,)).tolist() == [[-1], [1]]
+
+
+def _orbit_cases(rsys):
+    """0, each omega_k and 2 omega_k, omega_1 + omega_n, and three weights
+    that are not dominant, each with an orbit of at most 2000 rows."""
+    n = rsys.rank
+    cases = [(0,) * n, tuple(1 if j in (0, n - 1) else 0 for j in range(n))]
+    for k in range(n):
+        cases += [rsys.fundamental_weight(k),
+                  tuple(2 if j == k else 0 for j in range(n))]
+    rng = random.Random(3)
+    while len(cases) < 2 * n + 5:
+        lam = tuple(rng.randint(-2, 2) for _ in range(n))
+        if (min(lam) < 0
+                and orbit_size(rsys, dominant_weight(rsys, lam)) <= 2000):
+            cases.append(lam)
+    return cases
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "B3", "C3", "G2", "F4", "E6",
+                                  "B3xA1"])
+def test_orbit_matches_the_closure_oracle(spec):
+    # the level walk from the dominant weight gives the sorted orbit that
+    # closure under the simple reflections gives, from any weight of it; a
+    # fresh instance enumerates every orbit itself
+    rsys = build_root_system.__wrapped__(spec)
+    for lam in _orbit_cases(rsys):
+        rows = orbit(rsys, lam)
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+        assert rows.tolist() == [list(mu) for mu in orbit_bfs(rsys, lam)], lam
+
+
+def test_an_orbit_is_enumerated_once_from_any_of_its_weights():
+    a2 = build_root_system.__wrapped__("A2")
+    assert orbit(a2, (-2, 1)) is orbit(a2, (1, 1)) is orbit(a2, (2, -1))
+
+
+def test_row_codes_tell_rows_apart_and_refuse_past_int64():
+    rng = random.Random(4)
+    rows = np.array([[rng.randint(-3, 3) for _ in range(4)]
+                     for _ in range(300)], dtype=np.int64)
+    codes = rootsys._row_codes(rows, 3)
+    pairs = {(tuple(r), c) for r, c in zip(rows.tolist(), codes.tolist())}
+    rows_seen, codes_seen = zip(*pairs)
+    assert len(pairs) == len(set(rows_seen)) == len(set(codes_seen))
+    # 7^22 < 2^64 < 7^23: entries in [-3, 3] fit 22 to a row, not 23
+    assert rootsys._row_codes(np.full((1, 22), -3, dtype=np.int64), 3) == -(
+        7 ** 22 - 1) // 2
+    with pytest.raises(CapExceededError, match="int64"):
+        rootsys._row_codes(np.zeros((1, 23), dtype=np.int64), 3)
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
@@ -410,7 +483,8 @@ def test_dominant_weight_property():
         rsys = build_root_system(spec)
         for _ in range(100):
             lam = tuple(rng.randint(-6, 6) for _ in range(rsys.rank))
-            dominant = [mu for mu in orbit(rsys, lam) if min(mu) >= 0]
+            dominant = [tuple(mu) for mu in orbit(rsys, lam).tolist()
+                        if min(mu) >= 0]
             assert dominant == [dominant_weight(rsys, lam)]
 
 
@@ -419,6 +493,17 @@ def test_orbit_size_counts_orbit(spec, rs):
     rsys = rs(spec)
     for nu in itertools.product(range(3), repeat=rsys.rank):
         assert orbit_size(rsys, nu) == len(orbit(rsys, nu)), nu
+
+
+def test_orbit_size_refuses_a_non_integer_product():
+    # of A2's roots only +-(a_1 + a_2), of height 2: Macdonald's product
+    # is 3/2
+    a2 = build_root_system("A2")
+    fake = RootSystem(a2.type_spec, a2.factors, a2.cartan, a2.gram,
+                      a2.lengths, tuple(v for v in a2.roots
+                                        if abs(sum(v.coroot_coords)) == 2))
+    with pytest.raises(RuntimeError, match="not an integer: 3/2"):
+        orbit_size(fake, (1, 1))
 
 
 def test_orbit_size_refuses_non_dominant():
