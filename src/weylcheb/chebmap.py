@@ -54,24 +54,16 @@ the identity is tested modulo a prime p drawn from the seed in
 [2^30, 2^31), then at uniform points z of (F_p^*)^n (draw_points), in
 int64 numpy: a product of two residues is below 2^62, and a sum of fewer
 than 2^32 residues below 2^63.  One sampler, draw_points, and one
-evaluator, polys_at_gencos_mod, serve both sampled checks: it gives
-gencos(z^d), E(z), E(z^d) and any integer polynomials at gencos(z), in
-batches of FIELD_CELLS orbit terms.  gencos and E are evaluated from their
-definition, by one gencos_mod call per batch on the points z stacked over
-the points z^d (power_mod), so one Fermat ladder inverts both.  Every
-monomial, of an orbit row or of a polynomial, is a product of powers
-z_j^k mod p from one table (monomials_mod): gencos is
-summed over the orbit rows, and the polynomials are evaluated from one
-exponent matrix of their monomials (eval_polys_mod).  A nonzero residual,
-a Laurent polynomial of total degree deg once its negative exponents are
-cleared, vanishes at a uniform point of (F_p^*)^n with probability at
-most deg/(p-1) (Schwartz-Zippel; Schwartz, JACM 27, 1980), unless p
-divides all its integer coefficients; a new seed draws a new p.
-Differentiating the identity in log z gives J_T(gencos z) E(z) = d E(z^d),
-E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam, so
-det J_T(gencos z) det E(z) = d^n det E(z^d) in Z[z^{+-1}]: the
-post-critical check (critical.post_critical_check) tests it at the same
-points, with E taken from the same orbit terms as gencos.
+evaluator, residuals_mod_p, serve both sampled checks.  It gives
+T_d(gencos z) - gencos(z^d) and E(z), evaluated from their definitions
+(gencos_mod): each orbit term z^lam is a product of powers z_j^k mod p
+from one table (monomials_mod), and its d-th power is the term at z^d.
+A nonzero residual, a Laurent polynomial of total degree deg once its
+negative exponents are cleared, vanishes at a uniform point of (F_p^*)^n
+with probability at most deg/(p-1) (Schwartz-Zippel; Schwartz, JACM 27,
+1980), unless p divides all its integer coefficients; a new seed draws a
+new p.  The post-critical check (critical.post_critical_check) tests that
+det E(z) is the Weyl denominator.
 """
 
 from __future__ import annotations
@@ -325,8 +317,7 @@ def build_cheb_map(rs: RootSystem, d: int) -> PolynomialMap:
     multiplication by d, because the basic invariants are algebraically
     independent, so the composite is the map elimination would give.  Each
     distinct prime factor of d is eliminated once per call."""
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError("d must be a positive integer")
+    _check_degree(d)
     primes = []  # the prime factors of d, least first, with multiplicity
     rest = d
     while rest > 1:
@@ -340,6 +331,12 @@ def build_cheb_map(rs: RootSystem, d: int) -> PolynomialMap:
     for p in reversed(primes[:-1]):
         pmap = compose_maps(maps[p], pmap)
     return pmap
+
+
+def _check_degree(d) -> None:
+    """Refuse a degree that is not a positive integer with ValueError."""
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError("d must be a positive integer")
 
 
 def _eliminated_map(rs: RootSystem, d: int) -> PolynomialMap:
@@ -418,24 +415,6 @@ def eval_poly_map(pmap: PolynomialMap, x):
     return vals
 
 
-def poly_partial(comp: dict, j: int) -> dict:
-    """Exact partial derivative of a sparse polynomial."""
-    out: dict = {}
-    for e, c in comp.items():
-        if e[j] == 0:
-            continue
-        de = list(e)
-        de[j] -= 1
-        out[tuple(de)] = out.get(tuple(de), 0) + c * e[j]
-    return out
-
-
-def jacobian_polys(pmap: PolynomialMap):
-    """Matrix of exact partial derivatives of the map's components."""
-    return [[poly_partial(comp, j) for j in range(pmap.rank)]
-            for comp in pmap.components]
-
-
 # ---------------------------------------------------------------------------
 # functional-equation verification over a prime field
 # ---------------------------------------------------------------------------
@@ -497,14 +476,20 @@ def draw_points(rs: RootSystem, samples: int, seed: int) -> tuple:
 
 def power_mod(a: np.ndarray, e: int, p: int) -> np.ndarray:
     """a^e mod p of an int64 array of residues, by squaring over the whole
-    array, with 0^0 = 1: at e = p - 2 the inverse of each nonzero entry
-    (Fermat), 0 for 0."""
+    array in place (few temporaries for a large batch), with 0^0 = 1: at
+    e = p - 2 the inverse of each nonzero entry (Fermat), 0 for 0.  A
+    negative e raises ValueError."""
+    if e < 0:
+        raise ValueError(f"power_mod needs an exponent >= 0, got {e}")
     out = np.ones_like(a)
     while e:
         if e & 1:
-            out = out * a % p
-        a = a * a % p
+            out *= a
+            out %= p
         e >>= 1
+        if e:
+            a = a * a
+            a %= p
     return out
 
 
@@ -537,26 +522,26 @@ def monomials_mod(z: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
     return terms
 
 
-def gencos_mod(rs: RootSystem, z: np.ndarray, p: int) -> tuple:
-    """gencos(z) and E(z) modulo p at a batch of points z, an (S, n) int64
-    array of residues in [1, p - 1] standing for e^{2 pi i x_j}: an (S, n)
-    and an (S, n, n) array of residues,
-    E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam.
-
-    The orbit term of a row r is prod_j z_j^{r_j}: all rows go through one
-    monomials_mod call, then one reduceat over the orbit starts gives the
-    gencos values, and per orbit one product of its terms with its rows
-    gives the rows of E."""
+def gencos_mod(rs: RootSystem, z: np.ndarray, p: int, d: int) -> tuple:
+    """gencos(z), gencos(z^d) and E(z) modulo p at a batch of points z, an
+    (S, n) int64 array of residues in [1, p - 1] standing for
+    e^{2 pi i x_j}: two (S, n) arrays and an (S, n, n) array of residues,
+    E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam.  The orbit term
+    t = z^r of each row r (one monomials_mod call) is t^d at z^d (one
+    power_mod call); one reduceat over the orbit starts gives each gencos,
+    and per orbit one product of its terms at z with its rows gives the
+    rows of E."""
     rows, starts = fundamental_orbit_table(rs)
     terms = monomials_mod(z, rows, p)
     gz = np.add.reduceat(terms, starts, axis=1) % p
+    gdz = np.add.reduceat(power_mod(terms, d, p), starts, axis=1) % p
     # a term is below 2^31, and |lam_j| = |<omega_k, w alpha_j^vee>| is at
     # most a coefficient of the highest coroot, <= 6: an orbit of fewer than
     # 2^29 rows (E8's largest has 483840) sums to below 6 2^60 < 2^63
     ez = np.empty((len(z), rs.rank, rs.rank), dtype=np.int64)
     for k, (lo, hi) in enumerate(zip(starts, [*starts[1:], len(rows)])):
         ez[:, k] = terms[:, lo:hi] @ rows[lo:hi] % p
-    return gz, ez
+    return gz, gdz, ez
 
 
 def eval_polys_mod(comps, x: np.ndarray, p: int) -> np.ndarray:
@@ -576,37 +561,23 @@ def eval_polys_mod(comps, x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def polys_at_gencos_mod(rs: RootSystem, d: int, polys, z: np.ndarray,
-                        p: int) -> tuple:
-    """The sparse integer polynomials `polys` at gencos(z), gencos(z^d),
-    E(z) and E(z^d) modulo p at points z, an (S, n) int64 array of residues
-    in [1, p - 1]: (S, len(polys)), (S, n), (S, n, n) and (S, n, n) arrays
-    of residues, all empty for S = 0.  Each batch makes one gencos_mod call
-    on its points z stacked over their powers z^d, so one Fermat ladder
-    inverts both; the points run in batches of at most FIELD_CELLS orbit
-    terms of that call."""
+def residuals_mod_p(rs: RootSystem, d: int, pmap: PolynomialMap,
+                    z: np.ndarray, p: int) -> tuple:
+    """T_d(gencos z) - gencos(z^d) and E(z) modulo p at points z, an (S, n)
+    int64 array of residues in [1, p - 1]: an (S, n) array of
+    representatives in (-p/2, p/2] and an (S, n, n) array of residues,
+    both empty for S = 0.  The points run in batches of at most
+    FIELD_CELLS orbit terms at z and z^d, one gencos_mod call each.  A
+    degree d that is not a positive integer raises ValueError."""
+    _check_degree(d)
     size = max(1, FIELD_CELLS // (2 * len(fundamental_orbit_table(rs)[0])))
-    n = rs.rank
-    vals = np.empty((len(z), len(polys)), dtype=np.int64)
-    gdz = np.empty((len(z), n), dtype=np.int64)
-    ez = np.empty((len(z), n, n), dtype=np.int64)
-    edz = np.empty((len(z), n, n), dtype=np.int64)
+    res = np.empty((len(z), rs.rank), dtype=np.int64)
+    ez = np.empty((len(z), rs.rank, rs.rank), dtype=np.int64)
     for lo in range(0, len(z), size):
         part = slice(lo, lo + size)
-        zs = z[part]
-        m = len(zs)
-        g, e = gencos_mod(rs, np.concatenate([zs, power_mod(zs, d, p)]), p)
-        gdz[part], ez[part], edz[part] = g[m:], e[:m], e[m:]
-        vals[part] = eval_polys_mod(polys, g[:m], p)
-    return vals, gdz, ez, edz
-
-
-def residuals_mod_p(rs: RootSystem, d: int, pmap: PolynomialMap,
-                    z: np.ndarray, p: int) -> np.ndarray:
-    """T_d(gencos z) - gencos(z^d) modulo p at points z, as an (S, n) int64
-    array of representatives in (-p/2, p/2]."""
-    vals, gdz, _, _ = polys_at_gencos_mod(rs, d, pmap.components, z, p)
-    return centred((vals - gdz) % p, p)
+        gz, gdz, ez[part] = gencos_mod(rs, z[part], p, d)
+        res[part] = eval_polys_mod(pmap.components, gz, p) - gdz
+    return centred(res % p, p), ez
 
 
 @dataclass
@@ -643,9 +614,9 @@ def verify_functional_equation(rs: RootSystem, d: int, pmap: PolynomialMap,
     multiplication by d, exactly modulo a prime p, at `samples` seeded
     points z of (F_p^*)^n (see the module docstring): p and then the points
     are drawn by draw_points, and all go through one residuals_mod_p
-    call."""
+    call.  A degree d that is not a positive integer raises ValueError."""
     p, z = draw_points(rs, samples, seed)
-    res = residuals_mod_p(rs, d, pmap, z, p)
+    res = residuals_mod_p(rs, d, pmap, z, p)[0]
     bad = np.flatnonzero(res)
     witness = None
     if len(bad):

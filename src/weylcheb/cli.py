@@ -108,33 +108,27 @@ def cmd_weyl(args) -> int:
     return 0
 
 
-def _synthesize_and_verify(args):
+def _synthesize_and_verify(args, check):
+    """T_d for the verb's type and degree, and check's report on it."""
     rs = build_root_system(args.type)
     pmap = cm.build_cheb_map(rs, args.d)
-    rep = cm.verify_functional_equation(rs, args.d, pmap,
-                                        samples=args.samples, seed=args.seed)
-    return rs, pmap, rep
+    return rs, pmap, check(rs, args.d, pmap, samples=args.samples,
+                           seed=args.seed)
 
 
 def cmd_chebmap(args) -> int:
-    rs, pmap, rep = _synthesize_and_verify(args)
+    rs, pmap, rep = _synthesize_and_verify(args, cm.verify_functional_equation)
     payload = cm.poly_map_as_dict(rs, args.d, pmap)
     payload["verification"] = rep.as_dict()
     _emit(args, payload)
     return 0 if rep.passed else 1
 
 
-def cmd_verify_functional(args) -> int:
-    _, _, rep = _synthesize_and_verify(args)
-    _emit(args, rep.as_dict())
-    return 0 if rep.passed else 1
-
-
-def cmd_verify_postcritical(args) -> int:
-    rs = build_root_system(args.type)
-    pmap = cm.build_cheb_map(rs, args.d)
-    rep = cr.post_critical_check(rs, args.d, pmap, samples=args.samples,
-                                 seed=args.seed)
+def cmd_verify(args) -> int:
+    """The verify verbs; the check is looked up per call, so wrappers see it."""
+    check = {"verify-functional": cm.verify_functional_equation,
+             "verify-postcritical": cr.post_critical_check}[args.command]
+    _, _, rep = _synthesize_and_verify(args, check)
     _emit(args, rep.as_dict())
     return 0 if rep.passed else 1
 
@@ -252,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-functional",
                        help="check the defining functional equation")
     common(p, d=True, sampled=True)
-    p.set_defaults(func=cmd_verify_functional)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("verify-postcritical",
                        help="check critical/post-critical structure")
     common(p, d=True, sampled=True)
-    p.set_defaults(func=cmd_verify_postcritical, samples=50)
+    p.set_defaults(func=cmd_verify, samples=50)
 
     p = sub.add_parser("img-verify",
                        help="check each generator loop lifts to its label")

@@ -4,24 +4,26 @@ perfbench/tracer.py, which wraps them by name; no CLI verb runs them.
 
 With z_j = e^{2 pi i y_j}, G the generalized cosine and
 E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam, differentiating
-T_d(G(z)) = G(z^d) in log z gives J_T(G(z)) E(z) = d E(z^d), so
+T_d(G(z)) = G(z^d) in log z gives J_T(G(z)) E(z) = d E(z^d), so the
+functional identity implies the Jacobian one.  Post-criticality rests on
+one more fact, that det E is the Weyl denominator (Bourbaki, Lie Groups,
+ch. VI sec. 3):
 
-    det J_T(G(z)) det E(z) = d^n det E(z^d)    in Z[z^{+-1}].
+    det E(z) z^rho = prod_{a > 0} (z^a - 1)    in Z[z^{+-1}],
 
-post_critical_check tests this identity, and T_d(G(z)) = G(z^d), at the
-uniform points of (F_p^*)^n the functional check draws (draw_points), G
-and E evaluated at z and at z^d (chebmap.gencos_mod).  Together they
-prove post-criticality.  det E is a constant times the Weyl denominator
-(Bourbaki, Lie Groups, ch. VI sec. 3), so it vanishes exactly on the
-walls, where z^u = 1 for some root u.  So det J_T(X) = 0 at X = G(z)
-(G maps onto C^n) forces z^d onto a wall, and the critical value
-T_d(X) = G(z^d) lies in D = G(walls).  And T_d(G(walls)) = G(d walls)
-lies in D.
+rho = (1, ..., 1) in weight coordinates.  The constant is 1: the highest
+term z^{2 rho} of both sides has coefficient 1, and in det E z^rho it
+comes only from the diagonal, lam = omega_k in row k.  post_critical_check
+tests this identity and T_d(G(z)) = G(z^d) at the points of (F_p^*)^n the
+functional check draws (draw_points), G and E evaluated at z
+(chebmap.residuals_mod_p).  det E vanishes exactly on the walls, where
+z^a = 1 for some root a.  So off the walls det J_T(G(z)) = 0 iff z^d is
+on a wall, and every critical value T_d(G(z)) = G(z^d) (G maps onto C^n)
+lies in D = G(walls); and T_d(G(walls)) = G(d walls) lies in D.
 
-Miss bound.  A map that breaks either identity leaves a nonzero residual,
-a Laurent polynomial in z, which vanishes at a uniform point of (F_p^*)^n
-with probability at most deg/(p - 1) (Schwartz, JACM 27, 1980), the
-functional check's bound, unless p divides all its coefficients.
+Miss bound.  A map that breaks either identity survives a uniform point
+of (F_p^*)^n with probability at most deg/(p - 1), deg the residual's
+degree, unless p divides all its coefficients (Schwartz, JACM 27, 1980).
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebmap import (PolynomialMap, centred, draw_points, jacobian_polys,
-                      polys_at_gencos_mod, power_mod)
+from .chebmap import (PolynomialMap, centred, draw_points, monomials_mod,
+                      power_mod, residuals_mod_p)
 from .gencos import eval_gencos
-from .rootsys import RootSystem
+from .rootsys import RootSystem, positive_root_rows
 
 _IM_SCALE = 0.15            # imaginary spread of wall samples
 LEVELS = (-2, -1, 0, 1, 2)  # wall levels <v, x> = ell of the wall sampler
@@ -51,15 +53,15 @@ class DiagramSample:
 @dataclass
 class PostCriticalReport:
     """The post-critical check modulo `prime`: per sample, the det residual
-    |det J_T(G(z)) det E(z) - d^n det E(z^d)| and the largest
+    |det E(z) z^rho - prod_{a > 0} (z^a - 1)| and the largest
     |T_d(G(z)) - G(z^d)|, exact integers (representatives in (-p/2, p/2]),
-    0 when the identities hold.  `skipped` counts the samples with
-    det E(z) = 0 (mod prime), z on a wall mod prime, where the det identity
-    cannot see J_T; they are checked all the same.  `witness` names the
-    first failing sample: its index, the check (`det` or `value`), the
-    component (from 0; None for `det`) and z as residues mod prime.  The
-    residuals pass only at 0; `tol` bounds nothing and stays in the report
-    and its JSON because perfbench/tracer.py reads it."""
+    0 when the identities hold.  `skipped` counts the samples on a wall
+    mod prime, det E(z) = 0; they are checked all the same.  `witness`
+    names the first failing sample: its index, the check (`det` for the
+    denominator identity, `value` for the functional one), the component
+    (from 0; None for `det`) and z as residues mod prime.  The residuals
+    pass only at 0; `tol` bounds nothing and stays in the report and its
+    JSON because perfbench/tracer.py reads it."""
     type_spec: str
     d: int
     samples: int
@@ -161,21 +163,21 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
                         samples: int = 50, tol: float = 1e-7,
                         seed: int = 0) -> PostCriticalReport:
     """At `samples` points z drawn by draw_points, exactly modulo a prime:
-    det J_T(G(z)) det E(z) = d^n det E(z^d) and T_d(G(z)) = G(z^d) (see
-    the module docstring).  The Jacobian entries, T_d and both E are
-    evaluated at all points by one polys_at_gencos_mod call, and the
-    determinants of J_T, E(z) and E(z^d) by one det_mod call.  `tol` is
-    only carried into the report (see PostCriticalReport)."""
+    det E(z) z^rho = prod_{a > 0} (z^a - 1) and T_d(G(z)) = G(z^d) (see
+    the module docstring), from one residuals_mod_p call (the residuals
+    and E(z)), one det_mod call and one monomials_mod call (the z^a).  A
+    degree d below 1 raises ValueError; `tol` is only carried into the
+    report (see PostCriticalReport)."""
     p, z = draw_points(rs, samples, seed)
-    n = rs.rank
-    polys = [*(q for row in jacobian_polys(pmap) for q in row),
-             *pmap.components]
-    vals, gdz, ez, edz = polys_at_gencos_mod(rs, d, polys, z, p)
-    det_j, det_ez, det_edz = det_mod(np.concatenate(
-        [vals[:, :n * n].reshape(-1, n, n), ez, edz]), p).reshape(3, -1)
-    det = np.abs(centred((det_j * det_ez - pow(d, n, p) * det_edz) % p, p))
-    value = np.abs(centred((vals[:, n * n:] - gdz) % p, p))
-    worst = value.max(axis=1)
+    res, ez = residuals_mod_p(rs, d, pmap, z, p)
+    det_ez = det_mod(ez, p)
+    lhs, rhs = det_ez, np.ones_like(det_ez)
+    for zj in z.T:
+        lhs = lhs * zj % p
+    for za in monomials_mod(z, positive_root_rows(rs), p).T:
+        rhs = rhs * (za - 1) % p
+    det = np.abs(centred((lhs - rhs) % p, p))
+    worst = np.abs(res).max(axis=1)
     witness = None
     bad = np.flatnonzero(det + worst)
     if len(bad):
@@ -183,7 +185,7 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
         in_det = bool(det[i])
         witness = {
             "sample": i, "check": "det" if in_det else "value",
-            "component": None if in_det else int(np.flatnonzero(value[i])[0]),
+            "component": None if in_det else int(np.flatnonzero(res[i])[0]),
             "z": z[i].tolist()}
     return PostCriticalReport(rs.type_spec, d, samples, tol, p, det.tolist(),
                               worst.tolist(), int((det_ez == 0).sum()),

@@ -29,7 +29,6 @@ of one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ from .rootsys import (
     AffineElement,
     RootSystem,
     fundamental_orbit_table,
+    positive_root_rows,
     weyl_group_elements,
 )
 
@@ -97,22 +97,12 @@ def gencos_jacobian(rs: RootSystem, x) -> np.ndarray:
     return _kernel(rs, x, jacobian=True)[1]
 
 
-@functools.cache
-def _positive_roots(rs: RootSystem):
-    """The positive roots, those with nonnegative simple-coroot
-    coefficients, and their weight coordinates as the rows of a read-only
-    float matrix.  Cached per root system."""
-    roots = tuple(v for v in rs.roots if min(v.coroot_coords) >= 0)
-    rows = np.array([v.weight_coords for v in roots], dtype=float)
-    rows.setflags(write=False)
-    return roots, rows
-
-
 def _wall_distance(rs: RootSystem, x):
     """The pairings p = <v, x> of x, a point or a stack of points, with
-    every positive root v, and the distance |p - round(Re p)| of each from
-    the nearest wall <v, .> = ell, ell an integer."""
-    p = np.asarray(x, dtype=complex) @ _positive_roots(rs)[1].T
+    every positive root v (rootsys.positive_root_rows), and the distance
+    |p - round(Re p)| of each from the nearest wall <v, .> = ell, ell an
+    integer."""
+    p = np.asarray(x, dtype=complex) @ positive_root_rows(rs).T
     return p, np.abs(p - np.round(p.real))
 
 
@@ -125,7 +115,9 @@ def is_on_diagram(rs: RootSystem, x, tol: float):
     p, dist = _wall_distance(rs, x)
     i = int(np.argmin(dist))
     if dist[i] <= tol:
-        return True, (_positive_roots(rs)[0][i], int(np.round(p[i].real)))
+        coords = tuple(positive_root_rows(rs)[i].tolist())
+        root = next(v for v in rs.roots if v.weight_coords == coords)
+        return True, (root, int(np.round(p[i].real)))
     return False, None
 
 

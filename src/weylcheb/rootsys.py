@@ -556,6 +556,17 @@ def rho_vee(rs: RootSystem) -> tuple:
     return solve_fraction(mat_transpose(rs.cartan), [1] * rs.rank)
 
 
+@functools.cache
+def positive_root_rows(rs: RootSystem) -> np.ndarray:
+    """The positive roots' weight coordinates, in the order of rs.roots, as
+    a read-only int64 matrix; cached per root system.  A root is positive
+    when its simple-coroot coefficients are nonnegative."""
+    rows = np.array([v.weight_coords for v in rs.roots
+                     if min(v.coroot_coords) >= 0], dtype=np.int64)
+    rows.setflags(write=False)
+    return rows
+
+
 def highest_roots(rs: RootSystem):
     """The highest root of each irreducible factor (in factor order): the
     factor's root maximizing |v|^2 sum_i c_i^vee = sum_i c_i |alpha_i|^2,

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from weylcheb.chebmap import PolynomialMap, jacobian_polys
+from weylcheb.chebmap import PolynomialMap
 from weylcheb.critical import _pivot, sample_diagram_points
 from weylcheb.gencos import is_on_diagram
 from weylcheb.rootsys import RootSystem, fundamental_orbit_table
 
-from root_oracles import orbit_matrix
+from root_oracles import jacobian_polys, orbit_matrix
 
 # points per fixed-point batch: memory stays bounded for any sample count,
 # and the default sample count runs as one batch

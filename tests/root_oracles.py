@@ -4,7 +4,8 @@ sliced from the stacked table, an orbit by closure under the simple
 reflections, an orbit-sum product walked over the whole smaller orbit,
 the positive roots by the signs of their
 coefficients, the generalized cosine as a stabilizer-normalized sum over the
-whole Weyl group, exact polynomial composition, the order of an affine
+whole Weyl group, exact polynomial composition and partial derivatives
+(the Jacobian of a map), the order of an affine
 element by repeated products, a generating path's loop and the wall ratio
 of its first step, loop concatenation and the rank-one standard loops, the
 generalized cosine and E modulo p with Python ints, the wreath recursion one
@@ -141,6 +142,24 @@ def compose_poly_maps(p: PolynomialMap, q: PolynomialMap,
                 raise RuntimeError("composition exceeded term cap")
         comps.append({e: c for e, c in acc.items() if c != 0})
     return PolynomialMap(n, tuple(comps))
+
+
+def poly_partial(comp: dict, j: int) -> dict:
+    """Exact partial derivative of a sparse polynomial."""
+    out: dict = {}
+    for e, c in comp.items():
+        if e[j] == 0:
+            continue
+        de = list(e)
+        de[j] -= 1
+        out[tuple(de)] = out.get(tuple(de), 0) + c * e[j]
+    return out
+
+
+def jacobian_polys(pmap: PolynomialMap):
+    """Matrix of exact partial derivatives of the map's components."""
+    return [[poly_partial(comp, j) for j in range(pmap.rank)]
+            for comp in pmap.components]
 
 
 def affine_element_order(g: AffineElement, cap: int = 64):

@@ -18,7 +18,6 @@ from weylcheb.chebmap import (
     eval_poly_map,
     eval_polys,
     height_vector,
-    jacobian_polys,
     monomial_expand,
     orbit_sum_product,
     poly_map_as_dict,
@@ -29,8 +28,8 @@ from weylcheb.rootsys import (build_root_system, fundamental_orbit_table,
                               orbit, rho_vee, weyl_group_elements)
 
 import fixed_point_oracle as fpo
-from root_oracles import (compose_poly_maps, gencos_e_mod, orbit_matrix,
-                          pair_product_full_walk)
+from root_oracles import (compose_poly_maps, gencos_e_mod, jacobian_polys,
+                          orbit_matrix, pair_product_full_walk)
 
 FULL_MATRIX = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                for d in (2, 3)]
@@ -668,10 +667,10 @@ def test_functional_equation_catches_wrong_coefficient(spec, d, samples, rs):
     z = np.array([[rng.randrange(1, p) for _ in range(rsys.rank)]
                   for _ in range(samples)], dtype=np.int64)
     assert rep.prime == p
-    gx = chebmap.gencos_mod(rsys, z, p)[0]
+    gx = chebmap.gencos_mod(rsys, z, p, d)[0]
     want = [pow(int(v), d, p) for v in gx[:, 0]]
     want = [w - p if w > p // 2 else w for w in want]
-    res = chebmap.residuals_mod_p(rsys, d, wrong, z, p)
+    res = chebmap.residuals_mod_p(rsys, d, wrong, z, p)[0]
     assert res[:, 0].tolist() == want and all(want)
     assert not res[:, 1:].any()
     assert rep.max_residual == max(map(abs, want))
@@ -727,37 +726,45 @@ def test_power_mod_matches_python_pow():
     assert (a * inv % p).tolist() == [0] + [1] * (len(a) - 1)
 
 
+def test_power_mod_refuses_a_negative_exponent():
+    # -1 >> 1 == -1: the squaring loop would never end
+    a = np.array([2, 3], dtype=np.int64)
+    for e in (-1, -2, -(1 << 40)):
+        with pytest.raises(ValueError, match="exponent >= 0"):
+            chebmap.power_mod(a, e, 2147483629)
+
+
+@pytest.mark.parametrize("d", [0, -1, -2])
+def test_functional_check_refuses_a_degree_below_one(d, rs):
+    # refused before any point is evaluated, with build_cheb_map's message
+    a2 = rs("A2")
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        verify_functional_equation(a2, d, build_cheb_map(a2, 2), samples=5)
+
+
 @pytest.mark.parametrize("spec,d", [("A1", 2), ("G2", 6), ("B3xA1", 2),
                                     ("F4", 2)])
 def test_gencos_mod_matches_python_ints(spec, d, rs):
-    # G and E at z and at z^d against their definitions summed with Python
-    # ints over the orbit rows
+    # G and E at z, and G at z^d, against their definitions summed with
+    # Python ints over the orbit rows
     rsys = rs(spec)
     p, z = chebmap.draw_points(rsys, 6, seed=9)
-    zd = chebmap.power_mod(z, d, p)
-    assert zd.tolist() == [[pow(x, d, p) for x in point]
-                           for point in z.tolist()]
-    for points in (z, zd):
-        g, e = chebmap.gencos_mod(rsys, points, p)
-        assert g.shape == (6, rsys.rank) and e.shape == (6, rsys.rank,
-                                                         rsys.rank)
-        for i, point in enumerate(points.tolist()):
-            assert (g[i].tolist(), e[i].tolist()) == \
-                gencos_e_mod(rsys, point, p)
+    g, gd, e = chebmap.gencos_mod(rsys, z, p, d)
+    assert g.shape == gd.shape == (6, rsys.rank)
+    assert e.shape == (6, rsys.rank, rsys.rank)
+    for i, point in enumerate(z.tolist()):
+        assert (g[i].tolist(), e[i].tolist()) == gencos_e_mod(rsys, point, p)
+        zd = [pow(x, d, p) for x in point]
+        assert gd[i].tolist() == gencos_e_mod(rsys, zd, p)[0]
 
 
 def test_evaluator_takes_no_points(rs):
     rsys = rs("B3")
     pmap = build_cheb_map(rsys, 2)
-    polys = [*pmap.components, {(0, 0, 0): 1}]
     none = np.zeros((0, 3), dtype=np.int64)
-    vals, gdz, ez, edz = chebmap.polys_at_gencos_mod(rsys, 2, polys, none,
-                                                     2147483629)
-    assert vals.shape == (0, 4) and gdz.shape == (0, 3)
-    assert ez.shape == edz.shape == (0, 3, 3)
-    assert vals.dtype == gdz.dtype == ez.dtype == edz.dtype == np.int64
-    res = chebmap.residuals_mod_p(rsys, 2, pmap, none, 2147483629)
-    assert res.shape == (0, 3)
+    res, ez = chebmap.residuals_mod_p(rsys, 2, pmap, none, 2147483629)
+    assert res.shape == (0, 3) and ez.shape == (0, 3, 3)
+    assert res.dtype == ez.dtype == np.int64
 
 
 @pytest.mark.parametrize("cases,samples", [(SYNTH_CASES, 10),

@@ -216,8 +216,8 @@ def test_verify_postcritical_e6_at_default_samples(capsys):
 
 
 def test_verify_postcritical_failure_names_its_witness(capsys, monkeypatch):
-    # a +1 on X_1^2 makes A2 2 fail at its first sample, in the determinant;
-    # the JSON carries the library report's witness and prime, and the
+    # a +1 on X_1^2 makes A2 2 fail at its first sample, in the value check
+    # of component 0; the JSON carries the library report's witness and prime, and the
     # point is the first the functional check draws at the same seed
     from weylcheb import chebmap
     from weylcheb.critical import post_critical_check
@@ -240,7 +240,7 @@ def test_verify_postcritical_failure_names_its_witness(capsys, monkeypatch):
     p, z = chebmap.draw_points(a2, 10, 0)
     assert payload["prime"] == rep.prime == p
     assert payload["witness"] == rep.witness == {
-        "sample": 0, "check": "det", "component": None, "z": z[0].tolist()}
+        "sample": 0, "check": "value", "component": 0, "z": z[0].tolist()}
 
 
 # --- img-verify ------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 
 from weylcheb import chebmap, cli, critical
 from weylcheb.chebmap import (PolynomialMap, build_cheb_map, draw_points,
-                              gencos_mod, residuals_mod_p,
+                              eval_poly, eval_polys_mod, gencos_mod,
+                              power_mod, residuals_mod_p,
                               verify_functional_equation)
 from weylcheb.critical import (
     DiagramSample,
@@ -23,7 +24,7 @@ from weylcheb.gencos import eval_gencos, is_on_diagram
 
 import fixed_point_oracle as fpo
 from fixed_point_oracle import bareiss_det, post_critical_fixed_point
-from root_oracles import gencos_e_mod, positive_roots
+from root_oracles import gencos_e_mod, jacobian_polys, positive_roots
 
 VERIFY_CASES = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                 for d in (2, 3)] + [("B3", 2), ("F4", 2), ("G2", 6)]
@@ -178,10 +179,10 @@ def test_bareiss_det_of_singular_matrices_is_zero():
 def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
     # the residuals of both prime-field checks and of the fixed-point oracle
     # (one precision for all its points) are exact, so cutting the points
-    # of the evaluator, polys_at_gencos_mod, into batches of 7 changes no
+    # of the evaluator, residuals_mod_p, into batches of 7 changes no
     # residual; the checks run on a +1 mutant, so their per-point residuals
     # are not all zero.  Each batch makes one gencos_mod call, on its points
-    # z stacked over their powers z^d.
+    # z at degree d.
     rsys = rs(spec)
     pmap = build_cheb_map(rsys, d)
     comps = [dict(c) for c in pmap.components]
@@ -193,16 +194,13 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
 
     def recording(*args):
         out = real_residuals(*args)
-        seen.append(out)
+        seen.append(out[0])
         return out
 
-    def batch(rsys, z, p):
-        m = len(z) // 2
-        assert len(z) == 2 * m
-        assert z[m:].tolist() == [[pow(x, d, p) for x in point]
-                                  for point in z[:m].tolist()]
-        batches.append(m)
-        return real_gencos(rsys, z, p)
+    def batch(rsys, z, p, degree):
+        assert degree == d
+        batches.append(len(z))
+        return real_gencos(rsys, z, p, degree)
 
     monkeypatch.setattr(chebmap, "residuals_mod_p", recording)
     monkeypatch.setattr(chebmap, "gencos_mod", batch)
@@ -274,24 +272,26 @@ def test_det_mod_matches_sympy(n):
 
 
 def test_postcritical_fails_on_the_determinant_alone(rs, monkeypatch):
-    # det E(z^d) off by +1 at sample 2 only, every value right: the
+    # det E(z) off by +1 at sample 2 only, every value right: the
     # determinant alone must fail the check and name the sample, and the
-    # residual is |-d^n| = 4, not p - 4.  det_mod takes the stacked J_T,
-    # E(z) and E(z^d) of all 10 samples at once.
+    # residual is z^rho at that sample, centred.  det_mod takes the E(z) of
+    # all 10 samples at once.
     real = critical.det_mod
     sizes = []
 
     def off_by_one(a, p):
         sizes.append(len(a))
         det = real(a, p)
-        det[2 * 10 + 2] = (det[2 * 10 + 2] + 1) % p
+        det[2] = (det[2] + 1) % p
         return det
 
     monkeypatch.setattr(critical, "det_mod", off_by_one)
     rsys = rs("B2")
     rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2), samples=10)
-    assert sizes == [30]
-    assert rep.det_residuals == [0, 0, 4] + [0] * 7
+    assert sizes == [10]
+    p, z = draw_points(rsys, 10, 0)
+    z_rho = math.prod(z[2].tolist()) % p
+    assert rep.det_residuals == [0, 0, min(z_rho, p - z_rho)] + [0] * 7
     assert rep.max_value_residual == 0 and not rep.passed
     assert (rep.witness["sample"], rep.witness["check"],
             rep.witness["component"]) == (2, "det", None)
@@ -300,13 +300,17 @@ def test_postcritical_fails_on_the_determinant_alone(rs, monkeypatch):
 @pytest.mark.parametrize("spec,d", VERIFY_CASES)
 def test_plus_one_mutant_fails_postcritical(spec, d, rs):
     # A1 2 included: its wall preimages all have X = 0, where X^2 adds
-    # nothing, but at uniform points both identities see the +1
+    # nothing, but at uniform points the functional identity sees the +1.
+    # The denominator identity does not involve the map, so the mutant
+    # fails the value check, in component 0, at the first sample
     rsys = rs(spec)
     pmap = build_cheb_map(rsys, d)
     assert post_critical_check(rsys, d, pmap).passed
     rep = post_critical_check(rsys, d, _plus_one(pmap, d))
     assert not rep.passed and rep.witness is not None, (spec, d)
-    assert rep.max_det_residual and rep.max_value_residual, (spec, d)
+    assert rep.max_det_residual == 0 and rep.max_value_residual, (spec, d)
+    assert (rep.witness["sample"], rep.witness["check"],
+            rep.witness["component"]) == (0, "value", 0), (spec, d)
 
 
 def test_prime_field_check_agrees_with_fixed_point_oracle(rs):
@@ -328,24 +332,54 @@ def test_prime_field_check_agrees_with_fixed_point_oracle(rs):
     assert exact_fails == VERIFY_CASES
 
 
-@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "B3", "F4"])
+@pytest.mark.parametrize("spec", ["A2", "B2", "G2", "B3", "F4", "C3", "D4",
+                                  "A1xA1", "B3xA1", "E6", "E7"])
 def test_det_e_is_a_constant_times_the_weyl_denominator(spec, rs):
-    # det E(z) z^rho / prod_{a > 0} (z^a - 1) is one nonzero constant mod p
-    # (Bourbaki, Lie Groups, ch. VI sec. 3): the positive roots come from
-    # their coefficients' signs, rho = (1, ..., 1) in weight coordinates,
-    # and the products are taken with Python ints
+    # det E(z) z^rho / prod_{a > 0} (z^a - 1) is exactly 1 mod p (Bourbaki,
+    # Lie Groups, ch. VI sec. 3, and the highest term z^{2 rho} of both
+    # sides): the positive roots come from their coefficients' signs,
+    # rho = (1, ..., 1) in weight coordinates, and the products are taken
+    # with Python ints.  An E with the weights lam_j + 1, E + G column by
+    # column, breaks it at every point.
     rsys = rs(spec)
     p, z = draw_points(rsys, 20, seed=8)
-    _, ez = gencos_mod(rsys, z, p)
-    dets = det_mod(ez, p).tolist()
-    ratios = set()
-    for point, det in zip(z.tolist(), dets):
-        def power(u):
-            return math.prod(pow(zj, uj, p) for zj, uj in zip(point, u)) % p
-        denom = math.prod(power(a.weight_coords) - 1
-                          for a in positive_roots(rsys)) % p
-        ratios.add(det * math.prod(point) * pow(denom, -1, p) % p)
-    assert len(ratios) == 1 and ratios != {0}, ratios
+    gz, _, ez = gencos_mod(rsys, z, p, 1)
+
+    def ratios(e):
+        out = []
+        for point, det in zip(z.tolist(), det_mod(e, p).tolist()):
+            def power(u):
+                return math.prod(pow(zj, uj, p)
+                                 for zj, uj in zip(point, u)) % p
+            denom = math.prod(power(a.weight_coords) - 1
+                              for a in positive_roots(rsys)) % p
+            out.append(det * math.prod(point) * pow(denom, -1, p) % p)
+        return out
+
+    assert ratios(ez) == [1] * 20
+    assert 1 not in ratios((ez + gz[:, :, None]) % p)
+
+
+@pytest.mark.parametrize("spec,d", VERIFY_CASES)
+def test_jacobian_identity_holds_for_the_map_and_fails_for_a_mutant(spec, d,
+                                                                    rs):
+    # differentiating T_d(G z) = G(z^d) gives
+    # det J_T(G z) det E(z) = d^n det E(z^d): it holds for the map, whose
+    # functional identity the post-critical check tests, and fails for a
+    # +1 mutant at every point.  J_T is the matrix of exact partial
+    # derivatives, evaluated mod p at G(z).
+    rsys = rs(spec)
+    n = rsys.rank
+    p, z = draw_points(rsys, 20, seed=11)
+    gz, _, ez = gencos_mod(rsys, z, p, d)
+    edz = gencos_mod(rsys, power_mod(z, d, p), p, 1)[2]
+    want = pow(d, n, p) * det_mod(edz, p) % p
+    pmap = build_cheb_map(rsys, d)
+    for m, holds in ((pmap, True), (_plus_one(pmap, d), False)):
+        entries = [q for row in jacobian_polys(m) for q in row]
+        jac = eval_polys_mod(entries, gz, p).reshape(-1, n, n)
+        got = det_mod(jac, p) * det_mod(ez, p) % p
+        assert ((got == want) == holds).all(), (spec, d, holds)
 
 
 @pytest.mark.parametrize("spec,d", [("A2", 2), ("G2", 6), ("F4", 2)])
@@ -369,7 +403,7 @@ def test_postcritical_draws_the_functional_points(spec, d, rs, monkeypatch):
     assert len(drawn) == 2
     (p, z), (q, y) = drawn
     assert p == q == fun.prime == post.prime and np.array_equal(z, y)
-    res = np.abs(residuals_mod_p(rsys, d, wrong, z, p))
+    res = np.abs(residuals_mod_p(rsys, d, wrong, z, p)[0])
     assert post.value_residuals == res.max(axis=1).tolist()
     assert fun.max_residual == post.max_value_residual > 0
     assert post.witness["z"] == fun.witness["z"] == z[0].tolist()
@@ -384,30 +418,32 @@ def test_postcritical_draws_the_functional_points(spec, d, rs, monkeypatch):
                                     ("G2", 2)])
 def test_postcritical_fails_on_a_corrupted_e_weight(spec, d, rs,
                                                     monkeypatch):
-    # G and E recomputed with Python ints from their definitions are the
-    # evaluator's, whose one call per batch takes z stacked over z^d; with
-    # the weights lam_j + 1 in place of lam_j the det identity fails for the
-    # true map, in the det check, at every sample
+    # G at z and z^d and E at z, recomputed with Python ints from their
+    # definitions, are the evaluator's, whose one call per batch takes the
+    # points z; with the weights lam_j + 1 in place of lam_j the
+    # denominator identity fails for the true map, in the det check, at
+    # every sample
     rsys = rs(spec)
     real = chebmap.gencos_mod
     calls = []
 
-    def corrupted(rsys, z, p):
-        g, e = real(rsys, z, p)
-        calls.append(z.tolist())
+    def corrupted(rsys, z, p, degree):
+        g, gd, e = real(rsys, z, p, degree)
+        calls.append((z.tolist(), degree))
         for i, point in enumerate(z.tolist()):
             assert (g[i].tolist(), e[i].tolist()) == \
                 gencos_e_mod(rsys, point, p)
+            assert gd[i].tolist() == gencos_e_mod(
+                rsys, [pow(x, degree, p) for x in point], p)[0]
             e[i] = gencos_e_mod(rsys, point, p, shift=1)[1]
-        return g, e
+        return g, gd, e
 
     monkeypatch.setattr(chebmap, "gencos_mod", corrupted)
     rep = post_critical_check(rsys, d, build_cheb_map(rsys, d), samples=10)
     assert rep.max_value_residual == 0
     assert all(rep.det_residuals) and not rep.passed
     p, z = draw_points(rsys, 10, 0)
-    assert calls == [z.tolist() + [[pow(x, d, p) for x in point]
-                                   for point in z.tolist()]]
+    assert calls == [(z.tolist(), d)]
     assert rep.witness == {"sample": 0, "check": "det", "component": None,
                            "z": z[0].tolist()}
 
@@ -415,8 +451,8 @@ def test_postcritical_fails_on_a_corrupted_e_weight(spec, d, rs,
 @pytest.mark.parametrize("spec,d", VERIFY_CASES)
 def test_both_verbs_fail_when_the_second_gencos_is_at_z(spec, d, monkeypatch,
                                                         capsys):
-    # a mutant evaluator whose gencos_mod call of each batch takes z in
-    # place of z^d: both verify verbs exit 1 and name a witness
+    # a mutant evaluator that takes the orbit terms at z for their d-th
+    # powers, the terms at z^d: both verify verbs exit 1 and name a witness
     real = chebmap.power_mod
     monkeypatch.setattr(chebmap, "power_mod",
                         lambda a, e, p: a if e == d else real(a, e, p))
@@ -434,6 +470,14 @@ def test_postcritical_refuses_no_samples(rs):
         post_critical_check(rsys, 2, build_cheb_map(rsys, 2), samples=0)
 
 
+@pytest.mark.parametrize("d", [0, -1, -2])
+def test_postcritical_refuses_a_degree_below_one(d, rs):
+    # refused before any point is evaluated, with build_cheb_map's message
+    a2 = rs("A2")
+    with pytest.raises(ValueError, match="d must be a positive integer"):
+        post_critical_check(a2, d, build_cheb_map(a2, 2), samples=5)
+
+
 @pytest.mark.parametrize("spec,d", [("A2", 2), ("G2", 6)])
 def test_postcritical_catches_wrong_coefficient(spec, d, rs):
     rsys = rs(spec)
@@ -441,8 +485,9 @@ def test_postcritical_catches_wrong_coefficient(spec, d, rs):
     comps[0][tuple(d if j == 0 else 0 for j in range(rsys.rank))] += 1
     rep = post_critical_check(rsys, d, PolynomialMap(rsys.rank, tuple(comps)),
                               samples=20, seed=0)
-    assert rep.max_det_residual > 1e3 * 1e-7
+    assert rep.max_value_residual > 1e3 * 1e-7 and rep.max_det_residual == 0
     assert not rep.passed and rep.witness["sample"] == 0
+    assert rep.witness["check"] == "value"
 
 
 def test_postcritical_a1_explicit(rs):
@@ -450,7 +495,6 @@ def test_postcritical_a1_explicit(rs):
     # whose double 1/2 sits on the level-1 wall
     a1 = rs("A1")
     pmap = build_cheb_map(a1, 2)
-    from weylcheb.chebmap import eval_poly, jacobian_polys
     y = np.array([0.25 + 0j])
     gy = eval_gencos(a1, y)
     assert abs(gy[0]) < 1e-12
@@ -464,7 +508,6 @@ def test_generic_points_not_critical(rs):
     for spec in ("A2", "B2"):
         rsys = rs(spec)
         pmap = build_cheb_map(rsys, 2)
-        from weylcheb.chebmap import eval_poly, jacobian_polys
         jp = jacobian_polys(pmap)
         found = 0
         while found < 50:

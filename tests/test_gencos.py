@@ -212,6 +212,23 @@ def test_origin_on_diagram(rs):
         assert on and wit[1] == 0
 
 
+@pytest.mark.parametrize("spec", ["A2", "G2", "B3xA1"])
+def test_diagram_witness_is_the_positive_root_of_the_wall(spec, rs):
+    # a random point moved onto the wall <v, x> = 2 of each positive root v,
+    # along the coordinate of v's largest coefficient: the witness is that
+    # root, as a Root, and that level
+    rsys = rs(spec)
+    rng = random.Random(17)
+    for v in positive_roots(rsys):
+        w = np.array(v.weight_coords)
+        x = np.array([complex(rng.uniform(-1, 1), rng.uniform(-0.1, 0.1))
+                      for _ in range(rsys.rank)])
+        j = int(np.argmax(np.abs(w)))
+        x[j] += (2 - w @ x) / w[j]
+        on, (root, ell) = is_on_diagram(rsys, x, 1e-9)
+        assert on and root == v and ell == 2, (spec, v)
+
+
 def test_generic_real_point_off_diagram(rs):
     assert not is_on_diagram(rs("A1"), [0.37], 1e-9)[0]
 

@@ -27,6 +27,7 @@ from weylcheb.rootsys import (
     orbit,
     orbit_size,
     parse_type_spec,
+    positive_root_rows,
     reflection_element,
     rho_vee,
     solve_fraction,
@@ -590,6 +591,18 @@ def test_positive_roots_half():
     for spec in ("A2", "B2", "G2", "A3"):
         rsys = build_root_system(spec)
         assert len(positive_roots(rsys)) * 2 == len(rsys.roots)
+
+
+@pytest.mark.parametrize("spec", ["A1", "G2", "B3xA1", "F4", "E7"])
+def test_positive_root_rows_are_the_oracle_roots(spec):
+    # one read-only int64 table per root system, row i the weight
+    # coordinates of the i-th positive root of the oracle
+    rsys = build_root_system(spec)
+    rows = positive_root_rows(rsys)
+    assert rows.dtype == np.int64 and not rows.flags.writeable
+    assert rows.tolist() == [list(v.weight_coords)
+                             for v in positive_roots(rsys)]
+    assert positive_root_rows(rsys) is rows
 
 
 def invert_fraction(a):
