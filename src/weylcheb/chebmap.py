@@ -55,9 +55,10 @@ the identity is tested modulo a prime p drawn from the seed in
 int64 numpy: a product of two residues is below 2^62, and a sum of fewer
 than 2^32 residues below 2^63.  One sampler, draw_points, and one
 evaluator, residuals_mod_p, serve both sampled checks.  It gives
-T_d(gencos z) - gencos(z^d) and E(z), evaluated from their definitions
-(gencos_mod): each orbit term z^lam is a product of powers z_j^k mod p
-from one table (monomials_mod), and its d-th power is the term at z^d.
+T_d(gencos z) - gencos(z^d), and E(z) for the post-critical check alone,
+evaluated from their definitions (gencos_mod): each orbit term z^lam is
+a product of powers z_j^k mod p from one table (monomials_mod), and its
+d-th power is the term at z^d.
 A nonzero residual, a Laurent polynomial of total degree deg once its
 negative exponents are cleared, vanishes at a uniform point of (F_p^*)^n
 with probability at most deg/(p-1) (Schwartz-Zippel; Schwartz, JACM 27,
@@ -522,19 +523,22 @@ def monomials_mod(z: np.ndarray, exps: np.ndarray, p: int) -> np.ndarray:
     return terms
 
 
-def gencos_mod(rs: RootSystem, z: np.ndarray, p: int, d: int) -> tuple:
-    """gencos(z), gencos(z^d) and E(z) modulo p at a batch of points z, an
-    (S, n) int64 array of residues in [1, p - 1] standing for
-    e^{2 pi i x_j}: two (S, n) arrays and an (S, n, n) array of residues,
-    E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam.  The orbit term
-    t = z^r of each row r (one monomials_mod call) is t^d at z^d (one
-    power_mod call); one reduceat over the orbit starts gives each gencos,
-    and per orbit one product of its terms at z with its rows gives the
-    rows of E."""
+def gencos_mod(rs: RootSystem, z: np.ndarray, p: int, d: int,
+               with_e: bool = False) -> tuple:
+    """gencos(z), gencos(z^d) and, with_e, E(z) modulo p at a batch of
+    points z, an (S, n) int64 array of residues in [1, p - 1] standing for
+    e^{2 pi i x_j}: two (S, n) arrays and an (S, n, n) array of residues
+    (None without with_e), E(z)_{kj} = sum_{lam in W omega_k} lam_j z^lam.
+    The orbit term t = z^r of each row r (one monomials_mod call) is t^d
+    at z^d (one power_mod call); one reduceat over the orbit starts gives
+    each gencos, and per orbit one product of its terms at z with its rows
+    gives the rows of E."""
     rows, starts = fundamental_orbit_table(rs)
     terms = monomials_mod(z, rows, p)
     gz = np.add.reduceat(terms, starts, axis=1) % p
     gdz = np.add.reduceat(power_mod(terms, d, p), starts, axis=1) % p
+    if not with_e:
+        return gz, gdz, None
     # a term is below 2^31, and |lam_j| = |<omega_k, w alpha_j^vee>| is at
     # most a coefficient of the highest coroot, <= 6: an orbit of fewer than
     # 2^29 rows (E8's largest has 483840) sums to below 6 2^60 < 2^63
@@ -562,20 +566,24 @@ def eval_polys_mod(comps, x: np.ndarray, p: int) -> np.ndarray:
 
 
 def residuals_mod_p(rs: RootSystem, d: int, pmap: PolynomialMap,
-                    z: np.ndarray, p: int) -> tuple:
-    """T_d(gencos z) - gencos(z^d) and E(z) modulo p at points z, an (S, n)
-    int64 array of residues in [1, p - 1]: an (S, n) array of
-    representatives in (-p/2, p/2] and an (S, n, n) array of residues,
-    both empty for S = 0.  The points run in batches of at most
-    FIELD_CELLS orbit terms at z and z^d, one gencos_mod call each.  A
-    degree d that is not a positive integer raises ValueError."""
+                    z: np.ndarray, p: int, with_e: bool = False) -> tuple:
+    """T_d(gencos z) - gencos(z^d) and, with_e, E(z) modulo p at points z,
+    an (S, n) int64 array of residues in [1, p - 1]: an (S, n) array of
+    representatives in (-p/2, p/2] and an (S, n, n) array of residues (None
+    without with_e), both empty for S = 0.  Only the post-critical check
+    asks for E.  The points run in batches of at most FIELD_CELLS orbit
+    terms at z and z^d, one gencos_mod call each.  A degree d that is not a
+    positive integer raises ValueError."""
     _check_degree(d)
     size = max(1, FIELD_CELLS // (2 * len(fundamental_orbit_table(rs)[0])))
     res = np.empty((len(z), rs.rank), dtype=np.int64)
-    ez = np.empty((len(z), rs.rank, rs.rank), dtype=np.int64)
+    ez = np.empty((len(z), rs.rank, rs.rank), dtype=np.int64) if with_e \
+        else None
     for lo in range(0, len(z), size):
         part = slice(lo, lo + size)
-        gz, gdz, ez[part] = gencos_mod(rs, z[part], p, d)
+        gz, gdz, e = gencos_mod(rs, z[part], p, d, with_e)
+        if with_e:
+            ez[part] = e
         res[part] = eval_polys_mod(pmap.components, gz, p) - gdz
     return centred(res % p, p), ez
 

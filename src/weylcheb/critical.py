@@ -169,7 +169,7 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
     degree d below 1 raises ValueError; `tol` is only carried into the
     report (see PostCriticalReport)."""
     p, z = draw_points(rs, samples, seed)
-    res, ez = residuals_mod_p(rs, d, pmap, z, p)
+    res, ez = residuals_mod_p(rs, d, pmap, z, p, with_e=True)
     det_ez = det_mod(ez, p)
     lhs, rhs = det_ez, np.ones_like(det_ez)
     for zj in z.T:

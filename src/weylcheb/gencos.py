@@ -25,10 +25,15 @@ toward a wall by as much as two thirds of the new point's distance from it.
 The step starts at INITIAL_STEP and, after an accepted step, doubles when t
 is a multiple of the doubled step, up to MAX_STEP.  lift_path is the batch
 of one.
+
+deck_identify finds the affine Weyl element carrying one point of a fiber
+to another by walking each across the walls of the fundamental alcove
+into it; it searches no group.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +42,15 @@ from .errors import ContinuationError, DeckMatchError, DimensionError
 from .rootsys import (
     AffineElement,
     RootSystem,
+    affine_apply,
+    affine_compose,
+    affine_inverse,
+    basepoint_array,
     fundamental_orbit_table,
+    highest_roots,
     positive_root_rows,
-    weyl_group_elements,
+    standard_affine_generators,
+    translation_element,
 )
 
 TWO_PI_I = 2j * np.pi
@@ -239,19 +250,62 @@ def _newton(rs: RootSystem, y, values, jac, target):
     return None, None, None, (i, "last Newton residual", float(err[i]))
 
 
+@functools.cache
+def _alcove(rs: RootSystem):
+    """The fundamental alcove, cached per root system: the reflections in
+    its walls (standard_affine_generators), the walls as rows and offsets,
+    the alcove being walls @ x + offset >= 0 (<a_j, x> >= 0 for the simple
+    roots, 1 - <theta_b, x> >= 0 for each factor's highest root), and its
+    Coxeter point (basepoint_array)."""
+    gens = tuple(g for _, g in standard_affine_generators(rs))
+    walls = np.array([v.weight_coords for v in rs.simple_roots]
+                     + [[-c for c in v.weight_coords]
+                        for v in highest_roots(rs)], dtype=float)
+    offset = np.repeat([0.0, 1.0], [rs.rank, len(rs.factors)])
+    return gens, walls, offset, basepoint_array(rs).real
+
+
+def _alcove_walk(rs: RootSystem, y, tol: float):
+    """y moved into the closed fundamental alcove, and the affine Weyl
+    element h that moves it there.  y is translated by the lattice vector
+    (the coroot lattice is Z^n) that brings it nearest the Coxeter point,
+    then reflected, one wall at a time, in a wall of the alcove that Re y
+    lies more than tol beyond, or lies on while Im y lies more than tol
+    beyond the wall's linear part.  Each reflection takes one wall out of
+    those separating Re y from the alcove, or, fixing Re y, Im y from the
+    chamber of the walls through Re y, so the walk ends within a number of
+    steps bounded by the root system, at one point per orbit."""
+    gens, walls, offset, centre = _alcove(rs)
+    shift = np.round(y.real - centre)
+    h = translation_element(int(c) for c in -shift)
+    y = y - shift
+    while True:
+        gap = walls @ y.real + offset
+        gap = np.where(np.abs(gap) <= tol, walls @ y.imag, gap)
+        i = int(np.argmin(gap))
+        if gap[i] >= -tol:
+            return y, h
+        y = affine_apply(gens[i], y)
+        h = affine_compose(gens[i], h)
+
+
 def deck_identify(rs: RootSystem, y0, y1, tol: float = 1e-7) -> AffineElement:
-    """Find the affine Weyl element g with g(y0) = y1, assuming y0 and y1 lie
-    in one fiber of the generalized cosine.  The translation part must round
-    to an exact integer vector within tol."""
+    """The affine Weyl element g with g(y0) = y1, for y0 and y1 in one fiber
+    of the generalized cosine.  Both are walked into the closed fundamental
+    alcove (_alcove_walk), by h0 and h1, and g = h1^-1 h0.  The alcove is a
+    fundamental domain, and the affine Weyl group acts freely on its
+    interior (Humphreys, Reflection Groups and Coxeter Groups, 4.3-4.5), so
+    for y0 off the walls g is the only such element.  Raises DeckMatchError
+    when a point is not finite or the walked points differ by more than
+    tol."""
     y0 = np.asarray(y0, dtype=complex)
     y1 = np.asarray(y1, dtype=complex)
-    for w in weyl_group_elements(rs):
-        r = y1 - np.array(w.coroot_matrix) @ y0
-        if np.abs(r.imag).max() > tol:
-            continue
-        t = np.round(r.real).astype(int)
-        if np.abs(r - t).max() <= tol:
-            return AffineElement(tuple(int(c) for c in t), w)
-    raise DeckMatchError(
-        "no affine Weyl element maps y0 to y1 within tolerance "
-        f"{tol} (points may lie in different fibers)")
+    if not (np.isfinite(y0).all() and np.isfinite(y1).all()):
+        raise DeckMatchError("deck_identify needs finite points")
+    (a0, h0), (a1, h1) = _alcove_walk(rs, y0, tol), _alcove_walk(rs, y1, tol)
+    gap = np.abs(a0 - a1).max()
+    if gap > tol:
+        raise DeckMatchError(
+            f"y0 and y1 walk to alcove points {gap:.3e} apart, above "
+            f"tolerance {tol} (the points lie in different fibers)")
+    return affine_compose(affine_inverse(h1), h0)

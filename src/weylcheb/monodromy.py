@@ -29,9 +29,12 @@ the check must find.  img_verification lifts the standard generators'
 loops in one lift_paths batch, checks each deck element against the
 generator the loop was built from and records, in closed form, the order
 of the group the generators generate at each level; numeric_monodromy
-lifts one closed loop from any basepoint.  Relations among the generators'
-actions are not re-checked: algebraic_action is a homomorphism, so they
-hold by construction (the tests pin this).
+lifts one closed loop from any basepoint.  Neither step enumerates the
+Weyl group W: deck_identify walks both ends of a lift into the fundamental
+alcove, and the order needs only |W| (weyl_order) and, at d^k = 2, a table
+of the kernel of W mod 2 per irreducible factor.  Relations among the
+generators' actions are not re-checked: algebraic_action is a
+homomorphism, so they hold by construction (the tests pin this).
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ from .rootsys import (
     AffineElement,
     RootSystem,
     affine_apply,
-    dot,
-    highest_roots,
-    reflection_element,
+    basepoint_array,
+    coxeter_number,
+    orbit_size,
     rho_vee,
-    weyl_group_elements,
+    standard_affine_generators,
+    weyl_order,
 )
 
 # img-verify holds and prints every level's permutation of every generator:
@@ -63,6 +67,10 @@ ENTRY_CAP = 5 * 2 ** 18
 # 32 MiB at this cap: about a million vertices, which algebraic_action
 # builds in 0.07 s and perm_order walks in 0.2 s (A1, d = 2, level 20)
 ACTION_CELL_CAP = 2 ** 22
+# the lift kernel holds generators * orbit rows * rank complex cells per
+# Newton iterate: this many (128 MiB) take about 200 MiB; check_img_caps
+# gives the measurements
+KERNEL_CELL_CAP = 2 ** 23
 DEFAULT_EPSILON = 0.1
 
 
@@ -121,36 +129,15 @@ def perm_order(perm) -> int:
 # basepoint and loops
 # ---------------------------------------------------------------------------
 
-def _coxeter_number(rs: RootSystem) -> int:
-    """h = 1 + max_v <v, rho^vee>, the Coxeter number (for a product, the
-    largest over its factors)."""
-    rho = rho_vee(rs)
-    return 1 + int(max(dot(v.weight_coords, rho) for v in rs.roots))
-
-
 @functools.cache
 def _unit_direction(rs: RootSystem) -> np.ndarray:
     """rho^vee / (h - 1): every positive root pairs with it into
     [1/(h - 1), 1], the simple roots to the least.  Computed once per root
     system, not once per loop."""
-    top = _coxeter_number(rs) - 1
+    top = coxeter_number(rs) - 1
     u = np.array([float(c / top) for c in rho_vee(rs)])
     u.setflags(write=False)
     return u
-
-
-def basepoint_array(rs: RootSystem) -> np.ndarray:
-    """The Coxeter point rho^vee / h of the fundamental alcove, as a complex
-    array.
-
-    rho^vee pairs to 1 with every simple root, and h = 1 + max_v <v, rho^vee>
-    is the Coxeter number (for a product, the largest over its factors).  So
-    every simple root pairs with the point to 1/h and each highest root to at
-    most (h - 1)/h: every wall of the alcove, the affine ones included, is
-    at least 1/h away (Kostant, Amer. J. Math. 81, 1959).
-    """
-    h = _coxeter_number(rs)
-    return np.array([float(c / h) for c in rho_vee(rs)], dtype=complex)
 
 
 def make_generator_loop(rs: RootSystem,
@@ -219,36 +206,46 @@ def numeric_monodromy(rs: RootSystem, d: int, loop, levels: int,
 # group order in closed form
 # ---------------------------------------------------------------------------
 
+def _kernel_mod_two(letter: str, rank: int) -> int:
+    """The order of the kernel of W -> GL(Q^vee / 2 Q^vee) for one
+    irreducible factor.  It is W's center {+-1} (trivial for A_r, r >= 2,
+    D_r, r odd, and E6, where -1 is not in W), except for C_r and B2 = C2:
+    their coroot lattice is Z^r, and each of the 2^r sign changes is the
+    identity mod 2."""
+    if letter == "C" or (letter, rank) == ("B", 2):
+        return 2 ** rank
+    if (letter == "A" and rank >= 2) or (letter == "D" and rank % 2) \
+            or (letter, rank) == ("E", 6):
+        return 1
+    return 2
+
+
 def generated_group_order(rs: RootSystem, d: int, k: int) -> int:
     """Order of the group the standard generators' level-k actions generate:
     the image of W_aff = Q^vee x| W in the affine maps of (Z/m)^n, m = d^k.
 
     Q^vee is Z^n in coroot coordinates, and u |-> w(u) + t fixes t mod m
     (the image of 0) and then w mod m.  So the image is (Z/m)^n x| W_m, with
-    W_m the image of W in GL_n(Z/m), of order m^n * |W| / |kernel|.  The
-    kernel {w == I mod m} is counted over the enumerated W (refused above
-    WEYL_CAP) in Python integers, so m may pass 2^63."""
+    W_m the image of W in GL_n(Z/m), of order m^n * |W| / |K_m|, K_m the
+    kernel.  For m >= 3, K_m is trivial: a finite-order integer matrix
+    == I mod m is I (Minkowski).  For m = 2, |K_2| is the product of the
+    factors' kernels (_kernel_mod_two), and for m = 1, K_1 = W.  Exact in
+    Python integers, so m may pass 2^63."""
     m = d ** k
-    mats = np.array([w.coroot_matrix for w in weyl_group_elements(rs)],
-                    dtype=object)
-    kernel = ((mats - np.eye(rs.rank, dtype=int)) % m == 0).all(axis=(1, 2))
-    return m ** rs.rank * len(mats) // int(kernel.sum())
+    order = weyl_order(rs)
+    if m == 1:
+        kernel = order
+    elif m == 2:
+        kernel = math.prod(_kernel_mod_two(letter, r)
+                           for letter, r, _ in rs.factors)
+    else:
+        kernel = 1
+    return m ** rs.rank * order // kernel
 
 
 # ---------------------------------------------------------------------------
 # the full verification pipeline
 # ---------------------------------------------------------------------------
-
-def standard_affine_generators(rs: RootSystem):
-    """The simple reflections plus, per irreducible factor, the reflection in
-    the highest-root wall at level 1: together they generate the affine Weyl
-    group."""
-    gens = [(f"s{j + 1}", reflection_element(rs.simple_roots[j], 0))
-            for j in range(rs.rank)]
-    for b, theta in enumerate(highest_roots(rs)):
-        gens.append((f"a{b}", reflection_element(theta, 1)))
-    return gens
-
 
 @dataclass
 class GeneratorReport:
@@ -304,30 +301,48 @@ def _affine_dict(g: AffineElement):
 
 def check_img_caps(rs: RootSystem, d: int, levels: int):
     """Size the verification before running it; raises CapExceededError
-    naming the deepest level's vertices, the permutation entries and the cap.
+    naming what is over its cap and the cap.
 
     The run holds, and prints as JSON, every level's permutation of each of
-    the rank + #factors generators, sum_k d^(k * rank) entries apiece, and
-    ENTRY_CAP bounds their total.  Whole-process peak RSS (2-core Xeon) came
-    to 152-166 bytes per entry, above 34 MiB, on 13 runs: 191-221 MiB for
-    A1 2 18, A2 2 9 and B3 2 6 (1.05-1.2 M entries, accepted), 310 MiB for
-    A1xA1xA1 2 6 (1.8 M), 352-384 MiB for A1 2 19 and B3 3 4 (2.1-2.2 M),
+    the P = rank + #factors generators, sum_k d^(k * rank) entries apiece,
+    and ENTRY_CAP bounds their total.  Whole-process peak RSS (2-core Xeon)
+    came to 152-166 bytes per entry, above 34 MiB, on 13 runs: 191-221 MiB
+    for A1 2 18, A2 2 9 and B3 2 6 (1.05-1.2 M entries, accepted), 310 MiB
+    for A1xA1xA1 2 6 (1.8 M), 352-384 MiB for A1 2 19 and B3 3 4 (2.1-2.2 M),
     411 MiB for A2xA2xA2 2 3, 530 MiB for A1^6 2 3 and 757 MiB for A1^9 2 2
     (4.7 M).  The cap accepts exactly the runs under the 288-298 MiB that
     Schreier-Sims took at the old cap of 4096 vertices; a cap on vertices
     let products of many factors through.  At rank <= 10 algebraic_action
-    stays below ACTION_CELL_CAP.  A Weyl group above WEYL_CAP is refused by
-    img_verification."""
+    stays below ACTION_CELL_CAP.
+
+    Each Newton iterate of the lift evaluates the Jacobian of all P loops
+    at once, P * R * rank complex cells, R = sum_k |W omega_k| the rows of
+    the fundamental orbits (orbit_size, no enumeration), and
+    KERNEL_CELL_CAP bounds them.  On the same machine, level 1 at d = 2
+    took about 21 bytes of peak RSS per cell above 32 MiB: E7 (0.99 M
+    cells) 6 s at 56 MiB, B9 (1.8 M) 3.5 s at 71 MiB, A13 (3.0 M) 7 s at
+    91 MiB, D10 (5.9 M) 15 s at 156 MiB and B10 (6.5 M) 16 s at 168 MiB.
+    So the cap, 2^23 cells, is about 200 MiB, the budget of ENTRY_CAP.
+    E8 (63.5 M cells, 1 GiB in one complex array) is refused."""
     vertices = d ** (levels * rs.rank)
     # sum_{k=1..levels} q^k in closed form, q the vertices of level one
     q = d ** rs.rank
     per_generator = levels if q == 1 else (q * vertices - q) // (q - 1)
-    entries = (rs.rank + len(rs.factors)) * per_generator
+    gens = rs.rank + len(rs.factors)
+    entries = gens * per_generator
     if entries > ENTRY_CAP:
         raise CapExceededError(
             f"level {levels} needs {vertices} vertices; its generators' "
             f"level permutations hold {entries} entries, above cap "
             f"{ENTRY_CAP}")
+    rows = sum(orbit_size(rs, rs.fundamental_weight(k))
+               for k in range(rs.rank))
+    cells = gens * rows * rs.rank
+    if cells > KERNEL_CELL_CAP:
+        raise CapExceededError(
+            f"lifting {gens} loops over {rows} orbit rows in rank "
+            f"{rs.rank} holds {cells} complex kernel cells, above cap "
+            f"{KERNEL_CELL_CAP}")
 
 
 def img_verification(rs: RootSystem, d: int, levels: int) -> MonodromyReport:
@@ -344,10 +359,6 @@ def img_verification(rs: RootSystem, d: int, levels: int) -> MonodromyReport:
     A lifting error is raised again with the failing generator's name.
     """
     check_img_caps(rs, d, levels)
-    # deck_identify searches all of W and the group order counts over it:
-    # enumerate it (it is cached) before any loop is lifted, so a Weyl group
-    # above WEYL_CAP is refused first
-    weyl_group_elements(rs)
     report = MonodromyReport(rs.type_spec, d, levels)
     y0 = basepoint_array(rs)
     gens = standard_affine_generators(rs)

@@ -297,9 +297,10 @@ class RootSystem:
     Instances are immutable: every field is a tuple or a number, and
     build_root_system shares one instance per type spec within a process.
     The tables derived from an instance (orbits, orbit sizes, Weyl
-    elements, the stacked fundamental orbits, rho^vee) are cached by the
-    functions that build them, keyed on the instance's identity.  The
-    first len(cartan) roots are the simple roots, in Cartan order.
+    elements, the stacked fundamental orbits, rho^vee, the Coxeter number)
+    are cached by the functions that build them, keyed on the instance's
+    identity.  The first len(cartan) roots are the simple roots, in Cartan
+    order.
     """
 
     def __init__(self, type_spec, factors, cartan, gram, lengths, roots):
@@ -557,6 +558,28 @@ def rho_vee(rs: RootSystem) -> tuple:
 
 
 @functools.cache
+def coxeter_number(rs: RootSystem) -> int:
+    """h = 1 + max_v <v, rho^vee>, the Coxeter number (for a product, the
+    largest over its factors).  Cached per root system."""
+    rho = rho_vee(rs)
+    return 1 + int(max(dot(v.weight_coords, rho) for v in rs.roots))
+
+
+def basepoint_array(rs: RootSystem) -> np.ndarray:
+    """The Coxeter point rho^vee / h of the fundamental alcove, as a complex
+    array.
+
+    rho^vee pairs to 1 with every simple root, and h = 1 + max_v <v, rho^vee>
+    is the Coxeter number (for a product, the largest over its factors).  So
+    every simple root pairs with the point to 1/h and each highest root to at
+    most (h - 1)/h: every wall of the alcove, the affine ones included, is
+    at least 1/h away (Kostant, Amer. J. Math. 81, 1959).
+    """
+    h = coxeter_number(rs)
+    return np.array([float(c / h) for c in rho_vee(rs)], dtype=complex)
+
+
+@functools.cache
 def positive_root_rows(rs: RootSystem) -> np.ndarray:
     """The positive roots' weight coordinates, in the order of rs.roots, as
     a read-only int64 matrix; cached per root system.  A root is positive
@@ -582,6 +605,18 @@ def highest_roots(rs: RootSystem):
         result.append(max(inside,
                           key=lambda v: v.length_sq * sum(v.coroot_coords)))
     return tuple(result)
+
+
+def standard_affine_generators(rs: RootSystem):
+    """The reflections in the walls of the fundamental alcove, as (name,
+    element) pairs: s1..sn in the simple-root walls <a_j, x> = 0, then, per
+    irreducible factor b, a<b> in its highest-root wall <theta_b, x> = 1.
+    Together they generate the affine Weyl group."""
+    gens = [(f"s{j + 1}", reflection_element(rs.simple_roots[j], 0))
+            for j in range(rs.rank)]
+    for b, theta in enumerate(highest_roots(rs)):
+        gens.append((f"a{b}", reflection_element(theta, 1)))
+    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """Slow, direct forms of facts the program computes another way, and
 helpers that only the tests use, kept as test oracles: an orbit's rows
 sliced from the stacked table, an orbit by closure under the simple
-reflections, an orbit-sum product walked over the whole smaller orbit,
-the positive roots by the signs of their
-coefficients, the generalized cosine as a stabilizer-normalized sum over the
-whole Weyl group, exact polynomial composition and partial derivatives
-(the Jacobian of a map), the order of an affine
-element by repeated products, a generating path's loop and the wall ratio
-of its first step, loop concatenation and the rank-one standard loops, the
-generalized cosine and E modulo p with Python ints, the wreath recursion one
-digit at a time, a tree word acted on and the automaton closed one letter at
-a time, the automaton JSON read back, a tree word from a lattice vector, and
-back."""
+reflections, an orbit-sum product walked over the whole smaller orbit, the
+positive roots by the signs of their coefficients, the generalized cosine
+as a stabilizer-normalized sum over the whole Weyl group, exact polynomial
+composition and partial derivatives (the Jacobian of a map), the order of
+an affine element by repeated products, a generating path's loop and the
+wall ratio of its first step, loop concatenation and the rank-one standard
+loops, the generalized cosine and E modulo p with Python ints, the deck
+element by a search over the whole Weyl group, the level group order by
+counting the Weyl elements that are the identity mod d^k, the wreath
+recursion one digit at a time, a tree word acted on and the automaton
+closed one letter at a time, the automaton JSON read back, a tree word from
+a lattice vector, and back."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from collections import deque
 import numpy as np
 
 from weylcheb.chebmap import PolynomialMap
-from weylcheb.errors import DimensionError
+from weylcheb.errors import DeckMatchError, DimensionError
 from weylcheb.gencos import TWO_PI_I, eval_gencos
 from weylcheb.rootsys import (AffineElement, RootSystem, WeylElement,
                               affine_compose, dominant_weight,
@@ -237,6 +238,34 @@ def gencos_e_mod(rs: RootSystem, point, p: int, shift: int = 0) -> tuple:
     e = [[sum((lam[j] + shift) * power(lam) for lam in lams) % p
           for j in range(rs.rank)] for lams in orbits]
     return g, e
+
+
+def deck_by_weyl_search(rs: RootSystem, y0, y1,
+                        tol: float = 1e-7) -> AffineElement:
+    """The affine Weyl element g with g(y0) = y1: the first w of
+    weyl_group_elements (refused above WEYL_CAP) for which y1 - w(y0) is
+    real and rounds to an integer vector within tol."""
+    y0 = np.asarray(y0, dtype=complex)
+    y1 = np.asarray(y1, dtype=complex)
+    for w in weyl_group_elements(rs):
+        r = y1 - np.array(w.coroot_matrix) @ y0
+        if np.abs(r.imag).max() > tol:
+            continue
+        t = np.round(r.real).astype(int)
+        if np.abs(r - t).max() <= tol:
+            return AffineElement(tuple(int(c) for c in t), w)
+    raise DeckMatchError("no affine Weyl element maps y0 to y1")
+
+
+def group_order_by_weyl_count(rs: RootSystem, d: int, k: int,
+                              cap: int) -> int:
+    """m^n |W| / #{w in W : w == I mod m}, m = d^k, the kernel counted
+    over the enumerated W (refused above cap) in Python integers."""
+    m = d ** k
+    mats = np.array([w.coroot_matrix for w in weyl_group_elements(rs, cap)],
+                    dtype=object)
+    kernel = ((mats - np.eye(rs.rank, dtype=int)) % m == 0).all(axis=(1, 2))
+    return m ** rs.rank * len(mats) // int(kernel.sum())
 
 
 def wreath_digit_step(g: AffineElement, d: int, letter):

@@ -746,10 +746,13 @@ def test_functional_check_refuses_a_degree_below_one(d, rs):
                                     ("F4", 2)])
 def test_gencos_mod_matches_python_ints(spec, d, rs):
     # G and E at z, and G at z^d, against their definitions summed with
-    # Python ints over the orbit rows
+    # Python ints over the orbit rows; E only when asked for
     rsys = rs(spec)
     p, z = chebmap.draw_points(rsys, 6, seed=9)
-    g, gd, e = chebmap.gencos_mod(rsys, z, p, d)
+    g, gd, e = chebmap.gencos_mod(rsys, z, p, d, with_e=True)
+    bare = chebmap.gencos_mod(rsys, z, p, d)
+    assert bare[2] is None
+    assert np.array_equal(bare[0], g) and np.array_equal(bare[1], gd)
     assert g.shape == gd.shape == (6, rsys.rank)
     assert e.shape == (6, rsys.rank, rsys.rank)
     for i, point in enumerate(z.tolist()):
@@ -762,9 +765,11 @@ def test_evaluator_takes_no_points(rs):
     rsys = rs("B3")
     pmap = build_cheb_map(rsys, 2)
     none = np.zeros((0, 3), dtype=np.int64)
-    res, ez = chebmap.residuals_mod_p(rsys, 2, pmap, none, 2147483629)
+    res, ez = chebmap.residuals_mod_p(rsys, 2, pmap, none, 2147483629,
+                                      with_e=True)
     assert res.shape == (0, 3) and ez.shape == (0, 3, 3)
     assert res.dtype == ez.dtype == np.int64
+    assert chebmap.residuals_mod_p(rsys, 2, pmap, none, 2147483629)[1] is None
 
 
 @pytest.mark.parametrize("cases,samples", [(SYNTH_CASES, 10),

@@ -294,7 +294,8 @@ def test_img_verify_refuses_oversized(capsys):
                          ("524288 vertices", "2097148 entries", "cap 1310720")),
                         (("A1xA1xA1", "2", "6"),
                          ("262144 vertices", "1797552 entries", "cap 1310720")),
-                        (("E6", "2", "1"), ("order 51840", "cap 1152"))):
+                        (("E8", "2", "1"),
+                         ("63486720 complex kernel cells", "cap 8388608"))):
         code, _, err = run_cli(capsys, "img-verify", *case)
         assert code == 2
         assert all(n in err for n in named), err
@@ -403,8 +404,9 @@ def test_rejected_arguments_exit_2(argv, capsys):
 
 
 def test_caps_refuse_before_any_work(capsys, monkeypatch):
-    # the caps are the constants WEYL_CAP and ENTRY_CAP; a refusal comes
-    # before any group element is built or any loop is made
+    # the caps are the constants WEYL_CAP, ENTRY_CAP and KERNEL_CELL_CAP; a
+    # refusal comes before any group element is built or any loop is made
+    # or lifted
     from weylcheb import monodromy, rootsys
 
     def no_work(*args, **kwargs):
@@ -412,13 +414,36 @@ def test_caps_refuse_before_any_work(capsys, monkeypatch):
 
     monkeypatch.setattr(rootsys.RootSystem, "simple_reflection", no_work)
     monkeypatch.setattr(monodromy, "make_generator_loop", no_work)
-    monkeypatch.setattr(monodromy, "weyl_group_elements", no_work)
+    monkeypatch.setattr(monodromy, "lift_paths", no_work)
     code, out, err = run_cli(capsys, "weyl", "E6")
     assert code == 2 and out == ""
     assert "order 51840" in err and "cap 1152" in err
     code, out, err = run_cli(capsys, "img-verify", "A1", "2", "19")
     assert code == 2 and out == ""
     assert "524288 vertices" in err and "cap 1310720" in err
+    code, out, err = run_cli(capsys, "img-verify", "E8", "2", "1")
+    assert code == 2 and out == ""
+    assert "63486720 complex kernel cells" in err and "cap 8388608" in err
+
+
+@pytest.mark.parametrize("spec,gens,order", [("E6", 7, 3317760),
+                                             ("D5", 6, 61440)])
+def test_img_verify_passes_without_the_weyl_group(capsys, monkeypatch, spec,
+                                                  gens, order):
+    # img-verify E6 2 1 and D5 2 1, whose Weyl groups are above WEYL_CAP,
+    # lift their loops and give their group orders with the Weyl group
+    # enumeration patched to raise
+    from weylcheb import rootsys
+
+    def no_weyl(*args, **kwargs):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(rootsys, "_weyl_group_elements", no_weyl)
+    code, out, err = run_cli(capsys, "img-verify", spec, "2", "1")
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"] is True, err
+    assert [g["deck_matches"] for g in payload["generators"]] == [True] * gens
+    assert payload["group_orders"] == [{"level": 1, "algebraic": order}]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -182,7 +182,7 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
     # of the evaluator, residuals_mod_p, into batches of 7 changes no
     # residual; the checks run on a +1 mutant, so their per-point residuals
     # are not all zero.  Each batch makes one gencos_mod call, on its points
-    # z at degree d.
+    # z at degree d, which builds E(z) for the post-critical check alone.
     rsys = rs(spec)
     pmap = build_cheb_map(rsys, d)
     comps = [dict(c) for c in pmap.components]
@@ -197,10 +197,10 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
         seen.append(out[0])
         return out
 
-    def batch(rsys, z, p, degree):
+    def batch(rsys, z, p, degree, with_e):
         assert degree == d
-        batches.append(len(z))
-        return real_gencos(rsys, z, p, degree)
+        batches.append((len(z), with_e))
+        return real_gencos(rsys, z, p, degree, with_e)
 
     monkeypatch.setattr(chebmap, "residuals_mod_p", recording)
     monkeypatch.setattr(chebmap, "gencos_mod", batch)
@@ -214,13 +214,14 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
         post = post_critical_check(rsys, d, wrong, samples=20)
         post_batches = batches[len(fun_batches):]
         oracle = post_critical_fixed_point(rsys, d, pmap, samples=20)
-        # each batch's size: the points z of its one call
+        # each batch's size, the points z of its one call, and whether it
+        # built E
         return (fun.max_residual, fun.witness, per_point, post.det_residuals,
                 post.value_residuals, post.witness, oracle.det_residuals,
                 oracle.value_residuals), (fun_batches, post_batches)
 
     whole, sizes = run()
-    assert sizes == ([30], [20]) and len(seen) == 1
+    assert sizes == ([(30, False)], [(20, True)]) and len(seen) == 1
     assert len(whole[2]) == 30 and len(whole[3]) == 20
     assert all(r[-1] != 0 for r in whole[2])
     assert all(whole[4]) and whole[5] is not None
@@ -231,7 +232,8 @@ def test_checks_in_small_chunks_report_the_same(spec, d, rs, monkeypatch):
     chunked, sizes = run()
     assert chunked == whole
     # 30 functional points in 5 batches, 20 post-critical points in 3
-    assert sizes == ([7, 7, 7, 7, 2], [7, 7, 6])
+    assert sizes == ([(7, False)] * 4 + [(2, False)],
+                     [(7, True), (7, True), (6, True)])
 
 
 def _sympy_det_mod(m, p):
@@ -343,7 +345,7 @@ def test_det_e_is_a_constant_times_the_weyl_denominator(spec, rs):
     # column, breaks it at every point.
     rsys = rs(spec)
     p, z = draw_points(rsys, 20, seed=8)
-    gz, _, ez = gencos_mod(rsys, z, p, 1)
+    gz, _, ez = gencos_mod(rsys, z, p, 1, with_e=True)
 
     def ratios(e):
         out = []
@@ -371,8 +373,8 @@ def test_jacobian_identity_holds_for_the_map_and_fails_for_a_mutant(spec, d,
     rsys = rs(spec)
     n = rsys.rank
     p, z = draw_points(rsys, 20, seed=11)
-    gz, _, ez = gencos_mod(rsys, z, p, d)
-    edz = gencos_mod(rsys, power_mod(z, d, p), p, 1)[2]
+    gz, _, ez = gencos_mod(rsys, z, p, d, with_e=True)
+    edz = gencos_mod(rsys, power_mod(z, d, p), p, 1, with_e=True)[2]
     want = pow(d, n, p) * det_mod(edz, p) % p
     pmap = build_cheb_map(rsys, d)
     for m, holds in ((pmap, True), (_plus_one(pmap, d), False)):
@@ -427,9 +429,9 @@ def test_postcritical_fails_on_a_corrupted_e_weight(spec, d, rs,
     real = chebmap.gencos_mod
     calls = []
 
-    def corrupted(rsys, z, p, degree):
-        g, gd, e = real(rsys, z, p, degree)
-        calls.append((z.tolist(), degree))
+    def corrupted(rsys, z, p, degree, with_e):
+        g, gd, e = real(rsys, z, p, degree, with_e)
+        calls.append((z.tolist(), degree, with_e))
         for i, point in enumerate(z.tolist()):
             assert (g[i].tolist(), e[i].tolist()) == \
                 gencos_e_mod(rsys, point, p)
@@ -443,7 +445,7 @@ def test_postcritical_fails_on_a_corrupted_e_weight(spec, d, rs,
     assert rep.max_value_residual == 0
     assert all(rep.det_residuals) and not rep.passed
     p, z = draw_points(rsys, 10, 0)
-    assert calls == [(z.tolist(), d)]
+    assert calls == [(z.tolist(), d, True)]
     assert rep.witness == {"sample": 0, "check": "det", "component": None,
                            "z": z[0].tolist()}
 

@@ -21,18 +21,24 @@ from weylcheb.monodromy import (
     standard_affine_generators,
 )
 from weylcheb.rootsys import (
+    WEYL_CAP,
+    AffineElement,
     affine_apply,
     build_root_system,
     affine_compose,
     affine_identity,
+    highest_roots,
     reflection_element,
     rho_vee,
     translation_element,
+    weyl_group_elements,
+    weyl_order,
 )
 
 from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
-                          eval_gencos_fullsum, first_step_wall_ratios, loop_of,
-                          orbit_bfs, positive_roots)
+                          deck_by_weyl_search, eval_gencos_fullsum,
+                          first_step_wall_ratios, loop_of, orbit_bfs,
+                          positive_roots)
 
 TEST_SPECS = ("A1", "A2", "B2", "G2")
 
@@ -588,3 +594,112 @@ def test_deck_no_match_across_fibers(rs):
     y0 = np.array([1 / 6, 1 / 6], dtype=complex)
     with pytest.raises(DeckMatchError):
         deck_identify(a2, y0, y0 + np.array([0.03, -0.41]))
+
+
+# every irreducible type whose Weyl group the search oracle may enumerate,
+# and products of them
+WALK_SPECS = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3",
+              "C4", "D3", "D4", "F4", "G2", "A1xA1", "B3xA1", "C2xG2",
+              "A2xA2")
+
+
+def _alcove_start(rsys, rng):
+    """A point of the open fundamental alcove: the Coxeter point, 1/h from
+    every wall, moved by less than 1/(2h) along every wall's normal, with a
+    small imaginary part."""
+    y = basepoint_array(rsys).real
+    h = round(1 / (y @ np.array(rsys.simple_roots[0].weight_coords)))
+    walls = np.array([v.weight_coords for v in rsys.simple_roots]
+                     + [v.weight_coords for v in highest_roots(rsys)])
+    r = np.array([rng.uniform(-1, 1) for _ in range(rsys.rank)])
+    y = y + r * (0.5 / h) / np.abs(walls @ r).max()
+    pairings = walls @ y
+    assert (pairings[:rsys.rank] > 0).all()
+    assert (pairings[rsys.rank:] < 1).all()
+    return y + 1j * np.array([rng.uniform(-0.2, 0.2) for _ in y])
+
+
+@pytest.mark.parametrize("spec", WALK_SPECS)
+def test_deck_walk_matches_the_weyl_search(spec, rs):
+    # random g = (t, w), from alcove starts, from starts anywhere and from
+    # starts whose real part lies on walls (the alcove's vertex 0, on every
+    # simple wall, or an alcove point moved onto the first simple wall),
+    # where only the imaginary part tells the orbit's points apart: the
+    # alcove walk finds g, as the search over all of W (the old
+    # deck_identify) does, also when the end is off by 1e-9
+    rsys = rs(spec)
+    assert weyl_order(rsys) <= WEYL_CAP
+    weyl = weyl_group_elements(rsys)
+    a1 = rsys.simple_roots[0]
+    rng = random.Random(f"walk {spec}")
+    for trial in range(32):
+        y0 = _alcove_start(rsys, rng)
+        if trial % 4 == 1:
+            y0 = np.array([complex(rng.uniform(-2.5, 2.5),
+                                   rng.uniform(-0.3, 0.3))
+                           for _ in range(rsys.rank)])
+        elif trial % 4 == 2:
+            y0 = 1j * y0.imag
+        elif trial % 4 == 3:
+            on_wall = np.dot(a1.weight_coords, y0.real)
+            y0 = y0 - on_wall * np.array(a1.coroot_coords)
+        g = AffineElement(tuple(rng.randint(-3, 3) for _ in range(rsys.rank)),
+                          rng.choice(weyl))
+        y1 = affine_apply(g, y0) + 1e-9 * (trial % 3)
+        assert deck_identify(rsys, y0, y1) == g
+        assert deck_by_weyl_search(rsys, y0, y1) == g
+
+
+@pytest.mark.parametrize("spec", ["A2", "G2", "F4", "B3xA1"])
+def test_deck_walk_is_short(spec, rs, monkeypatch):
+    # both points are first translated to within 1/2 of the Coxeter point
+    # c in each coordinate, so each walk crosses at most
+    # sum_{v > 0} (|<v, x>| + 1) <= sum_{v > 0} (|<v, x - c>| + 2) walls,
+    # however far out the points lie (here 10^6)
+    rsys = rs(spec)
+    bound = sum(sum(map(abs, v.weight_coords)) / 2 + 2
+                for v in positive_roots(rsys))
+    steps = []
+    real = gencos.affine_compose
+
+    def counted(g, h):
+        steps.append(1)
+        assert len(steps) <= 2 * bound + 1, "the walk is not short"
+        return real(g, h)
+
+    monkeypatch.setattr(gencos, "affine_compose", counted)
+    rng = random.Random(5)
+    for _ in range(5):
+        steps.clear()
+        y0 = np.array([rng.uniform(-1, 1) + rng.choice((-1, 1)) * 10 ** 6
+                       for _ in range(rsys.rank)], dtype=complex)
+        g = AffineElement(tuple(rng.randint(-3, 3) for _ in y0),
+                          rng.choice(weyl_group_elements(rsys)))
+        assert deck_identify(rsys, y0, affine_apply(g, y0)) == g
+    # a lift's start, the Coxeter point, walks in no step: the one
+    # composition is h1^-1 h0
+    steps.clear()
+    y0 = basepoint_array(rsys)
+    assert deck_identify(rsys, y0, y0) == affine_identity(rsys.rank)
+    assert len(steps) == 1
+
+
+@pytest.mark.parametrize("spec", ["A2", "G2", "F4", "B3xA1"])
+@pytest.mark.parametrize("bad", ["fiber", "nan", "inf", "-inf"])
+def test_deck_walk_refuses_a_point_outside_the_fiber(spec, bad, rs):
+    # a point of another fiber, and a NaN or infinite coordinate in either
+    # point, raise DeckMatchError; the search oracle finds no element either
+    rsys = rs(spec)
+    rng = random.Random(3)
+    y0 = _alcove_start(rsys, rng)
+    y1 = affine_apply(reflection_element(rsys.simple_roots[0], 2), y0)
+    if bad == "fiber":
+        y1 = y1 + 0.03
+        with pytest.raises(DeckMatchError):
+            deck_by_weyl_search(rsys, y0, y1)
+    else:
+        y1 = y1.copy()
+        y1[-1] = float(bad)
+    for a, b in ((y0, y1), (y1, y0)):
+        with pytest.raises(DeckMatchError):
+            deck_identify(rsys, a, b)

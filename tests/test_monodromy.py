@@ -9,11 +9,13 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from weylcheb import monodromy
 from weylcheb import gencos
+from weylcheb import rootsys
 from weylcheb.errors import CapExceededError, ContinuationError
 from weylcheb.gencos import deck_identify, eval_gencos, is_on_diagram, lift_path
 from weylcheb.monodromy import (
     ACTION_CELL_CAP,
     ENTRY_CAP,
+    KERNEL_CELL_CAP,
     algebraic_action,
     basepoint_array,
     check_img_caps,
@@ -40,8 +42,8 @@ from weylcheb.rootsys import (
 
 from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
                           affine_element_order, concat_loops,
-                          first_step_wall_ratios, loop_of, positive_roots,
-                          wreath_digit_step)
+                          first_step_wall_ratios, group_order_by_weyl_count,
+                          loop_of, positive_roots, wreath_digit_step)
 
 # the img-verify cases of the benchmark (perfbench/cases.py)
 BENCH_IMG_CASES = [("A1", 2, 4), ("A2", 2, 2), ("G2", 2, 2), ("A1xA1", 2, 3),
@@ -585,15 +587,43 @@ def test_group_order_dihedral_level_three(rs):
 
 
 @pytest.mark.parametrize("spec,order", [("E6", 3317760), ("E7", 185794560)])
-def test_group_order_e6_e7_level_one(rs, spec, order):
+def test_group_order_e6_e7_level_one(rs, spec, order, monkeypatch):
     # |W| * vertices is twice the E7 order: -1 in W(E7) acts trivially mod 2.
-    # The closed form counts over the enumerated W, which WEYL_CAP refuses,
-    # as img-verify does
+    # The closed form enumerates no Weyl group
     acts = _affine_level_actions(rs(spec), 2, 1)
     assert _sympy_order(acts) == order
-    weyl = {"E6": 51840, "E7": 2903040}[spec]
-    with pytest.raises(CapExceededError, match=f"order {weyl}, above cap"):
-        generated_group_order(rs(spec), 2, 1)
+    monkeypatch.setattr(rootsys, "_weyl_group_elements", _no_weyl)
+    assert generated_group_order(rs(spec), 2, 1) == order
+
+
+def _no_weyl(*args, **kwargs):
+    raise AssertionError("the Weyl group was enumerated")
+
+
+@pytest.mark.parametrize("spec", ["E6", "E7", "E8", "B5", "C5", "D5", "D6",
+                                  "A5", "C2xG2"])
+def test_group_order_matches_sympy_at_level_one(rs, spec):
+    # the kernel mod 2 of each factor (C_r: every sign change; D5, E6, A5:
+    # none; the others: -1) against sympy's order of the level-1 actions
+    rsys = rs(spec)
+    assert generated_group_order(rsys, 2, 1) == \
+        _sympy_order(_affine_level_actions(rsys, 2, 1))
+
+
+# types whose Weyl group the counting oracle enumerates (|W| <= 5040)
+COUNT_SPECS = ("A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
+               "C2", "C3", "C4", "C5", "D3", "D4", "D5", "F4", "G2", "A1xA1",
+               "B3xA1", "C2xG2", "A2xG2", "C3xA2")
+
+
+@pytest.mark.parametrize("spec", COUNT_SPECS)
+def test_group_order_matches_the_weyl_count(rs, spec):
+    # m = 1 to 4, and m = 8 and 9 at level two or three: the closed form
+    # against m^n |W| / #{w == I mod m} counted over the enumerated W
+    rsys = rs(spec)
+    for d, k in ((1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2)):
+        assert generated_group_order(rsys, d, k) == \
+            group_order_by_weyl_count(rsys, d, k, cap=5040), (d, k)
 
 
 # --- relations -----------------------------------------------------------------------
@@ -787,30 +817,44 @@ def test_img_caps_count_entries_in_closed_form(rs):
                     check_img_caps(rsys, d, levels)
 
 
-def test_img_verification_refuses_large_weyl_group_before_lifting(
-        rs, monkeypatch):
-    def no_lift(*args, **kwargs):
-        raise AssertionError("lift_path called")
+def test_img_caps_accept_e7_and_refuse_e8_by_kernel_cells(rs):
+    # E7 2 1 lifts 8 loops over 17642 orbit rows (987952 cells); E8 2 1
+    # lifts 9 over 881760, 63486720 cells, and is refused
+    check_img_caps(rs("E7"), 2, 1)
+    with pytest.raises(CapExceededError) as exc:
+        check_img_caps(rs("E8"), 2, 1)
+    assert str(exc.value) == (
+        "lifting 9 loops over 881760 orbit rows in rank 8 holds 63486720 "
+        f"complex kernel cells, above cap {KERNEL_CELL_CAP}")
 
-    monkeypatch.setattr(monodromy, "lift_path", no_lift)
-    monkeypatch.setattr(monodromy, "lift_paths", no_lift)
-    with pytest.raises(CapExceededError, match="order 51840"):
-        img_verification(rs("E6"), 2, 1)
+
+@pytest.mark.parametrize("spec", ["A1", "G2", "B3xA1", "F4", "D5"])
+def test_img_caps_count_kernel_cells_in_closed_form(rs, spec, monkeypatch):
+    # the cells are (rank + #factors) * rows * rank, the rows those of the
+    # enumerated fundamental orbits, and the cap refuses exactly above them
+    rsys = rs(spec)
+    rows = len(gencos.fundamental_orbit_table(rsys)[0])
+    cells = (rsys.rank + len(rsys.factors)) * rows * rsys.rank
+    monkeypatch.setattr(monodromy, "KERNEL_CELL_CAP", cells)
+    check_img_caps(rsys, 2, 1)
+    monkeypatch.setattr(monodromy, "KERNEL_CELL_CAP", cells - 1)
+    with pytest.raises(CapExceededError, match=f"holds {cells} complex"):
+        check_img_caps(rsys, 2, 1)
 
 
-def test_img_verification_refuses_d5_after_a_larger_cap_filled_the_cache(
-        monkeypatch):
-    # |W(D5)| = 1920 > WEYL_CAP: enumerating it once under a larger cap does
-    # not let img_verification through
-    def no_lift(*args, **kwargs):
-        raise AssertionError("lift_path called")
-
-    d5 = build_root_system("D5")
-    weyl_group_elements(d5, cap=10 ** 4)
-    monkeypatch.setattr(monodromy, "lift_path", no_lift)
-    monkeypatch.setattr(monodromy, "lift_paths", no_lift)
-    with pytest.raises(CapExceededError, match="order 1920, above cap 1152"):
-        img_verification(d5, 2, 1)
+@pytest.mark.parametrize("spec,order", [("E6", 3317760), ("D5", 61440)])
+def test_img_verification_passes_without_the_weyl_group(rs, monkeypatch,
+                                                        spec, order):
+    # |W(E6)| = 51840 and |W(D5)| = 1920 are above WEYL_CAP, which no
+    # longer limits img-verify: every loop lifts to its label, and the
+    # group order is closed-form
+    monkeypatch.setattr(rootsys, "_weyl_group_elements", _no_weyl)
+    rsys = rs(spec)
+    rep = img_verification(rsys, 2, 1)
+    assert rep.passed
+    assert len(rep.generators) == rsys.rank + 1
+    assert all(g.deck == g.label for g in rep.generators)
+    assert rep.group_orders == [{"level": 1, "algebraic": order}]
 
 
 def test_generator_order_two_everywhere(rs):
