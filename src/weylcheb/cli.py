@@ -13,6 +13,8 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import chebmap as cm
 from . import critical as cr
 from . import monodromy as mo
@@ -29,12 +31,16 @@ from .rootsys import (
 
 
 def json_text(obj, pad: str = "\n") -> str:
-    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte.
-    With an indent the json module falls back to its pure-Python encoder,
-    one generator per container; this builds each container with one join.
-    Leaves other than strings go through json.dumps itself, so floats, bools
-    and None print exactly as it prints them, and anything it cannot encode
-    (a numpy scalar, a set) raises its TypeError, as does a non-str key."""
+    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte,
+    with an integer ndarray of rank >= 1 written as the list it stands for
+    (arr.tolist()).  With an indent the json module falls back to its
+    pure-Python encoder, one generator per container; this builds each
+    container with one join, and each leading row of an integer array with
+    one %-template built from its shape.  Leaves other than strings go
+    through json.dumps itself, so floats, bools and None print exactly as
+    it prints them, and anything it cannot encode (a numpy scalar, a set,
+    a bool, float or 0-d array) raises its TypeError, as does a non-str
+    key."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -52,7 +58,30 @@ def json_text(obj, pad: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in "iu":
+        if not len(obj):
+            return "[]"
+        inner = pad + "  "
+        if obj.ndim == 1:
+            items = map(str, obj.tolist())
+        else:
+            row = _int_template(obj.shape[1:], inner)
+            items = [row % tuple(r)
+                     for r in obj.reshape(len(obj), -1).tolist()]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(obj)
+
+
+def _int_template(shape: tuple, pad: str) -> str:
+    """json_text's text of an integer array of this shape at this indent,
+    with %d in place of each entry, in row-major order."""
+    if not shape:
+        return "%d"
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    return ("[" + inner + ("," + inner).join(
+        [_int_template(shape[1:], inner)] * shape[0]) + pad + "]")
 
 
 def _emit(args, payload) -> None:
@@ -102,7 +131,7 @@ def cmd_weyl(args) -> int:
     payload = {
         "type": rs.type_spec,
         "order": len(elements),
-        "elements": [[list(r) for r in w.weight_matrix] for w in elements],
+        "elements": elements,
     }
     _emit(args, payload)
     return 0

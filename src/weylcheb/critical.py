@@ -13,10 +13,16 @@ ch. VI sec. 3):
 
 rho = (1, ..., 1) in weight coordinates.  The constant is 1: the highest
 term z^{2 rho} of both sides has coefficient 1, and in det E z^rho it
-comes only from the diagonal, lam = omega_k in row k.  post_critical_check
-tests this identity and T_d(G(z)) = G(z^d) at the points of (F_p^*)^n the
-functional check draws (draw_points), G and E evaluated at z
-(chebmap.residuals_mod_p).  det E vanishes exactly on the walls, where
+comes only from the diagonal, lam = omega_k in row k.  Since
+z^a - 1 = z^{-a^-} (z^{a^+} - z^{a^-}), a^+ = max(a, 0) and
+a^- = max(-a, 0) entrywise, the unit z^{sum_{a > 0} a^-} turns it into an
+identity with nonnegative exponents only:
+
+    det E(z) z^{rho + sum_{a > 0} a^-} = prod_{a > 0} (z^{a^+} - z^{a^-}).
+
+post_critical_check tests this form and T_d(G(z)) = G(z^d) at the points
+of (F_p^*)^n the functional check draws (draw_points), G and E evaluated
+at z (chebmap.residuals_mod_p).  det E vanishes exactly on the walls, where
 z^a = 1 for some root a.  So off the walls det J_T(G(z)) = 0 iff z^d is
 on a wall, and every critical value T_d(G(z)) = G(z^d) (G maps onto C^n)
 lies in D = G(walls); and T_d(G(walls)) = G(d walls) lies in D.
@@ -53,7 +59,8 @@ class DiagramSample:
 @dataclass
 class PostCriticalReport:
     """The post-critical check modulo `prime`: per sample, the det residual
-    |det E(z) z^rho - prod_{a > 0} (z^a - 1)| and the largest
+    |det E(z) z^{rho + sum a^-} - prod_{a > 0} (z^{a^+} - z^{a^-})| (see the
+    module docstring) and the largest
     |T_d(G(z)) - G(z^d)|, exact integers (representatives in (-p/2, p/2]),
     0 when the identities hold.  `skipped` counts the samples on a wall
     mod prime, det E(z) = 0; they are checked all the same.  `witness`
@@ -163,19 +170,22 @@ def post_critical_check(rs: RootSystem, d: int, pmap: PolynomialMap,
                         samples: int = 50, tol: float = 1e-7,
                         seed: int = 0) -> PostCriticalReport:
     """At `samples` points z drawn by draw_points, exactly modulo a prime:
-    det E(z) z^rho = prod_{a > 0} (z^a - 1) and T_d(G(z)) = G(z^d) (see
-    the module docstring), from one residuals_mod_p call (the residuals
-    and E(z)), one det_mod call and one monomials_mod call (the z^a).  A
+    det E(z) z^{rho + sum a^-} = prod_{a > 0} (z^{a^+} - z^{a^-}) and
+    T_d(G(z)) = G(z^d) (see the module docstring), from one residuals_mod_p
+    call (the residuals and E(z)), one det_mod call and one monomials_mod
+    call on nonnegative exponents (the z^{a^+}, z^{a^-} and the shift).  A
     degree d below 1 raises ValueError; `tol` is only carried into the
     report (see PostCriticalReport)."""
     p, z = draw_points(rs, samples, seed)
     res, ez = residuals_mod_p(rs, d, pmap, z, p, with_e=True)
     det_ez = det_mod(ez, p)
-    lhs, rhs = det_ez, np.ones_like(det_ez)
-    for zj in z.T:
-        lhs = lhs * zj % p
-    for za in monomials_mod(z, positive_root_rows(rs), p).T:
-        rhs = rhs * (za - 1) % p
+    roots = positive_root_rows(rs)
+    plus, minus = np.maximum(roots, 0), np.maximum(-roots, 0)
+    monos = monomials_mod(z, np.vstack([plus, minus, 1 + minus.sum(axis=0)]),
+                          p)
+    lhs, rhs = det_ez * monos[:, -1] % p, np.ones_like(det_ez)
+    for zp, zm in zip(monos[:, :len(roots)].T, monos[:, len(roots):-1].T):
+        rhs = rhs * (zp - zm) % p
     det = np.abs(centred((lhs - rhs) % p, p))
     worst = np.abs(res).max(axis=1)
     witness = None

@@ -291,6 +291,13 @@ def reflection_element(v: Root, ell: int = 0) -> AffineElement:
 # the RootSystem container
 # ---------------------------------------------------------------------------
 
+def _simple_root_cols(cartan) -> tuple:
+    """The nonzero entries (i, C[i][j]) of each column j of the Cartan
+    matrix: the weight coordinates of the simple root a_j, sparsely."""
+    return tuple(tuple((i, row[j]) for i, row in enumerate(cartan) if row[j])
+                 for j in range(len(cartan)))
+
+
 class RootSystem:
     """Exact data of a (possibly reducible) root system.
 
@@ -311,10 +318,7 @@ class RootSystem:
         self.gram = gram                  # Fraction, <a_j^vee, a_k^vee>
         self.lengths = lengths            # squared lengths of simple roots
         self.roots = roots                # tuple of Root, simple ones first
-        # nonzero entries (i, C[i][j]) of each column j: the simple root a_j
-        self._simple_root_cols = tuple(
-            tuple((i, row[j]) for i, row in enumerate(cartan) if row[j])
-            for j in range(self.rank))
+        self._simple_root_cols = _simple_root_cols(cartan)
 
     def __repr__(self):
         return f"RootSystem({self.type_spec!r}, rank={self.rank}, roots={len(self.roots)})"
@@ -368,18 +372,30 @@ def build_root_system(type_spec: str) -> RootSystem:
              lengths[k])
         for k in range(n)
     ]
-    refls = [reflection_element(v, 0).w for v in simple]
+    cols = _simple_root_cols(cartan)
 
+    # closure under the simple reflections, last found reflected first:
+    # s_j(v) = v - v_j a_j on weight coordinates and
+    # s_j(v^vee) = v^vee - <a_j, v^vee> e_j on coroot coordinates; v_j = 0
+    # fixes v
     roots = list(simple)
     seen = {r.weight_coords for r in roots}
     queue = list(simple)
     while queue:
         v = queue.pop()
-        for s in refls:
-            wcoords = s.apply_weight(v.weight_coords)
+        for j, col in enumerate(cols):
+            vj = v.weight_coords[j]
+            if not vj:
+                continue
+            wcoords = list(v.weight_coords)
+            for i, c in col:
+                wcoords[i] -= vj * c
+            wcoords = tuple(wcoords)
             if wcoords not in seen:
                 seen.add(wcoords)
-                img = Root(wcoords, s.apply_point(v.coroot_coords), v.length_sq)
+                ccoords = list(v.coroot_coords)
+                ccoords[j] -= sum(c * v.coroot_coords[i] for i, c in col)
+                img = Root(wcoords, tuple(ccoords), v.length_sq)
                 roots.append(img)
                 queue.append(img)
 
@@ -391,11 +407,12 @@ def build_root_system(type_spec: str) -> RootSystem:
 # orbits and group enumeration
 # ---------------------------------------------------------------------------
 
-def weyl_group_elements(rs: RootSystem, cap: int = WEYL_CAP):
-    """All Weyl group elements by breadth-first closure from the simple
-    reflections, built once per root system.  Refuses when the order,
-    weyl_order(rs), exceeds the cap; the order is memoized, so the cap is
-    checked on every call, cached or not."""
+def weyl_group_elements(rs: RootSystem, cap: int = WEYL_CAP) -> np.ndarray:
+    """All Weyl group elements as one read-only int64 array (|W|, n, n) of
+    weight matrices, in breadth-first order from the identity, built once
+    per root system.  Refuses when the order, weyl_order(rs), exceeds the
+    cap; the order is memoized, so the cap is checked on every call, cached
+    or not."""
     order = weyl_order(rs)
     if order > cap:
         raise CapExceededError(
@@ -404,33 +421,35 @@ def weyl_group_elements(rs: RootSystem, cap: int = WEYL_CAP):
 
 
 @functools.cache
-def _weyl_group_elements(rs: RootSystem):
+def _weyl_group_elements(rs: RootSystem) -> np.ndarray:
+    # Breadth first, one level (one length) at a time: the candidates are
+    # s_j w for the w of the level and each j, in (w, j) order, and the
+    # first occurrence of each new element is kept.  W acts simply
+    # transitively on the chambers (Humphreys, Reflection Groups and
+    # Coxeter Groups, 1.12), so w(rho), rho = (1, ..., 1), fixes w; it is
+    # the row sums of w, with entries <rho, w^-1 a_i^vee>, no larger than
+    # the largest coroot height.  And l(s_j w) > l(w) exactly when
+    # w^-1 a_j > 0 (1.6-1.7), that is when w(rho)_j > 0; the other
+    # candidates lie on the level before.  So the next level is the s_j w
+    # with w(rho)_j > 0, deduplicated by one int64 code of w(rho) each.
     n = rs.rank
-    gens = [rs.simple_reflection(j) for j in range(n)]
-    gen_w = np.array([s.weight_matrix for s in gens], dtype=np.int64)
-    gen_c = np.array([s.coroot_matrix for s in gens], dtype=np.int64)
-    # one breadth-first level at a time: every frontier element times every
-    # generator, s @ w, in (frontier element, generator) order; the first
-    # occurrence of each weight matrix is kept
-    front_w = front_c = np.eye(n, dtype=np.int64)[None]
-    seen = {front_w[0].tobytes()}
-    found_w, found_c = [front_w], [front_c]
-    while len(front_w):
-        cand_w = np.einsum("gij,fjk->fgik", gen_w, front_w).reshape(-1, n, n)
-        cand_c = np.einsum("gij,fjk->fgik", gen_c, front_c).reshape(-1, n, n)
-        new = []
-        for i, m in enumerate(cand_w):
-            key = m.tobytes()
-            if key not in seen:
-                seen.add(key)
-                new.append(i)
-        front_w, front_c = cand_w[new], cand_c[new]
-        found_w.append(front_w)
-        found_c.append(front_c)
-    return tuple(
-        WeylElement(tuple(map(tuple, w)), tuple(map(tuple, c)))
-        for w, c in zip(np.concatenate(found_w).tolist(),
-                        np.concatenate(found_c).tolist()))
+    eye = np.eye(n, dtype=np.int64)
+    # s_j = I - a_j e_j^T on weight coordinates, a_j column j of C
+    gens = eye - np.einsum("ij,jk->jik", np.array(rs.cartan, dtype=np.int64),
+                           eye)
+    bound = max(sum(v.coroot_coords) for v in rs.roots)
+    front = eye[None]
+    levels = [front]
+    while len(front):
+        w, j = np.nonzero(front.sum(axis=2) > 0)
+        cand = np.matmul(gens[j], front[w])
+        _, first = np.unique(_row_codes(cand.sum(axis=2), bound),
+                             return_index=True)
+        front = cand[np.sort(first)]
+        levels.append(front)
+    elements = np.concatenate(levels)
+    elements.setflags(write=False)
+    return elements
 
 
 def orbit(rs: RootSystem, lam) -> np.ndarray:
@@ -551,10 +570,11 @@ def weyl_order(rs: RootSystem) -> int:
 @functools.cache
 def rho_vee(rs: RootSystem) -> tuple:
     """rho^vee, half the sum of the positive coroots, in simple-coroot
-    coordinates as exact Fractions: the point pairing to 1 with every
-    simple root, the solution of C^T x = 1 (the rows of C^T are the
-    simple roots' weight coordinates).  Cached per root system."""
-    return solve_fraction(mat_transpose(rs.cartan), [1] * rs.rank)
+    coordinates as exact Fractions: half the column sums of the positive
+    roots' coroot coordinates.  It pairs to 1 with every simple root.
+    Cached per root system."""
+    positive = [v.coroot_coords for v in rs.roots if min(v.coroot_coords) >= 0]
+    return tuple(Fraction(sum(col), 2) for col in zip(*positive))
 
 
 @functools.cache
@@ -676,7 +696,7 @@ def verify_axioms(rs: RootSystem) -> AxiomReport:
     # span: the simple roots, the columns of C, are linearly independent;
     # solve_fraction raises ValueError on any singular matrix
     try:
-        rho_vee(rs)
+        solve_fraction(mat_transpose(rs.cartan), [1] * rs.rank)
         span_ok = True
     except ValueError:
         span_ok = False

@@ -1,5 +1,7 @@
 """Slow, direct forms of facts the program computes another way, and
-helpers that only the tests use, kept as test oracles: an orbit's rows
+helpers that only the tests use, kept as test oracles: the roots closed
+under reflection matrices, the Weyl group by an element-at-a-time
+breadth-first search, the Weyl group array as WeylElements, an orbit's rows
 sliced from the stacked table, an orbit by closure under the simple
 reflections, an orbit-sum product walked over the whole smaller orbit, the
 positive roots by the signs of their coefficients, the generalized cosine
@@ -26,11 +28,67 @@ import numpy as np
 from weylcheb.chebmap import PolynomialMap
 from weylcheb.errors import DeckMatchError, DimensionError
 from weylcheb.gencos import TWO_PI_I, eval_gencos
-from weylcheb.rootsys import (AffineElement, RootSystem, WeylElement,
-                              affine_compose, dominant_weight,
+from weylcheb.rootsys import (WEYL_CAP, AffineElement, Root, RootSystem,
+                              WeylElement, affine_compose, dominant_weight,
                               fundamental_orbit_table, orbit_size,
-                              weyl_group_elements)
+                              reflection_element, weyl_group_elements,
+                              weyl_identity)
 from weylcheb.selfsim import Automaton, TreeWord
+
+
+def roots_by_matrix_closure(rs: RootSystem) -> tuple:
+    """The roots as build_root_system closed them before it used the
+    reflection formula: the simple roots, then, last found first, the
+    image of each root under each simple reflection's weight and coroot
+    matrices (WeylElement.apply_weight and apply_point), first occurrences
+    kept."""
+    simple = rs.simple_roots
+    refls = [reflection_element(v, 0).w for v in simple]
+    roots = list(simple)
+    seen = {r.weight_coords for r in roots}
+    queue = list(simple)
+    while queue:
+        v = queue.pop()
+        for s in refls:
+            wcoords = s.apply_weight(v.weight_coords)
+            if wcoords not in seen:
+                seen.add(wcoords)
+                img = Root(wcoords, s.apply_point(v.coroot_coords),
+                           v.length_sq)
+                roots.append(img)
+                queue.append(img)
+    return tuple(roots)
+
+
+def weyl_bfs(rs: RootSystem) -> tuple:
+    """The Weyl group by an element-at-a-time breadth-first search:
+    s.compose(w) for each frontier element w and each simple reflection s,
+    first occurrences kept in that order, as WeylElements."""
+    gens = [rs.simple_reflection(j) for j in range(rs.rank)]
+    ident = weyl_identity(rs.rank)
+    elements = {ident.weight_matrix: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                cand = s.compose(w)
+                if cand.weight_matrix not in elements:
+                    elements[cand.weight_matrix] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return tuple(elements.values())
+
+
+def weyl_elements(rs: RootSystem, cap: int = WEYL_CAP) -> tuple:
+    """weyl_group_elements(rs, cap) as WeylElements of Python ints: each
+    weight matrix M with its coroot matrix (M^T)^-1, integer because
+    det M = +-1, and checked to be the exact inverse."""
+    mats = weyl_group_elements(rs, cap)
+    coroot = np.rint(np.linalg.inv(mats.transpose(0, 2, 1))).astype(np.int64)
+    assert (mats.transpose(0, 2, 1) @ coroot == np.eye(rs.rank)).all()
+    return tuple(WeylElement(tuple(map(tuple, w)), tuple(map(tuple, c)))
+                 for w, c in zip(mats.tolist(), coroot.tolist()))
 
 
 def orbit_matrix(rs: RootSystem, k: int) -> np.ndarray:
@@ -94,7 +152,7 @@ def eval_gencos_fullsum(rs: RootSystem, x) -> np.ndarray:
     """Stabilizer-normalized full-Weyl-group sum; must agree with
     eval_gencos (cross-check of the two equivalent formulas)."""
     x = np.asarray(x, dtype=complex)
-    elements = weyl_group_elements(rs)
+    elements = weyl_elements(rs)
     out = np.empty(rs.rank, dtype=complex)
     for k in range(rs.rank):
         wk = rs.fundamental_weight(k)
@@ -243,11 +301,11 @@ def gencos_e_mod(rs: RootSystem, point, p: int, shift: int = 0) -> tuple:
 def deck_by_weyl_search(rs: RootSystem, y0, y1,
                         tol: float = 1e-7) -> AffineElement:
     """The affine Weyl element g with g(y0) = y1: the first w of
-    weyl_group_elements (refused above WEYL_CAP) for which y1 - w(y0) is
+    weyl_elements (refused above WEYL_CAP) for which y1 - w(y0) is
     real and rounds to an integer vector within tol."""
     y0 = np.asarray(y0, dtype=complex)
     y1 = np.asarray(y1, dtype=complex)
-    for w in weyl_group_elements(rs):
+    for w in weyl_elements(rs):
         r = y1 - np.array(w.coroot_matrix) @ y0
         if np.abs(r.imag).max() > tol:
             continue
@@ -262,7 +320,7 @@ def group_order_by_weyl_count(rs: RootSystem, d: int, k: int,
     """m^n |W| / #{w in W : w == I mod m}, m = d^k, the kernel counted
     over the enumerated W (refused above cap) in Python integers."""
     m = d ** k
-    mats = np.array([w.coroot_matrix for w in weyl_group_elements(rs, cap)],
+    mats = np.array([w.coroot_matrix for w in weyl_elements(rs, cap)],
                     dtype=object)
     kernel = ((mats - np.eye(rs.rank, dtype=int)) % m == 0).all(axis=(1, 2))
     return m ** rs.rank * len(mats) // int(kernel.sum())

@@ -198,7 +198,7 @@ def test_each_table_is_built_once_per_instance():
     own = _derived_tables(fresh)
     assert not any(a is b for a, b in zip(first, own))
     assert all(a is b for a, b in zip(own, _derived_tables(fresh)))
-    assert own[1] == first[1] and own[3] == first[3]
+    assert np.array_equal(own[1], first[1]) and own[3] == first[3]
     assert all((a == b).all() for a, b in zip(own[0], first[0]))
 
 

@@ -413,6 +413,7 @@ def test_caps_refuse_before_any_work(capsys, monkeypatch):
         raise AssertionError("work done before the cap refused it")
 
     monkeypatch.setattr(rootsys.RootSystem, "simple_reflection", no_work)
+    monkeypatch.setattr(rootsys, "_weyl_group_elements", no_work)
     monkeypatch.setattr(monodromy, "make_generator_loop", no_work)
     monkeypatch.setattr(monodromy, "lift_paths", no_work)
     code, out, err = run_cli(capsys, "weyl", "E6")

@@ -276,8 +276,9 @@ def test_det_mod_matches_sympy(n):
 def test_postcritical_fails_on_the_determinant_alone(rs, monkeypatch):
     # det E(z) off by +1 at sample 2 only, every value right: the
     # determinant alone must fail the check and name the sample, and the
-    # residual is z^rho at that sample, centred.  det_mod takes the E(z) of
-    # all 10 samples at once.
+    # residual is the shift z^{rho + sum_{a > 0} a^-} at that sample,
+    # centred, a^- = max(-a, 0) over the positive roots a.  det_mod takes
+    # the E(z) of all 10 samples at once.
     real = critical.det_mod
     sizes = []
 
@@ -292,8 +293,12 @@ def test_postcritical_fails_on_the_determinant_alone(rs, monkeypatch):
     rep = post_critical_check(rsys, 2, build_cheb_map(rsys, 2), samples=10)
     assert sizes == [10]
     p, z = draw_points(rsys, 10, 0)
-    z_rho = math.prod(z[2].tolist()) % p
-    assert rep.det_residuals == [0, 0, min(z_rho, p - z_rho)] + [0] * 7
+    shift = [1 + sum(max(-v.weight_coords[j], 0)
+                     for v in positive_roots(rsys))
+             for j in range(rsys.rank)]
+    z_shift = math.prod(pow(zj, e, p)
+                        for zj, e in zip(z[2].tolist(), shift)) % p
+    assert rep.det_residuals == [0, 0, min(z_shift, p - z_shift)] + [0] * 7
     assert rep.max_value_residual == 0 and not rep.passed
     assert (rep.witness["sample"], rep.witness["check"],
             rep.witness["component"]) == (2, "det", None)

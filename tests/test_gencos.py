@@ -31,14 +31,13 @@ from weylcheb.rootsys import (
     reflection_element,
     rho_vee,
     translation_element,
-    weyl_group_elements,
     weyl_order,
 )
 
 from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
                           deck_by_weyl_search, eval_gencos_fullsum,
                           first_step_wall_ratios, loop_of, orbit_bfs,
-                          positive_roots)
+                          positive_roots, weyl_elements)
 
 TEST_SPECS = ("A1", "A2", "B2", "G2")
 
@@ -629,7 +628,7 @@ def test_deck_walk_matches_the_weyl_search(spec, rs):
     # deck_identify) does, also when the end is off by 1e-9
     rsys = rs(spec)
     assert weyl_order(rsys) <= WEYL_CAP
-    weyl = weyl_group_elements(rsys)
+    weyl = weyl_elements(rsys)
     a1 = rsys.simple_roots[0]
     rng = random.Random(f"walk {spec}")
     for trial in range(32):
@@ -674,7 +673,7 @@ def test_deck_walk_is_short(spec, rs, monkeypatch):
         y0 = np.array([rng.uniform(-1, 1) + rng.choice((-1, 1)) * 10 ** 6
                        for _ in range(rsys.rank)], dtype=complex)
         g = AffineElement(tuple(rng.randint(-3, 3) for _ in y0),
-                          rng.choice(weyl_group_elements(rsys)))
+                          rng.choice(weyl_elements(rsys)))
         assert deck_identify(rsys, y0, affine_apply(g, y0)) == g
     # a lift's start, the Coxeter point, walks in no step: the one
     # composition is h1^-1 h0

@@ -1,7 +1,8 @@
 """`cli.json_text` writes exactly the text of json.dumps(obj, indent=2,
-sort_keys=True): on every payload the CLI emits for the benchmark's case
-lists, and on the edge cases of the json module's own encoder.  What it
-cannot match byte for byte raises TypeError."""
+sort_keys=True), an integer ndarray as its tolist(): on every payload the
+CLI emits for the benchmark's case lists, on the edge cases of the json
+module's own encoder and on integer arrays of every rank and edge shape.
+What it cannot match byte for byte raises TypeError."""
 
 import json
 import sys
@@ -22,6 +23,17 @@ finally:
 
 def stdlib(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def plain(obj):
+    """obj with every ndarray in it replaced by its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(x) for x in obj]
+    return obj
 
 
 def first_difference(got: str, want: str):
@@ -52,8 +64,8 @@ def test_matches_stdlib_on_every_cli_payload(argv, monkeypatch, capsys):
     payloads = [p for p in payloads if not isinstance(p, str)]
     assert payloads or argv[0] == "act"
     for payload in payloads:
-        assert first_difference(cli.json_text(payload), stdlib(payload)) \
-            is None
+        assert first_difference(cli.json_text(payload),
+                                stdlib(plain(payload))) is None
 
 
 EDGE_CASES = [
@@ -73,9 +85,43 @@ def test_matches_stdlib_on_edge_cases(obj):
     assert cli.json_text(obj) == stdlib(obj)
 
 
+I64 = np.iinfo(np.int64)
+INT_ARRAYS = [
+    np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64),
+    np.zeros((3, 0), dtype=np.int64), np.zeros((2, 0, 3), dtype=np.int64),
+    np.zeros((2, 3, 0), dtype=np.int64), np.array([7]),
+    np.array([-3, 0, 12, I64.min, I64.max]),
+    np.arange(-6, 6).reshape(3, 4),
+    np.array([[I64.min, I64.max], [-1, 1]]),
+    np.arange(-12, 12).reshape(2, 3, 4),
+    np.arange(24, dtype=np.int32).reshape(1, 2, 3, 4),
+    np.array([[0, 2 ** 64 - 1]], dtype=np.uint64),
+]
+
+
+@pytest.mark.parametrize("arr", INT_ARRAYS, ids=lambda a: f"{a.dtype}"
+                         f"{'x'.join(map(str, a.shape))}")
+def test_integer_arrays_match_their_lists(arr):
+    assert cli.json_text(arr) == json.dumps(arr.tolist(), indent=2)
+    # nested in a payload, at a deeper indent
+    payload = {"b": [arr, {"a": arr}], "a": 1}
+    assert cli.json_text(payload) == stdlib(plain(payload))
+
+
+def test_a_weyl_group_array_matches_its_list():
+    from weylcheb.rootsys import build_root_system, weyl_group_elements
+    arr = weyl_group_elements(build_root_system("B3"))
+    payload = {"elements": arr, "order": len(arr)}
+    assert cli.json_text(payload) == stdlib(plain(payload))
+
+
 @pytest.mark.parametrize("obj", [{1: 2}, {"a": 1, 2: 3}, {None: 0},
                                  np.int64(3), [np.int64(3)],
-                                 {"a": np.int64(3)}, {1, 2}])
+                                 {"a": np.int64(3)}, {1, 2},
+                                 np.array([True, False]),
+                                 np.array([1.5, 2.0]), np.zeros((2, 2)),
+                                 np.array(3), np.array([[1, None]]),
+                                 {"a": np.array(7)}, [np.array([0.5])]])
 def test_refuses_what_it_cannot_match(obj):
     with pytest.raises(TypeError):
         cli.json_text(obj)

@@ -36,14 +36,14 @@ from weylcheb.rootsys import (
     reflection_element,
     rho_vee,
     translation_element,
-    weyl_group_elements,
     weyl_order,
 )
 
 from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
                           affine_element_order, concat_loops,
                           first_step_wall_ratios, group_order_by_weyl_count,
-                          loop_of, positive_roots, wreath_digit_step)
+                          loop_of, positive_roots, weyl_elements,
+                          wreath_digit_step)
 
 # the img-verify cases of the benchmark (perfbench/cases.py)
 BENCH_IMG_CASES = [("A1", 2, 4), ("A2", 2, 2), ("G2", 2, 2), ("A1xA1", 2, 3),
@@ -874,7 +874,7 @@ def test_faithfulness_growth(rs):
     rng = random.Random(44)
     for spec, d, k in (("A1", 2, 3), ("A2", 2, 2), ("B2", 2, 2)):
         rsys = rs(spec)
-        for w in weyl_group_elements(rsys):
+        for w in weyl_elements(rsys):
             for _ in range(5):
                 t = tuple(rng.randint(-d ** (k - 1), d ** (k - 1))
                           for _ in range(rsys.rank))

@@ -35,11 +35,11 @@ from weylcheb.rootsys import (
     verify_axioms,
     fundamental_orbit_table,
     weyl_group_elements,
-    weyl_identity,
     weyl_order,
 )
 
-from root_oracles import orbit_bfs, orbit_matrix, positive_roots
+from root_oracles import (orbit_bfs, orbit_matrix, positive_roots,
+                          roots_by_matrix_closure, weyl_bfs, weyl_elements)
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20,
@@ -93,6 +93,20 @@ def test_g2_two_lengths_ratio_sqrt3():
 @pytest.mark.parametrize("spec,count", sorted(ROOT_COUNTS.items()))
 def test_root_counts(spec, count, rs):
     assert len(rs(spec).roots) == count
+
+
+CLOSURE_SPECS = (
+    [f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
+    + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "B3xA1", "C2xG2", "D4xA2xE6"])
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS)
+def test_roots_match_the_matrix_closure(spec):
+    # the reflection formula closes the roots in the order, and with the
+    # coroots and lengths, that the reflection matrices give
+    rsys = build_root_system(spec)
+    assert rsys.roots == roots_by_matrix_closure(rsys)
 
 
 def test_reducible_block_cartan():
@@ -323,35 +337,26 @@ def test_weyl_cap_holds_after_a_larger_cap_filled_the_cache():
     assert len(weyl_group_elements(rsys, cap=1920)) == 1920
 
 
-def _weyl_bfs_oracle(rsys):
-    """The element-at-a-time breadth-first search weyl_group_elements ran
-    before it was batched: s.compose(w) for each frontier element w and
-    each simple reflection s, first occurrences kept in that order."""
-    gens = [rsys.simple_reflection(j) for j in range(rsys.rank)]
-    ident = weyl_identity(rsys.rank)
-    elements = {ident.weight_matrix: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                cand = s.compose(w)
-                if cand.weight_matrix not in elements:
-                    elements[cand.weight_matrix] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(elements.values())
+# every irreducible type with |W| up to WEYL_CAP, D5 (1920) and products
+SMALL_WEYL_SPECS = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D3",
+    "D4", "D5", "F4", "G2", "A1xA1", "A1xA1xA1", "A2xB2", "B3xA1", "C2xG2",
+    "G2xA2"]
 
 
-@pytest.mark.parametrize("spec", sorted(
-    [s for s, o in {**WEYL_ORDERS, **MORE_WEYL_ORDERS}.items() if o <= 1920]
-    + ["D5"]))
+@pytest.mark.parametrize("spec", SMALL_WEYL_SPECS)
 def test_weyl_elements_match_element_wise_search(spec, rs):
+    # the array holds the search's weight matrices in its order, and their
+    # contragredients are the search's coroot matrices
     rsys = rs(spec)
     got = weyl_group_elements(rsys, cap=1920)
-    want = _weyl_bfs_oracle(rsys)
+    want = weyl_bfs(rsys)
     assert len(got) == len(want) == weyl_order(rsys)
-    for a, b in zip(got, want):
+    assert got.dtype == np.int64 and got.shape[1:] == (rsys.rank,) * 2
+    assert not got.flags.writeable
+    assert weyl_group_elements(rsys, cap=1920) is got
+    assert got.tolist() == [list(map(list, b.weight_matrix)) for b in want]
+    for a, b in zip(weyl_elements(rsys, cap=1920), want):
         assert a.weight_matrix == b.weight_matrix
         assert a.coroot_matrix == b.coroot_matrix
         assert all(type(c) is int for row in a.coroot_matrix for c in row)
@@ -376,13 +381,13 @@ def test_weyl_elements_preserve_roots(rs):
     for spec in ("A2", "B2", "G2"):
         rsys = rs(spec)
         root_set = {v.weight_coords for v in rsys.roots}
-        for w in weyl_group_elements(rsys):
+        for w in weyl_elements(rsys):
             assert {w.apply_weight(v) for v in root_set} == root_set
 
 
 def test_weyl_matrices_integer_invertible(rs):
     for spec in ("A2", "B2", "G2", "F4"):
-        for w in weyl_group_elements(rs(spec)):
+        for w in weyl_elements(rs(spec)):
             winv = w.inverse()
             assert all(isinstance(c, int) for row in winv.coroot_matrix for c in row)
             assert w.compose(winv).is_identity()
