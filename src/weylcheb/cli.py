@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -30,58 +29,21 @@ from .rootsys import (
 )
 
 
-def json_text(obj, pad: str = "\n") -> str:
-    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte,
-    with an integer ndarray of rank >= 1 written as the list it stands for
-    (arr.tolist()).  With an indent the json module falls back to its
-    pure-Python encoder, one generator per container; this builds each
-    container with one join, and each leading row of an integer array with
-    one %-template built from its shape.  Leaves other than strings go
-    through json.dumps itself, so floats, bools and None print exactly as
-    it prints them, and anything it cannot encode (a numpy scalar, a set,
-    a bool, float or 0-d array) raises its TypeError, as does a non-str
-    key."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        items = [str(x) if type(x) is int else json_text(x, inner)
-                 for x in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        items = [encode_basestring_ascii(k) + ": "
-                 + (str(v) if type(v) is int else json_text(v, inner))
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
+def json_text(obj) -> str:
+    """obj as one line of JSON with its keys sorted, written by the json
+    module's C encoder; an integer ndarray of rank >= 1 (the weyl verb's
+    elements) is written as the list it stands for (_int_array)."""
+    return json.dumps(obj, sort_keys=True, default=_int_array)
+
+
+def _int_array(obj):
+    """arr.tolist() for an integer ndarray of rank >= 1.  Anything else the
+    encoder cannot write (a numpy scalar, a set, a bool, float, object or
+    0-d array) raises TypeError."""
     if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind in "iu":
-        if not len(obj):
-            return "[]"
-        inner = pad + "  "
-        if obj.ndim == 1:
-            items = map(str, obj.tolist())
-        else:
-            row = _int_template(obj.shape[1:], inner)
-            items = [row % tuple(r)
-                     for r in obj.reshape(len(obj), -1).tolist()]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(obj)
-
-
-def _int_template(shape: tuple, pad: str) -> str:
-    """json_text's text of an integer array of this shape at this indent,
-    with %d in place of each entry, in row-major order."""
-    if not shape:
-        return "%d"
-    if not shape[0]:
-        return "[]"
-    inner = pad + "  "
-    return ("[" + inner + ("," + inner).join(
-        [_int_template(shape[1:], inner)] * shape[0]) + pad + "]")
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
 
 
 def _emit(args, payload) -> None:

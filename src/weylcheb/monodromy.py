@@ -60,16 +60,16 @@ from .rootsys import (
 )
 
 # img-verify holds and prints every level's permutation of every generator:
-# this many entries (1.25 * 2^20) take about 200 MiB; check_img_caps gives
-# the measurements
+# this many entries (1.25 * 2^20) take about 112 MiB, a conservative cap
+# sized at 200 MiB; check_img_caps gives the measurements
 ENTRY_CAP = 5 * 2 ** 18
 # one level action of V vertices in rank n holds V * (n + 2) int64 cells,
 # 32 MiB at this cap: about a million vertices, which algebraic_action
 # builds in 0.07 s and perm_order walks in 0.2 s (A1, d = 2, level 20)
 ACTION_CELL_CAP = 2 ** 22
 # the lift kernel holds generators * orbit rows * rank complex cells per
-# Newton iterate: this many (128 MiB) take about 200 MiB; check_img_caps
-# gives the measurements
+# Newton iterate: this many (128 MiB) take about 200 MiB, the budget
+# ENTRY_CAP was sized for; check_img_caps gives the measurements
 KERNEL_CELL_CAP = 2 ** 23
 DEFAULT_EPSILON = 0.1
 
@@ -306,13 +306,16 @@ def check_img_caps(rs: RootSystem, d: int, levels: int):
     The run holds, and prints as JSON, every level's permutation of each of
     the P = rank + #factors generators, sum_k d^(k * rank) entries apiece,
     and ENTRY_CAP bounds their total.  Whole-process peak RSS (2-core Xeon)
-    came to 152-166 bytes per entry, above 34 MiB, on 13 runs: 191-221 MiB
-    for A1 2 18, A2 2 9 and B3 2 6 (1.05-1.2 M entries, accepted), 310 MiB
-    for A1xA1xA1 2 6 (1.8 M), 352-384 MiB for A1 2 19 and B3 3 4 (2.1-2.2 M),
-    411 MiB for A2xA2xA2 2 3, 530 MiB for A1^6 2 3 and 757 MiB for A1^9 2 2
-    (4.7 M).  The cap accepts exactly the runs under the 288-298 MiB that
-    Schreier-Sims took at the old cap of 4096 vertices; a cap on vertices
-    let products of many factors through.  At rank <= 10 algebraic_action
+    comes to 64-65 bytes per entry, above 32 MiB, on 9 runs (the last six
+    with the cap lifted): 96-106 MiB for A1 2 18, A2 2 9 and B3 2 6
+    (1.05-1.2 M entries, accepted), 143 MiB for A1xA1xA1 2 6 (1.8 M),
+    160-168 MiB for A1 2 19 and B3 3 4 (2.1-2.2 M), 178 MiB for A2xA2xA2
+    2 3, 226 MiB for A1^6 2 3 and 321 MiB for A1^9 2 2 (4.7 M).  The cap
+    was sized when the JSON was written with an indent, at 152-166 bytes
+    per entry, to accept exactly the runs under the 288-298 MiB that
+    Schreier-Sims took at the old cap of 4096 vertices; at 64 bytes per
+    entry it is conservative, about 112 MiB.  A cap on vertices let
+    products of many factors through.  At rank <= 10 algebraic_action
     stays below ACTION_CELL_CAP.
 
     Each Newton iterate of the lift evaluates the Jacobian of all P loops
@@ -322,7 +325,8 @@ def check_img_caps(rs: RootSystem, d: int, levels: int):
     took about 21 bytes of peak RSS per cell above 32 MiB: E7 (0.99 M
     cells) 6 s at 56 MiB, B9 (1.8 M) 3.5 s at 71 MiB, A13 (3.0 M) 7 s at
     91 MiB, D10 (5.9 M) 15 s at 156 MiB and B10 (6.5 M) 16 s at 168 MiB.
-    So the cap, 2^23 cells, is about 200 MiB, the budget of ENTRY_CAP.
+    So the cap, 2^23 cells, is about 200 MiB, the budget ENTRY_CAP was
+    sized for.
     E8 (63.5 M cells, 1 GiB in one complex array) is refused."""
     vertices = d ** (levels * rs.rank)
     # sum_{k=1..levels} q^k in closed form, q the vertices of level one

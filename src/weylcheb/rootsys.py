@@ -194,9 +194,6 @@ class WeylElement:
     def rank(self):
         return len(self.weight_matrix)
 
-    def apply_weight(self, lam):
-        return mat_vec(self.weight_matrix, lam)
-
     def apply_point(self, x):
         return mat_vec(self.coroot_matrix, x)
 
@@ -326,9 +323,6 @@ class RootSystem:
     @property
     def simple_roots(self):
         return self.roots[:self.rank]
-
-    def simple_reflection(self, j) -> WeylElement:
-        return reflection_element(self.simple_roots[j], 0).w
 
     def fundamental_weight(self, k):
         return tuple(1 if i == k else 0 for i in range(self.rank))

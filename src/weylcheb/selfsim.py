@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, WeylchebError
 from .rootsys import AffineElement, affine_apply
 
-# an automaton holds and prints states x d^n transitions, at 1.1-1.3 KiB of
-# peak RSS each (automaton E6 3: 122472 transitions, 150 MiB; E8 2: 353792,
-# 384 MiB): this cap lets E8 2 run and bounds a run near 650 MiB
+# an automaton holds and prints states x d^n transitions, at 0.46-0.58 KiB
+# of peak RSS each (automaton E6 3: 122472 transitions, 70 MiB; E8 2:
+# 353792, 160 MiB): this cap lets E8 2 run and bounds a run near 230 MiB.
+# It was sized at 1.1-1.3 KiB each, when the JSON was written with an
+# indent, and is conservative now
 TRANSITION_CAP = 2 ** 19
 
 
@@ -131,8 +133,11 @@ def export_automaton(gens, d: int, fmt: str = "json") -> dict | str:
     JSON schema: {alphabet_size, d, n, states: [{t, w_matrix, w_coroot}],
     transitions: [[state, letter, image_letter, child_state]],
     generators: [state indices]}.  The text format adds one wreath-recursion
-    line per state: "g3 = [image letters](children)".
+    line per state: "g3 = [image letters](children)", each image letter
+    its digits with no separator, so it refuses d > 10 before the closure.
     """
+    if fmt == "text" and d > 10:
+        raise WeylchebError("flat digit words support d <= 10 only")
     aut = reachable_states(gens, d)
     if fmt == "json":
         letters = [list(a) for a in itertools.product(range(d), repeat=aut.n)]

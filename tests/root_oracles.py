@@ -1,5 +1,6 @@
 """Slow, direct forms of facts the program computes another way, and
-helpers that only the tests use, kept as test oracles: the roots closed
+helpers that only the tests use, kept as test oracles: a simple reflection
+as a WeylElement and a WeylElement acting on weights, the roots closed
 under reflection matrices, the Weyl group by an element-at-a-time
 breadth-first search, the Weyl group array as WeylElements, an orbit's rows
 sliced from the stacked table, an orbit by closure under the simple
@@ -30,27 +31,37 @@ from weylcheb.errors import DeckMatchError, DimensionError
 from weylcheb.gencos import TWO_PI_I, eval_gencos
 from weylcheb.rootsys import (WEYL_CAP, AffineElement, Root, RootSystem,
                               WeylElement, affine_compose, dominant_weight,
-                              fundamental_orbit_table, orbit_size,
+                              fundamental_orbit_table, mat_vec, orbit_size,
                               reflection_element, weyl_group_elements,
                               weyl_identity)
 from weylcheb.selfsim import Automaton, TreeWord
+
+
+def simple_reflection(rs: RootSystem, j: int) -> WeylElement:
+    """The j-th simple reflection as a WeylElement."""
+    return reflection_element(rs.simple_roots[j], 0).w
+
+
+def apply_weight(w: WeylElement, lam) -> tuple:
+    """w acting on weight coordinates, by its weight matrix."""
+    return mat_vec(w.weight_matrix, lam)
 
 
 def roots_by_matrix_closure(rs: RootSystem) -> tuple:
     """The roots as build_root_system closed them before it used the
     reflection formula: the simple roots, then, last found first, the
     image of each root under each simple reflection's weight and coroot
-    matrices (WeylElement.apply_weight and apply_point), first occurrences
+    matrices (apply_weight and WeylElement.apply_point), first occurrences
     kept."""
     simple = rs.simple_roots
-    refls = [reflection_element(v, 0).w for v in simple]
+    refls = [simple_reflection(rs, j) for j in range(rs.rank)]
     roots = list(simple)
     seen = {r.weight_coords for r in roots}
     queue = list(simple)
     while queue:
         v = queue.pop()
         for s in refls:
-            wcoords = s.apply_weight(v.weight_coords)
+            wcoords = apply_weight(s, v.weight_coords)
             if wcoords not in seen:
                 seen.add(wcoords)
                 img = Root(wcoords, s.apply_point(v.coroot_coords),
@@ -64,7 +75,7 @@ def weyl_bfs(rs: RootSystem) -> tuple:
     """The Weyl group by an element-at-a-time breadth-first search:
     s.compose(w) for each frontier element w and each simple reflection s,
     first occurrences kept in that order, as WeylElements."""
-    gens = [rs.simple_reflection(j) for j in range(rs.rank)]
+    gens = [simple_reflection(rs, j) for j in range(rs.rank)]
     ident = weyl_identity(rs.rank)
     elements = {ident.weight_matrix: ident}
     frontier = [ident]
@@ -156,7 +167,8 @@ def eval_gencos_fullsum(rs: RootSystem, x) -> np.ndarray:
     out = np.empty(rs.rank, dtype=complex)
     for k in range(rs.rank):
         wk = rs.fundamental_weight(k)
-        images = np.array([w.apply_weight(wk) for w in elements], dtype=np.int64)
+        images = np.array([apply_weight(w, wk) for w in elements],
+                          dtype=np.int64)
         total = np.exp(TWO_PI_I * (images @ x)).sum()
         stab = len(elements) // len(orbit_matrix(rs, k))
         out[k] = total / stab

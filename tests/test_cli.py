@@ -344,6 +344,29 @@ def test_automaton_json(capsys):
     assert 3 <= len(payload["states"]) <= 4
 
 
+def test_automaton_text_refuses_d_above_10(capsys, monkeypatch):
+    # the text format writes an image letter as its digits with no
+    # separator, which reads one way only while each digit is one
+    # character: at d = 11 the letters (1, 0, 10) and (10, 1, 0) would both
+    # read 1010.  d = 10 passes; d = 11 is refused before the closure, and
+    # JSON, whose letters are lists, is not limited
+    from weylcheb import selfsim
+    code, out, _ = run_cli(capsys, "automaton", "A1xA1xA1", "10",
+                           "--format", "text")
+    assert code == 0
+    assert out.startswith("alphabet: 1000 letters (3 digits base 10)\n")
+    code, out, _ = run_cli(capsys, "automaton", "A1xA1", "11")
+    assert code == 0 and json.loads(out)["alphabet_size"] == 121
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the automaton was closed before the refusal")
+    monkeypatch.setattr(selfsim, "reachable_states", no_work)
+    code, out, err = run_cli(capsys, "automaton", "A1xA1xA1", "11",
+                             "--format", "text")
+    assert code == 2 and out == ""
+    assert err == "error: flat digit words support d <= 10 only\n"
+
+
 def test_automaton_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "automaton", "A2", "2")
     _, out2, _ = run_cli(capsys, "automaton", "A2", "2")
@@ -412,7 +435,6 @@ def test_caps_refuse_before_any_work(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work done before the cap refused it")
 
-    monkeypatch.setattr(rootsys.RootSystem, "simple_reflection", no_work)
     monkeypatch.setattr(rootsys, "_weyl_group_elements", no_work)
     monkeypatch.setattr(monodromy, "make_generator_loop", no_work)
     monkeypatch.setattr(monodromy, "lift_paths", no_work)

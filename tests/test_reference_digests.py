@@ -35,65 +35,65 @@ FLOAT_CASES = [argv for cases in WORKLOADS.values() for argv in cases
 # residuals, `skipped` and the witness.
 VERIFY_DIGESTS = {
     "verify-functional A1 2":
-        "47536c0c67e1e843ca070d8e5a27035ffe6bc9ae5834cb876695906af1b40925",
+        "a5726127672bb73d6348152fbb22b9774f6846ed873bb8aa04772a9de159a4ad",
     "verify-postcritical A1 2":
-        "716032e653ef506ab3d205b871508d58ab97443421491cfeb6bf8235edae2278",
+        "67d7902ec4b68b91e1603e6b5de82cb38eac5f353641aec8973817e6c1e8e442",
     "verify-functional A1 3":
-        "6aadc6fffc727a3d61da95267735bd7edc3eef724e0c7d044d39c1644a9dbed1",
+        "2f835c4e4828a1f27d80e4fecb1b344168b1b1c556987aaaf58902035f309832",
     "verify-postcritical A1 3":
-        "b1748433890c7122e79186f844725158d3a45b0731a6f2ef9b071b9760da32e1",
+        "e1871332ab77c5e5b1f2521cfedc3924d58d65221db400b3169ef4efcf2ffafa",
     "verify-functional A2 2":
-        "1089f8284f5ef14dc61835f9182b65375c27ecf8f374cbcbe6efd61a4012e103",
+        "c00d40547ce41a9b02dc8499294c89010c5c3ee90ebb756b4fd04121f1c5056a",
     "verify-postcritical A2 2":
-        "0ee9a50cffd1343145609b8d3667d5c9393a10e8b85ce0f21f21062b8c05fe4b",
+        "39d1f6bb89031c016cf5678c2802f058d0037bd6a339bebeb2c469e21eab9a14",
     "verify-functional A2 3":
-        "97405f246bb78892e97d088758de39fbe3b1f094428f368df8adaf827e745e98",
+        "7742f64627c6f6b893db59a198305e8964fc2de3de9e5352d873191a1f946db1",
     "verify-postcritical A2 3":
-        "f43cd17169b14541cee95a4bf85c8b47baa5b51ffacb4aec116827ea4dd5bdc8",
+        "188a8060680f0e032d126431e0615e2abd05d02220590a6c439156bd62f711d6",
     "verify-functional B2 2":
-        "82a151e9504e5a57b89c48d2a34dee89a54fc87486efcebc0553a4255b9cecbf",
+        "62e8cd3aa1dad14ded2e9d206ae8059940be1fde87f1e6db305b3087491be628",
     "verify-postcritical B2 2":
-        "b2679fbe60ea4870e24d35d65384cc1e70e9409d266da58f53dcc3e5e56e9654",
+        "0a97cabf84fed730a497b51fb049084e71c28ae08a49aa4f9ea91b0ce5b260a3",
     "verify-functional B2 3":
-        "1be031cf2745fdd3466ecb6f1d1191933685148537b79c7b567c547219f55b59",
+        "2a74750aff1d63ecd1a608eac25a17a1bb2609b644534c4a02438abe90af0235",
     "verify-postcritical B2 3":
-        "16cb369a5689e84b24d3e930faac80da209492b4fa6366737ca639a267f29691",
+        "8288cde6ff70705bca3f2b5f045abd3b16fcd9c7bc382f5f6b0dc4274cd6361c",
     "verify-functional G2 2":
-        "2b91ecd9501fb73474639498b4869c5b5951b0fbce659734c853260f5e30c6a1",
+        "c87834d6e414f1ee801ec519cff7c6c05c9235179e97711e3ac554f932b766ed",
     "verify-postcritical G2 2":
-        "70d9ed94178848b270ff176fcb04fbbbeef4eea3485b37a2812182fed4fd20e2",
+        "68e306101701df346b98afbf65c8aedfd19cf6f68cfd59ecd2a2bea48f968305",
     "verify-functional G2 3":
-        "03ce816dc81f4941789357243b21f9202fcc651f5f55621ef2f639568fd9cd3b",
+        "87f44aa61c28b7ed9b711da23a1432bc36379f07913c183792426131de543781",
     "verify-postcritical G2 3":
-        "123e4522721dd8996f812075f1b7c79a53a80c917aa18afa4d20490e4a951ef5",
+        "f048b95fdd779667b6923b4205ffa7074e5d3c3b3c33192b0181b248e068f729",
     "verify-functional A3 2":
-        "ecc6908c3423213ccfd34a5c003da78deb3a09d83f693bd3f73d1db4200b196f",
+        "353bbee4054c507c57d48b2fe142ee7d605c6aedd73f46429647da33b7beb560",
     "verify-postcritical A3 2":
-        "2792bdf9e109f6a7ef677f3d71f9effa5b9295e23ca8e7baacceafdce8fc6c3b",
+        "6fba859336f05152441c208b78c502a8cabc1881a816165c56c0b709c04bfed1",
     "verify-functional A3 3":
-        "4ae3e2b98dc721c317f5f368bf433ec0f56b0db8c598bf7557e94121fe43995f",
+        "ab58cab596d78a31c1897c97f49fa624bc0dfa7af495062ea7db0af404c30719",
     "verify-postcritical A3 3":
-        "a3b0b5157f71786c3eaff983688413ecb95e81150080fb4d10ff4556dcfcaf9e",
+        "3a4da864495e338a04c2e25d8cf05a988b37c725bdfe1169943683555dec1b4e",
     "verify-functional A1xA1 2":
-        "7c0886bdf03d93787f7b7b28d2a715d8c93af9665ddf997e11290af47dec7a1d",
+        "a8985204d8660f1a4806d20081fc9d04f91d6779370d5025fc3250d1ff765d82",
     "verify-postcritical A1xA1 2":
-        "03bcef846dc953e4e4cbff1e5d31e7ea5ae211ee556f921024ce7953f46dc28b",
+        "cb02a08fc9811543b3b936a807948489403a86e5aa271663b78e087951b1eae7",
     "verify-functional A1xA1 3":
-        "2cbbcd68e796a9a3afbce9b17daded45cc7039178d173a74b17f26452388c3d8",
+        "34050eb4144490f8be093a9eda6241801745d3d2e4730f18fd9d603c68b0104e",
     "verify-postcritical A1xA1 3":
-        "6d2f658f28f921fe6790241692a21513dea1278e0aeba19d8dd1c4b067a5b0f1",
+        "e83474e49d5af0533db1187b2168bb5739bd9cec58862582e968ce170978950c",
     "verify-functional B3 2":
-        "0c22b85aae944de7d63739d3c1dc3ce12e48bd55cb533268ca5d29d4e9610631",
+        "76a486789e6063d9d40573f7bbbba40bcbec29bcaea9ac1bba678484fb0294a3",
     "verify-postcritical B3 2":
-        "736183915d2fe164b3cffb3916aa7bf61602aa2e5adabd19fd8cc080e56d4835",
+        "36beafe6eef4fca5f341b30e26d3ae2da2b48ee677a30c7b8c47019e612181d3",
     "verify-functional F4 2":
-        "f3fc98f3f949a23d265158fa40e65eb0e0092219baaf79845dd9ec4ad606f473",
+        "4c350da5ba5098f3ad72ed1be00b4202c4e58a97cf8218b44f36ebe66ca64af9",
     "verify-postcritical F4 2":
-        "9d9c37a1caf43104ce1d75e08c405473d44e60ed16b3cf2a90f3638bf3620094",
+        "4a4889936cf06d126ea111ce25cea40c0defaea40dcdea457e8058859aa2f770",
     "verify-functional G2 6":
-        "8785548af06aa50249e19094f9fba0289bf4855189c54beeb9c000800f72fb5e",
+        "0c2a09085ffbe65bff5723082184bf40b5480086b0a79fd84b157edd72f85a3e",
     "verify-postcritical G2 6":
-        "1fc67e933f994ccc8c09c329fd3ec26ab574321f9b2e46021e3ccf6c96734e2c",
+        "4f36ace8f812b639d8c43bc93d2a74e2a267315b822185bb781f715f614a6b47",
 }
 
 

@@ -38,8 +38,9 @@ from weylcheb.rootsys import (
     weyl_order,
 )
 
-from root_oracles import (orbit_bfs, orbit_matrix, positive_roots,
-                          roots_by_matrix_closure, weyl_bfs, weyl_elements)
+from root_oracles import (apply_weight, orbit_bfs, orbit_matrix,
+                          positive_roots, roots_by_matrix_closure,
+                          simple_reflection, weyl_bfs, weyl_elements)
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20,
@@ -382,7 +383,7 @@ def test_weyl_elements_preserve_roots(rs):
         rsys = rs(spec)
         root_set = {v.weight_coords for v in rsys.roots}
         for w in weyl_elements(rsys):
-            assert {w.apply_weight(v) for v in root_set} == root_set
+            assert {apply_weight(w, v) for v in root_set} == root_set
 
 
 def test_weyl_matrices_integer_invertible(rs):
@@ -479,7 +480,7 @@ def test_dominant_weight_identity_on_dominant():
 def test_dominant_weight_a2_example():
     a2 = build_root_system("A2")
     assert dominant_weight(a2, (-1, 1)) == (1, 0)
-    assert a2.simple_reflection(0).apply_weight((-1, 1)) == (1, 0)
+    assert apply_weight(simple_reflection(a2, 0), (-1, 1)) == (1, 0)
 
 
 def test_dominant_weight_property():
