@@ -27,14 +27,16 @@ The loop of a generator g is the image of its generating path
 exactly at each time it asks for, and never the path, which is the lift
 the check must find.  img_verification lifts the standard generators'
 loops in one lift_paths batch, checks each deck element against the
-generator the loop was built from and records, in closed form, the order
-of the group the generators generate at each level; numeric_monodromy
-lifts one closed loop from any basepoint.  Neither step enumerates the
-Weyl group W: deck_identify walks both ends of a lift into the fundamental
-alcove, and the order needs only |W| (weyl_order) and, at d^k = 2, a table
-of the kernel of W mod 2 per irreducible factor.  Relations among the
-generators' actions are not re-checked: algebraic_action is a
-homomorphism, so they hold by construction (the tests pin this).
+generator the loop was built from and records, in closed form, each
+generator's order (level_order) and the order of the group they generate
+(generated_group_order) at each level; numeric_monodromy lifts one closed
+loop from any basepoint.  No vertex is walked in Python, and no step
+enumerates the Weyl group W: deck_identify walks both ends of a lift into
+the fundamental alcove, and the group order needs only |W| (weyl_order)
+and, at d^k = 2, a table of the kernel of W mod 2 per irreducible factor.
+Relations among the generators' actions are not re-checked:
+algebraic_action is a homomorphism, so they hold by construction (the
+tests pin this).
 """
 
 from __future__ import annotations
@@ -59,14 +61,14 @@ from .rootsys import (
     weyl_order,
 )
 
-# img-verify holds and prints every level's permutation of every generator:
-# this many entries (1.25 * 2^20) take about 112 MiB, a conservative cap
-# sized at 200 MiB; check_img_caps gives the measurements
-ENTRY_CAP = 5 * 2 ** 18
-# one level action of V vertices in rank n holds V * (n + 2) int64 cells,
-# 32 MiB at this cap: about a million vertices, which algebraic_action
-# builds in 0.07 s and perm_order walks in 0.2 s (A1, d = 2, level 20)
-ACTION_CELL_CAP = 2 ** 22
+# img-verify holds and prints every level's permutation of every generator,
+# about 64 bytes of peak RSS per entry: 2.5 * 2^20 entries come to about
+# 192 MiB of a 200 MiB budget; check_img_caps gives the measurements
+ENTRY_CAP = 5 * 2 ** 19
+# one level action of V vertices in rank n holds (2n + 1) * V int64 cells,
+# and an admitted run prints >= n + 1 permutations of its last level, so
+# this cap refuses none (40 MiB; A1 d = 2 level 20 builds in 0.02 s)
+ACTION_CELL_CAP = 2 * ENTRY_CAP
 # the lift kernel holds generators * orbit rows * rank complex cells per
 # Newton iterate: this many (128 MiB) take about 200 MiB, the budget
 # ENTRY_CAP was sized for; check_img_caps gives the measurements
@@ -84,45 +86,41 @@ def algebraic_action(g: AffineElement, d: int, k: int) -> np.ndarray:
     index = sum_j u_j * (d^k)^j.  It is a permutation because det w = +-1,
     so w is invertible mod d^k.
 
-    For V vertices it holds V * (n + 2) int64 cells (the vertices, their
-    indices and their images) and refuses above ACTION_CELL_CAP."""
+    For V vertices in rank n it holds (2n + 1) * V int64 cells (the
+    vertices, their images and the image indices) and refuses above
+    ACTION_CELL_CAP."""
     if k < 1:
         raise ValueError("level must be >= 1")
     n = g.rank
     m = d ** k
     count = m ** n
-    cells = count * (n + 2)
+    cells = count * (2 * n + 1)
     if cells > ACTION_CELL_CAP:
         raise CapExceededError(
             f"level {k} action on {count} vertices needs {cells} int64 cells "
             f"({8 * cells} bytes), above cap {ACTION_CELL_CAP} cells "
             f"({8 * ACTION_CELL_CAP} bytes)")
-    idx = np.arange(count)
-    u = np.empty((count, n), dtype=np.int64)
-    for j in range(n):
-        u[:, j] = (idx // m ** j) % m
-    # image coordinate j is (row j of w) . u + t_j, encoded from the top
-    enc = np.zeros(count, dtype=np.int64)
-    for row, tj in reversed(list(zip(g.w.coroot_matrix, g.t))):
-        enc = enc * m + (u @ np.array(row, dtype=np.int64) + tj) % m
-    return enc
+    # row j of u is coordinate u_j, u_0 varying fastest
+    u = np.indices((m,) * n).reshape(n, count)[::-1]
+    image = np.array(g.w.coroot_matrix, dtype=np.int64) @ u
+    image += np.array([c % m for c in g.t], dtype=np.int64)[:, None]
+    image %= m
+    return np.ravel_multi_index(image[::-1], (m,) * n)
 
 
-def perm_order(perm) -> int:
-    """The order of a permutation image array: the lcm of its cycle lengths."""
-    perm = perm.tolist()
-    seen = [False] * len(perm)
-    order = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+def level_order(g: AffineElement, m: int) -> int:
+    """The order of g's action u |-> w(u) + t on (Z/m)^n, exact in Python
+    integers.  With r the least r >= 1 with w^r == I mod m and T =
+    sum_{i<r} w^i t, g^(r s) acts as u |-> u + s T, and r divides the
+    exponent of every power of g that acts trivially: the order is
+    r * m / gcd(m, T_1, ..., T_n)."""
+    w = np.array(g.w.coroot_matrix, dtype=object)
+    t = np.array(g.t, dtype=object) % m
+    ident = np.eye(g.rank, dtype=object) % m
+    power, total, r = w % m, t, 1
+    while (power != ident).any():
+        total, power, r = (total + power @ t) % m, power @ w % m, r + 1
+    return r * m // math.gcd(m, *total)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +282,7 @@ class MonodromyReport:
                         {
                             "level": k,
                             "algebraic_perm": act.tolist(),
-                            "order": perm_order(act),
+                            "order": level_order(g.label, self.d ** k),
                         }
                         for k, act in enumerate(g.actions, 1)
                     ],
@@ -304,19 +302,16 @@ def check_img_caps(rs: RootSystem, d: int, levels: int):
     naming what is over its cap and the cap.
 
     The run holds, and prints as JSON, every level's permutation of each of
-    the P = rank + #factors generators, sum_k d^(k * rank) entries apiece,
-    and ENTRY_CAP bounds their total.  Whole-process peak RSS (2-core Xeon)
-    comes to 64-65 bytes per entry, above 32 MiB, on 9 runs (the last six
-    with the cap lifted): 96-106 MiB for A1 2 18, A2 2 9 and B3 2 6
-    (1.05-1.2 M entries, accepted), 143 MiB for A1xA1xA1 2 6 (1.8 M),
-    160-168 MiB for A1 2 19 and B3 3 4 (2.1-2.2 M), 178 MiB for A2xA2xA2
-    2 3, 226 MiB for A1^6 2 3 and 321 MiB for A1^9 2 2 (4.7 M).  The cap
-    was sized when the JSON was written with an indent, at 152-166 bytes
-    per entry, to accept exactly the runs under the 288-298 MiB that
-    Schreier-Sims took at the old cap of 4096 vertices; at 64 bytes per
-    entry it is conservative, about 112 MiB.  A cap on vertices let
-    products of many factors through.  At rank <= 10 algebraic_action
-    stays below ACTION_CELL_CAP.
+    the P = rank + #factors generators, d^(k * rank) entries apiece at level
+    k.  ENTRY_CAP bounds their total, counted level by level up to the
+    first level that passes it.  Whole-process peak RSS (2-core Xeon, caps
+    lifted) is about 32 MiB plus 64 bytes per entry: 96-106 MiB for A1 2
+    18, A2 2 9 and B3 2 6 (1.05-1.2 M entries), 142 MiB for A1xA1xA1 2 6
+    (1.8 M), 160-168 MiB for A1 2 19 and B3 3 4 (2.1-2.2 M), 178 MiB for
+    A2xA2xA2 2 3 (2.4 M) and 227 MiB for A1^6 2 3 (3.2 M), refused.  The cap
+    counts entries, not vertices, because a product of many factors holds
+    more of them per vertex.  An admitted run's algebraic_action stays
+    below ACTION_CELL_CAP at every rank.
 
     Each Newton iterate of the lift evaluates the Jacobian of all P loops
     at once, P * R * rank complex cells, R = sum_k |W omega_k| the rows of
@@ -328,17 +323,16 @@ def check_img_caps(rs: RootSystem, d: int, levels: int):
     So the cap, 2^23 cells, is about 200 MiB, the budget ENTRY_CAP was
     sized for.
     E8 (63.5 M cells, 1 GiB in one complex array) is refused."""
-    vertices = d ** (levels * rs.rank)
-    # sum_{k=1..levels} q^k in closed form, q the vertices of level one
-    q = d ** rs.rank
-    per_generator = levels if q == 1 else (q * vertices - q) // (q - 1)
     gens = rs.rank + len(rs.factors)
-    entries = gens * per_generator
-    if entries > ENTRY_CAP:
-        raise CapExceededError(
-            f"level {levels} needs {vertices} vertices; its generators' "
-            f"level permutations hold {entries} entries, above cap "
-            f"{ENTRY_CAP}")
+    entries = 0
+    for k in range(1, levels + 1):
+        vertices = d ** (k * rs.rank)
+        entries += gens * vertices
+        if entries > ENTRY_CAP:
+            raise CapExceededError(
+                f"level {k} of {levels} needs {vertices} vertices; the "
+                f"generators' permutations up to it hold {entries} entries, "
+                f"above cap {ENTRY_CAP}")
     rows = sum(orbit_size(rs, rs.fundamental_weight(k))
                for k in range(rs.rank))
     cells = gens * rows * rs.rank

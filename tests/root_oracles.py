@@ -8,14 +8,15 @@ reflections, an orbit-sum product walked over the whole smaller orbit, the
 positive roots by the signs of their coefficients, the generalized cosine
 as a stabilizer-normalized sum over the whole Weyl group, exact polynomial
 composition and partial derivatives (the Jacobian of a map), the order of
-an affine element by repeated products, a generating path's loop and the
-wall ratio of its first step, loop concatenation and the rank-one standard
-loops, the generalized cosine and E modulo p with Python ints, the deck
-element by a search over the whole Weyl group, the level group order by
-counting the Weyl elements that are the identity mod d^k, the wreath
-recursion one digit at a time, a tree word acted on and the automaton
-closed one letter at a time, the automaton JSON read back, a tree word from
-a lattice vector, and back."""
+an affine element by repeated products, the level action built one
+coordinate at a time and a permutation's order by walking its cycles, a
+generating path's loop and the wall ratio of its first step, loop
+concatenation and the rank-one standard loops, the generalized cosine and E
+modulo p with Python ints, the deck element by a search over the whole
+Weyl group, the level group order by counting the Weyl elements that are
+the identity mod d^k, the wreath recursion one digit at a time, a tree word
+acted on and the automaton closed one letter at a time, the automaton JSON
+read back, a tree word from a lattice vector, and back."""
 
 from __future__ import annotations
 
@@ -241,6 +242,40 @@ def affine_element_order(g: AffineElement, cap: int = 64):
             return k if all(c == 0 for c in acc.t) else None
         acc = affine_compose(acc, g)
     return None  # pragma: no cover - Weyl parts have small order
+
+
+def action_by_radix_loops(g: AffineElement, d: int, k: int) -> np.ndarray:
+    """algebraic_action as it was built one coordinate at a time: each
+    vertex's coordinates by division, then the image encoded from the top
+    coordinate down, index = sum_j u_j * (d^k)^j.  No cap."""
+    n, m = g.rank, d ** k
+    count = m ** n
+    idx = np.arange(count)
+    u = np.empty((count, n), dtype=np.int64)
+    for j in range(n):
+        u[:, j] = (idx // m ** j) % m
+    enc = np.zeros(count, dtype=np.int64)
+    for row, tj in reversed(list(zip(g.w.coroot_matrix, g.t))):
+        enc = enc * m + (u @ np.array(row, dtype=np.int64) + tj) % m
+    return enc
+
+
+def perm_order(perm) -> int:
+    """The order of a permutation image array: the lcm of its cycle
+    lengths, each cycle walked one vertex at a time."""
+    perm = perm.tolist()
+    seen = [False] * len(perm)
+    order = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        order = math.lcm(order, length)
+    return order
 
 
 def loop_of(rs: RootSystem, path):

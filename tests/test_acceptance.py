@@ -21,14 +21,14 @@ from weylcheb.monodromy import (
     algebraic_action,
     img_verification,
     numeric_monodromy,
-    perm_order,
     standard_affine_generators,
 )
 from weylcheb.rootsys import affine_compose, affine_identity
 from weylcheb.selfsim import TreeWord, act_on_word, reachable_states
 
 from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
-                          compose_poly_maps, concat_loops, wreath_digit_step)
+                          compose_poly_maps, concat_loops, perm_order,
+                          wreath_digit_step)
 
 TEST_MATRIX = [(spec, d) for spec in ("A1", "A2", "B2", "G2", "A3", "A1xA1")
                for d in (2, 3)]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -288,12 +289,12 @@ def test_img_verify_a1_level_thirteen(capsys):
 
 
 def test_img_verify_refuses_oversized(capsys):
-    for case, named in ((("B3", "3", "4"),
-                         ("531441 vertices", "2207520 entries", "cap 1310720")),
-                        (("A1", "2", "19"),
-                         ("524288 vertices", "2097148 entries", "cap 1310720")),
-                        (("A1xA1xA1", "2", "6"),
-                         ("262144 vertices", "1797552 entries", "cap 1310720")),
+    for case, named in ((("B3", "3", "5"),
+                         ("14348907 vertices", "59603148 entries", "cap 2621440")),
+                        (("A1", "2", "20"),
+                         ("1048576 vertices", "4194300 entries", "cap 2621440")),
+                        (("A1xA1xA1", "2", "7"),
+                         ("2097152 vertices", "14380464 entries", "cap 2621440")),
                         (("E8", "2", "1"),
                          ("63486720 complex kernel cells", "cap 8388608"))):
         code, _, err = run_cli(capsys, "img-verify", *case)
@@ -441,12 +442,25 @@ def test_caps_refuse_before_any_work(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "weyl", "E6")
     assert code == 2 and out == ""
     assert "order 51840" in err and "cap 1152" in err
-    code, out, err = run_cli(capsys, "img-verify", "A1", "2", "19")
+    code, out, err = run_cli(capsys, "img-verify", "A1", "2", "20")
     assert code == 2 and out == ""
-    assert "524288 vertices" in err and "cap 1310720" in err
+    assert "1048576 vertices" in err and "cap 2621440" in err
     code, out, err = run_cli(capsys, "img-verify", "E8", "2", "1")
     assert code == 2 and out == ""
     assert "63486720 complex kernel cells" in err and "cap 8388608" in err
+
+
+@pytest.mark.parametrize("levels", ["5000", "100000000"])
+def test_img_verify_refuses_huge_levels_at_once(capsys, levels):
+    # the entry count stops at level 7, the first over the cap, so the
+    # refusal does no big-integer work and prints no huge number
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "img-verify", "A1", "10", levels)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (f"error: level 7 of {levels} needs 10000000 vertices; the "
+                   "generators' permutations up to it hold 22222220 "
+                   "entries, above cap 2621440\n")
 
 
 @pytest.mark.parametrize("spec,gens,order", [("E6", 7, 3317760),

@@ -21,12 +21,13 @@ from weylcheb.monodromy import (
     check_img_caps,
     generated_group_order,
     img_verification,
+    level_order,
     make_generator_loop,
     numeric_monodromy,
-    perm_order,
     standard_affine_generators,
 )
 from weylcheb.rootsys import (
+    AffineElement,
     affine_apply,
     affine_compose,
     affine_identity,
@@ -40,10 +41,10 @@ from weylcheb.rootsys import (
 )
 
 from root_oracles import (A1_LOOP_BASEPOINT, a1_standard_loops,
-                          affine_element_order, concat_loops,
-                          first_step_wall_ratios, group_order_by_weyl_count,
-                          loop_of, positive_roots, weyl_elements,
-                          wreath_digit_step)
+                          action_by_radix_loops, affine_element_order,
+                          concat_loops, first_step_wall_ratios,
+                          group_order_by_weyl_count, loop_of, perm_order,
+                          positive_roots, weyl_elements, wreath_digit_step)
 
 # the img-verify cases of the benchmark (perfbench/cases.py)
 BENCH_IMG_CASES = [("A1", 2, 4), ("A2", 2, 2), ("G2", 2, 2), ("A1xA1", 2, 3),
@@ -169,6 +170,77 @@ def test_action_cap_counts_the_cells_it_allocates():
     assert "2097152 vertices" in msg and f"{3 * 2 ** 21} int64 cells" in msg
     assert f"({24 * 2 ** 21} bytes)" in msg
     assert f"above cap {ACTION_CELL_CAP} cells ({8 * ACTION_CELL_CAP} bytes)" in msg
+
+
+def _level_grid(spec, rsys):
+    """The standard generators and 12 random affine elements (a random
+    Weyl element, a translation in [-9, 9]), each at every degree 2, 3, 5
+    and level with at most 4096 vertices."""
+    rng = random.Random(sum(map(ord, spec)))
+    elems = weyl_elements(rsys)
+    gens = [g for _, g in standard_affine_generators(rsys)]
+    gens += [AffineElement(tuple(rng.randint(-9, 9)
+                                 for _ in range(rsys.rank)),
+                           rng.choice(elems)) for _ in range(12)]
+    for d in (2, 3, 5):
+        for k in range(1, 13):
+            if d ** (k * rsys.rank) > 4096:
+                break
+            for g in gens:
+                yield g, d, k
+
+
+LEVEL_GRID_TYPES = ["A1", "A2", "B2", "C3", "G2", "A3", "B3", "A1xA1",
+                    "D4", "F4", "B3xA1"]
+
+
+@pytest.mark.parametrize("spec", LEVEL_GRID_TYPES)
+def test_action_equals_the_radix_loop_oracle(rs, spec):
+    # index arithmetic gives the image array the coordinate loops gave,
+    # vertex order included
+    for g, d, k in _level_grid(spec, rs(spec)):
+        act = algebraic_action(g, d, k)
+        assert act.dtype == np.int64
+        assert np.array_equal(act, action_by_radix_loops(g, d, k))
+
+
+@pytest.mark.parametrize("spec", LEVEL_GRID_TYPES)
+def test_level_order_equals_the_cycle_walk(rs, spec):
+    # the closed form r * m / gcd(m, T) is the lcm of the printed
+    # permutation's cycle lengths
+    pairs = 0
+    for g, d, k in _level_grid(spec, rs(spec)):
+        assert level_order(g, d ** k) == perm_order(algebraic_action(g, d, k))
+        pairs += 1
+    assert pairs >= 3 * (rs(spec).rank + len(rs(spec).factors) + 12)
+
+
+def test_level_order_one_where_a_reflection_is_trivial_mod_two(rs):
+    # B2's s1 and C3's s3 are the identity mod 2 and act trivially at
+    # m = 2, but not at m = 4; the affine generator a0 never does
+    for spec, name in (("B2", "s1"), ("C3", "s3")):
+        gens = dict(standard_affine_generators(rs(spec)))
+        act = algebraic_action(gens[name], 2, 1)
+        assert _is_identity(act) and level_order(gens[name], 2) == 1
+        assert level_order(gens[name], 4) == 2 == perm_order(
+            algebraic_action(gens[name], 2, 2))
+        assert level_order(gens["a0"], 2) == 2
+
+
+def test_level_order_is_exact_past_int64(rs):
+    # the odometer's order is m itself, and a reflection's is 2
+    m = 10 ** 30
+    assert level_order(translation_element((1,)), m) == m
+    assert level_order(translation_element((3, 0)), 2 ** 70) == 2 ** 70
+    s1 = dict(standard_affine_generators(rs("A2")))["s1"]
+    assert level_order(s1, m) == 2
+
+
+def test_report_orders_are_the_printed_permutations_orders(rs):
+    rep = img_verification(rs("B2"), 3, 2).as_dict()
+    for gen in rep["generators"]:
+        for lvl in gen["levels"]:
+            assert lvl["order"] == perm_order(np.array(lvl["algebraic_perm"]))
 
 
 # --- wreath recursion (the test oracle in root_oracles) -------------------------------
@@ -769,15 +841,20 @@ def test_img_verification_reducible(rs):
 
 
 def test_img_caps_refuse_oversized(rs):
-    # entries: (rank + factors) generators times sum_k d^(k * rank); the
-    # products have at most 2^18 vertices, which the old vertex cap accepted
-    for spec, d, levels, vertices, entries in (
-            ("B3", 3, 4, 531441, 4 * (27 + 729 + 19683 + 531441)),
-            ("A3", 10, 2, 10 ** 6, 4 * (10 ** 3 + 10 ** 6)),
-            ("A1", 2, 19, 524288, 2 * (2 ** 20 - 2)),
-            ("A1xA1xA1", 2, 6, 2 ** 18, 6 * sum(8 ** k for k in range(1, 7))),
-            ("x".join(["A1"] * 6), 2, 3, 2 ** 18, 12 * (64 + 4096 + 2 ** 18)),
-            ("x".join(["A1"] * 9), 2, 2, 2 ** 18, 18 * (2 ** 9 + 2 ** 18))):
+    # entries: (rank + factors) generators times d^(k * rank) at each level
+    # k, counted up to the first level that passes the cap; A1^6 and A1^9
+    # are refused at 2^18 vertices, which a vertex cap would accept
+    for spec, d, levels, stop, vertices, entries in (
+            ("B3", 3, 5, 5, 3 ** 15, 4 * sum(27 ** k for k in range(1, 6))),
+            ("A3", 10, 2, 2, 10 ** 6, 4 * (10 ** 3 + 10 ** 6)),
+            ("A1", 2, 20, 20, 2 ** 20, 2 * (2 ** 21 - 2)),
+            ("A1", 2, 10 ** 8, 20, 2 ** 20, 2 * (2 ** 21 - 2)),
+            ("A1xA1xA1", 2, 7, 7, 2 ** 21,
+             6 * sum(8 ** k for k in range(1, 8))),
+            ("x".join(["A1"] * 6), 2, 3, 3, 2 ** 18,
+             12 * (64 + 4096 + 2 ** 18)),
+            ("x".join(["A1"] * 9), 2, 2, 2, 2 ** 18,
+             18 * (2 ** 9 + 2 ** 18))):
         rsys = rs(spec)
         # numeric_monodromy refuses with the same message, before any lift
         def still(t):
@@ -788,33 +865,67 @@ def test_img_caps_refuse_oversized(rs):
             with pytest.raises(CapExceededError) as exc:
                 refuse()
             msg = str(exc.value)
-            assert f"{vertices} vertices" in msg and "above cap 1310720" in msg
-            assert f"hold {entries} entries" in msg
+            assert msg == (
+                f"level {stop} of {levels} needs {vertices} vertices; the "
+                f"generators' permutations up to it hold {entries} entries, "
+                "above cap 2621440")
             assert entries > ENTRY_CAP
 
 
 def test_img_caps_accept_a_full_size_level(rs):
-    # 1048572, 1048572 and 1198368 entries: the runs measured under budget
+    # 1048572, 1048572 and 1198368 entries, and the runs measured under the
+    # 200 MiB budget: 2097148, 2207520 and 2396736 entries
     check_img_caps(rs("A1"), 2, 18)
     check_img_caps(rs("A2"), 2, 9)
     check_img_caps(rs("B3"), 2, 6)
+    check_img_caps(rs("A1"), 2, 19)
+    check_img_caps(rs("B3"), 3, 4)
+    check_img_caps(rs("A2xA2xA2"), 2, 3)
 
 
 def test_img_caps_count_entries_in_closed_form(rs):
-    # the refusal is decided by the same entry count at every degree,
-    # d = 1 included (one vertex per level)
+    # the refusal names the first level whose entries, in closed form,
+    # pass the cap, at every degree, d = 1 included (one vertex per level)
     for spec, d in (("A1", 1), ("A1", 2), ("A2", 3), ("B3xA1", 2)):
         rsys = rs(spec)
         gens = rsys.rank + len(rsys.factors)
+
+        def entries(k):
+            return gens * sum(d ** (j * rsys.rank) for j in range(1, k + 1))
+
         for levels in range(1, 40):
-            entries = gens * sum(d ** (k * rsys.rank)
-                                 for k in range(1, levels + 1))
-            if entries <= ENTRY_CAP:
+            if entries(levels) <= ENTRY_CAP:
                 check_img_caps(rsys, d, levels)
-            else:
-                with pytest.raises(CapExceededError,
-                                   match=f"hold {entries} entries"):
-                    check_img_caps(rsys, d, levels)
+                continue
+            stop = next(k for k in range(1, levels + 1)
+                        if entries(k) > ENTRY_CAP)
+            with pytest.raises(CapExceededError,
+                               match=f"level {stop} of {levels} .* hold "
+                                     f"{entries(stop)} entries"):
+                check_img_caps(rsys, d, levels)
+
+
+def test_img_caps_admit_no_run_the_action_cap_refuses(rs):
+    # an admitted run prints its last level for n + #factors >= n + 1
+    # generators, so that level's (2n + 1) * V action cells stay below
+    # 2 * ENTRY_CAP <= ACTION_CELL_CAP at every rank
+    assert ACTION_CELL_CAP >= 2 * ENTRY_CAP
+    for n in range(1, 11):
+        for spec in (f"A{n}", "x".join(["A1"] * n)):
+            rsys = rs(spec)
+            for d in (2, 3, 5, 10):
+                deepest = 0
+                while True:
+                    try:
+                        check_img_caps(rsys, d, deepest + 1)
+                    except CapExceededError:
+                        break
+                    deepest += 1
+                if deepest:
+                    assert (2 * n + 1) * d ** (deepest * n) <= ACTION_CELL_CAP
+    # the widest admitted actions of ranks one and three build
+    assert len(algebraic_action(affine_identity(1), 2, 19)) == 2 ** 19
+    assert len(algebraic_action(affine_identity(3), 3, 4)) == 3 ** 12
 
 
 def test_img_caps_accept_e7_and_refuse_e8_by_kernel_cells(rs):

@@ -12,8 +12,7 @@ import pytest
 
 from weylcheb import cli
 from weylcheb.errors import CapExceededError
-from weylcheb.monodromy import (algebraic_action, perm_order,
-                                standard_affine_generators)
+from weylcheb.monodromy import algebraic_action, standard_affine_generators
 from weylcheb.rootsys import (
     affine_compose,
     affine_identity,
@@ -28,8 +27,9 @@ from weylcheb.selfsim import (
 )
 
 from root_oracles import (act_on_word_by_letter, import_automaton,
-                          reachable_states_by_letter, tree_word_from_vector,
-                          tree_word_vector, wreath_digit_step)
+                          perm_order, reachable_states_by_letter,
+                          tree_word_from_vector, tree_word_vector,
+                          wreath_digit_step)
 
 
 def word_of(digits, d=2, n=1):
